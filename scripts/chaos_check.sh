@@ -7,10 +7,10 @@
 #
 # The soak's seeds are fixed in tests/sim/test_chaos_soak.py (STORM),
 # so every run replays the same fault storm: ~5 % injected faults across
-# three plugins over 10k packets, on both the metered and the fast data
-# path, with packet-for-packet agreement asserted.  The same storm also
-# runs through receive_batch (fused single-pass shape), pinning the
-# mid-batch fault split/resume machinery against the scalar walk.
+# three plugins over 10k packets, on both the metered walk and the
+# generated un-metered loops, with packet-for-packet agreement asserted.
+# The same storm also runs through receive_batch in both layouts (packet
+# and lanes), pinning mid-batch fault resume against the metered walk.
 #
 # Exits non-zero if containment fails: a fault escapes the router, a
 # record fails to reconcile, a quarantine misbehaves, or the two data

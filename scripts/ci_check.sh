@@ -7,7 +7,7 @@
 #
 # The static-analysis gate self-lints every built-in plugin (hot-path
 # RP2xx and shard-safety RP4xx passes), sweeps the shard/batch layers
-# themselves, warms and audits every generated loop shape (RP5xx), and
+# themselves, warms and audits both generated loop layouts (RP5xx), and
 # verifies compiled/interpreted equivalence for the classifier DAG and
 # all BMP engines (scripts/analyze.py --self-lint), plus ruff/mypy over
 # the linted subsystems when those tools are installed.  bench_check.sh
@@ -107,5 +107,10 @@ echo "==== topo gate (multi-router topology suite) ===="
 # must hold their delivery invariants scalar and batched
 # (tests/topo/, docs/TOPOLOGY.md).
 PYTHONPATH=src python -m pytest -q -m topo tests/topo/
+
+echo "==== benchmark self-tests (benchmarks/e2e/tests) ===="
+# The end-to-end benchmark's own checks (oracles, generators, harness
+# statistics); not tier-1, so this is where they run.
+python -m pytest benchmarks/e2e/tests -q
 
 echo "==== ci_check: all gates passed ===="

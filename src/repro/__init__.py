@@ -7,13 +7,7 @@ the architecture overview and ``DESIGN.md`` for the system inventory):
 
 >>> from repro import Router, Pmgr
 >>> router = Router()
-
-A handful of internals that used to leak through here are still
-importable via deprecation shims (they warn once and will be removed in
-2.0); import them from their home subpackage instead.
 """
-
-import warnings as _warnings
 
 from .aiu import AIU, Filter, FlowTable, PortSpec
 from .core import (
@@ -102,34 +96,3 @@ __all__ = [
     "TopologyPluginLibrary",
     "__version__",
 ]
-
-# Internals that historically leaked through `repro`; kept importable so
-# old scripts keep running, but they warn and are not part of __all__.
-_DEPRECATED = {
-    "Tracer": ("repro.core.tracing", "Tracer"),
-    "NullMeter": ("repro.sim.cost", "NullMeter"),
-    "NULL_METER": ("repro.sim.cost", "NULL_METER"),
-    "RateMeter": ("repro.telemetry", "RateMeter"),
-    "summarize": ("repro.telemetry", "summarize"),
-    "percentile": ("repro.telemetry", "percentile"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name!r} from 'repro' is deprecated and will be removed "
-        f"in 2.0; import it from {module_name!r} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED) | set(globals()))

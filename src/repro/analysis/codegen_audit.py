@@ -1,14 +1,13 @@
 """Exec-codegen audit (RP5xx) — verify generated data-path code.
 
 The hottest code in the repo is *generated*: :mod:`repro.core.batch`
-emits a specialized batch loop per (plan epoch, configuration) key and
-``exec``\\ s it against an allowlisted namespace, and the DAG classifier
-and BMP engines flatten themselves into compiled lookup structures.
-Nothing at runtime re-checks any of it — a codegen regression surfaces
-as a heisenbug three layers away.  This auditor re-parses every cached
-loop (all three shapes: ``single``, ``lanes``, ``fused``) and walks the
-compiled lookup structures, turning structural invariants into ordinary
-diagnostics:
+emits the un-metered executor per plan, in two layouts, and ``exec``\\ s
+it against an allowlisted namespace, and the DAG classifier and BMP
+engines flatten themselves into compiled lookup structures.  Nothing at
+runtime re-checks any of it — a codegen regression surfaces as a
+heisenbug three layers away.  This auditor re-parses every compiled
+loop (both layouts: ``packet``, ``lanes``) and walks the compiled lookup
+structures, turning structural invariants into ordinary diagnostics:
 
 * RP501 — a free name in the generated source that resolves neither to
   the compile-time namespace (the allowlisted closure) nor to the small
@@ -16,13 +15,14 @@ diagnostics:
 * RP502 — nondeterministic builtins in generated code: ``hash()`` (the
   RP209 hazard, fatal in generated code), ``time``/``random``/
   ``datetime``/``uuid``/``os`` references.
-* RP503 — a fault handler that neither resumes through a ``_split_*``
-  helper (non-fused shapes) nor classifies through ``on_fault`` (fused)
-  nor re-raises: plugin faults would escape the per-plugin fault domain.
-* RP504 — the specialization key's fields are not reflected in the
-  emitted source (a ``tm`` plan without telemetry cells, a ``bounded``
-  plan that never consults ``MAXR``, ...): the cache would serve a loop
-  compiled for a different configuration.
+* RP503 — a fault handler that neither resumes through the ``_resume``
+  helper (a ``lanes`` sweep) nor classifies through ``on_fault`` (every
+  other plugin call) nor re-raises: plugin faults would escape the
+  per-plugin fault domain.
+* RP504 — the plan's fields are not reflected in the emitted source (a
+  ``tm`` plan without telemetry cells, a ``bounded`` plan that never
+  consults ``MAXR``, ...): the router would run a loop compiled for a
+  different configuration.
 * RP505 — a compiled lookup structure violating its shape invariants:
   stale compile epochs, per-length prefix tables not probed
   longest-first, unsorted range boundaries, or entry counts that do not
@@ -59,7 +59,10 @@ _FORBIDDEN_FREE = {
 #: bidirectional one additionally asserts it is absent when unset.
 _PLAN_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
     ("tm", "_tm_gate_cells", True),
-    ("local", "local_addrs", True),
+    ("probe", "buckets[fold & mask]", True),
+)
+#: The same, for fields only the inlined probe (``plan["probe"]``) reads.
+_PROBE_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
     ("bounded", "MAXR", True),
     ("clock", "record.ref = True", False),
 )
@@ -183,14 +186,14 @@ def audit_loop_source(
             diagnostics.append(
                 Diagnostic(
                     "RP503",
-                    "generated fault handler neither resumes via a "
-                    "_split_* helper nor classifies via on_fault nor "
+                    "generated fault handler neither resumes via the "
+                    "_resume helper nor classifies via on_fault nor "
                     "re-raises",
                     subject=subject,
                     file="<repro.core.batch>",
                     line=handler.lineno,
-                    hint="faults must re-enter the scalar path with the "
-                    "batch's residue (the _split_* contract)",
+                    hint="a sweep fault must re-enter the packet layout "
+                    "with the batch's residue (the _resume contract)",
                 )
             )
 
@@ -211,9 +214,7 @@ def _handler_resumes(handler: ast.ExceptHandler) -> bool:
                 name = func.id
             elif isinstance(func, ast.Attribute):
                 name = func.attr
-            if name is not None and (
-                name.startswith("_split_") or name == "on_fault"
-            ):
+            if name in ("_resume", "on_fault"):
                 return True
     return False
 
@@ -225,30 +226,25 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
         diagnostics.append(
             Diagnostic(
                 "RP504",
-                f"specialization key field {field!r} is not reflected in "
-                f"the generated source: {detail}",
+                f"plan field {field!r} is not reflected in the generated "
+                f"source: {detail}",
                 subject=subject,
-                hint="the loop cache key and the emitter disagree; the "
-                "cache would serve a loop compiled for a different "
-                "configuration",
+                hint="the plan and the emitter disagree; the router would "
+                "run a loop compiled for a different configuration",
             )
         )
 
-    for field, marker, bidirectional in _PLAN_MARKERS:
+    markers = _PLAN_MARKERS + (_PROBE_MARKERS if plan.get("probe") else ())
+    for field, marker, bidirectional in markers:
         present = marker in source
         if plan.get(field) and not present:
             bad(field, f"plan sets {field} but {marker!r} never appears")
         elif bidirectional and not plan.get(field) and present:
             bad(field, f"plan clears {field} but {marker!r} appears")
-    if plan.get("fused"):
-        if "on_fault" not in source:
-            bad("fused", "fused loops must classify faults via on_fault")
-    elif "_split_" not in source:
-        bad("fused", "non-fused loops must resume faults via _split_*")
-    if plan.get("hooks") and "for hook in HOOKS" not in source:
-        bad("hooks", "batch hooks registered but never dispatched")
-    if not plan.get("plain") and "iface.output(packet, now)" not in source:
-        bad("plain", "non-plain interfaces must emit via iface.output()")
+    if "on_fault" not in source:
+        bad("layout", "every layout classifies tail faults via on_fault")
+    if (plan.get("layout") == "lanes") != ("_resume(" in source):
+        bad("layout", "lanes sweeps, and only they, resume via _resume")
     for gate_entry in plan.get("pre") or ():
         gate_name = gate_entry[0] if isinstance(gate_entry, tuple) else gate_entry
         if f"'{gate_name}'" not in source and f'"{gate_name}"' not in source:
@@ -393,33 +389,18 @@ def audit_engine(engine, subject: str = "bmp engine") -> List[Diagnostic]:
 def audit_router_codegen(
     router, warm: bool = True, subject_prefix: str = ""
 ) -> List[Diagnostic]:
-    """Audit every cached compiled loop on a router plus its compiled
-    lookup structures.  With ``warm=True`` the current plan's loop is
+    """Audit every compiled loop on a router plus its compiled lookup
+    structures.  With ``warm=True`` the current plan's batch loop is
     compiled first, so a freshly configured router is never vacuously
     clean."""
     from ..core.batch import loop_for
 
     diagnostics: List[Diagnostic] = []
     if warm:
-        refresh = getattr(router, "_refresh_plan", None)
-        if refresh is not None:
-            refresh()
-        loop_for(router)  # may be None (unspecialized config): that is fine
-    for index, (key, fn) in enumerate(
-        sorted(getattr(router, "_batch_loops", {}).items(), key=lambda kv: repr(kv[0]))
-    ):
-        plan = getattr(fn, "_plan", None) or {}
-        if plan.get("fused"):
-            shape = "fused"
-        elif plan.get("pre"):
-            shape = "lanes"
-        else:
-            shape = "single"
+        loop_for(router)
+    for layout, fn in sorted(router._loops.items()):
         diagnostics.extend(
-            audit_loop(
-                fn,
-                subject=f"{subject_prefix}batch loop #{index} ({shape})",
-            )
+            audit_loop(fn, subject=f"{subject_prefix}batch loop ({layout})")
         )
     for (gate, width), table in sorted(
         getattr(router.aiu, "_tables", {}).items(),

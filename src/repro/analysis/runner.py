@@ -4,9 +4,9 @@
 call: the filter-set semantic analysis over the AIU, the hot-path and
 shard-safety lints over every loaded plugin, the compiled/interpreted
 equivalence verification over every filter table and BMP-backed routing
-engine, and the exec-codegen audit over every cached compiled batch
-loop.  ``analyze_sharded`` sweeps all shards of a ``ShardedRouter``.
-Everything runs from the control path and charges zero modelled cost.
+engine, and the exec-codegen audit over every compiled loop.
+``analyze_sharded`` sweeps all shards of a ``ShardedRouter``.  Everything
+runs from the control path and charges zero modelled cost.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def _script_diagnostic(error):
 
 
 def _self_codegen_audit() -> List:
-    """Warm each generated loop shape (single, lanes, fused) on a
-    scratch router and audit it, so the self-lint gate exercises the
+    """Warm both generated layouts (``packet``, ``lanes``), with the
+    inlined flow-table probe and with the ``AIU.classify`` call, on
+    scratch routers and audit them, so the self-lint gate exercises the
     RP5xx checks against real emitter output on every CI run."""
     from ..core.gates import DEFAULT_GATES, GATE_IP_SECURITY
     from ..core.router import Router
@@ -124,26 +125,24 @@ def _self_codegen_audit() -> List:
     from ..net.packet import make_udp
 
     diagnostics: List = []
-    for shape, max_flows, with_plugin in (
-        ("single", None, False),
-        ("lanes", None, True),
-        ("fused", 64, True),
+    for label, config in (
+        ("probe", {}),
+        ("bounded", {"max_flows": 64}),
+        ("call-classify", {"use_flow_cache": False}),
     ):
-        router = Router(
-            name=f"self-lint-{shape}", gates=DEFAULT_GATES, max_flows=max_flows
-        )
+        router = Router(name=f"self-lint-{label}", gates=DEFAULT_GATES, **config)
         router.add_interface("atm0", prefix="10.0.0.0/8")
         router.add_interface("atm1", prefix="20.0.0.0/8")
-        if with_plugin:
-            library = RouterPluginLibrary(router)
-            library.modload("firewall")
-            library.create_instance("firewall", "fw0")
-            library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
-        router.receive_batch(
-            [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")]
-        )
+        library = RouterPluginLibrary(router)
+        library.modload("firewall")
+        library.create_instance("firewall", "fw0")
+        library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
+        # receive() compiles the packet layout, receive_batch() lanes
+        # (on the unbounded routers).
+        for entry in (router.receive, lambda packet: router.receive_batch([packet])):
+            entry(make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0"))
         diagnostics.extend(
-            audit_router_codegen(router, subject_prefix=f"self-lint {shape}: ")
+            audit_router_codegen(router, subject_prefix=f"self-lint {label}: ")
         )
     return diagnostics
 
@@ -151,7 +150,7 @@ def _self_codegen_audit() -> List:
 def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
     """The CI self-check: lint every built-in plugin (hot-path and
     shard-safety passes), sweep the shard/batch layers themselves, warm
-    and audit every generated loop shape, then build a small seeded
+    and audit both generated loop layouts, then build a small seeded
     filter table per BMP engine and verify compiled/interpreted
     equivalence for the DAG and the engines."""
     from ..aiu.dag import DagFilterTable

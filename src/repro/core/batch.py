@@ -1,63 +1,54 @@
-"""Per-plan compiled batch loops for ``Router.receive_batch``.
+"""The un-metered packet executor: per-plan generated loops.
 
-PR 3 compiled the *classifier* per filter-set; this module extends the
-same technique to the dispatch loop itself.  ``loop_for`` returns a
-batch-loop function generated with ``exec`` and specialized to the
-router's current configuration:
+PR 3 compiled the *classifier* per filter-set; this module does the same
+for the dispatch loop.  One emitter produces every un-metered walk the
+router runs — ``Router.receive`` is the per-packet layout called with a
+1-tuple, ``Router.receive_batch`` whichever layout the configuration
+allows — specialized with ``exec`` to what the router was built with
+(gate geometry, bounded table and eviction policy, inlined flow-table
+probe or a call to ``AIU.classify``) and to its current plan (which
+gates have filters, telemetry on/off).
 
-* the active-gate plan (which gates actually have filters),
-* telemetry on/off (the per-gate dispatch cells are compiled in or out),
-* the flow table's eviction policy and whether it is bounded,
-* whether any local addresses / quarantined plugins exist,
-* whether every interface is a plain :class:`NetworkInterface` (the
-  transmit bookkeeping can then be inlined).
+Two layouts are generated:
 
-Three loop shapes are generated:
+``packet``  — one run-to-completion pass per packet in arrival order:
+              classify, each active pre-routing gate, then the
+              route/emit tail, with quarantine interception (one
+              ``if qmap:`` per plugin call) and fault mapping inlined.
+              Preserves the metered walk's order exactly, so it is the
+              only layout used when order is observable: a bounded flow
+              table (evictions interleave with lookups), a live
+              quarantine, or no active pre-routing gate to sweep.
+``lanes``   — a classify pass over the whole batch, then each active
+              pre-routing gate's plugin swept over the surviving lane
+              with a pooled context, then the same per-packet tail.
+              Selected for unbounded tables with no live quarantine; it
+              pays rent (docs/PERFORMANCE.md has the numbers).
 
-``single``  — one run-to-completion pass per packet with the flow-table
-              probe, route memo, and transmit inlined; used when no
-              pre-routing gate has filters.
-``lanes``   — a vectorized classify stage partitions the batch into
-              cached-hit and miss work against the flow table (misses
-              additionally walk the filter tables), then each active
-              gate's plugin runs once per batch over the surviving lane
-              with a pooled context, then a per-packet tail performs
-              route lookup and batched emit.
-``fused``   — the ``single`` pass with quarantine interception and
-              fault mapping inlined; selected whenever a plugin is
-              quarantined or the flow table is bounded (in-batch
-              evictions must interleave with packet processing exactly
-              as the scalar path would).
+Both are *behaviorally identical* to the metered walk (``Router._receive``,
+the specification) — dispositions, counters, flow-table and telemetry
+state are packet-for-packet equal (tests/perf/test_batch_pipeline.py)
+— and modelled cycles are untouched because these loops only ever run
+unmetered.
 
-Every shape is *behaviorally identical* to calling ``receive`` in a
-loop — dispositions, counters, flow-table and telemetry state are
-packet-for-packet equal (asserted by tests/perf/test_batch_pipeline.py)
-and modelled cycles are untouched because the batch path only ever runs
-unmetered.  The win is wall-clock only: per-batch prologues hoist every
-invariant load, and the per-packet interpreter overhead of the scalar
-walk (10-20 method calls) collapses into straight-line code.
+A plugin fault in the packet layout is classified inline.  A fault
+during a lanes sweep cannot be: the metered walk would have finished
+every earlier packet *before* the fault and shown any quarantine it
+trips to every later plugin call.  The sweep therefore returns through
+``_resume``, which re-enters the packet layout at a plan position.
 
-A mid-batch plugin fault cannot be run-to-completion: the scalar path
-would process later packets *after* the fault's verdict (and possible
-quarantine trip).  The generated loops therefore bail out to a split
-helper that finishes earlier packets with interception suppressed (their
-plugin calls logically preceded the fault), applies the fault verdict to
-the faulting packet, and re-runs the remainder through the scalar walk.
-
-Documented divergences (see docs/PERFORMANCE.md): filter-set changes
-made *by a plugin mid-batch* take effect at the next batch boundary
-(the plan is checked once per batch); with multiple faults in one batch
-the fault-ring sequence numbers may interleave differently than scalar;
-and an instance quarantined by a mid-batch scheduler fault is
-gate-intercepted only from the next batch on.
+Documented divergences (docs/PERFORMANCE.md; each pinned by a test of
+the same name in tests/perf/test_batch_pipeline.py): the lanes layout
+reorders cross-gate call interleaving, and a filter-set change made *by
+a plugin mid-batch* takes effect at the next batch boundary.
 """
 
 from __future__ import annotations
 
 import textwrap
-from typing import Callable, Optional
+from typing import Callable
 
-from ..aiu.filters import FlowKey, flow_key_of
+from ..aiu.filters import FlowKey
 from ..aiu.records import GateSlot
 from ..net.icmp import destination_unreachable, time_exceeded
 from ..net.interfaces import NetworkInterface
@@ -68,263 +59,96 @@ from .gates import GATE_PACKET_SCHEDULING, GATE_ROUTING
 from .plugin import PluginContext, Verdict
 from .router import Disposition
 
-#: Optional plugin hook: ``on_batch_start(now, batch_size)`` is called
-#: once per batch for every instance bound through the current filter
-#: set (or registered as a scheduler) at compile time.  The contract is
-#: that the hook must not change observable per-packet behavior — it
-#: exists so a plugin can hoist its own per-packet invariants (see
-#: docs/PLUGIN_AUTHORING.md and the RP208 lint).
-BATCH_START_HOOK = "on_batch_start"
-
-_MAX_CACHED_LOOPS = 32
+PACKET = "packet"
+LANES = "lanes"
 
 
-# ----------------------------------------------------------------------
-# Fault splitting: the batch loops return through these when a plugin
-# raises mid-batch.  Scalar equivalence argument per helper docstring.
-# ----------------------------------------------------------------------
-def _split_gate(
-    router, exc, instance, gate, gate_pos, gate_index,
-    lane_p, lane_i, live, j, now, out, cells,
-):
-    """A plugin raised during a pre-gate batch sweep.
-
-    Packets before the faulter already passed this gate; they resume at
-    the next plan position with quarantine interception suppressed —
-    scalar would have run them to completion *before* the fault could
-    trip a quarantine.  The faulter takes the fault verdict; packets
-    after it re-run this gate (and see any new quarantine), exactly as
-    the scalar order implies.
-    """
-    if cells is not None:
-        # The sweep bulk-counted the whole lane for this gate; packets
-        # after the faulter never ran it and will be re-counted by the
-        # scalar walk below.
-        cells[gate_index] -= len(lane_p) - j - 1
-    verdict = router.faults.on_fault(instance, gate, exc, lane_p[j], now)
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    counters = router.counters
-    for k in range(j):
-        if live is None or live[k]:
-            out[lane_i[k]] = walk(lane_p[k], gate_pos + 1, now, pool, False)
-    if verdict == Verdict.DROP:
-        counters[Disposition.DROPPED_BY_PLUGIN] += 1
-        out[lane_i[j]] = Disposition.DROPPED_BY_PLUGIN
-    elif verdict == Verdict.CONSUMED:
-        counters[Disposition.CONSUMED] += 1
-        out[lane_i[j]] = Disposition.CONSUMED
-    else:
-        out[lane_i[j]] = walk(lane_p[j], gate_pos + 1, now, pool)
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], gate_pos, now, pool)
-    return out
-
-
-def _fault_routing(router, exc, instance, packet, now):
-    """Apply a routing-gate fault verdict to one packet, mirroring
-    ``_route_fast`` + the no-route/forward tail of ``_walk_fast``."""
-    verdict = router.faults.on_fault(instance, GATE_ROUTING, exc, packet, now)
-    counters = router.counters
-    route = None
-    if verdict != Verdict.DROP:
-        route = packet.annotations.get("route")
-        if route is None:
-            table = router.routing_table
-            record = packet._fix
-            if record is not None:
-                if (
-                    record.route_version == table.version
-                    and record.route is not None
-                ):
-                    route = record.route
-                else:
-                    route = table.lookup_fast(packet.dst)
-                    if route is not None:
-                        record.route = route
-                        record.route_version = table.version
-            else:
-                route = table.lookup_fast(packet.dst)
-    if route is None:
-        counters[Disposition.DROPPED_NO_ROUTE] += 1
-        router._send_icmp(
-            destination_unreachable(packet, router._icmp_source(packet)), now
-        )
-        return Disposition.DROPPED_NO_ROUTE
-    packet.ttl -= 1
-    return router._output_fast(packet, route.interface, now, router._ctx_pool)
-
-
-def _fault_sched(router, exc, instance, packet, oif, iface, now):
-    """Apply a scheduling-gate fault verdict to one packet, mirroring
-    the sched-gate verdict handling in ``_output_fast`` (the MTU check
-    already passed before the gate ran)."""
-    verdict = router.faults.on_fault(
-        instance, GATE_PACKET_SCHEDULING, exc, packet, now
+def loop_for(router) -> Callable:
+    """The compiled loop ``receive_batch`` runs under the router's
+    current plan: ``lanes`` when sweeping gates over the batch cannot be
+    observed (active pre-routing gates, unbounded table, no live
+    quarantine), else ``packet``."""
+    router._refresh_plan()
+    lanes = (
+        router._plan[0]
+        and not router._quarantined
+        and router.aiu.flow_table.max_records is None
     )
-    counters = router.counters
-    if verdict == Verdict.DROP:
-        counters[Disposition.DROPPED_BY_PLUGIN] += 1
-        return Disposition.DROPPED_BY_PLUGIN
-    if verdict == Verdict.CONSUMED:
-        router._schedulers.setdefault(oif, instance)
-        router._kick(oif, now)
-        counters[Disposition.QUEUED] += 1
-        return Disposition.QUEUED
-    iface.output(packet, now)
-    counters[Disposition.FORWARDED] += 1
-    return Disposition.FORWARDED
+    return compiled_loop(router, LANES if lanes else PACKET)
 
 
-def _split_routing(router, exc, instance, lane_p, lane_i, j, now, out, pre_count):
-    """Routing-gate fault during the lanes-shape tail sweep."""
-    out[lane_i[j]] = _fault_routing(router, exc, instance, lane_p[j], now)
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], pre_count, now, pool)
-    return out
-
-
-def _split_tail(
-    router, exc, instance, oif, iface, lane_p, lane_i, j, now, out, pre_count
-):
-    """Scheduling-gate fault during the lanes-shape tail sweep."""
-    out[lane_i[j]] = _fault_sched(
-        router, exc, instance, lane_p[j], oif, iface, now
-    )
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], pre_count, now, pool)
-    return out
-
-
-def _split_single_routing(router, exc, instance, packets, i, now, out):
-    """Routing-gate fault in a single-pass loop: later packets have not
-    been classified yet, so they resume through the full scalar walk
-    (minus the ``rx`` count, taken once for the batch)."""
-    out[i] = _fault_routing(router, exc, instance, packets[i], now)
-    resume = router._resume_fast
-    pool = router._ctx_pool
-    for k in range(i + 1, len(packets)):
-        out[k] = resume(packets[k], now, pool)
-    return out
-
-
-def _split_single_sched(router, exc, instance, oif, iface, packets, i, now, out):
-    """Scheduling-gate fault in a single-pass loop."""
-    out[i] = _fault_sched(router, exc, instance, packets[i], oif, iface, now)
-    resume = router._resume_fast
-    pool = router._ctx_pool
-    for k in range(i + 1, len(packets)):
-        out[k] = resume(packets[k], now, pool)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Compilation entry point
-# ----------------------------------------------------------------------
-def loop_for(router) -> Optional[Callable]:
-    """The compiled batch loop for the router's *current* plan, or
-    ``None`` when the configuration is not specialized (scalar fallback:
-    flow cache disabled, IPv6 flow-label hashing, or no pre-routing
-    gate to anchor classification at).
-
-    Loops are cached on the router keyed by the full specialization
-    tuple; the key embeds ``plan_epoch``, so any filter create/remove
-    invalidates every compiled loop implicitly.
-    """
-    aiu = router.aiu
-    table = aiu.flow_table
-    if (
-        not aiu.use_flow_cache
-        or table.use_flow_label
-        or router._first_pre_gate is None
-    ):
-        return None
-    gov = router._overload
-    if gov is not None and gov.degraded:
-        # Degraded overload tiers run the scalar walk — the admission /
-        # cache-bypass seam lives in Router.receive().  receive_batch
-        # already routes around the loops; this guards direct callers.
-        return None
-    bounded = table.max_records is not None
-    # Bounded tables interleave evictions with packet processing and a
-    # live quarantine intercepts every plugin call — both must stay in
-    # scalar order, which only the fused single-pass shape preserves.
-    fused = bounded or bool(router._quarantined)
-    plain = all(
-        type(iface) is NetworkInterface for iface in router.interfaces.values()
-    )
-    key = (
-        fused,
-        router._plan_epoch,
-        router._plan_pre_active,
-        router._plan_routing_active,
-        router._plan_sched_active,
-        router._tm_gate_cells is not None,
-        bool(router.local_addresses),
-        table._clock,
-        bounded,
-        plain,
-    )
-    loops = router._batch_loops
-    loop = loops.get(key)
+def compiled_loop(router, layout: str) -> Callable:
+    """The router's loop for ``layout``, compiled on first use.  The
+    router drops its loops when what they specialize on changes
+    (``Router._refresh_plan``, telemetry attach/detach)."""
+    loop = router._loops.get(layout)
     if loop is None:
-        if len(loops) >= _MAX_CACHED_LOOPS:
-            loops.clear()
-        loop = _compile(router, fused, plain)
-        loops[key] = loop
+        loop = router._loops[layout] = _compile(router, layout)
     return loop
 
 
-def _batch_hooks(router) -> tuple:
-    """Collect ``on_batch_start`` hooks from every instance reachable
-    through the current filter set or scheduler bindings.  Refreshed on
-    recompilation (any ``plan_epoch`` bump); instances that appear only
-    later (e.g. a scheduler bound mid-batch) join on the next epoch."""
-    hooks = []
-    seen = set()
-    instances = [rec.instance for rec in router.aiu.filters()]
-    instances.extend(router._schedulers.values())
-    for instance in instances:
-        if instance is None or id(instance) in seen:
-            continue
-        seen.add(id(instance))
-        hook = getattr(instance, BATCH_START_HOOK, None)
-        if hook is not None:
-            hooks.append(hook)
-    return tuple(hooks)
+def _resume(router, exc, instance, gate, pos, lane_p, lane_i, live, j, now, out):
+    """A plugin raised at plan position ``pos`` of a lanes sweep, on
+    lane entry ``j``.  Restore the metered walk's order through the
+    packet layout: the packets before the faulter finish first (they
+    already passed this gate, so from ``pos + 1``), then the fault is
+    charged to its domain and the faulter takes the verdict, then the
+    packets after it run from ``pos`` on — intercepted, so they see any
+    quarantine the fault tripped."""
+    loop = compiled_loop(router, PACKET)
+
+    def run(entries, start):
+        results = loop(router, [lane_p[k] for k in entries], now, start)
+        for k, disposition in zip(entries, results):
+            out[lane_i[k]] = disposition
+
+    run([k for k in range(j) if live is None or live[k]], pos + 1)
+    verdict = router.faults.on_fault(instance, gate, exc, lane_p[j], now)
+    if verdict == Verdict.DROP or verdict == Verdict.CONSUMED:
+        disposition = (
+            Disposition.DROPPED_BY_PLUGIN if verdict == Verdict.DROP
+            else Disposition.CONSUMED
+        )
+        router.counters[disposition] += 1
+        out[lane_i[j]] = disposition
+    else:
+        run([j], pos + 1)
+    run(range(j + 1, len(lane_p)), pos)
+    return out
 
 
-def _compile(router, fused: bool, plain: bool) -> Callable:
+def _compile(router, layout: str) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
+    first = router._first_pre_gate
+    pre, routing_active, sched_active = router._plan
     plan = {
-        "fused": fused,
-        "pre": router._plan_pre_active,
+        "layout": layout,
+        "pre": pre,
         "tm": router._tm_gate_cells is not None,
-        "local": bool(router.local_addresses),
+        # Inline the flow-table probe and miss walk, or call AIU.classify
+        # (cache off, IPv6 flow-label hashing, no pre-routing gate).
+        "probe": (
+            aiu.use_flow_cache and not table.use_flow_label
+            and first is not None
+        ),
         "clock": table._clock,
         "bounded": table.max_records is not None,
-        "plain": plain,
-        "first_gi": router._gate_indices[router._first_pre_gate],
+        "first_gate": first,
+        "first_gi": router._gate_indices.get(first),
         "gate_count": len(router.gates),
         "has_routing": router._has_routing_gate,
-        "routing_active": router._plan_routing_active,
+        "routing_active": routing_active,
         "routing_gi": router._gate_indices.get(GATE_ROUTING),
         "has_sched": router._has_sched_gate,
-        "sched_active": router._plan_sched_active,
+        "sched_active": sched_active,
         "sched_gi": router._gate_indices.get(GATE_PACKET_SCHEDULING),
-        "hooks": _batch_hooks(router),
     }
     source = _emit(plan)
     namespace = {
         "PluginContext": PluginContext,
         "GateSlot": GateSlot,
         "NULL": NULL_METER,
-        "flow_key_of": flow_key_of,
         "FlowKey": FlowKey,
         "FK_NEW": FlowKey.__new__,
         "PSTATS": PARSE_STATS,
@@ -341,19 +165,14 @@ def _compile(router, fused: bool, plain: bool) -> Callable:
         "CONSD": Disposition.CONSUMED,
         "RGATE": GATE_ROUTING,
         "SGATE": GATE_PACKET_SCHEDULING,
-        "HOOKS": plan["hooks"],
+        "PLAIN": NetworkInterface,
         "MAXR": table.max_records,
-        "_split_gate": _split_gate,
-        "_split_routing": _split_routing,
-        "_split_tail": _split_tail,
-        "_split_single_routing": _split_single_routing,
-        "_split_single_sched": _split_single_sched,
+        "_resume": _resume,
     }
-    code = compile(source, "<repro.core.batch>", "exec")
-    exec(code, namespace)
+    exec(compile(source, "<repro.core.batch>", "exec"), namespace)
     fn = namespace["_batch_loop"]
     fn._source = source          # introspection for tests/debugging
-    fn._plan = dict(plan)
+    fn._plan = plan
     return fn
 
 
@@ -368,16 +187,16 @@ def _emit(plan) -> str:
             lines.append("    " * depth + raw if raw.strip() else "")
 
     _emit_prologue(blk, plan)
-    if plan["fused"] or not plan["pre"]:
-        _emit_single(blk, plan)
-    else:
+    if plan["layout"] == LANES:
         _emit_lanes(blk, plan)
+    else:
+        _emit_packet(blk, plan)
     blk(1, """
         finally:
+            router._ctx_pool = pool
             if fwd:
                 # Guarded: a Counter materializes the key even on += 0,
-                # which would diverge from a scalar run that never
-                # forwarded anything.
+                # which would diverge from a run that never forwarded.
                 counters[FWDD] += fwd
             table.hits += hits
         return out
@@ -386,54 +205,59 @@ def _emit(plan) -> str:
 
 
 def _emit_prologue(blk, plan):
+    """Per-call binds.  ``start`` is the plan position a ``_resume``
+    re-entry begins at; -1 is a fresh batch (count it, run the hooks)."""
     blk(0, """
-        def _batch_loop(router, packets, now):
+        def _batch_loop(router, packets, now, start=-1):
             aiu = router.aiu
             table = aiu.flow_table
             classify = aiu.classify
-            buckets = table._buckets
-            mask = table._mask
-            free = table._free
             counters = router.counters
-            pool = router._ctx_pool
             rtable = router.routing_table
             rlookup = rtable.lookup_fast
             ifget = router.interfaces.get
             schedulers = router._schedulers
-            wp4 = aiu._width_plans.get(32, ())
-            wp6 = aiu._width_plans.get(128, ())
-            n = len(packets)
-            counters["rx"] += n
-            out = [FWDD] * n
-            fwd = 0
-            hits = 0
-    """)
-    if plan["tm"]:
-        blk(1, """
-            cells = router._tm_gate_cells
-            tm_counts = aiu._tm_size_counts
-            tm_len = len(tm_counts)
-            tm_hist = aiu._tm_size_hist
-        """)
-    if plan["local"]:
-        blk(1, "local_addrs = router.local_addresses")
-    if plan["fused"]:
-        blk(1, """
+            local_addrs = router.local_addresses
             qmap = router._quarantined
             qget = qmap.get
             on_fault = router.faults.on_fault
             probe_ok = router.faults.probe_succeeded
-        """)
-    if plan["hooks"]:
+            n = len(packets)
+            out = [FWDD] * n
+            fwd = 0
+            hits = 0
+            if start < 0:
+                counters["rx"] += n
+                for hook in router._batch_hooks:
+                    hook(now, n)
+    """)
+    if plan["probe"]:
         blk(1, """
-            for hook in HOOKS:
-                hook(now, n)
+            buckets = table._buckets
+            mask = table._mask
+            free = table._free
         """)
-    # Pooled contexts, initialized once per batch (the scalar gate macro
-    # re-assigns now/cycles/out_interface per call; the values are batch
-    # invariants for everything but the sched gate's out_interface).
+    if plan["tm"]:
+        blk(1, "cells = router._tm_gate_cells")
+        if plan["probe"]:
+            blk(1, """
+                tm_counts = aiu._tm_size_counts
+                tm_len = len(tm_counts)
+                tm_hist = aiu._tm_size_hist
+            """)
+    # One pooled context per gate, checked out for the call: a plugin
+    # that re-enters receive() from process() finds the pool gone and
+    # builds its own, so it never sees this call's contexts change
+    # under it.  now/cycles/out_interface are batch invariants for
+    # everything but the sched gate's out_interface.
+    blk(1, """
+        pool = router._ctx_pool
+        router._ctx_pool = None
+        if pool is None:
+            pool = {}
+    """)
     gates = list(plan["pre"])
-    if plan["has_routing"] and plan["routing_active"]:
+    if plan["routing_active"]:
         gates.append((GATE_ROUTING, plan["routing_gi"]))
     if plan["has_sched"]:
         gates.append((GATE_PACKET_SCHEDULING, plan["sched_gi"]))
@@ -441,8 +265,7 @@ def _emit_prologue(blk, plan):
         blk(1, f"""
             ctx_{gi} = pool.get({gate!r})
             if ctx_{gi} is None:
-                ctx_{gi} = PluginContext(router=router, gate={gate!r})
-                pool[{gate!r}] = ctx_{gi}
+                ctx_{gi} = pool[{gate!r}] = PluginContext(router=router, gate={gate!r})
             ctx_{gi}.now = now
             ctx_{gi}.cycles = NULL
             ctx_{gi}.out_interface = None
@@ -451,9 +274,19 @@ def _emit_prologue(blk, plan):
 
 
 def _emit_classify(blk, plan, depth):
-    """The classify stage for one packet: an inlined ``FlowTable.lookup``
-    (hit) or install + filter-table walk (miss), state-identical to
-    ``AIU.classify`` anchored at the first pre-routing gate."""
+    """The classify stage for one packet, anchored where the metered
+    walk classifies: the first pre-routing gate (without one, the route
+    step or the scheduling gate classifies, in the tail).  Either a call
+    to ``AIU.classify`` or, state-identical to it, an inlined
+    ``FlowTable.lookup`` (hit) or install + filter-table walk (miss)."""
+    if plan["first_gate"] is None:
+        return
+    if not plan["probe"]:
+        blk(depth, f"""
+            if packet._fix is None:
+                classify(packet, {plan['first_gate']!r}, now=now)
+        """)
+        return
     blk(depth, """
         record = packet._fix
         if record is None:
@@ -582,7 +415,7 @@ def _emit_classify(blk, plan, depth):
                 tm_hist.observe(size)
         """)
     blk(depth + 2, """
-        for _gname, _gi, _gstats, _gtable in (wp4 if sw == 32 else wp6):
+        for _gname, _gi, _gstats, _gtable in aiu._width_plans.get(sw, ()):
             aiu.filter_lookups += 1
             _gstats[0] += 1
             _gstats[1] += 1
@@ -670,12 +503,15 @@ def _emit_allocate(blk, plan, depth):
     """)
 
 
-def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
-    """One gate's plugin invocation for one packet: the scalar gate
-    macro (``_gate_fast``) inlined, with interception only in the fused
-    shape.  ``fault_lines`` is the except-branch body.  Returns the
-    depth at which the caller must emit its verdict handling (it is
-    skipped when no call happened)."""
+def _emit_gate_call(blk, plan, depth, gate, gi, sweep_fault=None):
+    """One gate's plugin invocation for one packet — the gate macro
+    (``Router._run_gate``) without meters: FIX fetch (AIU call if the
+    FIX was cleared mid-walk), quarantine interception, indirect call,
+    fault mapping.  A lanes sweep passes ``sweep_fault``, its except
+    body, and gets no interception: it only runs with no quarantine
+    live and leaves through ``_resume`` on the first fault.  Returns the
+    depth at which the caller emits its verdict handling (skipped when
+    no call happened)."""
     blk(depth, f"""
         record = packet._fix
         if record is None:
@@ -684,10 +520,10 @@ def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
         else:
             gslot = record.slots[{gi}]
             ginst = gslot.instance if gslot is not None else None
+        if ginst is not None:
     """)
-    blk(depth, "if ginst is not None:")
     d = depth + 1
-    if plan["fused"]:
+    if sweep_fault is None:
         blk(d, """
             probe = False
             call = True
@@ -706,15 +542,21 @@ def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
             if call:
         """)
         d += 1
-    ctx_lines = [f"ctx_{gi}.slot = gslot", f"ctx_{gi}.flow = record"]
+    blk(d, f"""
+        ctx_{gi}.slot = gslot
+        ctx_{gi}.flow = record
+    """)
     if gate == GATE_PACKET_SCHEDULING:
-        ctx_lines.append(f"ctx_{gi}.out_interface = oif")
-    blk(d, "\n".join(ctx_lines))
-    blk(d, "try:")
-    blk(d + 1, f"verdict = ginst.process(packet, ctx_{gi})")
-    blk(d, "except Exception as exc:")
-    blk(d + 1, fault_lines)
-    if plan["fused"]:
+        blk(d, f"ctx_{gi}.out_interface = oif")
+    blk(d, f"""
+        try:
+            verdict = ginst.process(packet, ctx_{gi})
+        except Exception as exc:
+    """)
+    if sweep_fault is not None:
+        blk(d + 1, sweep_fault)
+    else:
+        blk(d + 1, f"verdict = on_fault(ginst, {gate!r}, exc, packet, now)")
         blk(d, """
             else:
                 if probe:
@@ -723,10 +565,11 @@ def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
     return d
 
 
-def _emit_tail(blk, plan, depth, idx, shape):
-    """The per-packet tail: multicast/local/TTL demux, route, output.
-    ``shape`` picks the fault handling: 'fused' maps verdicts inline,
-    'lanes' and 'single' return through the split helpers."""
+def _emit_tail(blk, plan, depth, idx):
+    """The per-packet tail, the same in both layouts: multicast/local/
+    TTL demux, route (L4-switching gate, then the per-flow route memo —
+    exact, because the destination is part of the flow key — or the
+    longest-prefix match), scheduling gate / bound scheduler, emit."""
     # -- demux ---------------------------------------------------------
     blk(depth, f"""
         dst_a = packet.dst
@@ -734,14 +577,9 @@ def _emit_tail(blk, plan, depth, idx, shape):
                 else (dst_a.value >> 120) == 255):
             out[{idx}] = router._multicast_forward(packet, now, NULL)
             continue
-    """)
-    if plan["local"]:
-        blk(depth, f"""
-            if dst_a in local_addrs:
-                out[{idx}] = router._deliver_local(packet, now)
-                continue
-        """)
-    blk(depth, f"""
+        if local_addrs and dst_a in local_addrs:
+            out[{idx}] = router._deliver_local(packet, now)
+            continue
         if packet.ttl <= 1:
             counters[DTTL] += 1
             router._send_icmp(TEXC(packet, router._icmp_source(packet)), now)
@@ -759,24 +597,12 @@ def _emit_tail(blk, plan, depth, idx, shape):
                 record.route = route
                 record.route_version = rv
     """
-    if plan["has_routing"] and plan["routing_active"]:
+    if plan["routing_active"]:
         rgi = plan["routing_gi"]
         if plan["tm"]:
             blk(depth, f"cells[{rgi}] += 1")
         blk(depth, "gdrop = False")
-        if shape == "fused":
-            fault = "verdict = on_fault(ginst, RGATE, exc, packet, now)"
-        elif shape == "lanes":
-            fault = (
-                "return _split_routing(router, exc, ginst, lane_p, lane_i,\n"
-                f"                      j, now, out, {len(plan['pre'])})"
-            )
-        else:
-            fault = (
-                "return _split_single_routing(router, exc, ginst, packets,\n"
-                "                             i, now, out)"
-            )
-        d = _emit_gate_call(blk, plan, depth, GATE_ROUTING, rgi, fault)
+        d = _emit_gate_call(blk, plan, depth, GATE_ROUTING, rgi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -830,6 +656,8 @@ def _emit_tail(blk, plan, depth, idx, shape):
         if size < 0:
             size = packet.length
         if size > iface.mtu:
+            # Rare (ICMP errors / fragmentation): the metered
+            # implementation handles it; its meters are no-ops here.
             out[{idx}] = router._output(packet, oif, now, NULL)
             continue
     """)
@@ -837,28 +665,16 @@ def _emit_tail(blk, plan, depth, idx, shape):
     blk(depth, "ginst = None")
     if plan["has_sched"]:
         sgi = plan["sched_gi"]
-        if shape == "fused":
-            fault = "verdict = on_fault(ginst, SGATE, exc, packet, now)"
-        elif shape == "lanes":
-            fault = (
-                "return _split_tail(router, exc, ginst, oif, iface, lane_p,\n"
-                f"                   lane_i, j, now, out, {len(plan['pre'])})"
-            )
-        else:
-            fault = (
-                "return _split_single_sched(router, exc, ginst, oif, iface,\n"
-                "                           packets, i, now, out)"
-            )
         d = depth
         if not plan["sched_active"]:
-            # Plan-inactive sched gate still runs for packets whose FIX
-            # was cleared mid-walk (a transform), as the scalar path does.
+            # A filterless sched gate still classifies a packet whose
+            # FIX was cleared mid-walk (a transform), as the spec does.
             blk(depth, "if packet._fix is None:")
             d = depth + 1
-        blk(d, "gdrop = False")
-        if plan["tm"]:
+        elif plan["tm"]:
             blk(d, f"cells[{sgi}] += 1")
-        dd = _emit_gate_call(blk, plan, d, GATE_PACKET_SCHEDULING, sgi, fault)
+        blk(d, "gdrop = False")
+        dd = _emit_gate_call(blk, plan, d, GATE_PACKET_SCHEDULING, sgi)
         blk(dd, f"""
             if verdict == DROPV:
                 gdrop = True
@@ -890,9 +706,9 @@ def _emit_tail(blk, plan, depth, idx, shape):
                     out[{idx}] = DBP
                     continue
     """)
-    # -- emit ----------------------------------------------------------
-    if plan["plain"]:
-        blk(depth, """
+    # -- emit: NetworkInterface.output inlined for the stock class ------
+    blk(depth, """
+        if iface.__class__ is PLAIN:
             nf = iface._next_free
             if nf < now:
                 nf = now
@@ -904,26 +720,26 @@ def _emit_tail(blk, plan, depth, idx, shape):
             link = iface.link
             if link is not None:
                 link.carry(iface, packet, done)
-        """)
-    else:
-        blk(depth, "iface.output(packet, now)")
-    blk(depth, "fwd += 1")
+        else:
+            iface.output(packet, now)
+        fwd += 1
+    """)
 
 
-def _emit_single(blk, plan):
-    """Single-pass shapes: plain (no active pre gates) and fused (pre
-    gates inlined per packet with interception)."""
-    shape = "fused" if plan["fused"] else "single"
+def _emit_packet(blk, plan):
+    """The packet layout: classify, the active pre-routing gates, the
+    tail — one packet at a time.  A ``_resume`` re-entry skips the gates
+    before its ``start`` position (its packets carry their FIX, so the
+    classify stage skips itself)."""
     blk(2, "for i, packet in enumerate(packets):")
     _emit_classify(blk, plan, 3)
-    for gate, gi in plan["pre"]:
-        # Only the fused shape reaches here with pre gates (the plain
-        # single shape is selected when the active-pre plan is empty).
+    for pos, (gate, gi) in enumerate(plan["pre"]):
+        blk(3, f"if start <= {pos}:")
+        depth = 4
         if plan["tm"]:
-            blk(3, f"cells[{gi}] += 1")
-        blk(3, "gdrop = False")
-        fault = f"verdict = on_fault(ginst, {gate!r}, exc, packet, now)"
-        d = _emit_gate_call(blk, plan, 3, gate, gi, fault)
+            blk(depth, f"cells[{gi}] += 1")
+        blk(depth, "gdrop = False")
+        d = _emit_gate_call(blk, plan, depth, gate, gi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -932,18 +748,18 @@ def _emit_single(blk, plan):
                 out[i] = CONSD
                 continue
         """)
-        blk(3, """
+        blk(depth, """
             if gdrop:
                 counters[DBP] += 1
                 out[i] = DBP
                 continue
         """)
-    _emit_tail(blk, plan, 3, "i", shape)
+    _emit_tail(blk, plan, 3, "i")
 
 
 def _emit_lanes(blk, plan):
-    """The staged shape: classify the whole batch into lanes, sweep each
-    active pre gate over the surviving lane, then the per-packet tail."""
+    """The lanes layout: classify the whole batch, sweep each active
+    pre-routing gate over the surviving lane, then the per-packet tail."""
     blk(2, """
         lane_p = []
         lane_i = []
@@ -962,20 +778,21 @@ def _emit_lanes(blk, plan):
             lane_n = len(lane_p)
             if lane_n:
         """)
+        fault = (
+            f"return _resume(router, exc, ginst, {gate!r}, {pos}, lane_p,\n"
+            "               lane_i, live, j, now, out)"
+        )
         if plan["tm"]:
+            # The sweep counts the lane in bulk; the packets after a
+            # faulter never ran this gate and are re-counted by _resume.
             blk(3, f"cells[{gi}] += lane_n")
+            fault = f"cells[{gi}] -= lane_n - j - 1\n" + fault
         blk(3, """
             live = None
             pruned = 0
             for j, packet in enumerate(lane_p):
         """)
-        fault = (
-            f"return _split_gate(router, exc, ginst, {gate!r}, {pos}, {gi},\n"
-            "                   lane_p, lane_i, live, j, now, out,\n"
-            + ("                   cells)" if plan["tm"]
-               else "                   None)")
-        )
-        d = _emit_gate_call(blk, plan, 4, gate, gi, fault)
+        d = _emit_gate_call(blk, plan, 4, gate, gi, sweep_fault=fault)
         blk(d, """
             if verdict == DROPV:
                 if live is None:
@@ -1008,4 +825,4 @@ def _emit_lanes(blk, plan):
         for j, packet in enumerate(lane_p):
             idx = lane_i[j]
     """)
-    _emit_tail(blk, plan, 3, "idx", "lanes")
+    _emit_tail(blk, plan, 3, "idx")

@@ -52,8 +52,8 @@ records (``expire_idle``) while occupancy is over it.
 The governor is packet-clocked: it samples every ``sample_interval``
 packets (once per batch on the batched entry point), so it costs nothing
 when the router is idle and needs no timers.  Degraded tiers route
-batches to the scalar walk (the admission seam lives there); the
-compiled batch loops are only ever entered at NORMAL.
+batches through ``Router.receive`` packet by packet (the admission seam
+lives there, in front of the same generated loop).
 """
 
 from __future__ import annotations

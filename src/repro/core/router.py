@@ -45,6 +45,15 @@ from .plugin import PluginContext, Verdict
 from .shard_state import ShardLocalState
 
 
+#: Optional plugin hook: ``on_batch_start(now, batch_size)`` is called
+#: once per un-metered ``receive``/``receive_batch`` call for every
+#: instance bound through the current filter set or registered as a
+#: scheduler.  The contract is that the hook must not change observable
+#: per-packet behavior — it exists so a plugin can hoist its own
+#: per-packet invariants (docs/PLUGIN_AUTHORING.md, the RP208 lint).
+BATCH_START_HOOK = "on_batch_start"
+
+
 class Disposition:
     """What the router did with a received packet."""
 
@@ -134,7 +143,7 @@ class Router:
         # as telemetry: one attribute load + None test per packet when
         # detached; when attached and NORMAL, one countdown decrement.
         self._overload = None
-        # --- Fast-path plan (docs/PERFORMANCE.md) -------------------
+        # --- Un-metered executor (docs/PERFORMANCE.md) --------------
         # Static gate geometry: the pre-routing gates in order, gate ->
         # slot index, and whether the special gates are configured.
         self._gate_indices: Dict[str, int] = {
@@ -149,19 +158,21 @@ class Router:
         )
         self._has_routing_gate = GATE_ROUTING in self.gates
         self._has_sched_gate = GATE_PACKET_SCHEDULING in self.gates
-        # Dynamic part, rebuilt when the AIU's filter set changes: the
-        # ordered (gate, index) pairs that actually have filters.
+        # Rebuilt when the AIU's filter set changes: the active-gate
+        # plan — the ordered (gate, index) pairs of pre-routing gates
+        # that actually have filters, then whether the routing and the
+        # scheduling gate do — and the batch-start hooks of the bound
+        # instances.
         self._plan_epoch = -1
-        self._plan_pre_active: Tuple[Tuple[str, int], ...] = ()
-        self._plan_routing_active = False
-        self._plan_sched_active = False
-        # Pooled per-gate contexts for receive_batch (reused between
-        # packets; see PluginContext's contract).
-        self._ctx_pool: Dict[str, PluginContext] = {}
-        # Per-plan compiled batch loops (repro.core.batch), keyed by the
-        # specialization tuple; invalidated implicitly because the key
-        # embeds ``plan_epoch``.
-        self._batch_loops: Dict[tuple, Callable] = {}
+        self._plan: Tuple[Tuple[Tuple[str, int], ...], bool, bool] = ((), False, False)
+        self._batch_hooks: tuple = ()
+        # Compiled loops (repro.core.batch) by layout, compiled on first
+        # use and dropped when what they specialize on changes: the plan
+        # above, telemetry on/off.
+        self._loops: Dict[str, Callable] = {}
+        # Per-gate contexts pooled by the loops (reused between packets;
+        # see PluginContext's contract).  None while a loop holds them.
+        self._ctx_pool: Optional[Dict[str, PluginContext]] = None
 
     # ------------------------------------------------------------------
     # Topology / configuration
@@ -203,6 +214,7 @@ class Router:
         if interface not in self.interfaces:
             raise ValueError(f"unknown interface {interface!r}")
         self._schedulers[interface] = instance
+        self._plan_epoch = -1   # re-collect the batch-start hooks
 
     def scheduler(self, interface: str):
         return self._schedulers.get(interface)
@@ -234,14 +246,13 @@ class Router:
     def receive(self, packet: Packet, now: float = 0.0, cycles=NULL_METER) -> str:
         """Run one packet through the full data path (§3.2).
 
-        Two equivalent implementations back this call.  The *metered*
-        path (`_receive`) is the specification: it charges every modelled
-        cycle and memory access and is used whenever a real meter or a
-        tracer is attached.  The *fast* path is a wall-clock
-        specialization taken when nothing observes the walk — it skips
-        gates with no installed filters and all no-op meter calls, but
-        produces identical dispositions, counters, and flow-table state
-        (asserted by tests/perf/).
+        The *metered* walk (`_receive`) is the specification: it charges
+        every modelled cycle and memory access and runs whenever a real
+        meter or a tracer is attached.  When nothing observes the walk,
+        the packet runs through the generated per-packet loop
+        (repro.core.batch) as a batch of one — no gate without filters
+        is visited and no meter is called, but dispositions, counters
+        and flow-table state are identical (asserted by tests/perf/).
         """
         gov = self._overload
         if gov is not None:
@@ -257,7 +268,12 @@ class Router:
             if lifecycle is not None and lifecycle.wants(packet):
                 return self._receive_traced(packet, now)
             self._refresh_plan()
-            return self._receive_fast(packet, now, None)
+            loop = self._loops.get("packet")
+            if loop is None:
+                from .batch import compiled_loop
+
+                loop = compiled_loop(self, "packet")
+            return loop(self, (packet,), now)[0]
         disposition = self._receive(packet, now, cycles)
         if self.tracer is not None:
             self.tracer.on_done(packet, disposition)
@@ -269,15 +285,12 @@ class Router:
         """Run a batch of packets run-to-completion; one disposition each.
 
         Semantically identical to calling :meth:`receive` in sequence
-        (property-tested), but executed as a true batch pipeline: one
-        plan/epoch check for the whole batch, then a per-plan *compiled
-        batch loop* (repro.core.batch) that partitions the batch into
-        cached-hit and miss lanes, runs each active gate once over the
-        batch with pooled contexts, and emits through the interfaces
-        with the invariant loads hoisted into a per-batch prologue.
-        Configurations the compiler does not specialize (flow cache off,
-        IPv6 flow-label hashing, no pre-routing gate) fall back to the
-        scalar fast path per packet.
+        (property-tested).  Un-metered, the whole batch runs through one
+        generated loop (repro.core.batch): the ``lanes`` layout sweeps
+        each active gate over the batch with pooled contexts when that
+        reordering cannot be observed, the ``packet`` layout — the one
+        ``receive`` runs — otherwise; either way the plan check and the
+        invariant loads are paid once per batch.
         """
         if (
             cycles is not NULL_METER
@@ -285,7 +298,7 @@ class Router:
             or self._lifecycle is not None
         ):
             # Per-packet receive() so lifecycle sampling sees each packet
-            # (non-sampled ones still take the fast path inside).
+            # (non-sampled ones still take the generated loop inside).
             return [self.receive(p, now=now, cycles=cycles) for p in packets]
         if not packets:
             return []
@@ -295,44 +308,40 @@ class Router:
             if gov.countdown <= 0:
                 gov.sample(now)
             if gov.degraded:
-                # Degraded tiers take the scalar walk: the admission /
-                # cache-bypass seam lives in receive(), and the compiled
-                # loops are only ever entered at NORMAL (loop_for keys
-                # on the same predicate for direct callers).
+                # The admission / cache-bypass seam lives in receive().
                 return [self.receive(p, now=now) for p in packets]
-        self._refresh_plan()
         # Pre-warm the compiled classifier tables so flow misses inside
         # the batch pay dict probes, not compile latency (epoch compare
         # per table when nothing changed).
         self.aiu.ensure_compiled()
         from .batch import loop_for
 
-        loop = loop_for(self)
-        if loop is not None:
-            return loop(self, packets, now)
-        fast = self._receive_fast
-        pool = self._ctx_pool
-        return [fast(packet, now, pool) for packet in packets]
+        return loop_for(self)(self, packets, now)
 
-    # ------------------------------------------------------------------
-    # Fast path (wall-clock specialization; modelled costs unchanged)
-    # ------------------------------------------------------------------
     def _refresh_plan(self) -> None:
         """Rebuild the active-gate plan if filters changed (cheap epoch
-        compare; AIU bumps ``plan_epoch`` on create/remove filter)."""
+        compare; AIU bumps ``plan_epoch`` on create/remove filter).  The
+        compiled loops survive an epoch that leaves the plan as it was."""
         epoch = self.aiu.plan_epoch
         if epoch == self._plan_epoch:
             return
         counts = self.aiu._gate_filter_counts
-        self._plan_pre_active = tuple(
-            (g, self._gate_indices[g]) for g in self._pre_gates if counts[g]
+        plan = (
+            tuple((g, self._gate_indices[g]) for g in self._pre_gates if counts[g]),
+            self._has_routing_gate and counts[GATE_ROUTING] > 0,
+            self._has_sched_gate and counts[GATE_PACKET_SCHEDULING] > 0,
         )
-        self._plan_routing_active = (
-            self._has_routing_gate and counts[GATE_ROUTING] > 0
-        )
-        self._plan_sched_active = (
-            self._has_sched_gate and counts[GATE_PACKET_SCHEDULING] > 0
-        )
+        if plan != self._plan:
+            self._plan = plan
+            self._loops.clear()
+        hooks = []
+        instances = [record.instance for record in self.aiu.filters()]
+        instances.extend(self._schedulers.values())
+        for instance in instances:
+            hook = getattr(instance, BATCH_START_HOOK, None)
+            if hook is not None and hook not in hooks:
+                hooks.append(hook)
+        self._batch_hooks = tuple(hooks)
         self._plan_epoch = epoch
 
     def _admit_degraded(self, gov, packet: Packet, now: float) -> Optional[str]:
@@ -370,127 +379,6 @@ class Router:
         packet.fix = record
         return None
 
-    def _receive_fast(self, packet: Packet, now: float, ctx_pool) -> str:
-        self.counters["rx"] += 1
-        return self._resume_fast(packet, now, ctx_pool)
-
-    def _resume_fast(self, packet: Packet, now: float, ctx_pool) -> str:
-        """The fast path minus the ``rx`` count: classify anchor plus the
-        full gate walk.  The compiled batch loops (repro.core.batch) land
-        here when a mid-batch fault splits a batch — ``rx`` was already
-        counted once for the whole batch."""
-        # Classification is anchored where the metered path performs it:
-        # the first gate the packet encounters.  Gates with no filters
-        # are then skipped entirely — their modelled GATE_CHECK/FIX
-        # charges only exist on the metered path, where they are still
-        # charged for every configured gate.
-        if packet._fix is None and self._first_pre_gate is not None:
-            self.aiu.classify(packet, self._first_pre_gate, now=now)
-        return self._walk_fast(packet, 0, now, ctx_pool)
-
-    def _walk_fast(
-        self, packet: Packet, gate_pos: int, now: float, ctx_pool,
-        intercept: bool = True,
-    ) -> str:
-        """Classify-complete continuation of the fast path: the active
-        pre-routing gates from plan position ``gate_pos`` on, then the
-        tail (multicast/local/TTL demux, route, output).
-
-        ``intercept=False`` suppresses quarantine interception for
-        packets whose remaining plugin calls logically *precede* the
-        fault that tripped the quarantine — the batch splitter uses it
-        to keep resumed packets scalar-identical.
-        """
-        plan = self._plan_pre_active
-        if gate_pos:
-            plan = plan[gate_pos:]
-        for gate, gate_index in plan:
-            verdict, _instance = self._gate_fast(
-                packet, gate, gate_index, now, None, ctx_pool, intercept
-            )
-            if verdict == Verdict.DROP:
-                self.counters[Disposition.DROPPED_BY_PLUGIN] += 1
-                return Disposition.DROPPED_BY_PLUGIN
-            if verdict == Verdict.CONSUMED:
-                self.counters[Disposition.CONSUMED] += 1
-                return Disposition.CONSUMED
-
-        if packet.dst.is_multicast:
-            return self._multicast_forward(packet, now, NULL_METER)
-        if packet.dst in self.local_addresses:
-            return self._deliver_local(packet, now)
-        if packet.ttl <= 1:
-            self.counters[Disposition.DROPPED_TTL] += 1
-            self._send_icmp(time_exceeded(packet, self._icmp_source(packet)), now)
-            return Disposition.DROPPED_TTL
-
-        route = self._route_fast(packet, now, ctx_pool, intercept)
-        if route is None:
-            self.counters[Disposition.DROPPED_NO_ROUTE] += 1
-            self._send_icmp(
-                destination_unreachable(packet, self._icmp_source(packet)), now
-            )
-            return Disposition.DROPPED_NO_ROUTE
-
-        packet.ttl -= 1
-        return self._output_fast(packet, route.interface, now, ctx_pool, intercept)
-
-    def _gate_fast(
-        self,
-        packet: Packet,
-        gate: str,
-        gate_index: int,
-        now: float,
-        oif: Optional[str],
-        ctx_pool,
-        intercept: bool = True,
-    ) -> Tuple[str, Optional[object]]:
-        """The gate macro without meters: FIX fetch, indirect call."""
-        cells = self._tm_gate_cells
-        if cells is not None:
-            cells[gate_index] += 1
-        record: Optional[FlowRecord] = packet._fix
-        if record is None:
-            instance, record = self.aiu.classify(packet, gate, now=now)
-        else:
-            slot = record.slots[gate_index]
-            instance = slot.instance if slot is not None else None
-        if instance is None:
-            return Verdict.CONTINUE, None
-        probe = False
-        if intercept and self._quarantined:
-            action, probe = self._intercept(instance, now)
-            if action is not None:
-                if action == DEGRADE_BYPASS:
-                    return Verdict.CONTINUE, None
-                return Verdict.DROP, instance
-        if ctx_pool is not None:
-            ctx = ctx_pool.get(gate)
-            if ctx is None:
-                ctx = PluginContext(router=self, gate=gate)
-                ctx_pool[gate] = ctx
-            ctx.now = now
-            ctx.cycles = NULL_METER
-            ctx.slot = record.slot(gate_index)
-            ctx.flow = record
-            ctx.out_interface = oif
-        else:
-            ctx = PluginContext(
-                router=self,
-                gate=gate,
-                now=now,
-                slot=record.slot(gate_index),
-                flow=record,
-                out_interface=oif,
-            )
-        try:
-            verdict = instance.process(packet, ctx)
-        except Exception as exc:
-            return self.faults.on_fault(instance, gate, exc, packet, now), instance
-        if probe:
-            self.faults.probe_succeeded(instance, now)
-        return verdict, instance
-
     def _intercept(self, instance, now: float):
         """Quarantine decision for one plugin call: ``(action, probe)``.
         ``action`` is the degradation to apply instead of calling the
@@ -503,91 +391,6 @@ class Router:
         if action is None:
             return None, True
         return action, False
-
-    def _route_fast(
-        self, packet: Packet, now: float, ctx_pool, intercept: bool = True
-    ) -> Optional[Route]:
-        if self._has_routing_gate:
-            if self._plan_routing_active:
-                verdict, _ = self._gate_fast(
-                    packet, GATE_ROUTING, self._gate_indices[GATE_ROUTING],
-                    now, None, ctx_pool, intercept,
-                )
-                if verdict == Verdict.DROP:
-                    return None
-                route = packet.annotations.get("route")
-                if route is not None:
-                    return route
-            elif packet._fix is None:
-                # The metered path would classify here (first gate hit).
-                self.aiu.classify(packet, GATE_ROUTING, now=now)
-        table = self.routing_table
-        record: Optional[FlowRecord] = packet._fix
-        if record is not None:
-            # Per-flow route memo: the destination is part of the flow
-            # key, so the memo is exact; a version mismatch (any route
-            # add/remove) falls back to the real longest-prefix match.
-            if record.route_version == table.version and record.route is not None:
-                return record.route
-            route = table.lookup_fast(packet.dst)
-            if route is not None:
-                record.route = route
-                record.route_version = table.version
-            return route
-        return table.lookup_fast(packet.dst)
-
-    def _output_fast(
-        self, packet: Packet, oif: str, now: float, ctx_pool,
-        intercept: bool = True,
-    ) -> str:
-        iface = self.interfaces.get(oif)
-        if iface is None:
-            self.counters[Disposition.DROPPED_NO_ROUTE] += 1
-            return Disposition.DROPPED_NO_ROUTE
-        if packet.length > iface.mtu:
-            # Rare path (ICMP errors / fragmentation): the metered
-            # implementation handles it; meters are no-ops here.
-            return self._output(packet, oif, now, NULL_METER)
-
-        if self._has_sched_gate or oif in self._schedulers:
-            instance = None
-            if self._has_sched_gate and (
-                self._plan_sched_active or packet._fix is None
-            ):
-                verdict, instance = self._gate_fast(
-                    packet,
-                    GATE_PACKET_SCHEDULING,
-                    self._gate_indices[GATE_PACKET_SCHEDULING],
-                    now,
-                    oif,
-                    ctx_pool,
-                    intercept,
-                )
-                if verdict == Verdict.DROP:
-                    self.counters[Disposition.DROPPED_BY_PLUGIN] += 1
-                    return Disposition.DROPPED_BY_PLUGIN
-                if verdict == Verdict.CONSUMED:
-                    self._schedulers.setdefault(oif, instance)
-                    self._kick(oif, now)
-                    self.counters[Disposition.QUEUED] += 1
-                    return Disposition.QUEUED
-            if instance is None and oif in self._schedulers:
-                scheduler = self._schedulers[oif]
-                if scheduler is not None:
-                    verdict = self._scheduler_process(
-                        scheduler, packet, oif, now, NULL_METER, intercept
-                    )
-                    if verdict == Verdict.CONSUMED:
-                        self._kick(oif, now)
-                        self.counters[Disposition.QUEUED] += 1
-                        return Disposition.QUEUED
-                    if verdict == Verdict.DROP:
-                        self.counters[Disposition.DROPPED_BY_PLUGIN] += 1
-                        return Disposition.DROPPED_BY_PLUGIN
-
-        iface.output(packet, now)
-        self.counters[Disposition.FORWARDED] += 1
-        return Disposition.FORWARDED
 
     def _receive_traced(self, packet: Packet, now: float) -> str:
         """Run one lifecycle-sampled packet through the metered
@@ -737,7 +540,10 @@ class Router:
     ) -> Tuple[str, Optional[object]]:
         """The gate macro (§3.2): FIX fast path, AIU call otherwise."""
         cells = self._tm_gate_cells
-        if cells is not None:
+        if cells is not None and self.aiu._gate_filter_counts[gate]:
+            # Dispatches, not visits: the generated loops never visit a
+            # gate without filters, and the cell must not depend on
+            # which executor ran (or on the trace sampling rate).
             cells[self.aiu.gate_index(gate)] += 1
         cycles.charge(Costs.GATE_CHECK, "gate_check")
         record: Optional[FlowRecord] = packet.fix
@@ -760,8 +566,8 @@ class Router:
             action, probe = self._intercept(instance, now)
             if action is not None:
                 # Degraded gate: no plugin call, so no INDIRECT_CALL
-                # charge — the quarantined plan mirrors what the fast
-                # path executes.
+                # charge — the quarantined plan mirrors what the
+                # generated loops execute.
                 bypass = action == DEGRADE_BYPASS
                 verdict = Verdict.CONTINUE if bypass else Verdict.DROP
                 if self.tracer is not None:
@@ -800,15 +606,14 @@ class Router:
         return verdict, instance
 
     def _scheduler_process(
-        self, scheduler, packet: Packet, oif: str, now: float, cycles,
-        intercept: bool = True,
+        self, scheduler, packet: Packet, oif: str, now: float, cycles
     ) -> Optional[str]:
         """Run a bound per-interface scheduler's ``process`` under fault
-        containment; identical on the fast and metered paths.  Returns
+        containment; shared by the metered walk and the generated loops.  Returns
         the verdict, or ``None`` when quarantine bypass says to skip the
         scheduler and output the packet directly."""
         probe = False
-        if intercept and self._quarantined:
+        if self._quarantined:
             action, probe = self._intercept(scheduler, now)
             if action is not None:
                 if action == DEGRADE_BYPASS:
@@ -993,6 +798,7 @@ class Router:
         registry.bind_router(self)
         self.telemetry = self.shard_state.telemetry = registry
         self._tm_gate_cells = registry.gate_dispatch_cells
+        self._loops.clear()
         hist = registry.histogram(
             "aiu.miss_packet_size_bytes",
             help="packet sizes observed on the classification miss path",
@@ -1006,6 +812,7 @@ class Router:
         single ``is None`` test."""
         self.telemetry = self.shard_state.telemetry = None
         self._tm_gate_cells = None
+        self._loops.clear()
         self.aiu._tm_size_hist = None
         self.aiu._tm_size_counts = None
 

@@ -44,7 +44,7 @@ class PluginKernel:
         """Run-to-completion burst through the compiled batch pipeline
         (repro.core.batch).  The DRR row (gates limited to packet
         scheduling) has no pre-routing gate to anchor classification at,
-        so it transparently takes the scalar fallback inside."""
+        so its loop classifies through a call to ``AIU.classify``."""
         return self.router.receive_batch(packets, now=now)
 
 

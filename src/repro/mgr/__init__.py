@@ -33,18 +33,3 @@ __all__ = [
     "main",
     "run_script",
 ]
-
-
-def __getattr__(name):
-    # ``TOPICS`` froze the topic set at import time; the registry is
-    # dynamic (repro.topo adds topics on import), so forward the shim to
-    # format's own deprecation hook.
-    if name == "TOPICS":
-        from . import format as _format
-
-        return _format.TOPICS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | {"TOPICS"} | set(globals()))

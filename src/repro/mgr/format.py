@@ -30,15 +30,10 @@ rules, declared per topic instead of hardcoded per library):
   merging per-node payloads (health, shards, topology).
 * a callable ``merge(per_node: List[dict]) -> dict`` for bespoke
   shapes (trace, faults).
-
-The pre-registry module surface (``TOPICS`` tuple, ``_RENDERERS`` dict)
-remains importable through deprecation shims that warn once; use
-:func:`topic_names` / :func:`get_topic` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Tuple, Union
 
 from ..core.errors import ConfigurationError
@@ -471,7 +466,7 @@ def _render_shards(data: dict) -> List[str]:
     return lines
 
 
-# Core registrations, in the historical TOPICS help order.  String
+# Core registrations, in the historical help order.  String
 # query_fns name RouterPluginLibrary methods; fanout libraries override
 # "frontend" topics with their own handlers.
 register_topic("plugins", "_query_plugins", _render_plugins, merge="shard0")
@@ -492,9 +487,7 @@ def render_topic(topic: str, data: dict) -> List[str]:
     """Render one query result as the pmgr text lines for its topic.
 
     The schema envelope is stripped before rendering, so the text view
-    stays a pure function of the payload.  Envelope-less dicts (the
-    pre-registry ``query()`` shape) still render, with a one-release
-    :class:`DeprecationWarning`.
+    stays a pure function of the payload.
     """
     try:
         spec = _REGISTRY[topic]
@@ -502,41 +495,4 @@ def render_topic(topic: str, data: dict) -> List[str]:
         raise KeyError(
             f"no text formatter for topic {topic!r}; known: {sorted(_REGISTRY)}"
         ) from exc
-    if "schema" not in data:
-        warnings.warn(
-            f"rendering a query payload for {topic!r} without the "
-            "'schema' envelope is deprecated; query() now returns "
-            "schema-enveloped dicts (removed in 2.0)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return spec.renderer(strip_schema(data))
-
-
-def _deprecated_renderers() -> Dict[str, Renderer]:
-    return {name: spec.renderer for name, spec in _REGISTRY.items()}
-
-
-def __getattr__(name: str):
-    # Pre-registry module surface, kept importable one release.
-    if name == "TOPICS":
-        warnings.warn(
-            "repro.mgr.format.TOPICS is deprecated (removed in 2.0); "
-            "use repro.mgr.format.topic_names()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return topic_names()
-    if name == "_RENDERERS":
-        warnings.warn(
-            "repro.mgr.format._RENDERERS is deprecated (removed in 2.0); "
-            "use repro.mgr.format.get_topic(name).renderer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_renderers()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | {"TOPICS", "_RENDERERS"})

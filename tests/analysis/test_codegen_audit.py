@@ -24,8 +24,9 @@ from repro.net.addresses import IPV4_WIDTH
 from repro.net.packet import make_udp
 from repro.workloads.filtersets import random_filters
 
-# A minimal well-formed "generated" loop: free names resolved by the
-# namespace, a fault handler that resumes through a _split_* helper.
+# A minimal well-formed "generated" lanes loop: free names resolved by
+# the namespace, a sweep fault handler that resumes through the _resume
+# helper, a tail fault handler that classifies through on_fault.
 CLEAN_SOURCE = '''\
 def _batch_loop(packets, now):
     out = []
@@ -33,11 +34,21 @@ def _batch_loop(packets, now):
         try:
             out.append(classify(packet, now))
         except Exception as exc:
-            return _split_resume(packets, out, exc)
+            return _resume(packets, out, exc)
+    for packet in packets:
+        try:
+            emit(packet)
+        except Exception as exc:
+            on_fault(exc)
     return out
 '''
 
-NAMESPACE = {"classify": lambda p, n: "forward", "_split_resume": lambda *a: []}
+NAMESPACE = {
+    "classify": lambda p, n: "forward",
+    "emit": lambda p: None,
+    "on_fault": lambda e: "drop",
+    "_resume": lambda *a: [],
+}
 
 
 def _codes(diagnostics):
@@ -52,7 +63,7 @@ def test_clean_source_audits_clean():
 
 
 def test_rp501_unresolved_free_name():
-    namespace = {"_split_resume": NAMESPACE["_split_resume"]}  # no classify
+    namespace = {k: v for k, v in NAMESPACE.items() if k != "classify"}
     findings = audit_loop_source(CLEAN_SOURCE, namespace)
     assert _codes(findings) == ["RP501"]
     assert "'classify'" in findings[0].message
@@ -92,7 +103,7 @@ def _batch_loop(packets, now):
 
 def test_rp503_swallowing_handler():
     source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)", "out.append(None)"
+        "return _resume(packets, out, exc)", "out.append(None)"
     )
     findings = audit_loop_source(source, NAMESPACE)
     assert "RP503" in _codes(findings)
@@ -101,25 +112,24 @@ def test_rp503_swallowing_handler():
 
 def test_rp503_reraise_is_accepted():
     source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)", "raise"
+        "return _resume(packets, out, exc)", "raise"
     )
     assert audit_loop_source(source, NAMESPACE) == []
 
 
 def test_rp503_on_fault_is_accepted():
     source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)",
+        "return _resume(packets, out, exc)",
         "out.append(on_fault(exc))",
     )
-    namespace = dict(NAMESPACE, on_fault=lambda e: "drop")
-    assert audit_loop_source(source, namespace) == []
+    assert audit_loop_source(source, NAMESPACE) == []
 
 
 # ----------------------------------------------------------------------
 # RP504 — plan/source coherence
 # ----------------------------------------------------------------------
 def test_rp504_plan_field_missing_marker():
-    plan = {"tm": True, "plain": True}
+    plan = {"tm": True, "layout": "lanes"}
     findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
     assert _codes(findings) == ["RP504"]
     assert "_tm_gate_cells" in findings[0].message
@@ -130,21 +140,26 @@ def test_rp504_marker_without_plan_field():
         "out = []", "out = []\n    cells = _tm_gate_cells"
     )
     namespace = dict(NAMESPACE, _tm_gate_cells=())
-    plan = {"plain": True}
+    plan = {"layout": "lanes"}
     findings = audit_loop_source(source, namespace, plan=plan)
     assert _codes(findings) == ["RP504"]
     assert "clears" in findings[0].message
 
 
 def test_rp504_fused_without_on_fault():
-    plan = {"fused": True, "plain": True}
-    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
+    """Every layout's tail classifies faults inline through on_fault;
+    only a lanes plan may (and must) resume through _resume."""
+    source = CLEAN_SOURCE.replace("on_fault(exc)", "raise")
+    findings = audit_loop_source(source, NAMESPACE, plan={"layout": "lanes"})
     assert _codes(findings) == ["RP504"]
     assert "on_fault" in findings[0].message
+    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan={"layout": "packet"})
+    assert _codes(findings) == ["RP504"]
+    assert "_resume" in findings[0].message
 
 
 def test_rp504_unreferenced_pre_gate():
-    plan = {"plain": True, "pre": [("ip_security", None)]}
+    plan = {"layout": "lanes", "pre": [("ip_security", None)]}
     findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
     assert _codes(findings) == ["RP504"]
     assert "ip_security" in findings[0].message
@@ -229,8 +244,7 @@ def test_rp505_engine_entry_count_mismatch():
 
 
 # ----------------------------------------------------------------------
-# Router-level audit: warm loops across all three shapes, then via
-# analyze_router
+# Router-level audit: warm both layouts, then via analyze_router
 # ----------------------------------------------------------------------
 def _warm_router(name, max_flows=None, with_plugin=False):
     router = Router(name=name, gates=DEFAULT_GATES, max_flows=max_flows)
@@ -252,27 +266,23 @@ def _warm_router(name, max_flows=None, with_plugin=False):
     [(None, False, "single"), (None, True, "lanes"), (64, True, "fused")],
 )
 def test_warm_router_audits_clean(max_flows, with_plugin, shape):
+    """The three configurations that used to select three loop shapes:
+    no gates and a bounded table both run the packet layout now."""
     router = _warm_router(f"audit-{shape}", max_flows, with_plugin)
-    assert router._batch_loops  # the shape actually compiled
+    assert set(router._loops) == {"lanes" if shape == "lanes" else "packet"}
     assert audit_router_codegen(router) == []
 
 
 def test_analyze_router_surfaces_codegen_findings():
     router = _warm_router("audit-wired", with_plugin=True)
-    (fn,) = [
-        fn for fn in router._batch_loops.values() if fn is not None
-    ][:1] or [None]
-    assert fn is not None
-    fn._plan["tm"] = True  # lie about the specialization key
+    router._loops["lanes"]._plan["tm"] = True  # lie about the plan
     report = analyze_router(router)
     assert any(d.code == "RP504" for d in report)
 
 
 def test_subject_prefix_labels_findings():
     router = _warm_router("audit-prefix")
-    router.receive_batch(
-        [make_udp("10.0.0.2", "20.0.1.2", 5001, 9001, iif="atm0")]
-    )
-    # No findings expected; the prefix plumbing is exercised via the
-    # audit call itself (it must not throw with a prefix).
-    assert audit_router_codegen(router, subject_prefix="shard3: ") == []
+    router._loops["packet"]._plan["tm"] = True
+    findings = audit_router_codegen(router, subject_prefix="shard3: ")
+    assert findings
+    assert all(d.subject == "shard3: batch loop (packet)" for d in findings)

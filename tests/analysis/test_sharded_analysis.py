@@ -113,8 +113,8 @@ def test_analyze_sharded_covers_every_shard():
     # Tamper shard 2's cached loop plan: the sweep must catch it even
     # though shard 0 is clean.
     victim = sharded.shards[2]
-    assert victim._batch_loops
-    fn = next(iter(victim._batch_loops.values()))
+    assert victim._loops
+    fn = next(iter(victim._loops.values()))
     fn._plan["tm"] = True
     report = analyze_sharded(sharded, libraries=library.libraries)
     findings = [d for d in report if d.code == "RP504"]

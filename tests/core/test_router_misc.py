@@ -100,26 +100,6 @@ class TestTopLevelApi:
             assert name in repro.__all__, name
         assert repro.Pmgr is repro.PluginManager
 
-    def test_deprecated_names_warn_but_resolve(self):
-        import importlib
-        import warnings
-
-        import repro
-
-        for name, home in [
-            ("Tracer", "repro.core.tracing"),
-            ("NULL_METER", "repro.sim.cost"),
-            ("RateMeter", "repro.telemetry"),
-        ]:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = getattr(repro, name)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), name
-            assert value is getattr(importlib.import_module(home), name)
-            assert name not in repro.__all__
-
     def test_unknown_attribute_still_raises(self):
         import repro
 

@@ -2,9 +2,7 @@
 
 Pins the redesigned ``repro.mgr.format`` surface: ``register_topic``
 validation and replacement, the versioned schema envelope on query
-results, the named merge strategies, and the one-release deprecation
-shims for the pre-registry module globals (``TOPICS``/``_RENDERERS``)
-and envelope-less rendering.
+results, and the named merge strategies.
 """
 
 import json
@@ -134,27 +132,6 @@ class TestMergeStrategies:
         for topic in ("shards", "topology", "paths", "health"):
             with pytest.raises(ConfigurationError, match="front end"):
                 fmt.merge_topic(topic, [{}])
-
-
-class TestDeprecationShims:
-    def test_module_TOPICS(self):
-        with pytest.deprecated_call(match="topic_names"):
-            names = fmt.TOPICS
-        assert names == fmt.topic_names()
-
-    def test_module_RENDERERS(self):
-        with pytest.deprecated_call(match="get_topic"):
-            renderers = fmt._RENDERERS
-        assert renderers["flows"] is fmt.get_topic("flows").renderer
-
-    def test_render_topic_warns_on_bare_dict(self):
-        spec = fmt.get_topic("flows")
-        with pytest.deprecated_call(match="schema"):
-            bare = fmt.render_topic("flows", {"active": 0, "flows": []})
-        enveloped = fmt.render_topic(
-            "flows", fmt.attach_schema(spec, {"active": 0, "flows": []})
-        )
-        assert bare == enveloped
 
 
 class TestPlainRouterDegenerateViews:

@@ -1,12 +1,16 @@
-"""Differential tests for the compiled batch pipeline (repro.core.batch).
+"""Differential tests for the generated un-metered executor
+(repro.core.batch).
 
-``receive_batch`` is semantically a loop over ``receive``; these tests
-drive the same seeded traffic through both entry points on twin routers
-and assert packet-for-packet identical dispositions plus identical
-counters, flow-table statistics, filter-lookup counts, telemetry cells,
-and fault/quarantine behavior — for every generated loop shape
-(``single``, ``lanes``, ``fused``) and for the scalar fallback configs
-the compiler refuses.
+The metered walk (``receive(p, cycles=CycleMeter())``) is the
+specification.  These tests drive the same seeded traffic through it
+and, on twin routers, through every un-metered entry — ``receive`` (the
+packet layout at batch size 1) and ``receive_batch`` at batch sizes 1, 7
+and 256 — and assert packet-for-packet identical dispositions plus
+identical counters, flow-table statistics, filter-lookup counts,
+telemetry cells and fault/quarantine state, for both generated layouts
+(``packet``, ``lanes``) with the inlined flow-table probe and with the
+``AIU.classify`` call.  The two documented divergences are pinned by
+name at the bottom.
 """
 
 import random
@@ -25,14 +29,16 @@ from repro.core import (
     Verdict,
 )
 from repro.core.batch import loop_for
-from repro.core.gates import DEFAULT_GATES, GATE_PACKET_SCHEDULING
+from repro.core.gates import DEFAULT_GATES, GATE_PACKET_SCHEDULING, GATE_ROUTING
 from repro.net.packet import make_udp
 from repro.sched.drr import DrrPlugin
 from repro.sim.cost import CycleMeter
 
+CHUNKS = (1, 7, 256)
 
-def _build(name, **kwargs):
-    router = Router(name=name, gates=DEFAULT_GATES, **kwargs)
+
+def _build(name, gates=DEFAULT_GATES, **kwargs):
+    router = Router(name=name, gates=gates, **kwargs)
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("atm1", prefix="20.0.0.0/8")
     return router
@@ -123,6 +129,8 @@ def _state(router):
             name: (iface.tx_packets, iface.tx_bytes)
             for name, iface in router.interfaces.items()
         },
+        "health": router.faults.health(),
+        "fault_ring": [r.signature() for r in router.faults.records()],
     }
     if router._tm_gate_cells is not None:
         state["gate_cells"] = list(router._tm_gate_cells)
@@ -130,35 +138,47 @@ def _state(router):
     return state
 
 
-def _run_differential(make_router, workload=None, chunk=7, now_step=0.0):
-    """Same traffic scalar vs batched; returns the batched router."""
-    scalar = make_router("scalar")
-    batched = make_router("batched")
-    packets = workload or _mixed_workload()
-    expected = []
-    for i, p in enumerate(packets):
-        expected.append(scalar.receive(p, now=i * now_step))
-    replay = workload or _mixed_workload()
-    got = []
-    for start in range(0, len(replay), chunk):
-        got.extend(
-            batched.receive_batch(replay[start:start + chunk], now=start * now_step)
-        )
-    # With now_step > 0 the scalar/batch clocks intentionally differ
-    # inside a chunk; only use it for workloads whose outcome is
-    # time-invariant.
-    assert got == expected
-    assert _state(batched) == _state(scalar)
-    return batched
+def _run_differential(make_router, workload=_mixed_workload, chunks=CHUNKS):
+    """The same traffic through the metered walk and through every
+    un-metered entry; returns the routers by arm (``spec``, ``receive``,
+    ``batch<n>``).  All packets share ``now=0``: a batch has one clock."""
+    spec = make_router("spec")
+    expected = [spec.receive(p, cycles=CycleMeter()) for p in workload()]
+    want = _state(spec)
+    routers = {"spec": spec}
+
+    scalar = routers["receive"] = make_router("receive")
+    assert [scalar.receive(p) for p in workload()] == expected
+    assert _state(scalar) == want
+
+    for chunk in chunks:
+        batched = routers[f"batch{chunk}"] = make_router(f"batch{chunk}")
+        packets = workload()
+        got = []
+        for start in range(0, len(packets), chunk):
+            got.extend(batched.receive_batch(packets[start:start + chunk]))
+        assert got == expected, f"receive_batch at {chunk}"
+        assert _state(batched) == want, f"receive_batch at {chunk}"
+    return routers
+
+
+def _layouts(routers):
+    """Layouts compiled per arm; every compiled loop names its own."""
+    for router in routers.values():
+        assert all(fn._plan["layout"] == layout
+                   for layout, fn in router._loops.items())
+    return {arm: set(router._loops) for arm, router in routers.items()}
 
 
 # ----------------------------------------------------------------------
-# Shape coverage
+# Layout coverage
 # ----------------------------------------------------------------------
 def test_single_shape_matches_scalar():
-    router = _run_differential(lambda n: _build(n))
-    shapes = [loop._plan for loop in router._batch_loops.values()]
-    assert shapes and all(not p["fused"] and not p["pre"] for p in shapes)
+    """No active pre-routing gate: nothing to sweep, so every entry runs
+    the packet layout — and the metered walk compiles nothing."""
+    layouts = _layouts(_run_differential(lambda n: _build(n)))
+    assert layouts.pop("spec") == set()
+    assert all(names == {"packet"} for names in layouts.values())
 
 
 def test_lanes_shape_matches_scalar():
@@ -167,38 +187,45 @@ def test_lanes_shape_matches_scalar():
         _bind(router, _PortFilterPlugin)
         return router
 
-    router = _run_differential(make)
-    plans = [loop._plan for loop in router._batch_loops.values()]
-    assert plans and all(not p["fused"] and p["pre"] for p in plans)
+    layouts = _layouts(_run_differential(make))
+    assert layouts["receive"] == {"packet"}
+    assert all(layouts[f"batch{chunk}"] == {"lanes"} for chunk in CHUNKS)
 
 
 @pytest.mark.parametrize("policy", ["lru", "clock"])
 def test_fused_shape_bounded_table_matches_scalar(policy):
-    """A capped flow table forces the fused shape: in-batch evictions
-    interleave with packet processing exactly as scalar order demands."""
+    """A capped flow table keeps receive_batch on the packet layout:
+    in-batch evictions interleave with packet processing exactly as the
+    metered order demands."""
     def make(name):
         router = _build(name, max_flows=8, flow_eviction=policy)
         _bind(router, _PortFilterPlugin)
         return router
 
-    router = _run_differential(make)
-    plans = [loop._plan for loop in router._batch_loops.values()]
-    assert plans and all(p["fused"] for p in plans)
+    layouts = _layouts(_run_differential(make))
+    layouts.pop("spec")
+    assert all(names == {"packet"} for names in layouts.values())
 
 
 def test_telemetry_cells_and_histogram_match_scalar():
+    """``gate.<gate>.dispatch`` counts dispatches into gates that have
+    filters, whichever executor ran: with one gate of three active the
+    metered walk must not count the two it merely visits."""
     def make(name):
         router = _build(name)
         router.attach_telemetry()
         _bind(router, _PortFilterPlugin)
         return router
 
-    _run_differential(make)
+    routers = _run_differential(make)
+    cells = routers["spec"]._tm_gate_cells
+    active = routers["spec"].aiu.gate_index(GATE_IP_SECURITY)
+    assert cells[active] == len(_mixed_workload())
+    assert sum(cells) == cells[active]
 
 
 def test_uneven_chunks_and_chunk_of_one():
-    for chunk in (1, 3, 64):
-        _run_differential(lambda n: _build(n), chunk=chunk)
+    _run_differential(lambda n: _build(n), chunks=(1, 3, 64))
 
 
 def test_metered_batch_takes_the_specification_path():
@@ -215,19 +242,62 @@ def test_metered_batch_takes_the_specification_path():
     assert got == expected
     assert batch_meter.total == scalar_meter.total
     assert _state(batched) == _state(scalar)
+    assert not batched._loops
+
+
+def _v6_workload():
+    """Labelled IPv6 flows (hits and misses) between two /32s."""
+    packets = [
+        make_udp(f"2001:db8::{i % 5 + 1}", "2001:db9::1", 5000 + i % 5, 9000,
+                 iif="atm0", flow_label=0x100 + i % 5)
+        for i in range(40)
+    ]
+    random.Random(3).shuffle(packets)
+    return packets
+
+
+def _v6_flow_label_router(name):
+    router = _build(name)
+    router.routing_table.add("2001:db9::/32", "atm1")
+    router.aiu.flow_table.use_flow_label = True
+    _bind(router, _PortFilterPlugin)
+    return router
+
+
+_SPECIAL_GATES = (GATE_ROUTING, GATE_PACKET_SCHEDULING)
+
+
+def _cache_off_router(name):
+    router = _build(name, use_flow_cache=False)
+    _bind(router, _PortFilterPlugin)
+    return router
+
+
+def _sched_only_router(name):
+    router = _build(name, gates=_SPECIAL_GATES)
+    _bind(router, _PortFilterPlugin, gate=GATE_PACKET_SCHEDULING)
+    return router
 
 
 def test_scalar_fallback_configs_still_match():
-    """Configs the compiler refuses (flow cache off) fall back to the
-    per-packet fast path with identical results."""
-    def make(name):
-        router = _build(name, use_flow_cache=False)
-        _bind(router, _PortFilterPlugin)
-        return router
-
-    router = _run_differential(make)
-    assert not router._batch_loops
-    assert loop_for(router) is None
+    """Configs whose classification cannot be inlined (flow cache off,
+    IPv6 flow-label hashing, no pre-routing gate to anchor it at) used
+    to fall back to a hand-written walk; they now get the same loops
+    with the classify stage emitted as a call to ``AIU.classify``.
+    (``gates=()`` is not a configuration: the AIU rejects it.)"""
+    for make, workload in (
+        (_cache_off_router, _mixed_workload),
+        (_v6_flow_label_router, _v6_workload),
+        (lambda n: _build(n, gates=_SPECIAL_GATES), _mixed_workload),
+        (_sched_only_router, _mixed_workload),
+    ):
+        routers = _run_differential(make, workload)
+        del routers["spec"]
+        for router in routers.values():
+            assert router._loops
+            assert not loop_for(router)._plan["probe"]
+    with pytest.raises(ValueError):
+        Router(gates=())
 
 
 # ----------------------------------------------------------------------
@@ -266,28 +336,38 @@ def test_batch_folds_each_five_tuple_exactly_once():
 # Plan/epoch invalidation
 # ----------------------------------------------------------------------
 def test_filter_install_between_batches_recompiles_the_loop():
-    scalar = _build("scalar-epoch")
+    spec = _build("spec-epoch")
     batched = _build("batched-epoch")
 
-    expected = [scalar.receive(p) for p in _mixed_workload(seed=1, count=40)]
+    expected = [spec.receive(p, cycles=CycleMeter())
+                for p in _mixed_workload(seed=1, count=40)]
     got = batched.receive_batch(_mixed_workload(seed=1, count=40))
-    keys_before = set(batched._batch_loops)
+    assert set(batched._loops) == {"packet"}
 
-    _bind(scalar, _PortFilterPlugin)
+    _bind(spec, _PortFilterPlugin)
     _bind(batched, _PortFilterPlugin)
 
-    expected += [scalar.receive(p) for p in _mixed_workload(seed=2, count=40)]
+    expected += [spec.receive(p, cycles=CycleMeter())
+                 for p in _mixed_workload(seed=2, count=40)]
     got += batched.receive_batch(_mixed_workload(seed=2, count=40))
 
     assert got == expected
-    assert _state(batched) == _state(scalar)
-    # The plan epoch is part of the specialization key: the new filter
-    # set compiled a fresh loop instead of reusing the stale one.
-    assert set(batched._batch_loops) - keys_before
+    assert _state(batched) == _state(spec)
+    # A gate went active: every loop compiled for the old plan is gone.
+    assert set(batched._loops) == {"lanes"}
+
+    # A second filter at the same gate bumps the epoch but leaves the
+    # plan as it was: the loop is kept, not recompiled.
+    kept = batched._loops["lanes"]
+    epoch = batched.aiu.plan_epoch
+    batched.aiu.create_filter(GATE_IP_SECURITY, "10.9.0.0/16, *, UDP")
+    assert batched.aiu.plan_epoch > epoch
+    batched.receive_batch(_mixed_workload(seed=3, count=8))
+    assert batched._loops == {"lanes": kept}
 
 
 # ----------------------------------------------------------------------
-# Fault / quarantine equivalence (mid-batch splits)
+# Fault / quarantine equivalence (mid-batch resume)
 # ----------------------------------------------------------------------
 _POLICIES = [
     FaultPolicy(threshold=1000, window=1.0),                       # capture only
@@ -296,18 +376,14 @@ _POLICIES = [
 ]
 
 
-def _fault_state(router):
-    state = _state(router)
-    state["health"] = router.faults.health()
-    return state
-
-
 @pytest.mark.parametrize("policy", _POLICIES, ids=["capture", "trip1", "bypass2"])
 @pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "fused"])
 def test_mid_batch_fault_splits_match_scalar(policy, bounded):
     """A plugin fault mid-batch: earlier packets finished first, the
     faulter takes the fault verdict, later packets observe any freshly
-    tripped quarantine — identically to the scalar order."""
+    tripped quarantine — in the metered walk's order, however many
+    faults land in one batch (the 256 chunk holds all of them, and the
+    fault ring's sequence numbers are part of the compared state)."""
     def make(name):
         kwargs = {"max_flows": 16} if bounded else {}
         router = _build(name, **kwargs)
@@ -315,17 +391,21 @@ def test_mid_batch_fault_splits_match_scalar(policy, bounded):
         router.faults.set_policy("faulty-batch", policy)
         return router
 
-    _run_differential(make, chunk=8)
+    routers = _run_differential(make, chunks=(8,) + CHUNKS)
+    assert len(routers["spec"].faults.records()) > (policy.threshold > 1)
+    if not bounded:
+        # The sweep left through _resume, which compiled the packet layout.
+        assert set(routers["batch256"]._loops) == {"lanes", "packet"}
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "fused"])
 def test_fault_at_two_gates_same_instance_matches_scalar(bounded):
     """One instance bound at two pre-routing gates, faulting mid-batch:
-    the split must resume at the *next* gate position, not re-run the
-    faulting gate.  The lanes shape reorders cross-gate call interleaving
-    (documented divergence), so its faulter keys off the packet itself;
-    the fused shape preserves scalar call order exactly, so there the
-    call-counting faulter must also agree."""
+    the resume must start at the *next* gate position, not re-run the
+    faulting gate.  The lanes layout reorders cross-gate call
+    interleaving (documented divergence), so its faulter keys off the
+    packet itself; the packet layout preserves the metered call order
+    exactly, so there the call-counting faulter must also agree."""
     def make(name):
         kwargs = {"max_flows": 16} if bounded else {}
         router = _build(name, **kwargs)
@@ -345,7 +425,61 @@ def test_fault_at_two_gates_same_instance_matches_scalar(bounded):
         )
         return router
 
-    _run_differential(make, chunk=8)
+    _run_differential(make, chunks=(8,) + CHUNKS)
+
+
+class _FlakyScheduler(PluginInstance):
+    """A pass-through scheduler that faults on marked packets."""
+
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        if packet.src_port % 9 == 4:
+            raise RuntimeError(f"scheduler fault on src port {packet.src_port}")
+        return Verdict.CONTINUE
+
+    def dequeue(self, now):
+        return None
+
+
+class _FlakySchedulerPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "flaky-sched"
+    instance_class = _FlakyScheduler
+
+
+def test_scheduler_fault_quarantine_is_seen_by_later_gate_calls_in_the_batch():
+    """One instance is ``atm1``'s bound scheduler and, for port-9000
+    flows, also filter-bound at the scheduling gate.  When a bound-
+    scheduler call faults and trips the quarantine, the gate calls of
+    the packets behind it in the same batch must be intercepted — the
+    lanes tail intercepts like the packet layout does."""
+    def make(name):
+        router = _build(name)
+        _bind(router, _PortFilterPlugin)            # keeps receive_batch on lanes
+        plugin = _FlakySchedulerPlugin()
+        router.pcu.load(plugin)
+        instance = plugin.create_instance()
+        plugin.register_instance(
+            instance, "*, *, UDP, *, 9000", gate=GATE_PACKET_SCHEDULING
+        )
+        router.set_scheduler("atm1", instance)
+        router.faults.set_policy(
+            plugin.name,
+            FaultPolicy(threshold=1, window=5.0, action="drop", cooldown=10.0),
+        )
+        return router
+
+    def workload():
+        packets = [
+            make_udp("10.0.0.1", "20.0.1.1", 5000 + i, 9000 + i % 2, iif="atm0")
+            for i in range(40)
+        ]
+        return packets
+
+    routers = _run_differential(make, workload)
+    assert set(routers["batch256"]._loops) == {"lanes"}
+    domain = routers["spec"].faults.domain("flaky-sched")
+    assert domain.total >= 1 and domain.dropped > 0
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +495,8 @@ def test_drr_scheduler_queued_dispositions_match_scalar():
         router.set_scheduler("atm1", instance)
         return router
 
-    batched = _run_differential(make)
-    assert batched.counters.get("queued", 0) > 0
+    routers = _run_differential(make)
+    assert routers["batch7"].counters.get("queued", 0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -397,47 +531,251 @@ def test_on_batch_start_called_once_per_batch():
         router.receive_batch(chunk, now=1.5)
         sizes.append(len(chunk))
     assert instance.batch_calls == [(1.5, size) for size in sizes]
+    # A lone packet is a batch of one.
+    router.receive(_mixed_workload(count=8)[0], now=2.5)
+    assert instance.batch_calls[-1] == (2.5, 1)
 
 
 def test_on_batch_start_must_not_change_behavior():
-    """The hook contract: scalar receive() never calls the hook, so a
+    """The hook contract: the metered walk never calls the hook, so a
     hook-bearing plugin must produce identical dispositions and state on
-    both paths — the hook only hoists invariants."""
-    batched = _run_differential(
+    every path — the hook only hoists invariants."""
+    routers = _run_differential(
         lambda n: (_bind(r := _build(n), _HookedPlugin), r)[1]
     )
-    # The scalar twin never ran the hook; the batched one did, and the
-    # differential still held.
-    instance = next(iter(batched._batch_loops.values()))._plan["hooks"]
-    assert instance  # the compiled loop discovered the hook
+    # The metered twin never ran the hook; the un-metered ones found it,
+    # ran it, and the differential still held.
+    assert not routers["spec"]._batch_hooks
+    assert len(routers["batch7"]._batch_hooks) == 1
 
 
 def test_warmed_pipeline_passes_codegen_audit():
-    """Satellite of the static-analysis PR: after real traffic warms all
-    three loop shapes (single, lanes, fused) plus the compiled filter
-    tables and routing engines, the RP5xx exec-codegen audit must report
-    zero findings — the emitter's live output is the fixture."""
+    """Satellite of the static-analysis PR: after real traffic warms
+    both layouts (lanes, and packet with and without the inlined probe)
+    plus the compiled filter tables and routing engines, the RP5xx
+    exec-codegen audit must report zero findings — the emitter's live
+    output is the fixture."""
     from repro.analysis import audit_router_codegen
 
-    routers = []
-    single = _build("audit-single")
-    routers.append(single)
+    plain = _build("audit-no-gates")
     lanes = _build("audit-lanes")
     _bind(lanes, _PortFilterPlugin)
-    routers.append(lanes)
-    fused = _build("audit-fused", max_flows=64)
-    _bind(fused, _PortFilterPlugin)
-    routers.append(fused)
-    workload = _mixed_workload()
-    shapes = set()
-    for router in routers:
-        for start in range(0, len(workload), 7):
+    bounded = _build("audit-bounded", max_flows=64)
+    _bind(bounded, _PortFilterPlugin)
+    layouts = set()
+    for router in (plain, lanes, bounded, _cache_off_router("audit-call")):
+        workload = _mixed_workload()
+        router.receive(workload[0])
+        for start in range(1, len(workload), 7):
             router.receive_batch(workload[start:start + 7])
-        assert router._batch_loops
-        for fn in router._batch_loops.values():
-            plan = fn._plan
-            shapes.add(
-                "fused" if plan["fused"] else ("lanes" if plan["pre"] else "single")
-            )
+        layouts.update(
+            (layout, fn._plan["probe"]) for layout, fn in router._loops.items()
+        )
         assert audit_router_codegen(router) == []
-    assert shapes == {"single", "lanes", "fused"}
+    assert layouts == {
+        ("packet", True), ("lanes", True), ("packet", False), ("lanes", False)
+    }
+
+
+# ----------------------------------------------------------------------
+# Re-entrancy: a plugin that re-injects from inside process()
+# ----------------------------------------------------------------------
+class _Reinjector(PluginInstance):
+    """ESP-inbound-shaped: on an outer packet, re-inject an inner one
+    into the IP core from inside ``process`` and then keep using the
+    context.  The loops pool one context per gate; the nested walk must
+    not change this call's under it."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.seen = []
+        self.inner = []
+
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        if packet.dst_port == 9000:
+            inner = make_udp("10.0.9.1", "30.0.0.1", packet.src_port, 9001,
+                             iif="atm0")
+            self.inner.append(ctx.router.receive(inner, now=ctx.now))
+            index = ctx.router.aiu.gate_index(ctx.gate)
+            self.seen.append((
+                ctx.gate,
+                ctx.flow is packet.fix,
+                ctx.slot is packet.fix.slots[index],
+                ctx.now,
+                ctx.out_interface,
+            ))
+        return Verdict.CONTINUE
+
+
+class _ReinjectorPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "reinjector"
+    instance_class = _Reinjector
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "packet"])
+def test_reentrant_plugin_sees_its_own_context(bounded):
+    """``ctx.flow``/``ctx.slot``/``ctx.now``/``ctx.out_interface`` read
+    after a nested ``receive`` are the outer call's, from ``receive``
+    and from both ``receive_batch`` layouts; the nested packet's
+    disposition and every counter match the metered walk."""
+    instances = {}
+
+    def make(name):
+        router = _build(name, **({"max_flows": 64} if bounded else {}))
+        router.add_interface("atm2", prefix="30.0.0.0/8")
+        plugin = _ReinjectorPlugin()
+        router.pcu.load(plugin)
+        instance = instances[name] = plugin.create_instance()
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_PACKET_SCHEDULING)
+        return router
+
+    def workload():
+        return [
+            make_udp("10.0.0.1", f"20.0.1.{i % 3 + 1}", 5000 + i % 6, 9000,
+                     iif="atm0")
+            for i in range(24)
+        ]
+
+    routers = _run_differential(make, workload)
+    layout = "packet" if bounded else "lanes"
+    assert layout in routers["batch256"]._loops
+    spec = instances["spec"]
+    assert spec.inner == ["forwarded"] * 48
+    for name, instance in instances.items():
+        assert instance.inner == spec.inner, name
+        assert sorted(instance.seen) == sorted(spec.seen), name
+        for gate, own_flow, own_slot, now, oif in instance.seen:
+            assert own_flow and own_slot and now == 0.0, (name, gate)
+            assert oif == ("atm1" if gate == GATE_PACKET_SCHEDULING else None)
+
+
+# ----------------------------------------------------------------------
+# Documented divergences (docs/PERFORMANCE.md), pinned by name
+# ----------------------------------------------------------------------
+class _CallLog(PluginInstance):
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.calls = []
+
+    def process(self, packet, ctx):
+        self.calls.append((ctx.gate, packet.src_port))
+        return Verdict.CONTINUE
+
+
+class _CallLogPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "call-log"
+    instance_class = _CallLog
+
+
+def test_divergence_lanes_reorders_cross_gate_call_interleaving():
+    """One instance at two pre-routing gates.  The metered walk (and the
+    packet layout) calls gate A then gate B per packet; the lanes layout
+    calls gate A over the whole batch, then gate B.  Exactly that and
+    nothing else differs: per gate the packet order is the metered one,
+    and dispositions and state are equal."""
+    instances = {}
+
+    def make(name):
+        router = _build(name)
+        plugin = _CallLogPlugin()
+        router.pcu.load(plugin)
+        instance = instances[name] = plugin.create_instance()
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_OPTIONS)
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
+        return router
+
+    def workload():
+        return [make_udp("10.0.0.1", "20.0.1.1", 5000 + i, 9000, iif="atm0")
+                for i in range(6)]
+
+    routers = _run_differential(make, workload, chunks=(1, 6))
+    assert set(routers["batch6"]._loops) == {"lanes"}
+    spec = instances["spec"].calls
+    ports = [5000 + i for i in range(6)]
+    assert spec == [(gate, port) for port in ports
+                    for gate in (GATE_IP_OPTIONS, GATE_IP_SECURITY)]
+    assert instances["receive"].calls == spec
+    assert instances["batch1"].calls == spec
+    assert instances["batch6"].calls == [
+        (gate, port) for gate in (GATE_IP_OPTIONS, GATE_IP_SECURITY)
+        for port in ports
+    ]
+
+
+class _Dropper(PluginInstance):
+    def process(self, packet, ctx):
+        return Verdict.DROP
+
+
+class _DropperPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "dropper"
+    instance_class = _Dropper
+
+
+class _Installer(PluginInstance):
+    """On the trigger packet, binds a dropper at the (until then
+    filterless) ip_options gate."""
+
+    def process(self, packet, ctx):
+        if packet.src_port == 5003:
+            plugin = ctx.router.pcu.get("dropper")
+            plugin.register_instance(
+                plugin.create_instance(), "*, *, UDP", gate=GATE_IP_OPTIONS
+            )
+        return Verdict.CONTINUE
+
+
+class _InstallerPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "installer"
+    instance_class = _Installer
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "packet"])
+def test_divergence_plugin_filter_change_mid_batch_lands_at_batch_boundary(bounded):
+    """A plugin activates a gate from inside ``process``.  The metered
+    walk (and ``receive``, a batch of one) visits the gate from the next
+    packet on; a batch checks its plan once, so the packets behind the
+    trigger *in the same batch* are not dispatched into the new gate —
+    they forward — and the change lands at the next batch boundary.
+    Nothing else differs in the packet layout; the lanes layout had also
+    classified those packets before the trigger ran — without the new
+    gate's table — so the new filter's flow purge takes their records
+    too (they re-install, and meet the new table, next batch)."""
+    def make(name):
+        router = _build(name, **({"max_flows": 64} if bounded else {}))
+        router.pcu.load(_DropperPlugin())
+        _bind(router, _InstallerPlugin)
+        return router
+
+    def workload():
+        return [make_udp("10.0.0.1", "20.0.1.1", 5000 + i, 9000, iif="atm0")
+                for i in range(12)]
+
+    spec = make("spec")
+    expected = [spec.receive(p, cycles=CycleMeter()) for p in workload()]
+    assert expected == ["forwarded"] * 4 + ["dropped_by_plugin"] * 8
+
+    scalar = make("receive")
+    assert [scalar.receive(p) for p in workload()] == expected
+    assert _state(scalar) == _state(spec)
+
+    batched = make("batched")
+    packets = workload()
+    got = batched.receive_batch(packets[:6]) + batched.receive_batch(packets[6:])
+    assert got == ["forwarded"] * 6 + ["dropped_by_plugin"] * 6
+    assert set(batched._loops) == {"packet" if bounded else "lanes"}
+    want, late = _state(spec), _state(batched)
+    want["counters"]["forwarded"] += 2
+    want["counters"]["dropped_by_plugin"] -= 2
+    want["tx"]["atm1"] = late["tx"]["atm1"]          # two more packets left
+    if not bounded:
+        want["flow_stats"]["evictions"] += 2
+        want["flow_stats"]["active"] -= 2
+        want["filter_lookups"] -= 2
+    assert late == want

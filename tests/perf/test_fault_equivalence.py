@@ -1,10 +1,11 @@
-"""Fault-path equivalence of the wall-clock fast path.
+"""Fault-path equivalence of the generated un-metered executor.
 
-The fault-containment layer lives in both gate implementations; this
-suite pins that a faulting workload — captures, quarantine trips,
-degradation, half-open probes — is observed identically on the metered
-specification path and the unmetered fast path: same dispositions, same
-counters, same FaultRecord signatures, same health snapshots.
+The fault-containment layer lives in the metered gate macro and in the
+generated loops; this suite pins that a faulting workload — captures,
+quarantine trips, degradation, half-open probes — is observed
+identically on the metered specification path and un-metered: same
+dispositions, same counters, same FaultRecord signatures, same health
+snapshots.
 """
 
 import pytest
@@ -122,7 +123,7 @@ def test_fault_equivalence_batch():
     for start in range(0, len(packets), 8):
         now = start * 0.001
         for p in packets[start:start + 8]:
-            expected.append(sequential.receive(p, now=now))
+            expected.append(sequential.receive(p, now=now, cycles=CycleMeter()))
     got = []
     packets = [p for p, _ in _workload()]
     for start in range(0, len(packets), 8):

@@ -1,13 +1,13 @@
 """The chaos soak (docs/ROBUSTNESS.md): a seeded fault storm through two
 identically configured routers — one on the metered specification path,
-one on the unmetered fast path.
+one on the generated un-metered loops.
 
 Acceptance criteria pinned here:
 
 * the router never raises, whatever the plugins do;
 * every injected fault reconciles to exactly one FaultRecord;
 * quarantined plugins degrade per their policy (drop / bypass / unload);
-* fast-path and metered-path dispositions agree packet-for-packet, and
+* un-metered and metered dispositions agree packet-for-packet, and
   so do counters, fault totals, and FaultRecord signatures.
 
 Run standalone via ``scripts/chaos_check.sh`` (``-m chaos``).
@@ -144,28 +144,34 @@ def test_chaos_soak():
 
 @pytest.mark.chaos
 def test_chaos_soak_batched():
-    """The same storm through ``receive_batch``: mid-batch faults must
-    split, quarantine, and resume without diverging from the scalar
-    walk.  Fault windows and cooldowns are time-based, so the scalar
-    reference quantizes every packet's clock to its batch's start time —
-    after that the comparison is packet-identical.
+    for max_flows in (512, None):
+        _soak_batched(max_flows)
 
-    The routers use a bounded flow table: that selects the fused
-    single-pass batch shape, which preserves scalar order through any
-    number of mid-batch faults.  (The multi-pass lanes shape documents
-    bounded divergence for multiple faults per batch — see the
-    ``batch.py`` module docstring — and this storm averages several.)"""
+
+def _soak_batched(max_flows):
+    """The same storm through ``receive_batch``: mid-batch faults must
+    be charged, quarantine, and resume without diverging from the
+    metered walk.  Fault windows and cooldowns are time-based, so the
+    metered reference quantizes every packet's clock to its batch's
+    start time — after that the comparison is packet-identical.
+
+    A bounded flow table keeps the batches on the packet layout; the
+    unbounded run sweeps them through lanes, where each batch's first
+    sweep fault leaves through ``_resume`` — several faults per batch on
+    average, and the fault ring still agrees entry for entry."""
     batch_size = 64
-    scalar, _ = _build("scalar-ref", max_flows=512)
-    batched, batch_instances = _build("batched", max_flows=512)
+    spec, _ = _build("spec-ref", max_flows=max_flows)
+    batched, batch_instances = _build("batched", max_flows=max_flows)
 
     workload = list(_workload())
-    scalar_disp = []
+    spec_disp = []
     batched_disp = []
     for start in range(0, PACKETS, batch_size):
         chunk = workload[start:start + batch_size]
         t0 = chunk[0][1]
-        scalar_disp.extend(scalar.receive(p, now=t0) for p, _t in chunk)
+        spec_disp.extend(
+            spec.receive(p, now=t0, cycles=CycleMeter()) for p, _t in chunk
+        )
     fresh = list(_workload())  # routers mutate packets; never share them
     for start in range(0, PACKETS, batch_size):
         chunk = fresh[start:start + batch_size]
@@ -174,11 +180,11 @@ def test_chaos_soak_batched():
         )
 
     assert len(batched_disp) == PACKETS
-    assert batched_disp == scalar_disp
-    assert _observed(batched) == _observed(scalar)
-    # The storm really crossed the batch pipeline: loops were compiled
-    # and faults were injected mid-batch (then handled, not raised).
-    assert batched._batch_loops
+    assert batched_disp == spec_disp
+    assert _observed(batched) == _observed(spec)
+    # The storm really crossed the generated loops, and faults were
+    # injected mid-batch (then handled, not raised).
+    assert ("lanes" in batched._loops) == (max_flows is None)
     assert sum(i.injected_faults for i in batch_instances.values()) > 0
     assert batched.counters["plugin_quarantines"] >= 3
 
