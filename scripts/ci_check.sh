@@ -30,8 +30,9 @@ python scripts/analyze.py --self-lint --sarif | python -m json.tool > /dev/null
 echo "ok: SARIF log is valid JSON"
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + batch) =="
+    echo "== ruff (analysis + shard + topo + fanout + batch) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
+        src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/core/batch.py scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="
@@ -44,22 +45,34 @@ else
     echo "== mypy skipped (not installed) =="
 fi
 
+echo "==== size (src/ net lines is a tracked metric, ROADMAP aim 2) ===="
+find src -name '*.py' | xargs wc -l | tail -1
+wc -l src/repro/mgr/fanout.py src/repro/shard/control.py src/repro/topo/control.py
+
 echo "==== telemetry gate (pmgr --json schema) ===="
 # Every `pmgr show X --json` output must be machine-parseable: drive a
-# configured router through the real command loop and pipe each topic's
-# JSON through python -m json.tool.  (The on/off overhead ceiling lives
-# in bench_check.sh, which runs next.)
+# configured router — a single one, then a 2-shard inline front, whose
+# answers come through the fanout's merge — through the real command
+# loop and pipe each topic's JSON through python -m json.tool.  (The
+# on/off overhead ceiling lives in bench_check.sh, which runs next.)
 PYTHONPATH=src python - <<'EOF' | python -m json.tool > /dev/null
 import json
-from repro import Router, PluginManager
+from repro import Router, PluginManager, ShardedRouter
 from repro.mgr.format import topic_names
 from repro.net import make_udp
 
-lines = []
-router = Router(name="ci")
-router.add_interface("atm0", prefix="0.0.0.0/0")
-mgr = PluginManager(router, output=lines.append)
-mgr.run_script("""
+
+def factory(index=0):
+    router = Router(name=f"ci/{index}")
+    router.add_interface("atm0", prefix="0.0.0.0/0")
+    return router
+
+
+blobs = []
+for front in (factory(), ShardedRouter(nshards=2, factory=factory)):
+    lines = []
+    mgr = PluginManager(front, output=lines.append)
+    mgr.run_script("""
 modload drr
 create drr drr0
 bind drr0 - 10.*, *, UDP
@@ -67,16 +80,15 @@ telemetry on
 trace on sample=1 capacity=16
 overload on sample_interval=8
 """)
-for i in range(32):
-    router.receive(make_udp(f"10.0.0.{i % 4 + 1}", "20.0.0.1", 1000 + i, 9000, iif="atm0"))
-blobs = []
-for topic in topic_names():
-    lines.clear()
-    mgr.run_command(f"show {topic} --json")
-    blobs.append(json.loads("\n".join(lines)))
+    for i in range(32):
+        front.receive(make_udp(f"10.0.0.{i % 4 + 1}", "20.0.0.1", 1000 + i, 9000, iif="atm0"))
+    for topic in topic_names():
+        lines.clear()
+        mgr.run_command(f"show {topic} --json")
+        blobs.append(json.loads("\n".join(lines)))
 print(json.dumps(blobs))
 EOF
-echo "ok: all show topics emit valid JSON"
+echo "ok: all show topics emit valid JSON (single router and 2-shard front)"
 
 echo "==== performance gate (scripts/bench_check.sh) ===="
 sh scripts/bench_check.sh "$@"

@@ -23,15 +23,16 @@ and flags:
   locks, threads, generators.  These break :class:`ShardWorkerPool`'s
   post-fork plugin factory (the object cannot be re-created identically
   in the child) and can never transit the descriptor codec.
-* RP404 — query-topic payloads the cross-shard aggregation in
-  :class:`~repro.shard.control.ShardedPluginLibrary` cannot merge: the
-  sum-merge rule understands numeric/bool/str leaves and nested dicts;
-  anything else (lists, arbitrary objects) silently takes shard 0's
-  value and drops the rest.
+* RP404 — query-topic payloads the one cross-child aggregation,
+  :meth:`repro.mgr.fanout.Fanout.query`, cannot merge: the sum-merge
+  rule understands numeric/bool/str leaves and nested dicts; anything
+  else (lists, arbitrary objects) silently takes shard 0's value and
+  drops the rest.
 * RP405 — control commands (``handle_custom`` and its closure) whose
   configuration effect is guarded by shard-local traffic state (flow
-  table contents, hit counters).  A fanout command must act identically
-  on every shard; deciding from local traffic makes shards diverge.
+  table contents, hit counters).  A verb of
+  :data:`repro.mgr.fanout.VERBS` must act identically on every child the
+  fanout applies it to; deciding from local traffic makes shards diverge.
 
 Findings are suppressible with ``# rp: ignore[RP4xx]`` on the flagged
 line, exactly like the RP2xx lint.  Everything here runs on source text
@@ -51,6 +52,7 @@ import threading
 import types
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..mgr.fanout import VERBS
 from .diagnostics import AnalysisReport, Diagnostic, is_suppressed
 from .hotpath import BATCH_HOOKS, ROOT_METHODS, _closure_lints
 
@@ -82,13 +84,12 @@ _LOCAL_STATE_ATTRS = {
     "evictions", "births", "packets_processed", "counters", "occupancy",
 }
 
-#: Library/plugin calls that change configuration (RP405): if any shard
-#: skips one of these based on local state, the shards diverge.
-_CONFIG_CALLS = {
+#: Calls that change configuration (RP405): the fanout's verb table plus
+#: the AIU/plugin-level calls underneath it.  If any shard skips one of
+#: these based on local state, the shards diverge.
+_CONFIG_CALLS = set(VERBS) | {
     "create_filter", "remove_filter", "register_instance",
-    "deregister_instance", "bind", "unbind", "quarantine", "reinstate",
-    "set_scheduler", "add_route", "modload", "modunload",
-    "set_fault_policy", "create_instance", "free_instance",
+    "deregister_instance",
 }
 
 

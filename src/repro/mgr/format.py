@@ -10,13 +10,13 @@ can never drift (asserted topic-by-topic by
 
 Core topics are registered at import time; subsystems add their own the
 same way (``repro.topo`` registers ``topology`` and ``paths``), and
-``pmgr show <topic> --json``, the sharded/topology fanout libraries, and
-the ci_check.sh JSON-roundtrip gate pick new registrations up
-automatically.
+``pmgr show <topic> --json``, the one fanout
+(:meth:`repro.mgr.fanout.Fanout.query`, behind every sharded and
+topology front end), and the ci_check.sh JSON-roundtrip gate pick new
+registrations up automatically.
 
-Merge strategies (the :class:`~repro.shard.control.ShardedPluginLibrary`
-and :class:`~repro.topo.control.TopologyPluginLibrary` aggregation
-rules, declared per topic instead of hardcoded per library):
+Merge strategies (what :meth:`~repro.mgr.fanout.Fanout.query` applies
+to its children's payloads, declared per topic):
 
 * ``"sum"`` — key-wise numeric sum, dicts recursed (flows, aiu).
 * ``"bucketwise"`` — counters/gauges summed, histograms merged
@@ -305,7 +305,7 @@ def _merge_faults(per_node: List[dict]) -> dict:
 
 
 #: Named strategies a TopicSpec.merge may reference.  "frontend" is
-#: handled by the fanout libraries themselves (no payload merge).
+#: handled by the fanout front end itself (no payload merge).
 MERGE_STRATEGIES: Dict[str, MergeFn] = {
     "sum": merge_sum_dict,
     "bucketwise": _merge_bucketwise,
@@ -467,8 +467,8 @@ def _render_shards(data: dict) -> List[str]:
 
 
 # Core registrations, in the historical help order.  String
-# query_fns name RouterPluginLibrary methods; fanout libraries override
-# "frontend" topics with their own handlers.
+# query_fns name RouterPluginLibrary methods; fanout front ends override
+# "frontend" topics with their own ``_frontend_<topic>`` handlers.
 register_topic("plugins", "_query_plugins", _render_plugins, merge="shard0")
 register_topic("filters", "_query_filters", _render_filters, merge="shard0")
 register_topic("flows", "_query_flows", _render_flows, merge="sum")

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Type
 
 from ..core.errors import ConfigurationError, UnknownPluginError
 from ..core.faults import FaultPolicy, PluginFaultDomain
+from ..core.messages import Message
 from ..core.plugin import Plugin, PluginInstance
 from ..core.router import Router
 from ..core.routing_plugin import L4RoutingPlugin
@@ -160,6 +161,32 @@ class RouterPluginLibrary:
 
     def add_route(self, prefix: str, interface: str, next_hop: Optional[str] = None) -> None:
         self.router.routing_table.add(prefix, interface, next_hop=next_hop)
+
+    def add_mroute(self, group: str, oifs: List[str], source: Optional[str] = None,
+                   expected_iif: Optional[str] = None) -> None:
+        self.router.multicast_table.add(
+            group, oifs, source=source, expected_iif=expected_iif
+        )
+
+    def send_message(self, plugin_name: str, msg_type: str, /, **args):
+        """Send a plugin-specific message (§3.1).  ``instance`` /
+        ``*_instance`` arguments name this library's instances and are
+        resolved here, next to the plugin — inside the worker under mp."""
+        resolved = {
+            key: (
+                self.instance(str(value))
+                if key == "instance" or key.endswith("_instance")
+                else value
+            )
+            for key, value in args.items()
+        }
+        return self.router.pcu.send(plugin_name, Message(msg_type, resolved))
+
+    def run_script(self, text: str) -> None:
+        """Run a pmgr configuration script against this library."""
+        from .pmgr import PluginManager
+
+        PluginManager(self).run_script(text)
 
     # ------------------------------------------------------------------
     # Fault domains / quarantine (docs/ROBUSTNESS.md)
@@ -357,7 +384,7 @@ class RouterPluginLibrary:
         keyed on (AIU plan epoch, configuration revision), so ``show
         aiu`` can report analysis freshness without re-walking anything
         — and so fanout configuration ops that never touch a filter
-        (modload/create through a ShardedPluginLibrary) still invalidate
+        (modload/create through a Fanout) still invalidate
         it."""
         from ..analysis import analyze_router, audit_query_mergeability
 

@@ -41,8 +41,11 @@ structured twin: ``show X --json`` prints the
 ``schema`` version envelope), and the plain-text output is a formatter
 over that same dict (``repro.mgr.format``).
 
-The §6.1 example script from the paper runs verbatim through
-:func:`run_script` (see ``tests/mgr/test_pmgr_paper_script.py``).  A
+Every command is a call on the library — one
+:class:`~repro.mgr.library.RouterPluginLibrary`, or the
+:class:`~repro.mgr.fanout.Fanout` over a sharded or topology front —
+so the §6.1 example script from the paper runs verbatim through
+:func:`run_script` on any of them (``tests/mgr/test_fanout.py``).  A
 failing script line raises :class:`~repro.core.errors.ScriptError`
 naming the line number and command; ``run_script(...,
 continue_on_error=True)`` logs the error and keeps going instead.
@@ -55,8 +58,8 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError, ScriptError
-from ..core.messages import Message
 from ..core.router import Router
+from .fanout import Fanout
 from .format import render_topic, topic_names
 from .library import RouterPluginLibrary, parse_config_value, split_command
 
@@ -68,8 +71,12 @@ class PluginManager:
         # Duck-typed: a Topology front end gets the per-node fanout
         # library (docs/TOPOLOGY.md); a ShardedRouter front end gets the
         # per-shard fanout library so every command broadcasts to all
-        # shards and every ``show`` aggregates (docs/OBSERVABILITY.md).
-        if hasattr(router, "nodes") and hasattr(router, "links"):
+        # shards and every ``show`` aggregates (docs/OBSERVABILITY.md);
+        # a library is managed as it is (``library.run_script``).
+        if isinstance(router, (RouterPluginLibrary, Fanout)):
+            self.library = router
+            router = router.router
+        elif hasattr(router, "nodes") and hasattr(router, "links"):
             from ..topo.control import TopologyPluginLibrary
 
             self.library = TopologyPluginLibrary(router)
@@ -216,7 +223,7 @@ class PluginManager:
         group, oifs = args[0], args[1].split(",")
         source = None if len(args) < 3 or args[2] == "*" else args[2]
         expected_iif = args[3] if len(args) == 4 else None
-        self.router.multicast_table.add(
+        self.library.add_mroute(
             group, oifs, source=source, expected_iif=expected_iif
         )
         self._print(f"mroute ({source or '*'}, {group}) -> {oifs}")
@@ -224,16 +231,10 @@ class PluginManager:
     def _cmd_msg(self, args: List[str]) -> None:
         if len(args) < 2:
             raise ConfigurationError("usage: msg <plugin> <type> [key=value...]")
-        plugin_name, msg_type = args[0], args[1]
-        msg_args = {}
-        for token in args[2:]:
-            key, value = parse_config_value(token)
-            # Instance references resolve by name.
-            if key in ("instance",) or key.endswith("_instance"):
-                value = self.library.instance(str(value))
-            msg_args[key] = value
-        result = self.router.pcu.send(plugin_name, Message(msg_type, msg_args))
-        self._print(f"msg {msg_type} -> {result!r}")
+        msg_args = dict(parse_config_value(token) for token in args[2:])
+        # Instance references travel by name; the library resolves them.
+        result = self.library.send_message(args[0], args[1], **msg_args)
+        self._print(f"msg {args[1]} -> {result!r}")
 
     def _cmd_quarantine(self, args: List[str]) -> None:
         if len(args) not in (1, 2):
@@ -280,8 +281,8 @@ class PluginManager:
             self.library.disable_telemetry()
             self._print("telemetry disabled")
         else:
-            state = "enabled" if self.router.telemetry is not None else "disabled"
-            self._print(f"telemetry {state}")
+            enabled = self.library.query("telemetry")["enabled"]
+            self._print(f"telemetry {'enabled' if enabled else 'disabled'}")
 
     def _cmd_trace(self, args: List[str]) -> None:
         if args and args[0] == "path":
@@ -360,11 +361,11 @@ class PluginManager:
         if args[0] == "status":
             if len(args) != 1:
                 raise ConfigurationError(usage)
-            governor = self.router._overload
-            if governor is None:
+            status = self.library.query("overload")
+            if not status["enabled"]:
                 self._print("overload governor disabled")
             else:
-                self._print(f"overload governor enabled tier={governor.tier}")
+                self._print(f"overload governor enabled tier={status['tier']}")
             return
         config = dict(parse_config_value(token) for token in args[1:])
         governor = self.library.enable_overload(**config)

@@ -1,40 +1,29 @@
-"""Control-plane fanout: one management surface over N shards.
+"""Control-plane fanout over N shards: the shard-specific residue of
+:class:`~repro.mgr.fanout.Fanout`.
 
-:class:`ShardedPluginLibrary` mirrors the
-:class:`~repro.mgr.library.RouterPluginLibrary` call surface.  Every
-configuration call — modload, create/bind, quarantine, fault policy,
-telemetry, overload, routes — broadcasts to all shards, which is what
-keeps the shards identically configured (the invariant the dispatch
-layer's equivalence guarantee rests on).  Every ``query()`` aggregates:
-counters are summed, histograms merged bucket-wise, worst-tier wins,
-and the ``shards`` topic exposes the per-shard breakdown
-(``pmgr show shards --json``).
-
-Backends:
-
-* inline — one :class:`~repro.mgr.pmgr.PluginManager` per shard router;
-  typed calls go straight to each shard's library.
-* mp — typed calls are rendered to their pmgr script line and broadcast
-  to the workers (each runs it on its own in-worker manager); queries
-  round-trip structured dicts.
-
-``PluginManager(ShardedRouter(...))`` selects this library
-automatically, so ``pmgr`` scripts and ``show X [--json]`` drive a
-sharded router exactly like a single one.
+Every configuration verb broadcasts to all shards — that is what keeps
+the shards identically configured, the invariant the dispatch layer's
+equivalence guarantee rests on — and every ``query()`` aggregates per
+the topic registry; the ``shards`` topic exposes the per-shard
+breakdown (``pmgr show shards --json``).  Inline, the children are one
+:class:`~repro.mgr.library.RouterPluginLibrary` per shard router; on
+the mp backend the same typed ``(verb, args, kwargs)`` call is one
+broadcast-then-collect round trip to the workers, each of which applies
+it to its own library.  ``PluginManager(ShardedRouter(...))`` selects
+this library automatically.
 """
 
 from __future__ import annotations
 
-import shlex
-from typing import Callable, List, Optional
+from typing import Any, List, Optional
 
 from ..core.errors import ConfigurationError
-from ..mgr.format import attach_schema, get_topic, merge_topic, topic_names
+from ..mgr.fanout import Fanout
 from ..mgr.library import RouterPluginLibrary
 
 
-class ShardedPluginLibrary:
-    """Fanout twin of RouterPluginLibrary over a ShardedRouter."""
+class ShardedPluginLibrary(Fanout):
+    """The fanout library over a ShardedRouter's shards."""
 
     def __init__(self, sharded):
         from .sharded import ShardedRouter  # local: avoid import cycle
@@ -44,176 +33,17 @@ class ShardedPluginLibrary:
                 "ShardedPluginLibrary wraps a ShardedRouter"
             )
         self.sharded = sharded
-        self.router = sharded  # pmgr reads .router for status commands
-        self.libraries: List[RouterPluginLibrary] = [
-            RouterPluginLibrary(r) for r in sharded.shards
-        ]
+        super().__init__(
+            sharded, [RouterPluginLibrary(r) for r in sharded.shards]
+        )
 
-    # ------------------------------------------------------------------
-    # Fanout plumbing
-    # ------------------------------------------------------------------
-    def _fanout(self, call: Callable, script_line: str):
-        """Apply a typed call per shard (inline) or its script rendering
-        (mp).  Returns the per-shard results (inline) or None (mp)."""
+    def _each(self, verb: str, args: tuple, kwargs: dict,
+              node: Optional[str] = None) -> List[Any]:
         pool = self.sharded._pool
-        if pool is not None:
-            pool.run_script(script_line)
-            return None
-        results = [call(lib) for lib in self.libraries]
-        return results
-
-    @staticmethod
-    def _q(token) -> str:
-        return shlex.quote(str(token))
-
-    # ------------------------------------------------------------------
-    # Configuration calls (broadcast)
-    # ------------------------------------------------------------------
-    def modload(self, name: str):
-        results = self._fanout(
-            lambda lib: lib.modload(name), f"modload {self._q(name)}"
-        )
-        return results[0] if results else None
-
-    def modunload(self, name: str) -> None:
-        self._fanout(
-            lambda lib: lib.modunload(name), f"modunload {self._q(name)}"
-        )
-
-    def create_instance(self, plugin_name: str, instance_name: str, **config):
-        keyvals = " ".join(
-            f"{key}={self._q(value)}" for key, value in config.items()
-        )
-        results = self._fanout(
-            lambda lib: lib.create_instance(plugin_name, instance_name, **config),
-            f"create {self._q(plugin_name)} {self._q(instance_name)} {keyvals}".strip(),
-        )
-        return results[0] if results else None
-
-    def free_instance(self, instance_name: str) -> None:
-        self._fanout(
-            lambda lib: lib.free_instance(instance_name),
-            f"free {self._q(instance_name)}",
-        )
-
-    def instance(self, name: str):
-        """Shard 0's instance handle (for message plumbing)."""
-        if not self.libraries:
-            raise ConfigurationError(
-                "instance handles are not available on the mp backend"
-            )
-        return self.libraries[0].instance(name)
-
-    def instances(self) -> List[str]:
-        return self.libraries[0].instances() if self.libraries else []
-
-    def bind(self, instance_name: str, filter_spec: str,
-             gate: Optional[str] = None, priority: int = 0):
-        gate_token = "-" if gate is None else self._q(gate)
-        results = self._fanout(
-            lambda lib: lib.bind(
-                instance_name, filter_spec, gate=gate, priority=priority
-            ),
-            f"bind {self._q(instance_name)} {gate_token} {filter_spec}",
-        )
-        return results[0] if results else None
-
-    def unbind(self, instance_name: str):
-        results = self._fanout(
-            lambda lib: lib.unbind(instance_name),
-            f"unbind {self._q(instance_name)}",
-        )
-        return results[0] if results else None
-
-    def set_scheduler(self, interface: str, instance_name: str) -> None:
-        self._fanout(
-            lambda lib: lib.set_scheduler(interface, instance_name),
-            f"scheduler {self._q(interface)} {self._q(instance_name)}",
-        )
-
-    def add_route(self, prefix: str, interface: str,
-                  next_hop: Optional[str] = None) -> None:
-        tail = f" {self._q(next_hop)}" if next_hop is not None else ""
-        self._fanout(
-            lambda lib: lib.add_route(prefix, interface, next_hop=next_hop),
-            f"route {self._q(prefix)} {self._q(interface)}{tail}",
-        )
-
-    def quarantine(self, plugin_name: str, action: Optional[str] = None):
-        tail = f" {self._q(action)}" if action is not None else ""
-        results = self._fanout(
-            lambda lib: lib.quarantine(plugin_name, action=action),
-            f"quarantine {self._q(plugin_name)}{tail}",
-        )
-        return results[0] if results else None
-
-    def reinstate(self, plugin_name: str):
-        results = self._fanout(
-            lambda lib: lib.reinstate(plugin_name),
-            f"reinstate {self._q(plugin_name)}",
-        )
-        return results[0] if results else None
-
-    def set_fault_policy(self, plugin_name: str, **kwargs):
-        keyvals = " ".join(
-            f"{key}={self._q(value)}" for key, value in kwargs.items()
-        )
-        results = self._fanout(
-            lambda lib: lib.set_fault_policy(plugin_name, **kwargs),
-            f"faultpolicy {self._q(plugin_name)} {keyvals}".strip(),
-        )
-        return results[0] if results else None
-
-    def enable_telemetry(self, registry=None):
-        if registry is not None:
-            raise ConfigurationError(
-                "sharded telemetry attaches one registry per shard; "
-                "pass none and read the aggregated query('telemetry')"
-            )
-        results = self._fanout(
-            lambda lib: lib.enable_telemetry(), "telemetry on"
-        )
-        return results[0] if results else None
-
-    def disable_telemetry(self) -> None:
-        self._fanout(lambda lib: lib.disable_telemetry(), "telemetry off")
-
-    def enable_overload(self, **config):
-        keyvals = " ".join(
-            f"{key}={self._q(value)}" for key, value in config.items()
-        )
-        results = self._fanout(
-            lambda lib: lib.enable_overload(**config),
-            f"overload on {keyvals}".strip(),
-        )
-        return results[0] if results else None
-
-    def disable_overload(self) -> None:
-        self._fanout(lambda lib: lib.disable_overload(), "overload off")
-
-    def start_trace(self, sample: int = 1, capacity: int = 256):
-        results = self._fanout(
-            lambda lib: lib.start_trace(sample=sample, capacity=capacity),
-            f"trace on sample={sample} capacity={capacity}",
-        )
-        return results[0] if results else None
-
-    def stop_trace(self) -> None:
-        self._fanout(lambda lib: lib.stop_trace(), "trace off")
-
-    def run_script(self, text: str) -> None:
-        """Broadcast a whole pmgr configuration script to every shard."""
-        pool = self.sharded._pool
-        if pool is not None:
-            pool.run_script(text)
-            return
-        from ..mgr.pmgr import PluginManager
-
-        for shard_library in self.libraries:
-            manager = PluginManager(shard_library.router)
-            # Reuse the shard's library so instance maps stay coherent.
-            manager.library = shard_library
-            manager.run_script(text)
+        if pool is None:
+            return super()._each(verb, args, kwargs, node)
+        self._targets(node)  # shards are not addressable one by one
+        return pool.call(verb, args, kwargs)
 
     def analyze(self, include_plugins: bool = True):
         """Full sharded sweep: plugin lints once (fanout keeps shards
@@ -243,64 +73,14 @@ class ShardedPluginLibrary:
             )
         return report
 
-    # ------------------------------------------------------------------
-    # Aggregated queries
-    # ------------------------------------------------------------------
-    def query(self, topic: str, **filters) -> dict:
-        """Cross-shard aggregate of every show topic.
-
-        Aggregation is declared per topic in the
-        :mod:`repro.mgr.format` registry (docs/OBSERVABILITY.md):
-        counters and flow/fault totals are summed; histograms merge
-        bucket-wise; tiers take the worst rung; configuration views
-        (plugins, filters) come from shard 0 because the fanout keeps
-        shards identical.  ``"frontend"`` topics are answered by this
-        front end itself (``health``, ``shards``); a topic registered
-        without a front-end handler falls back to its query function
-        run against this library.
-        """
-        try:
-            spec = get_topic(topic)
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown query topic {topic!r}; known: {list(topic_names())}"
-            ) from None
-        if spec.merge == "frontend":
-            handler = getattr(self, f"_frontend_{topic}", None)
-            if handler is not None:
-                data = handler(**filters)
-            else:
-                data = spec.run_query(self, **filters)
-        else:
-            per_shard = self._per_shard_query(topic, **filters)
-            data = merge_topic(spec, per_shard)
-        return attach_schema(spec, data)
-
-    def _frontend_health(self) -> dict:
-        return self.sharded.health()
-
     def _frontend_shards(self) -> dict:
-        return self._query_shards()
-
-    def _per_shard_query(self, topic: str, **filters) -> List[dict]:
-        pool = self.sharded._pool
-        if pool is not None:
-            return pool.query(topic, **filters)
-        return [lib.query(topic, **filters) for lib in self.libraries]
-
-    def _query_shards(self) -> dict:
-        pool = self.sharded._pool
-        if pool is not None:
-            rows = pool.query("shards")
-            summaries = [row["shards"][0] for row in rows]
-        else:
-            summaries = [
-                r.shard_state.summary() for r in self.sharded.shards
-            ]
+        """One row per shard, each the shard library's own one-shard
+        ``shards`` answer renumbered."""
+        rows = self._each("query", ("shards",), {})
         return {
             "nshards": self.sharded.nshards,
             "backend": self.sharded.backend,
             "shards": [
-                {"shard": i, **summary} for i, summary in enumerate(summaries)
+                {**row["shards"][0], "shard": i} for i, row in enumerate(rows)
             ],
         }

@@ -16,11 +16,12 @@ lists (see :mod:`repro.shard.dispatch`) sized to the compiled batch
 loops — the worker decodes and calls ``Router.receive_batch``, so the
 per-shard data path is exactly the single-process one.
 
-The control plane rides the same work pipe between batches: ``script``
-messages run a pmgr configuration script on the worker's own
-PluginManager (the fanout used by :class:`~repro.shard.control.
-ShardedPluginLibrary`), and ``query`` messages return the worker
-library's structured ``query()`` dict for cross-shard aggregation.
+The control plane rides the same work pipe between batches as one
+message kind: ``call`` carries a typed ``(verb, args, kwargs)`` from the
+fanout (:class:`~repro.shard.control.ShardedPluginLibrary`), which the
+worker checks against :data:`~repro.mgr.fanout.CALLS` and applies to its
+own :class:`~repro.mgr.library.RouterPluginLibrary`; only ``query``
+ships a payload back (the structured dict, for cross-shard merging).
 
 Requires the ``fork`` start method (factory closures never cross a
 pickle boundary); callers should check :func:`mp_available` first.
@@ -34,6 +35,9 @@ from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, List, Optional, Sequence
 
+from ..core.errors import ConfigurationError
+from ..mgr.fanout import CALLS, VERBS
+from ..mgr.library import RouterPluginLibrary
 from .dispatch import decode_packet, dispatch_wire
 
 
@@ -62,9 +66,7 @@ def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: boo
     cores to demonstrate real parallel speedup.
     """
     router = factory(index)
-    from ..mgr.pmgr import PluginManager
-
-    manager = PluginManager(router)
+    library = RouterPluginLibrary(router)
     receive_batch = router.receive_batch
     decode = decode_packet
     while True:
@@ -77,15 +79,15 @@ def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: boo
             else:
                 packets = [decode(d) for d in descs]
                 result_w.send(receive_batch(packets, now=now))
-        elif tag == "script":
+        elif tag == "call":
+            verb, args, kwargs = msg[1:]
             try:
-                manager.run_script(msg[1])
-                result_w.send(("ok", None))
-            except Exception as exc:  # noqa: BLE001  # rp: ignore[RP206]
-                result_w.send(("err", f"{type(exc).__name__}: {exc}"))
-        elif tag == "query":
-            try:
-                result_w.send(("ok", manager.library.query(msg[1], **msg[2])))
+                if verb not in CALLS:
+                    raise ConfigurationError(f"unknown control verb {verb!r}")
+                value = getattr(library, verb)(*args, **kwargs)
+                # Handles (plugins, instances, governors) stay in the
+                # worker; only the read's payload crosses the pipe.
+                result_w.send(("ok", None if verb in VERBS else value))
             except Exception as exc:  # noqa: BLE001  # rp: ignore[RP206]
                 result_w.send(("err", f"{type(exc).__name__}: {exc}"))
         elif tag == "health":
@@ -199,13 +201,10 @@ class ShardWorkerPool:
             raise RuntimeError(f"shard worker error: {errors[0]}")
         return [value for _, value in replies]
 
-    def run_script(self, text: str) -> None:
-        """Run a pmgr configuration script on every shard."""
-        self._roundtrip(("script", text))
-
-    def query(self, topic: str, **filters) -> list:
-        """Per-shard ``RouterPluginLibrary.query`` dicts."""
-        return self._roundtrip(("query", topic, filters))
+    def call(self, verb: str, args: tuple = (), kwargs: Optional[dict] = None) -> list:
+        """Apply one typed library call on every shard: the per-shard
+        ``query`` payloads, ``None`` per shard for every other verb."""
+        return self._roundtrip(("call", verb, args, kwargs or {}))
 
     def health(self) -> list:
         return self._roundtrip(("health",))

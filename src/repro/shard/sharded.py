@@ -27,49 +27,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, List, Optional, Sequence
 
-from ..core.overload import TIERS
+from ..core.aggregate import AggregateFlowTable, AggregateGovernor, fold_health
 from ..core.router import Router
 from .dispatch import dispatch_packets, dispatch_wire, decode_packet, encode_packet
 from .mp import ShardWorkerPool
-
-
-class _AggregateFlowTable:
-    """Read-only cross-shard sum of the per-shard flow tables."""
-
-    def __init__(self, sharded: "ShardedRouter"):
-        self._sharded = sharded
-
-    def _sum(self, attr: str) -> int:
-        return sum(
-            getattr(r.aiu.flow_table, attr) for r in self._sharded.shards
-        )
-
-    @property
-    def active(self) -> int:
-        return self._sum("active")
-
-    @property
-    def hits(self) -> int:
-        return self._sum("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._sum("misses")
-
-    @property
-    def births(self) -> int:
-        return self._sum("births")
-
-    @property
-    def evictions(self) -> int:
-        return self._sum("evictions")
-
-    @property
-    def max_records(self) -> Optional[int]:
-        caps = [r.aiu.flow_table.max_records for r in self._sharded.shards]
-        if any(c is None for c in caps):
-            return None
-        return sum(caps)
 
 
 class _AggregateAIU:
@@ -84,7 +45,7 @@ class _AggregateAIU:
 
     def __init__(self, sharded: "ShardedRouter"):
         self._sharded = sharded
-        self.flow_table = _AggregateFlowTable(sharded)
+        self.flow_table = AggregateFlowTable(lambda: sharded.shards)
 
     def create_filter(self, gate: str, flt, **kwargs) -> tuple:
         return tuple(
@@ -121,32 +82,6 @@ class _FanoutRoutingTable:
 
     def lookup(self, dst):
         return self._sharded.shards[0].routing_table.lookup(dst)
-
-
-class _AggregateGovernor:
-    """Worst-tier / summed-capacity view over per-shard governors."""
-
-    def __init__(self, sharded: "ShardedRouter"):
-        self._sharded = sharded
-
-    def _governors(self):
-        return [
-            r._overload for r in self._sharded.shards
-            if r._overload is not None
-        ]
-
-    @property
-    def tier(self) -> str:
-        tiers = [g.tier for g in self._governors()]
-        if not tiers:
-            return TIERS[0]
-        return max(tiers, key=TIERS.index)
-
-    def capacity(self) -> Optional[int]:
-        caps = [g.capacity() for g in self._governors()]
-        if not caps or any(c is None for c in caps):
-            return None
-        return sum(caps)
 
 
 class ShardedRouter:
@@ -198,7 +133,7 @@ class ShardedRouter:
             )
         self.aiu = _AggregateAIU(self)
         self.routing_table = _FanoutRoutingTable(self)
-        self._overload = _AggregateGovernor(self)
+        self._overload = AggregateGovernor(lambda: self.shards)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -255,48 +190,17 @@ class ShardedRouter:
             total.update(r.counters)
         return total
 
-    @property
-    def telemetry(self):
-        """Shard 0's registry handle (fanout attaches one per shard)."""
-        return self.shards[0].telemetry if self.shards else None
-
     def health(self) -> dict:
         """Aggregated health: summed counters/flow-table, per-shard rows."""
         if self._pool is not None:
             per_shard = self._pool.health()
         else:
             per_shard = [r.health() for r in self.shards]
-        counters: Counter = Counter()
-        quarantined: set = set()
-        flow_table = Counter()
-        caps: List[Optional[int]] = []
-        for h in per_shard:
-            counters.update(h["counters"])
-            quarantined.update(h["quarantined"])
-            for key in ("active", "allocated", "births", "evictions",
-                        "recycled", "hits", "misses"):
-                flow_table[key] += h["flow_table"][key]
-            caps.append(h["flow_table"]["max_records"])
-        max_records = None if any(c is None for c in caps) else sum(caps)
-        tiers = [h["overload"].get("tier", "normal") for h in per_shard]
         return {
             "router": self.name,
             "nshards": self.nshards,
             "backend": self.backend,
-            "counters": dict(counters),
-            "quarantined": sorted(quarantined),
-            "flow_table": {
-                **dict(flow_table),
-                "max_records": max_records,
-                "occupancy": (
-                    flow_table["active"] / max_records if max_records else None
-                ),
-            },
-            "overload": {
-                "enabled": any(h["overload"].get("enabled", True) is not False
-                               for h in per_shard),
-                "tier": max(tiers, key=TIERS.index) if tiers else "normal",
-            },
+            **fold_health(per_shard),
             "shards": per_shard,
         }
 

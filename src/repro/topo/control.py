@@ -1,36 +1,32 @@
-"""Control-plane fanout over a topology: one management surface, N nodes.
+"""Control-plane fanout over a topology: the topology-specific residue
+of :class:`~repro.mgr.fanout.Fanout`.
 
-:class:`TopologyPluginLibrary` mirrors the
-:class:`~repro.mgr.library.RouterPluginLibrary` call surface the same
-way :class:`~repro.shard.control.ShardedPluginLibrary` does for shards,
-with one addition: every configuration call takes ``node=`` — omit it
-to broadcast to every node (sharded nodes fan out again per shard), or
-name one node to target just that hop (``quarantine("esp",
-node="gwb")``).
-
-Queries aggregate per the strategy each topic declares in the
-:mod:`repro.mgr.format` registry; ``"frontend"`` topics (``health``,
-``shards``, ``topology``, ``paths``) are answered by this front end
-itself.  ``PluginManager(Topology(...))`` selects this library
-automatically, so ``pmgr`` scripts, ``show X [--json]``, and ``trace
-path`` drive a whole network like a single router.
+One child library per node (a sharded node's child is itself a fanout
+over its shards), with one addition to the common call surface: every
+configuration verb takes ``node=`` — omit it to broadcast to every
+node, or name one node to target just that hop (``quarantine("esp",
+node="gwb")``).  ``"frontend"`` topics (``health``, ``shards``,
+``topology``, ``paths``) are answered here; everything else merges per
+the topic registry.  ``PluginManager(Topology(...))`` selects this
+library automatically, so ``pmgr`` scripts, ``show X [--json]``, and
+``trace path`` drive a whole network like a single router.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, List, Optional
 
 from ..core.errors import ConfigurationError
-from ..mgr.format import attach_schema, get_topic, merge_topic, topic_names
+from ..mgr.fanout import Fanout
 from ..mgr.library import RouterPluginLibrary
 from ..shard.control import ShardedPluginLibrary
 from .topology import Topology
 from .tracer import PathTrace, PathTracer
 
 
-class TopologyPluginLibrary:
-    """Per-node fanout twin of RouterPluginLibrary over a Topology."""
+class TopologyPluginLibrary(Fanout):
+    """The per-node fanout library over a Topology."""
 
     #: Traced paths kept for ``pmgr show paths`` (newest last).
     PATH_CAPACITY = 16
@@ -41,22 +37,18 @@ class TopologyPluginLibrary:
                 "TopologyPluginLibrary wraps a repro.topo.Topology"
             )
         self.topology = topology
-        self.router = topology  # pmgr reads .router for status commands
-        self.libraries: Dict[str, object] = {
+        super().__init__(topology, {
             name: (
                 ShardedPluginLibrary(node)
                 if hasattr(node, "nshards")
                 else RouterPluginLibrary(node)
             )
             for name, node in topology.nodes.items()
-        }
+        })
         self.tracer = PathTracer(topology)
         self._paths: Deque[PathTrace] = deque(maxlen=self.PATH_CAPACITY)
 
-    # ------------------------------------------------------------------
-    # Fanout plumbing
-    # ------------------------------------------------------------------
-    def _targets(self, node: Optional[str]) -> List[object]:
+    def _targets(self, node: Optional[str]) -> List[Any]:
         if node is None:
             return list(self.libraries.values())
         try:
@@ -66,167 +58,17 @@ class TopologyPluginLibrary:
                 f"unknown node {node!r}; known: {sorted(self.libraries)}"
             ) from None
 
-    def _fanout(self, call, node: Optional[str]):
-        results = [call(lib) for lib in self._targets(node)]
-        return results[0] if results else None
-
-    # ------------------------------------------------------------------
-    # Configuration calls (broadcast, or node-targeted)
-    # ------------------------------------------------------------------
-    def modload(self, name: str, node: Optional[str] = None):
-        return self._fanout(lambda lib: lib.modload(name), node)
-
-    def modunload(self, name: str, node: Optional[str] = None) -> None:
-        self._fanout(lambda lib: lib.modunload(name), node)
-
-    def create_instance(self, plugin_name: str, instance_name: str,
-                        node: Optional[str] = None, **config):
-        return self._fanout(
-            lambda lib: lib.create_instance(
-                plugin_name, instance_name, **config
-            ),
-            node,
-        )
-
-    def free_instance(self, instance_name: str,
-                      node: Optional[str] = None) -> None:
-        self._fanout(lambda lib: lib.free_instance(instance_name), node)
-
-    def instance(self, name: str, node: Optional[str] = None):
-        """The first targeted node's instance handle."""
-        return self._targets(node)[0].instance(name)
-
-    def instances(self, node: Optional[str] = None) -> List[str]:
-        return self._targets(node)[0].instances()
-
-    def bind(self, instance_name: str, filter_spec: str,
-             gate: Optional[str] = None, priority: int = 0,
-             node: Optional[str] = None):
-        return self._fanout(
-            lambda lib: lib.bind(
-                instance_name, filter_spec, gate=gate, priority=priority
-            ),
-            node,
-        )
-
-    def unbind(self, instance_name: str, node: Optional[str] = None):
-        return self._fanout(lambda lib: lib.unbind(instance_name), node)
-
-    def set_scheduler(self, interface: str, instance_name: str,
-                      node: Optional[str] = None) -> None:
-        self._fanout(
-            lambda lib: lib.set_scheduler(interface, instance_name), node
-        )
-
-    def add_route(self, prefix: str, interface: str,
-                  next_hop: Optional[str] = None,
-                  node: Optional[str] = None) -> None:
-        self._fanout(
-            lambda lib: lib.add_route(prefix, interface, next_hop=next_hop),
-            node,
-        )
-
-    def quarantine(self, plugin_name: str, action: Optional[str] = None,
-                   node: Optional[str] = None):
-        return self._fanout(
-            lambda lib: lib.quarantine(plugin_name, action=action), node
-        )
-
-    def reinstate(self, plugin_name: str, node: Optional[str] = None):
-        return self._fanout(lambda lib: lib.reinstate(plugin_name), node)
-
-    def set_fault_policy(self, plugin_name: str,
-                         node: Optional[str] = None, **kwargs):
-        return self._fanout(
-            lambda lib: lib.set_fault_policy(plugin_name, **kwargs), node
-        )
-
-    def enable_telemetry(self, registry=None, node: Optional[str] = None):
-        if registry is not None:
-            raise ConfigurationError(
-                "topology telemetry attaches one registry per node; "
-                "pass none and read the aggregated query('telemetry')"
-            )
-        return self._fanout(lambda lib: lib.enable_telemetry(), node)
-
-    def disable_telemetry(self, node: Optional[str] = None) -> None:
-        self._fanout(lambda lib: lib.disable_telemetry(), node)
-
-    def enable_overload(self, node: Optional[str] = None, **config):
-        return self._fanout(
-            lambda lib: lib.enable_overload(**config), node
-        )
-
-    def disable_overload(self, node: Optional[str] = None) -> None:
-        self._fanout(lambda lib: lib.disable_overload(), node)
-
-    def start_trace(self, sample: int = 1, capacity: int = 256,
-                    node: Optional[str] = None):
-        return self._fanout(
-            lambda lib: lib.start_trace(sample=sample, capacity=capacity),
-            node,
-        )
-
-    def stop_trace(self, node: Optional[str] = None) -> None:
-        self._fanout(lambda lib: lib.stop_trace(), node)
-
-    def run_script(self, text: str, node: Optional[str] = None) -> None:
-        """Broadcast a whole pmgr configuration script (or target one
-        node) — each node runs it through its own manager, so instance
-        maps stay per-node coherent."""
-        from ..mgr.pmgr import PluginManager
-
-        for lib in self._targets(node):
-            if isinstance(lib, ShardedPluginLibrary):
-                lib.run_script(text)
-            else:
-                manager = PluginManager(lib.router)
-                manager.library = lib
-                manager.run_script(text)
-
     def analyze(self, include_plugins: bool = True):
         raise ConfigurationError(
             "analyze one node at a time: PluginManager(topology.node(name))"
         )
 
-    # ------------------------------------------------------------------
-    # Path tracing
-    # ------------------------------------------------------------------
     def trace_path(self, probe, entry: Optional[str] = None,
                    now: float = 0.0) -> PathTrace:
         """Trace a probe hop by hop and remember it for ``show paths``."""
         trace = self.tracer.trace(probe, entry=entry, now=now)
         self._paths.append(trace)
         return trace
-
-    # ------------------------------------------------------------------
-    # Aggregated queries
-    # ------------------------------------------------------------------
-    def query(self, topic: str, **filters) -> dict:
-        """Cross-node aggregate of every registered show topic, merged
-        per the strategy the topic registry declares."""
-        try:
-            spec = get_topic(topic)
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown query topic {topic!r}; known: {list(topic_names())}"
-            ) from None
-        if spec.merge == "frontend":
-            handler = getattr(self, f"_frontend_{topic}", None)
-            if handler is not None:
-                data = handler(**filters)
-            else:
-                data = spec.run_query(self, **filters)
-        else:
-            per_node = [
-                lib.query(topic, **filters)
-                for lib in self.libraries.values()
-            ]
-            data = merge_topic(spec, per_node)
-        return attach_schema(spec, data)
-
-    def _frontend_health(self) -> dict:
-        return self.topology.health()
 
     def _frontend_shards(self) -> dict:
         """Cross-topology shard breakdown: every node's shards, rows

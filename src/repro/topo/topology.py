@@ -44,8 +44,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..core.aggregate import AggregateFlowTable, AggregateGovernor, fold_health
 from ..core.errors import ConfigurationError
-from ..core.overload import TIERS
 from ..core.router import Router
 from ..net.interfaces import DEFAULT_MTU, DEFAULT_RATE_BPS, NetworkInterface
 from ..sim.cost import NULL_METER
@@ -150,83 +150,11 @@ class _BundleTap:
         )
 
 
-class _TopoFlowTable:
-    """Read-only cross-node sum of the per-node flow tables."""
-
-    def __init__(self, topology: "Topology"):
-        self._topology = topology
-
-    def _sum(self, attr: str) -> int:
-        return sum(
-            getattr(node.aiu.flow_table, attr)
-            for node in self._topology.nodes.values()
-        )
-
-    @property
-    def active(self) -> int:
-        return self._sum("active")
-
-    @property
-    def hits(self) -> int:
-        return self._sum("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._sum("misses")
-
-    @property
-    def births(self) -> int:
-        return self._sum("births")
-
-    @property
-    def evictions(self) -> int:
-        return self._sum("evictions")
-
-    @property
-    def max_records(self) -> Optional[int]:
-        caps = [
-            node.aiu.flow_table.max_records
-            for node in self._topology.nodes.values()
-        ]
-        if not caps or any(c is None for c in caps):
-            return None
-        return sum(caps)
-
-
 class _TopoAIU:
     """The slice of the AIU surface cross-node harnesses read."""
 
     def __init__(self, topology: "Topology"):
-        self.flow_table = _TopoFlowTable(topology)
-
-
-class _TopoGovernor:
-    """Worst-tier / summed-capacity view over every node's governor."""
-
-    def __init__(self, topology: "Topology"):
-        self._topology = topology
-
-    def _governors(self) -> list:
-        out = []
-        for node in self._topology.nodes.values():
-            if hasattr(node, "nshards"):
-                out.extend(node._overload._governors())
-            elif node._overload is not None:
-                out.append(node._overload)
-        return out
-
-    @property
-    def tier(self) -> str:
-        tiers = [g.tier for g in self._governors()]
-        if not tiers:
-            return TIERS[0]
-        return max(tiers, key=TIERS.index)
-
-    def capacity(self) -> Optional[int]:
-        caps = [g.capacity() for g in self._governors()]
-        if not caps or any(c is None for c in caps):
-            return None
-        return sum(caps)
+        self.flow_table = AggregateFlowTable(topology.nodes.values)
 
 
 class Topology:
@@ -251,7 +179,7 @@ class Topology:
         #: In-flight deliveries: (node, iface, packet, arrival_time).
         self._transit: Deque[Tuple[str, str, object, float]] = deque()
         self.aiu = _TopoAIU(self)
-        self._overload = _TopoGovernor(self)
+        self._overload = AggregateGovernor(self.nodes.values)
 
     # ------------------------------------------------------------------
     # Construction
@@ -548,50 +476,24 @@ class Topology:
             total.update(node.counters)
         return total
 
-    @property
-    def telemetry(self):
-        """The entry node's registry handle (pmgr status commands)."""
-        if self._entry is None:
-            return None
-        return self.nodes[self._entry].telemetry
-
     def health(self) -> dict:
         """Aggregated health: summed counters/flow-table, worst tier,
         per-node rows."""
         per_node = {name: node.health() for name, node in self.nodes.items()}
-        counters: Counter = Counter(self._local_counters)
-        quarantined: set = set()
-        flow_table: Counter = Counter()
-        caps: List[Optional[int]] = []
-        tiers: List[str] = []
-        for h in per_node.values():
-            counters.update(h["counters"])
-            quarantined.update(h["quarantined"])
-            for key in ("active", "births", "evictions", "hits", "misses"):
-                flow_table[key] += h["flow_table"][key]
-            caps.append(h["flow_table"]["max_records"])
-            tiers.append(h["overload"].get("tier", "normal"))
-        max_records = None if not caps or any(c is None for c in caps) \
-            else sum(caps)
+        fold = fold_health(
+            per_node.values(), self._local_counters,
+            ("active", "births", "evictions", "hits", "misses"),
+        )
         return {
             "router": self.name,
             "entry": self._entry,
             "nodes": len(self.nodes),
             "links": len(self.links),
-            "counters": dict(counters),
-            "quarantined": sorted(quarantined),
+            "counters": fold["counters"],
+            "quarantined": fold["quarantined"],
             "down": sorted(self._down),
-            "flow_table": {
-                **dict(flow_table),
-                "max_records": max_records,
-                "occupancy": (
-                    flow_table["active"] / max_records if max_records else None
-                ),
-            },
-            "overload": {
-                "enabled": bool(self._overload._governors()),
-                "tier": max(tiers, key=TIERS.index) if tiers else "normal",
-            },
+            "flow_table": fold["flow_table"],
+            "overload": fold["overload"],
             "per_node": per_node,
         }
 

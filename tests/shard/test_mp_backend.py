@@ -111,3 +111,66 @@ def test_mp_control_errors_surface_in_parent():
         manager.run_script(CONFIG)
         dispo = mp_router.receive_wire(_descs(100), now=0.0)
         assert len(dispo) == 100 and None not in dispo
+
+
+def _fw0_config(library, **filters):
+    return {"config": dict(library.instance("fw0").config)}
+
+
+@pytest.fixture()
+def fw0_config_topic():
+    """A topic answering with instance fw0's config as the library holds
+    it; registered before the fork so the workers answer it too."""
+    from repro import register_topic
+    from repro.mgr import format as fmt
+
+    register_topic("fw0config", _fw0_config, lambda data: [str(data)],
+                   merge="shard0")
+    yield "fw0config"
+    fmt._REGISTRY.pop("fw0config", None)
+
+
+def test_mp_typed_calls_arrive_as_inline(fw0_config_topic):
+    """Arguments the old script-line rendering could not carry — bind's
+    priority, a string that reads as a number — reach mp workers exactly
+    as they reach inline shards; shard rows are numbered per worker."""
+    def configured(front):
+        library = PluginManager(front).library
+        library.modload("firewall")
+        library.create_instance("firewall", "fw0", action="deny",
+                                label="1e3", strict="true")
+        library.bind("fw0", "*, *, UDP, *, 53, *", gate="ip_security",
+                     priority=7)
+        library.set_fault_policy("firewall", threshold=2, action="bypass")
+        return (
+            library.query("filters")["filters"],
+            library.query(fw0_config_topic)["config"],
+            library.query("faults")["plugins"]["firewall"]["action"],
+            [row["shard"] for row in library.query("shards")["shards"]],
+        )
+
+    with ShardedRouter(nshards=2, factory=_factory, backend="mp") as mp_router:
+        mp_view = configured(mp_router)
+    inline_view = configured(
+        ShardedRouter(nshards=2, factory=_factory, backend="inline"))
+    assert mp_view == inline_view
+    filters, config, action, shard_ids = mp_view
+    assert filters[0]["priority"] == 7
+    assert config == {"label": "1e3", "strict": "true"}
+    assert action == "bypass"
+    assert shard_ids == [0, 1]
+
+
+def test_mp_unknown_verb_is_an_error_and_the_pool_stays_in_sync():
+    """The worker checks the verb against the table before ``getattr``;
+    every worker still replies, so the next round trip lines up."""
+    with ShardedRouter(nshards=2, factory=_factory, backend="mp") as mp_router:
+        pool = mp_router._pool
+        with pytest.raises(RuntimeError, match="unknown control verb"):
+            pool.call("instances")
+        with pytest.raises(RuntimeError, match="unknown control verb"):
+            pool.call("__class__")
+        assert pool.call("modload", ("firewall",)) == [None, None]
+        answers = pool.call("query", ("plugins",))
+        assert [[p["name"] for p in a["plugins"]] for a in answers] == [
+            ["firewall"], ["firewall"]]
