@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import struct
+
 
 def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement Internet checksum of ``data``.
 
-    Odd-length input is padded with a zero byte, per RFC 1071.
+    Odd-length input is padded with a zero byte, per RFC 1071.  The
+    16-bit words are summed at C speed; folding the carries back in is
+    the sum modulo 0xFFFF (2**16 = 1 mod 0xFFFF), and the complement of
+    a folded ``r`` is ``0xFFFF - r``.
     """
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        data = bytes(data) + b"\x00"
+    total = sum(struct.unpack_from("!%dH" % (len(data) // 2), data))
+    if not total:
+        return 0xFFFF
+    return -total % 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:

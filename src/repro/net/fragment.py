@@ -13,31 +13,18 @@ Fragment boundaries fall on 8-byte multiples, per RFC 791.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .headers import FragInfo, IPv4Header
 from .packet import Packet
 
 _ident = itertools.count(1)
 
-IPV4_HEADER = 20
+IPV4_HEADER = IPv4Header.HEADER_LEN
 
 
 class FragmentationError(ValueError):
     """Cannot fragment (DF set, IPv6, or absurd MTU)."""
-
-
-@dataclass(frozen=True)
-class FragInfo:
-    """The fragmentation header fields for one fragment."""
-
-    ident: int
-    offset: int          # in bytes (multiple of 8 except implied)
-    more_fragments: bool
-
-    @property
-    def is_first(self) -> bool:
-        return self.offset == 0
 
 
 def fragment_v4(packet: Packet, mtu: int, df: bool = False) -> List[Packet]:
@@ -121,19 +108,15 @@ class Reassembler:
         del self._partial[key], self._seen_last[key], self._started[key]
         self.completed += 1
         # Rebuild the original datagram from header info + body bytes.
-        header = bytearray(20)
-        header[0] = 0x45
-        total_len = 20 + len(body)
-        header[2:4] = total_len.to_bytes(2, "big")
-        header[8] = fragment.ttl
-        header[9] = fragment.protocol
-        header[12:16] = fragment.src.to_bytes()
-        header[16:20] = fragment.dst.to_bytes()
-        from .checksum import internet_checksum
-
-        csum = internet_checksum(bytes(header))
-        header[10:12] = csum.to_bytes(2, "big")
-        return Packet.parse(bytes(header) + body, iif=fragment.iif)
+        header = IPv4Header(
+            src=fragment.src,
+            dst=fragment.dst,
+            protocol=fragment.protocol,
+            total_length=IPV4_HEADER + len(body),
+            ttl=fragment.ttl,
+            tos=fragment.tos,
+        )
+        return Packet.parse(header.serialize() + body, iif=fragment.iif)
 
     def expire(self, now: float) -> int:
         stale = [k for k, started in self._started.items()

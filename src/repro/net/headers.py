@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .addresses import IPAddress, IPV4_WIDTH, IPV6_WIDTH
 from .checksum import internet_checksum
@@ -57,6 +57,21 @@ class HeaderError(ValueError):
     """Raised when a header fails to parse or validate."""
 
 
+# The wire formats, each compiled once.  The header classes below and the
+# flat codec in :mod:`repro.net.packet` pack and unpack through these same
+# objects, so a format string exists in exactly one place.
+IPV4_STRUCT = struct.Struct("!BBHHHBBHII")      # addresses as 32-bit ints
+IPV4_WORDS = struct.Struct("!10H")              # the same 20 bytes, for the checksum
+IPV6_STRUCT = struct.Struct("!IHBB16s16s")
+UDP_STRUCT = struct.Struct("!HHHH")
+TCP_STRUCT = struct.Struct("!HHIIBBHHH")
+PORTS_STRUCT = struct.Struct("!HH")             # the port pair UDP and TCP both lead with
+
+# IPv4 flags/fragment-offset word (RFC 791).
+IPV4_MF = 0x2000
+IPV4_OFFSET_MASK = 0x1FFF
+
+
 @dataclass
 class IPv4Header:
     """An IPv4 header (RFC 791), options unsupported (ihl == 5)."""
@@ -77,9 +92,8 @@ class IPv4Header:
         if self.src.width != IPV4_WIDTH or self.dst.width != IPV4_WIDTH:
             raise HeaderError("IPv4 header requires 32-bit addresses")
 
-    def serialize(self) -> bytes:
-        head = struct.pack(
-            "!BBHHHBBH4s4s",
+    def _pack(self, checksum: int) -> bytes:
+        return IPV4_STRUCT.pack(
             (4 << 4) | 5,
             self.tos,
             self.total_length,
@@ -87,12 +101,13 @@ class IPv4Header:
             (self.flags << 13) | self.fragment_offset,
             self.ttl,
             self.protocol,
-            0,
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            checksum,
+            self.src.value,
+            self.dst.value,
         )
-        checksum = internet_checksum(head)
-        return head[:10] + struct.pack("!H", checksum) + head[12:]
+
+    def serialize(self) -> bytes:
+        return self._pack(internet_checksum(self._pack(0)))
 
     @classmethod
     def parse(cls, data: bytes) -> "IPv4Header":
@@ -109,7 +124,7 @@ class IPv4Header:
             _checksum,
             src,
             dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[: cls.HEADER_LEN])
+        ) = IPV4_STRUCT.unpack_from(data)
         if ver_ihl >> 4 != 4:
             raise HeaderError("not an IPv4 packet")
         if (ver_ihl & 0xF) != 5:
@@ -117,16 +132,30 @@ class IPv4Header:
         if internet_checksum(data[: cls.HEADER_LEN]) != 0:
             raise HeaderError("bad IPv4 header checksum")
         return cls(
-            src=IPAddress.from_bytes(src),
-            dst=IPAddress.from_bytes(dst),
+            src=IPAddress(src, IPV4_WIDTH),
+            dst=IPAddress(dst, IPV4_WIDTH),
             protocol=protocol,
             total_length=total_length,
             ttl=ttl,
             tos=tos,
             identification=identification,
             flags=flags_frag >> 13,
-            fragment_offset=flags_frag & 0x1FFF,
+            fragment_offset=flags_frag & IPV4_OFFSET_MASK,
         )
+
+
+@dataclass(frozen=True)
+class FragInfo:
+    """The IPv4 fragmentation fields of one fragment, as carried in
+    ``Packet.annotations['frag']``."""
+
+    ident: int
+    offset: int          # in bytes (a multiple of 8)
+    more_fragments: bool
+
+    @property
+    def is_first(self) -> bool:
+        return self.offset == 0
 
 
 @dataclass
@@ -151,8 +180,7 @@ class IPv6Header:
 
     def serialize(self) -> bytes:
         first = (6 << 28) | (self.traffic_class << 20) | self.flow_label
-        return struct.pack(
-            "!IHBB16s16s",
+        return IPV6_STRUCT.pack(
             first,
             self.payload_length,
             self.next_header,
@@ -165,8 +193,8 @@ class IPv6Header:
     def parse(cls, data: bytes) -> "IPv6Header":
         if len(data) < cls.HEADER_LEN:
             raise HeaderError("short IPv6 header")
-        first, payload_length, next_header, hop_limit, src, dst = struct.unpack(
-            "!IHBB16s16s", data[: cls.HEADER_LEN]
+        first, payload_length, next_header, hop_limit, src, dst = (
+            IPV6_STRUCT.unpack_from(data)
         )
         if first >> 28 != 6:
             raise HeaderError("not an IPv6 packet")
@@ -269,13 +297,13 @@ class UDPHeader:
     HEADER_LEN = 8
 
     def serialize(self, checksum: int = 0) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, checksum)
+        return UDP_STRUCT.pack(self.src_port, self.dst_port, self.length, checksum)
 
     @classmethod
     def parse(cls, data: bytes) -> "UDPHeader":
         if len(data) < cls.HEADER_LEN:
             raise HeaderError("short UDP header")
-        src_port, dst_port, length, _checksum = struct.unpack("!HHHH", data[:8])
+        src_port, dst_port, length, _checksum = UDP_STRUCT.unpack_from(data)
         return cls(src_port, dst_port, length)
 
 
@@ -302,8 +330,7 @@ class TCPHeader:
     HEADER_LEN = 20
 
     def serialize(self, checksum: int = 0) -> bytes:
-        return struct.pack(
-            "!HHIIBBHHH",
+        return TCP_STRUCT.pack(
             self.src_port,
             self.dst_port,
             self.seq,
@@ -329,7 +356,7 @@ class TCPHeader:
             window,
             _checksum,
             _urgent,
-        ) = struct.unpack("!HHIIBBHHH", data[:20])
+        ) = TCP_STRUCT.unpack_from(data)
         if offset_byte >> 4 != 5:
             raise HeaderError("TCP options unsupported")
         return cls(src_port, dst_port, seq, ack, flags, window)

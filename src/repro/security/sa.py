@@ -113,7 +113,10 @@ class SecurityAssociation:
 
     def encrypt(self, sequence: int, plaintext: bytes) -> bytes:
         stream = self.keystream(sequence, len(plaintext))
-        return bytes(a ^ b for a, b in zip(plaintext, stream))
+        # XOR as two big integers: byte-identical to a per-byte loop.
+        return (
+            int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        ).to_bytes(len(plaintext), "big")
 
     decrypt = encrypt  # XOR keystream is symmetric
 
