@@ -30,11 +30,12 @@ python scripts/analyze.py --self-lint --sarif | python -m json.tool > /dev/null
 echo "ok: SARIF log is valid JSON"
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + batch + wire codec) =="
+    echo "== ruff (analysis + shard + topo + fanout + batch + wire codec + drr) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/core/batch.py src/repro/net/packet.py \
-        src/repro/net/headers.py src/repro/net/checksum.py scripts/analyze.py
+        src/repro/net/headers.py src/repro/net/checksum.py \
+        src/repro/sched/base.py src/repro/sched/drr.py scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="
 fi
@@ -51,6 +52,7 @@ find src -name '*.py' | xargs wc -l | tail -1
 wc -l src/repro/mgr/fanout.py src/repro/shard/control.py src/repro/topo/control.py
 wc -l src/repro/net/packet.py src/repro/net/headers.py src/repro/net/checksum.py \
     src/repro/shard/dispatch.py
+wc -l src/repro/core/batch.py src/repro/sched/base.py src/repro/sched/drr.py
 
 echo "==== telemetry gate (pmgr --json schema) ===="
 # Every `pmgr show X --json` output must be machine-parseable: drive a

@@ -60,6 +60,8 @@ _FORBIDDEN_FREE = {
 _PLAN_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
     ("tm", "_tm_gate_cells", True),
     ("probe", "buckets[fold & mask]", True),
+    # The emitted scheduler drain: present iff the tail can queue.
+    ("has_sched", "sched.dequeue", True),
 )
 #: The same, for fields only the inlined probe (``plan["probe"]``) reads.
 _PROBE_MARKERS: Tuple[Tuple[str, str, bool], ...] = (

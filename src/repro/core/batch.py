@@ -121,7 +121,7 @@ def _compile(router, layout: str) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
     first = router._first_pre_gate
-    pre, routing_active, sched_active = router._plan
+    pre, routing_active, sched_active, has_sched = router._plan
     plan = {
         "layout": layout,
         "pre": pre,
@@ -140,7 +140,7 @@ def _compile(router, layout: str) -> Callable:
         "has_routing": router._has_routing_gate,
         "routing_active": routing_active,
         "routing_gi": router._gate_indices.get(GATE_ROUTING),
-        "has_sched": router._has_sched_gate,
+        "has_sched": has_sched,     # a scheduling gate or a bound scheduler
         "sched_active": sched_active,
         "sched_gi": router._gate_indices.get(GATE_PACKET_SCHEDULING),
     }
@@ -199,8 +199,13 @@ def _emit(plan) -> str:
                 # which would diverge from a run that never forwarded.
                 counters[FWDD] += fwd
             table.hits += hits
-        return out
     """)
+    if plan["has_sched"]:
+        blk(2, """
+            if txs:
+                counters["tx_scheduled"] += txs
+        """)
+    blk(1, "return out")
     return "\n".join(lines) + "\n"
 
 
@@ -216,7 +221,6 @@ def _emit_prologue(blk, plan):
             rtable = router.routing_table
             rlookup = rtable.lookup_fast
             ifget = router.interfaces.get
-            schedulers = router._schedulers
             local_addrs = router.local_addresses
             qmap = router._quarantined
             qget = qmap.get
@@ -256,19 +260,25 @@ def _emit_prologue(blk, plan):
         if pool is None:
             pool = {}
     """)
-    gates = list(plan["pre"])
+    gates = [(gate, f"ctx_{gi}") for gate, gi in plan["pre"]]
     if plan["routing_active"]:
-        gates.append((GATE_ROUTING, plan["routing_gi"]))
+        gates.append((GATE_ROUTING, f"ctx_{plan['routing_gi']}"))
     if plan["has_sched"]:
-        gates.append((GATE_PACKET_SCHEDULING, plan["sched_gi"]))
-    for gate, gi in gates:
+        gates.append((GATE_PACKET_SCHEDULING, "ctx_sched"))
+        blk(1, """
+            schedulers = router._schedulers
+            evloop = router.loop
+            lifecycle = router._lifecycle
+            txs = 0
+        """)
+    for gate, ctx in gates:
         blk(1, f"""
-            ctx_{gi} = pool.get({gate!r})
-            if ctx_{gi} is None:
-                ctx_{gi} = pool[{gate!r}] = PluginContext(router=router, gate={gate!r})
-            ctx_{gi}.now = now
-            ctx_{gi}.cycles = NULL
-            ctx_{gi}.out_interface = None
+            {ctx} = pool.get({gate!r})
+            if {ctx} is None:
+                {ctx} = pool[{gate!r}] = PluginContext(router=router, gate={gate!r})
+            {ctx}.now = now
+            {ctx}.cycles = NULL
+            {ctx}.out_interface = None
         """)
     blk(1, "try:")
 
@@ -503,15 +513,9 @@ def _emit_allocate(blk, plan, depth):
     """)
 
 
-def _emit_gate_call(blk, plan, depth, gate, gi, sweep_fault=None):
-    """One gate's plugin invocation for one packet — the gate macro
-    (``Router._run_gate``) without meters: FIX fetch (AIU call if the
-    FIX was cleared mid-walk), quarantine interception, indirect call,
-    fault mapping.  A lanes sweep passes ``sweep_fault``, its except
-    body, and gets no interception: it only runs with no quarantine
-    live and leaves through ``_resume`` on the first fault.  Returns the
-    depth at which the caller emits its verdict handling (skipped when
-    no call happened)."""
+def _emit_fetch(blk, depth, gate, gi):
+    """The gate macro's FIX fetch (AIU call if the FIX was cleared
+    mid-walk), opening ``if ginst is not None:``."""
     blk(depth, f"""
         record = packet._fix
         if record is None:
@@ -522,7 +526,24 @@ def _emit_gate_call(blk, plan, depth, gate, gi, sweep_fault=None):
             ginst = gslot.instance if gslot is not None else None
         if ginst is not None:
     """)
-    d = depth + 1
+
+
+def _emit_gate_call(blk, depth, gate, gi, sweep_fault=None):
+    """One gate's plugin invocation for one packet — the gate macro
+    (``Router._run_gate``) without meters.  Returns the depth at which
+    the caller emits its verdict handling (skipped when no call
+    happened)."""
+    _emit_fetch(blk, depth, gate, gi)
+    return _emit_call(blk, depth + 1, gate, f"ctx_{gi}", "gslot", "record",
+                      sweep_fault)
+
+
+def _emit_call(blk, d, gate, ctx, slot, flow, sweep_fault=None):
+    """``ginst.process`` under the pooled context ``ctx``: quarantine
+    interception, indirect call, fault mapping.  A lanes sweep passes
+    ``sweep_fault``, its except body, and gets no interception: it only
+    runs with no quarantine live and leaves through ``_resume`` on the
+    first fault.  Returns the depth of the verdict handling."""
     if sweep_fault is None:
         blk(d, """
             probe = False
@@ -543,14 +564,14 @@ def _emit_gate_call(blk, plan, depth, gate, gi, sweep_fault=None):
         """)
         d += 1
     blk(d, f"""
-        ctx_{gi}.slot = gslot
-        ctx_{gi}.flow = record
+        {ctx}.slot = {slot}
+        {ctx}.flow = {flow}
     """)
     if gate == GATE_PACKET_SCHEDULING:
-        blk(d, f"ctx_{gi}.out_interface = oif")
+        blk(d, f"{ctx}.out_interface = oif")
     blk(d, f"""
         try:
-            verdict = ginst.process(packet, ctx_{gi})
+            verdict = ginst.process(packet, {ctx})
         except Exception as exc:
     """)
     if sweep_fault is not None:
@@ -563,6 +584,78 @@ def _emit_gate_call(blk, plan, depth, gate, gi, sweep_fault=None):
                     probe_ok(ginst, now)
         """)
     return d
+
+
+def _emit_wire(blk, depth, packet, size, start):
+    """``NetworkInterface.output`` inlined for the stock class: ``size``
+    is within the MTU and ``start`` at or past ``iface._next_free``."""
+    blk(depth, f"""
+        done = {start} + {size} * 8 / iface.rate_bps
+        iface._next_free = done
+        iface.tx_packets += 1
+        iface.tx_bytes += {size}
+        {packet}.departure_time = done
+        link = iface.link
+        if link is not None:
+            link.carry(iface, {packet}, done)
+    """)
+
+
+def _emit_sched_call(blk, depth, idx, slot, flow):
+    """``ginst`` takes the packet for ``oif`` — the scheduling gate's
+    instance (slot and flow from the FIX) or the port's bound scheduler
+    (neither) — and, when it queued it, the port's scheduler is drained:
+    ``Router._kick`` without meters.  Each transmit is at ``max(now,
+    next_free)``; a faulting ``dequeue`` is charged to its domain and
+    ends the drain.  An event loop drains for itself (``_tx_one``)."""
+    blk(depth, "gdrop = False")
+    d = _emit_call(blk, depth, GATE_PACKET_SCHEDULING, "ctx_sched", slot, flow)
+    blk(d, """
+        if verdict == DROPV:
+            gdrop = True
+        elif verdict == CONSV:
+            # A consuming gate instance is the port's scheduler if none is bound.
+            sched = schedulers.setdefault(oif, ginst)
+            if evloop is not None:
+                router._kick(oif, now)
+            elif sched is not None:
+                dequeue = sched.dequeue
+                plain = iface.__class__ is PLAIN
+                while True:
+                    at = iface._next_free if plain else iface.next_free
+                    if now >= at:
+                        at = now
+                    try:
+                        sent = dequeue(at)
+                    except Exception as exc:
+                        on_fault(sched, SGATE, exc, None, at)
+                        break
+                    if sent is None:
+                        break
+                    ssize = sent._length
+                    if ssize < 0:
+                        ssize = sent.length
+                    if plain and ssize <= iface.mtu:
+    """)
+    _emit_wire(blk, d + 4, "sent", "ssize", "at")
+    blk(d + 3, """
+        else:
+            iface.output(sent, at)
+        txs += 1
+        if lifecycle is not None:
+            lifecycle.on_emit(sent, at)
+    """)
+    blk(d + 1, f"""
+        counters[QUED] += 1
+        out[{idx}] = QUED
+        continue
+    """)
+    blk(depth, f"""
+        if gdrop:
+            counters[DBP] += 1
+            out[{idx}] = DBP
+            continue
+    """)
 
 
 def _emit_tail(blk, plan, depth, idx):
@@ -602,7 +695,7 @@ def _emit_tail(blk, plan, depth, idx):
         if plan["tm"]:
             blk(depth, f"cells[{rgi}] += 1")
         blk(depth, "gdrop = False")
-        d = _emit_gate_call(blk, plan, depth, GATE_ROUTING, rgi)
+        d = _emit_gate_call(blk, depth, GATE_ROUTING, rgi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -662,64 +755,38 @@ def _emit_tail(blk, plan, depth, idx):
             continue
     """)
     # -- scheduling gate / bound scheduler -----------------------------
-    blk(depth, "ginst = None")
     if plan["has_sched"]:
         sgi = plan["sched_gi"]
-        d = depth
-        if not plan["sched_active"]:
-            # A filterless sched gate still classifies a packet whose
-            # FIX was cleared mid-walk (a transform), as the spec does.
-            blk(depth, "if packet._fix is None:")
-            d = depth + 1
-        elif plan["tm"]:
-            blk(d, f"cells[{sgi}] += 1")
-        blk(d, "gdrop = False")
-        dd = _emit_gate_call(blk, plan, d, GATE_PACKET_SCHEDULING, sgi)
-        blk(dd, f"""
-            if verdict == DROPV:
-                gdrop = True
-            elif verdict == CONSV:
-                schedulers.setdefault(oif, ginst)
-                router._kick(oif, now)
-                counters[QUED] += 1
-                out[{idx}] = QUED
-                continue
+        if plan["sched_active"]:
+            if plan["tm"]:
+                blk(depth, f"cells[{sgi}] += 1")
+            _emit_fetch(blk, depth, GATE_PACKET_SCHEDULING, sgi)
+            _emit_sched_call(blk, depth + 1, idx, "gslot", "record")
+        else:
+            blk(depth, "ginst = None")
+            if sgi is not None:
+                # A filterless sched gate still classifies a packet whose
+                # FIX was cleared mid-walk (a transform), as the spec
+                # does; with no filter there it has no instance to call.
+                blk(depth, """
+                    if packet._fix is None:
+                        classify(packet, SGATE, now=now)
+                """)
+        blk(depth, """
+            if ginst is None and schedulers:
+                ginst = schedulers.get(oif)
+                if ginst is not None:
         """)
-        blk(d, f"""
-            if gdrop:
-                counters[DBP] += 1
-                out[{idx}] = DBP
-                continue
-        """)
-    blk(depth, f"""
-        if ginst is None and schedulers:
-            sched = schedulers.get(oif)
-            if sched is not None:
-                verdict = router._scheduler_process(sched, packet, oif, now, NULL)
-                if verdict == CONSV:
-                    router._kick(oif, now)
-                    counters[QUED] += 1
-                    out[{idx}] = QUED
-                    continue
-                if verdict == DROPV:
-                    counters[DBP] += 1
-                    out[{idx}] = DBP
-                    continue
-    """)
-    # -- emit: NetworkInterface.output inlined for the stock class ------
+        _emit_sched_call(blk, depth + 2, idx, "None", "None")
+    # -- emit ----------------------------------------------------------
     blk(depth, """
         if iface.__class__ is PLAIN:
             nf = iface._next_free
             if nf < now:
                 nf = now
-            done = nf + size * 8 / iface.rate_bps
-            iface._next_free = done
-            iface.tx_packets += 1
-            iface.tx_bytes += size
-            packet.departure_time = done
-            link = iface.link
-            if link is not None:
-                link.carry(iface, packet, done)
+    """)
+    _emit_wire(blk, depth + 1, "packet", "size", "nf")
+    blk(depth, """
         else:
             iface.output(packet, now)
         fwd += 1
@@ -739,7 +806,7 @@ def _emit_packet(blk, plan):
         if plan["tm"]:
             blk(depth, f"cells[{gi}] += 1")
         blk(depth, "gdrop = False")
-        d = _emit_gate_call(blk, plan, depth, gate, gi)
+        d = _emit_gate_call(blk, depth, gate, gi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -792,7 +859,7 @@ def _emit_lanes(blk, plan):
             pruned = 0
             for j, packet in enumerate(lane_p):
         """)
-        d = _emit_gate_call(blk, plan, 4, gate, gi, sweep_fault=fault)
+        d = _emit_gate_call(blk, 4, gate, gi, sweep_fault=fault)
         blk(d, """
             if verdict == DROPV:
                 if live is None:

@@ -160,11 +160,13 @@ class Router:
         self._has_sched_gate = GATE_PACKET_SCHEDULING in self.gates
         # Rebuilt when the AIU's filter set changes: the active-gate
         # plan — the ordered (gate, index) pairs of pre-routing gates
-        # that actually have filters, then whether the routing and the
-        # scheduling gate do — and the batch-start hooks of the bound
-        # instances.
+        # that actually have filters, whether the routing and the
+        # scheduling gate do, then whether the output can queue at all
+        # (a scheduling gate or a bound scheduler) — and the batch-start
+        # hooks of the bound instances.
         self._plan_epoch = -1
-        self._plan: Tuple[Tuple[Tuple[str, int], ...], bool, bool] = ((), False, False)
+        self._plan: Tuple[Tuple[Tuple[str, int], ...], bool, bool, bool] = (
+            (), False, False, False)
         self._batch_hooks: tuple = ()
         # Compiled loops (repro.core.batch) by layout, compiled on first
         # use and dropped when what they specialize on changes: the plan
@@ -214,7 +216,7 @@ class Router:
         if interface not in self.interfaces:
             raise ValueError(f"unknown interface {interface!r}")
         self._schedulers[interface] = instance
-        self._plan_epoch = -1   # re-collect the batch-start hooks
+        self._plan_epoch = -1   # re-derive the plan and the batch-start hooks
 
     def scheduler(self, interface: str):
         return self._schedulers.get(interface)
@@ -330,6 +332,7 @@ class Router:
             tuple((g, self._gate_indices[g]) for g in self._pre_gates if counts[g]),
             self._has_routing_gate and counts[GATE_ROUTING] > 0,
             self._has_sched_gate and counts[GATE_PACKET_SCHEDULING] > 0,
+            self._has_sched_gate or bool(self._schedulers),
         )
         if plan != self._plan:
             self._plan = plan
@@ -609,9 +612,10 @@ class Router:
         self, scheduler, packet: Packet, oif: str, now: float, cycles
     ) -> Optional[str]:
         """Run a bound per-interface scheduler's ``process`` under fault
-        containment; shared by the metered walk and the generated loops.  Returns
-        the verdict, or ``None`` when quarantine bypass says to skip the
-        scheduler and output the packet directly."""
+        containment (the metered walk's; the generated loops emit the
+        same, ``batch._emit_sched_call``).  Returns the verdict, or
+        ``None`` when quarantine bypass says to skip the scheduler and
+        output the packet directly."""
         probe = False
         if self._quarantined:
             action, probe = self._intercept(scheduler, now)
@@ -652,9 +656,14 @@ class Router:
     # Output scheduling
     # ------------------------------------------------------------------
     def _kick(self, oif: str, now: float, cycles=NULL_METER) -> None:
-        """Drain the interface's scheduler, respecting link pacing."""
+        """Drain the interface's scheduler — the bound instance, or the
+        last consuming gate instance that registered itself — respecting
+        link pacing.  Without an event loop this is the metered walk's
+        drain; the generated loops emit the same
+        (``batch._emit_sched_call``) and only come here to start a
+        loop's ``_tx_one`` chain."""
         iface = self.interfaces[oif]
-        scheduler = self._scheduler_object(oif)
+        scheduler = self._schedulers.get(oif)
         if scheduler is None:
             return
         dequeue_cost = getattr(scheduler, "dequeue_cost", 0)
@@ -677,7 +686,7 @@ class Router:
 
     def _tx_one(self, oif: str) -> None:
         iface = self.interfaces[oif]
-        scheduler = self._scheduler_object(oif)
+        scheduler = self._schedulers.get(oif)
         now = self.loop.now
         packet = None if scheduler is None else self._scheduler_dequeue(scheduler, now)
         if packet is None:
@@ -688,12 +697,6 @@ class Router:
         if self._lifecycle is not None:
             self._lifecycle.on_emit(packet, now)
         self.loop.schedule_at(done, self._tx_one, oif)
-
-    def _scheduler_object(self, oif: str):
-        """The object with a ``dequeue`` for this interface: either the
-        bound per-interface scheduler instance or the last consuming
-        gate instance that registered itself."""
-        return self._schedulers.get(oif)
 
     # ------------------------------------------------------------------
     # Local traffic

@@ -76,7 +76,7 @@ class SchedulerInstance(PluginInstance):
 
     # -- gate protocol ---------------------------------------------------
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1     # PluginInstance.process, minus its frame
         ctx.cycles.charge(self.enqueue_cost, "sched_enqueue")
         if self.enqueue(packet, ctx):
             self.packets_queued += 1

@@ -40,7 +40,8 @@ class DrrFlowQueue:
 
     __slots__ = ("queue", "deficit", "weight", "active", "needs_quantum", "label")
 
-    def __init__(self, weight: float = DEFAULT_WEIGHT, limit: int = DEFAULT_QUEUE_LIMIT, label=None):
+    def __init__(self, weight: float = DEFAULT_WEIGHT, limit: int = DEFAULT_QUEUE_LIMIT,
+                 label=None):
         self.queue = PacketQueue(limit)
         self.deficit = 0.0
         self.weight = weight
@@ -114,7 +115,8 @@ class DrrInstance(SchedulerInstance):
         while queue.queue:
             queue.queue.pop()
             self._backlog -= 1
-        if queue in self._active:
+        if queue.active:
+            queue.active = False
             self._active.remove(queue)
         slot.private = None
 
@@ -148,35 +150,39 @@ class DrrInstance(SchedulerInstance):
 
     def dequeue(self, now: float) -> Optional[Packet]:
         """Standard DRR: one quantum per round visit, serve while the
-        deficit lasts, then rotate to the tail."""
-        while self._active:
-            queue = self._active[0]
-            head = queue.queue.head()
-            if head is None:
+        deficit lasts, then rotate to the tail.  The head's length is
+        read once and carried through the pop, the deficit and the sent
+        accounting (``PacketQueue.pop`` / ``_account_sent``, inlined)."""
+        active = self._active
+        while active:
+            queue = active[0]
+            fifo = queue.queue
+            packets = fifo.packets
+            packet = None
+            if packets:
+                if queue.needs_quantum:
+                    queue.deficit += self.quantum * queue.weight
+                    queue.needs_quantum = False
+                size = packets[0].length
+                if queue.deficit < size:
+                    # Deficit exhausted: back of the round-robin list; the
+                    # next visit grants a fresh quantum.
+                    queue.needs_quantum = True
+                    active.rotate(-1)
+                    continue
+                packet = packets.popleft()
+                fifo.bytes -= size
+                queue.deficit -= size
+                self._backlog -= 1
+                self.packets_sent += 1
+                self.bytes_sent += size
+            if not packets:
                 queue.active = False
                 queue.deficit = 0.0
                 queue.needs_quantum = True
-                self._active.popleft()
-                continue
-            if queue.needs_quantum:
-                queue.deficit += self.quantum * queue.weight
-                queue.needs_quantum = False
-            if queue.deficit < head.length:
-                # Deficit exhausted: back of the round-robin list; the
-                # next visit grants a fresh quantum.
-                queue.needs_quantum = True
-                self._active.rotate(-1)
-                continue
-            packet = queue.queue.pop()
-            queue.deficit -= packet.length
-            self._backlog -= 1
-            if not queue.queue:
-                queue.active = False
-                queue.deficit = 0.0
-                queue.needs_quantum = True
-                self._active.popleft()
-            self._account_sent(packet)
-            return packet
+                active.popleft()
+            if packet is not None:
+                return packet
         return None
 
     def backlog(self) -> int:

@@ -165,6 +165,55 @@ def test_rp504_unreferenced_pre_gate():
     assert "ip_security" in findings[0].message
 
 
+def _drr_router(gates=DEFAULT_GATES, scheduler=True, at_gate=False):
+    router = Router(name="audit-drr", gates=gates)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    library = RouterPluginLibrary(router)
+    library.modload("firewall")
+    library.create_instance("firewall", "fw0")
+    library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
+    if scheduler:
+        library.modload("drr")
+        library.create_instance("drr", "dr")
+        library.set_scheduler("atm1", "dr")
+        if at_gate:
+            library.bind("dr", "*, *, UDP", gate="packet_scheduling")
+    router.receive(make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0"))
+    router.receive_batch(
+        [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")]
+    )
+    assert set(router._loops) == {"packet", "lanes"}
+    return router
+
+
+def test_rp504_scheduler_drain_follows_has_sched():
+    """A plan that can queue must carry the emitted drain; one that
+    cannot (no scheduling gate, no bound scheduler) must not."""
+    queues = _drr_router()
+    bound_only = _drr_router(gates=(GATE_IP_SECURITY,))
+    bare = _drr_router(gates=(GATE_IP_SECURITY,), scheduler=False)
+    for router, has_sched in ((queues, True), (bound_only, True), (bare, False)):
+        assert audit_router_codegen(router) == []
+        for loop in router._loops.values():
+            assert loop._plan["has_sched"] is has_sched
+            assert ("sched.dequeue" in loop._source) is has_sched
+            loop._plan["has_sched"] = not has_sched     # lie about the plan
+            findings = audit_loop(loop)
+            assert _codes(findings) == ["RP504"]
+            assert "has_sched" in findings[0].message
+
+
+def test_rp503_sees_the_drain_classify_through_on_fault():
+    loop = _drr_router(at_gate=True)._loops["packet"]
+    classify = "on_fault(sched, SGATE, exc, None, at)"
+    assert loop._source.count(classify) == 2            # both CONSUMED sites
+    assert audit_loop(loop) == []
+    swallowed = loop._source.replace(classify, "pass")
+    findings = audit_loop_source(swallowed, loop.__globals__, plan=loop._plan)
+    assert _codes(findings) == ["RP503", "RP503"]
+
+
 def test_rp504_loop_without_source_attribute():
     def not_generated(packets, now):
         return []

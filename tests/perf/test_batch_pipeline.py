@@ -7,7 +7,8 @@ and, on twin routers, through every un-metered entry — ``receive`` (the
 packet layout at batch size 1) and ``receive_batch`` at batch sizes 1, 7
 and 256 — and assert packet-for-packet identical dispositions plus
 identical counters, flow-table statistics, filter-lookup counts,
-telemetry cells and fault/quarantine state, for both generated layouts
+telemetry cells, fault/quarantine state and emitted packets (order and
+``departure_time``, per port), for both generated layouts
 (``packet``, ``lanes``) with the inlined flow-table probe and with the
 ``AIU.classify`` call.  The two documented divergences are pinned by
 name at the bottom.
@@ -30,17 +31,32 @@ from repro.core import (
 )
 from repro.core.batch import loop_for
 from repro.core.gates import DEFAULT_GATES, GATE_PACKET_SCHEDULING, GATE_ROUTING
+from repro.net.interfaces import NetworkInterface
 from repro.net.packet import make_udp
+from repro.sched import CbqPlugin, SchedulerInstance, SchedulerPlugin
 from repro.sched.drr import DrrPlugin
-from repro.sim.cost import CycleMeter
+from repro.sim.cost import NULL_METER, CycleMeter
+from repro.sim.events import EventLoop
 
 CHUNKS = (1, 7, 256)
 
 
+class _Tap:
+    """Duck-types ``repro.net.interfaces.Link``: records what a port
+    emits, in order, with the time it left the wire."""
+
+    def __init__(self):
+        self.emitted = []
+
+    def carry(self, sender, packet, departure):
+        assert packet.departure_time == departure
+        self.emitted.append((packet.five_tuple(), packet.ttl, departure))
+
+
 def _build(name, gates=DEFAULT_GATES, **kwargs):
     router = Router(name=name, gates=gates, **kwargs)
-    router.add_interface("atm0", prefix="10.0.0.0/8")
-    router.add_interface("atm1", prefix="20.0.0.0/8")
+    router.add_interface("atm0", prefix="10.0.0.0/8").link = _Tap()
+    router.add_interface("atm1", prefix="20.0.0.0/8").link = _Tap()
     return router
 
 
@@ -126,8 +142,13 @@ def _state(router):
         "flow_stats": router.aiu.flow_table.stats(),
         "filter_lookups": router.aiu.filter_lookups,
         "tx": {
-            name: (iface.tx_packets, iface.tx_bytes)
+            name: (iface.tx_packets, iface.tx_bytes, iface.next_free)
             for name, iface in router.interfaces.items()
+        },
+        "emitted": {
+            name: iface.link.emitted
+            for name, iface in router.interfaces.items()
+            if iface.link is not None
         },
         "health": router.faults.health(),
         "fault_ring": [r.signature() for r in router.faults.records()],
@@ -141,15 +162,18 @@ def _state(router):
 def _run_differential(make_router, workload=_mixed_workload, chunks=CHUNKS):
     """The same traffic through the metered walk and through every
     un-metered entry; returns the routers by arm (``spec``, ``receive``,
-    ``batch<n>``).  All packets share ``now=0``: a batch has one clock."""
+    ``batch<n>``).  All packets share ``now=0``: a batch has one clock;
+    a router on an event loop runs it dry before it is compared.  The
+    spec's modelled cycles are left on it as ``spec.meter``."""
     spec = make_router("spec")
-    expected = [spec.receive(p, cycles=CycleMeter()) for p in workload()]
-    want = _state(spec)
+    spec.meter = CycleMeter()
+    expected = [spec.receive(p, cycles=spec.meter) for p in workload()]
+    want = _settled_state(spec)
     routers = {"spec": spec}
 
     scalar = routers["receive"] = make_router("receive")
     assert [scalar.receive(p) for p in workload()] == expected
-    assert _state(scalar) == want
+    assert _settled_state(scalar) == want
 
     for chunk in chunks:
         batched = routers[f"batch{chunk}"] = make_router(f"batch{chunk}")
@@ -158,8 +182,14 @@ def _run_differential(make_router, workload=_mixed_workload, chunks=CHUNKS):
         for start in range(0, len(packets), chunk):
             got.extend(batched.receive_batch(packets[start:start + chunk]))
         assert got == expected, f"receive_batch at {chunk}"
-        assert _state(batched) == want, f"receive_batch at {chunk}"
+        assert _settled_state(batched) == want, f"receive_batch at {chunk}"
     return routers
+
+
+def _settled_state(router):
+    if router.loop is not None:
+        router.loop.run()
+    return _state(router)
 
 
 def _layouts(routers):
@@ -483,20 +513,280 @@ def test_scheduler_fault_quarantine_is_seen_by_later_gate_calls_in_the_batch():
 
 
 # ----------------------------------------------------------------------
-# Scheduler path
+# Scheduler path: the enqueue -> drain choreography emitted into the tail
 # ----------------------------------------------------------------------
+def _drr(router, gate_spec=None, bound=True, **config):
+    """A DRR instance on ``atm1``: filter-bound at the scheduling gate
+    for ``gate_spec``, bound with ``set_scheduler``, or both."""
+    if router.pcu.is_loaded("drr"):
+        plugin = router.pcu.get("drr")
+    else:
+        plugin = DrrPlugin()
+        router.pcu.load(plugin)
+    instance = plugin.create_instance(interface="atm1", quantum=4096, **config)
+    if gate_spec is not None:
+        plugin.register_instance(instance, gate_spec, gate=GATE_PACKET_SCHEDULING)
+    if bound:
+        router.set_scheduler("atm1", instance)
+    return instance
+
+
+def _assert_drained_by_the_loop(routers):
+    """Every arm conserves packets — what left a port was forwarded
+    directly or drained from a scheduler — and every modelled dequeue
+    is an emitted transmit.  Returns the drained count."""
+    spec = routers["spec"]
+    scheduled = spec.counters["tx_scheduled"]
+    if spec.loop is None:       # the event loop's _tx_one is not metered
+        modelled = spec.meter.breakdown().get("sched_dequeue", 0)
+        assert modelled == scheduled * getattr(spec.scheduler("atm1"), "dequeue_cost", 0)
+    for arm, router in routers.items():
+        sent = sum(iface.tx_packets for iface in router.interfaces.values())
+        assert sent == router.counters["forwarded"] + scheduled, arm
+        assert ("tx_scheduled" in router.counters) == (scheduled > 0), arm
+    return scheduled
+
+
+@pytest.fixture
+def no_spec_entry(monkeypatch):
+    """The generated loops own the loop-less drain: ``Router._kick`` and
+    ``_scheduler_process`` may only be reached from the metered walk."""
+    kick, process = Router._kick, Router._scheduler_process
+
+    def metered_kick(self, oif, now, cycles=NULL_METER):
+        assert cycles is not NULL_METER, "_kick from a generated loop"
+        return kick(self, oif, now, cycles)
+
+    def metered_process(self, scheduler, packet, oif, now, cycles):
+        assert cycles is not NULL_METER, "_scheduler_process from a generated loop"
+        return process(self, scheduler, packet, oif, now, cycles)
+
+    monkeypatch.setattr(Router, "_kick", metered_kick)
+    monkeypatch.setattr(Router, "_scheduler_process", metered_process)
+
+
 def test_drr_scheduler_queued_dispositions_match_scalar():
     def make(name):
         router = _build(name)
-        plugin = DrrPlugin()
-        router.pcu.load(plugin)
-        instance = plugin.create_instance(interface="atm1", quantum=4096)
-        plugin.register_instance(instance, "*, *, UDP", gate=GATE_PACKET_SCHEDULING)
-        router.set_scheduler("atm1", instance)
+        _drr(router, "*, *, UDP")
         return router
 
     routers = _run_differential(make)
     assert routers["batch7"].counters.get("queued", 0) > 0
+
+
+@pytest.mark.parametrize("gate_spec,bound", [
+    ("*, *, UDP", True),                # the sched_drr benchmark's shape
+    (None, True),                       # set_scheduler only: no FIX slot
+    ("*, *, UDP", False),               # the consuming gate instance self-registers
+    ("*, *, UDP, *, 9000", True),       # some flows by the gate, the rest bound
+], ids=["gate+bound", "bound-only", "gate-only", "mixed"])
+@pytest.mark.parametrize("pre_gate", [False, True], ids=["packet", "lanes"])
+def test_drr_drain_matches_scalar(gate_spec, bound, pre_gate, no_spec_entry):
+    def make(name):
+        router = _build(name)
+        if pre_gate:
+            _bind(router, _PortFilterPlugin)
+        _drr(router, gate_spec, bound)
+        return router
+
+    routers = _run_differential(make)
+    assert _assert_drained_by_the_loop(routers) > 0
+    assert routers["batch7"].counters["queued"] > 0
+    assert set(routers["batch256"]._loops) == {"lanes" if pre_gate else "packet"}
+
+
+@pytest.mark.parametrize("scheduler", [True, False], ids=["drr", "direct"])
+@pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "packet"])
+def test_tx_scheduled_conserves_transmits(scheduler, bounded, no_spec_entry):
+    """``tx_packets == forwarded + tx_scheduled`` on every executor —
+    metered and un-metered ``receive``, ``receive_batch`` in both
+    layouts, a lanes sweep left through ``_resume`` by a faulting gate —
+    and the key never materialises on a router that scheduled nothing."""
+    def make(name):
+        router = _build(name, **({"max_flows": 64} if bounded else {}))
+        router.add_interface("atm2", prefix="30.0.0.0/8")     # no scheduler here
+        _bind(router, _PortFaultyPlugin)
+        if scheduler:
+            _drr(router, "*, 20.*, UDP", bound=False)
+        return router
+
+    routers = _run_differential(make)
+    scheduled = _assert_drained_by_the_loop(routers)
+    spec = routers["spec"]
+    assert (scheduled > 0) == scheduler and spec.counters["forwarded"] > 0
+    assert spec.faults.domain("port-faulty").total > 0
+    # A lanes sweep that faulted re-entered the packet layout.
+    assert set(routers["batch256"]._loops) == (
+        {"packet"} if bounded else {"lanes", "packet"})
+
+
+def test_gate_instance_consumes_into_another_bound_scheduler(no_spec_entry):
+    """The drain serves the interface's scheduler, not the instance that
+    consumed: flows queued by a gate-bound instance wait (forever, here)
+    while the bound one drains."""
+    def make(name):
+        router = _build(name)
+        _drr(router, "*, *, UDP, *, 9000", bound=False)
+        _drr(router)
+        return router
+
+    routers = _run_differential(make)
+    scheduled = _assert_drained_by_the_loop(routers)
+    assert 0 < scheduled < routers["spec"].counters["queued"]
+
+
+def test_bound_scheduler_without_a_scheduling_gate(no_spec_entry):
+    """``has_sched`` is the router's ability to queue, not the gate: a
+    scheduler bound on a router built without the scheduling gate is
+    drained by the same emitted code, and binding it recompiles."""
+    def make(name):
+        router = _build(name, gates=(GATE_IP_OPTIONS, GATE_IP_SECURITY))
+        assert router.receive(_mixed_workload()[0]) == "forwarded"
+        assert name == "spec" or not router._loops["packet"]._plan["has_sched"]
+        _drr(router)
+        return router
+
+    routers = _run_differential(make)
+    assert _assert_drained_by_the_loop(routers) > 0
+    assert loop_for(routers["batch7"])._plan["has_sched"]
+
+
+class _FlakyDequeue(SchedulerInstance):
+    """FIFO whose ``dequeue`` raises on every third call."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.fifo = []
+        self.calls = 0
+
+    def enqueue(self, packet, ctx):
+        self.fifo.append(packet)
+        return True
+
+    def dequeue(self, now):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            raise RuntimeError(f"dequeue fault at call {self.calls}")
+        return self.fifo.pop(0) if self.fifo else None
+
+    def backlog(self):
+        return len(self.fifo)
+
+
+class _FlakyDequeuePlugin(SchedulerPlugin):
+    name = "flaky-dequeue"
+    instance_class = _FlakyDequeue
+
+
+@pytest.mark.parametrize("action", ["drop", DEGRADE_BYPASS])
+@pytest.mark.parametrize("pre_gate", [False, True], ids=["packet", "lanes"])
+def test_dequeue_faults_mid_batch_until_quarantine_trips(action, pre_gate, no_spec_entry):
+    """A faulting ``dequeue`` is charged to the scheduler's domain with
+    no packet, ends that drain (the backlog waits for the next kick),
+    and — once the threshold trips — the bound scheduler's ``process``
+    is intercepted inline: dropped, or bypassed to a direct emit."""
+    instances = {}
+
+    def make(name):
+        router = _build(name)
+        if pre_gate:
+            _bind(router, _PortFilterPlugin)
+        plugin = _FlakyDequeuePlugin()
+        router.pcu.load(plugin)
+        instances[name] = plugin.create_instance(interface="atm1")
+        router.set_scheduler("atm1", instances[name])
+        router.faults.set_policy(
+            plugin.name,
+            FaultPolicy(threshold=4, window=5.0, action=action, cooldown=10.0),
+        )
+        return router
+
+    routers = _run_differential(make)
+    _assert_drained_by_the_loop(routers)
+    spec = routers["spec"]
+    domain = spec.faults.domain("flaky-dequeue")
+    assert domain.total == 4 and domain.quarantine_count == 1
+    assert all(r.gate == GATE_PACKET_SCHEDULING for r in spec.faults.records())
+    intercepted = "forwarded" if action == DEGRADE_BYPASS else "dropped_by_plugin"
+    assert spec.counters["queued"] and spec.counters[intercepted]
+    for name, instance in instances.items():
+        assert instance.calls == instances["spec"].calls, name
+        assert instance.backlog() == instances["spec"].backlog(), name
+
+
+class _CountingInterface(NetworkInterface):
+    """Not the stock class: the loops must call ``output``, not inline it."""
+
+    outputs = 0
+
+    def output(self, packet, now=0.0):
+        self.outputs += 1
+        return super().output(packet, now)
+
+
+def test_drain_calls_output_on_an_interface_subclass(no_spec_entry):
+    def make(name):
+        router = _build(name)
+        port = router.interfaces["atm1"] = _CountingInterface("atm1", rate_bps=1e6)
+        port.link = _Tap()
+        _drr(router, "*, *, UDP, *, 9000")
+        return router
+
+    routers = _run_differential(make)
+    assert _assert_drained_by_the_loop(routers) > 0
+    for arm, router in routers.items():
+        port = router.interfaces["atm1"]
+        assert port.outputs == port.tx_packets > 0, arm
+
+
+def test_event_loop_owns_the_drain(monkeypatch):
+    """With an event loop the tail only kicks: transmissions are the
+    loop's ``_tx_one`` events, paced by the link, in every arm."""
+    kicks = []
+    kick = Router._kick
+    monkeypatch.setattr(
+        Router, "_kick", lambda self, *a, **k: (kicks.append(self.name), kick(self, *a, **k))[1]
+    )
+
+    def make(name):
+        router = _build(name, loop=EventLoop())
+        _bind(router, _PortFilterPlugin)
+        _drr(router, "*, *, UDP")
+        return router
+
+    routers = _run_differential(make)
+    scheduled = _assert_drained_by_the_loop(routers)
+    assert scheduled == routers["spec"].counters["queued"] > 0
+    for arm, router in routers.items():
+        assert kicks.count(arm) == scheduled, arm
+        assert router.loop.now == router.interfaces["atm1"].next_free > 0, arm
+
+
+def test_non_work_conserving_scheduler_leaves_backlog_across_batches(no_spec_entry):
+    """A bounded CBQ class out of tokens returns ``None`` with packets
+    queued: the drain stops, the backlog carries over into the next
+    batch's kicks, and a full class tail-drops."""
+    instances = {}
+
+    def make(name):
+        router = _build(name)
+        _bind(router, _PortFilterPlugin)
+        plugin = CbqPlugin()
+        router.pcu.load(plugin)
+        instance = instances[name] = plugin.create_instance(interface="atm1")
+        instance.add_class("slow", rate_bps=64_000, bounded=True, default=True,
+                           qlimit=24, burst_bytes=280)
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_PACKET_SCHEDULING)
+        return router
+
+    routers = _run_differential(make)
+    scheduled = _assert_drained_by_the_loop(routers)
+    spec = routers["spec"]
+    assert 0 < scheduled < spec.counters["queued"]
+    assert spec.counters["dropped_by_plugin"] > 5          # plugin drops + tail drops
+    for name, instance in instances.items():
+        assert instance.backlog() == spec.counters["queued"] - scheduled == 24, name
 
 
 # ----------------------------------------------------------------------
@@ -774,6 +1064,8 @@ def test_divergence_plugin_filter_change_mid_batch_lands_at_batch_boundary(bound
     want["counters"]["forwarded"] += 2
     want["counters"]["dropped_by_plugin"] -= 2
     want["tx"]["atm1"] = late["tx"]["atm1"]          # two more packets left
+    assert want["emitted"]["atm1"] == late["emitted"]["atm1"][:4]
+    want["emitted"]["atm1"] = late["emitted"]["atm1"]
     if not bounded:
         want["flow_stats"]["evictions"] += 2
         want["flow_stats"]["active"] -= 2

@@ -167,6 +167,37 @@ class TestFlowTableIntegration:
         assert drr.backlog() == 0
         assert ctx.slot.private is None
 
+    def test_bounded_table_evicts_backlogged_flows(self):
+        """Six flows through a four-record table while an event loop
+        holds the drain back: the two evicted flows leave the round —
+        their packets discarded, their queues off the active list with
+        the flag cleared — and the survivors drain in full."""
+        from repro.core.router import Router
+        from repro.sim.events import EventLoop
+
+        router = Router(max_flows=4, loop=EventLoop())
+        router.add_interface("atm0", prefix="10.0.0.0/8")
+        router.add_interface("atm1", prefix="20.0.0.0/8")
+        plugin = DrrPlugin()
+        router.pcu.load(plugin)
+        drr = plugin.create_instance(interface="atm1")
+        plugin.register_instance(drr, "*, *, UDP", gate="packet_scheduling")
+        queues = []
+        for flow in range(1, 7):
+            burst = [_pkt(flow), _pkt(flow)]
+            for packet in burst:
+                packet.iif = "atm0"
+            assert router.receive_batch(burst) == ["queued"] * 2
+            queues.append(burst[0].fix.slots[2].private)
+        assert router.aiu.flow_table.evictions == 2
+        assert drr.backlog() == 8 and drr.active_flows() == 4
+        assert [q.active for q in queues] == [False] * 2 + [True] * 4
+        assert [len(q.queue) for q in queues] == [0] * 2 + [2] * 4
+        assert all(q in drr._active for q in queues[2:])
+        router.loop.run()
+        assert router.counters["tx_scheduled"] == 8
+        assert drr.backlog() == 0 and drr.active_flows() == 0
+
     def test_weight_inherited_from_filter_record(self):
         drr = _instance()
         record = FilterRecord(Filter.parse("10.*, *, UDP"), gate="g")
