@@ -98,9 +98,11 @@ class AIU:
         # n-gate filter classification (benchmarks/bench_ablation_*).
         self.use_flow_cache = use_flow_cache
         # Fast-path plan support: how many filters are installed at each
-        # gate, and an epoch counter bumped on any filter add/remove so
-        # the router can cache its active-gate plan (see Router).
+        # gate and how many are bound to each instance, and an epoch
+        # counter bumped on any filter add/remove/re-bind so the router
+        # can cache its active-gate plan and hooks (see Router).
         self._gate_filter_counts: Dict[str, int] = {g: 0 for g in self.gates}
+        self._instance_filter_counts: Dict[object, int] = {}
         self.plan_epoch = 0
         # Per-gate classification counters: [lookups, compiled, matches].
         # ``lookups`` counts slow-path filter-table lookups at the gate,
@@ -195,6 +197,7 @@ class AIU:
                 table.remove(record)
             raise
         self._gate_filter_counts[gate] += 1
+        self._count_binding(instance, 1)
         self.plan_epoch += 1
         # Live reconfiguration: cached flows the new filter could claim
         # must re-classify, or they would keep their old bindings until
@@ -207,12 +210,26 @@ class AIU:
             if _filter_matches_key(flt, record.key):
                 self.flow_table.invalidate(record)
 
+    def _count_binding(self, instance: object, delta: int) -> None:
+        """``delta`` more filters are bound to ``instance``; only
+        instances with a bound filter stay keys."""
+        if instance is not None:
+            counts = self._instance_filter_counts
+            counts[instance] = count = counts.get(instance, 0) + delta
+            if not count:
+                del counts[instance]
+
     def bind(self, record: FilterRecord, instance: object) -> None:
         """Bind (or rebind) a filter record to a plugin instance.
 
         Cached flows derived from this filter are invalidated so the next
-        packet re-classifies against the new binding.
+        packet re-classifies against the new binding, and the epoch moves
+        so the router re-derives its batch-start hooks.
         """
+        if record.active:
+            self._count_binding(record.instance, -1)
+            self._count_binding(instance, 1)
+            self.plan_epoch += 1
         record.instance = instance
         self.flow_table.invalidate_filter(record)
 
@@ -225,6 +242,7 @@ class AIU:
             self.flow_table.invalidate_filter(record)
             record.active = False
             self._gate_filter_counts[record.gate] -= 1
+            self._count_binding(record.instance, -1)
             self.plan_epoch += 1
         return removed
 
@@ -243,9 +261,10 @@ class AIU:
 
         Returns the number of flow records invalidated.
         """
-        for record in self.filters():
-            if record.instance is instance:
-                self.remove_filter(record)
+        if instance in self._instance_filter_counts:
+            for record in self.filters():
+                if record.instance is instance:
+                    self.remove_filter(record)
         purged = 0
         for flow in list(self.flow_table):
             stale = False
@@ -372,7 +391,8 @@ class AIU:
             table.ensure_compiled()
 
     def classification_stats(self) -> Dict[str, dict]:
-        """Per-gate slow-path counters (``pmgr show aiu``)."""
+        """Per-gate slow-path counters and, per filter table (by address
+        width), what its recompiles cost (``pmgr show aiu``)."""
         out: Dict[str, dict] = {}
         for gate in self.gates:
             lookups, compiled, matches = self._gate_class_stats[gate]
@@ -381,6 +401,13 @@ class AIU:
                 "lookups": lookups,
                 "compiled": compiled,
                 "matches": matches,
+                "tables": {},
+            }
+        for (gate, width), table in self._tables.items():
+            out[gate]["tables"][str(width)] = {
+                "compiles": table.compiles,
+                "nodes_compiled": table.nodes_compiled,
+                "nodes_compiled_last": table.nodes_compiled_last,
             }
         return out
 

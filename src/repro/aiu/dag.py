@@ -22,13 +22,21 @@ BMP engine's probes per address level, and one access per port level.
 
 **Compiled slow path.**  :meth:`DagFilterTable.lookup_fast` is a
 wall-clock specialization of :meth:`DagFilterTable.lookup`: the DAG is
-flattened — lazily, invalidated by a per-table ``epoch`` bumped on every
-install/remove — into per-level plain-dict / sorted-interval tables with
-each leaf collapsed to its precomputed best :class:`FilterRecord`, so a
+flattened into per-level plain-dict / sorted-interval tables with each
+leaf collapsed to its precomputed best :class:`FilterRecord`, so a
 flow-miss classification is ~6 dict/bisect probes instead of a recursive
 node walk through matcher objects.  It charges zero modelled cost and
 must only be taken when no meter or tracer observes the lookup (the AIU
 enforces this); the metered walk above stays the cost-model spec.
+
+**A verb recompiles what it changed.**  Every node memoises its
+compiled form.  An install clears the memo of each node its recursion
+visits (it starts at the root: every ancestor of anything it mutates), a
+remove those the record's own ``via``/``leaves`` lists name.  The
+per-table ``epoch`` bumped on every install/remove is still the one int
+compare a lookup pays; the lazy recompile it triggers takes the memo of
+a clean subtree and rebuilds the changed path and the edge tables of the
+nodes on it.  A first compile is the same walk over an all-dirty table.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ LEVELS = ("src", "dst", "protocol", "sport", "dport", "iif")
 # (or None for an empty leaf).
 _C_PREFIX, _C_RANGE, _C_EXACT = 0, 1, 2
 
+class _DIRTY:
+    """``_Node.compiled`` of a node changed since it was last compiled.
+    (An empty leaf compiles to None; a class is itself under copy.)"""
+
 
 def _prefixes_overlap(a: Prefix, b: Prefix) -> bool:
     """Prefixes share addresses iff one covers the other (or a wildcard)."""
@@ -73,10 +85,11 @@ def _prefixes_overlap(a: Prefix, b: Prefix) -> bool:
 
 
 class _Node:
-    """One DAG node: a matcher over edge labels, and per-edge via-lists
-    recording which filters descended each edge (for copy-down)."""
+    """One DAG node: a matcher over edge labels, per-edge via-lists
+    recording which filters descended each edge (for copy-down), and the
+    memo of the subtree's compiled form."""
 
-    __slots__ = ("level", "matcher", "edges", "via", "filters", "owner")
+    __slots__ = ("level", "matcher", "edges", "via", "filters", "owner", "compiled")
 
     def __init__(self, level: int, matcher: Optional[LevelMatcher], owner: "DagFilterTable"):
         self.level = level
@@ -88,6 +101,7 @@ class _Node:
         # leaves/via bookkeeping list; the owner pointer lets each table
         # clean up only its own nodes on removal.
         self.owner = owner
+        self.compiled: object = _DIRTY
 
 
 class DagFilterTable:
@@ -128,6 +142,10 @@ class DagFilterTable:
         self.epoch = 0
         self._compiled_epoch = -1
         self._compiled_root = None
+        #: Recompiles run, and nodes they rebuilt (the last one, and all).
+        self.compiles = 0
+        self.nodes_compiled = 0
+        self.nodes_compiled_last = 0
         # Packet-field extractors, one per level.
         self._extractors: Tuple[Callable[[Packet], object], ...] = (
             lambda p: p.src.value,
@@ -175,14 +193,20 @@ class DagFilterTable:
     def install(self, record: FilterRecord) -> None:
         """Insert a filter record, maintaining the set-pruning invariant.
 
-        Raises :class:`AmbiguousFilterError` (leaving the table unchanged)
-        if a port field partially overlaps an installed one.
+        Raises :class:`AmbiguousFilterError` (leaving the table's matches
+        unchanged) if a port field partially overlaps an installed one —
+        or a label a removed one left behind, which only the insert
+        itself finds, part-way down.
         """
         labels = self._labels_for(record.filter)
         if self.check_ambiguity:
             for existing in self._records:
                 self._check_ambiguity(record.filter, existing.filter)
-        self._insert(self._root, 0, record, labels)
+        try:
+            self._insert(self._root, 0, record, labels)
+        except AmbiguousFilterError:
+            self._unlink(record)
+            raise
         self._records.append(record)
         self.epoch += 1
 
@@ -216,6 +240,7 @@ class DagFilterTable:
     def _insert(
         self, node: _Node, level: int, record: FilterRecord, labels: Sequence[object]
     ) -> None:
+        node.compiled = _DIRTY
         if level == len(LEVELS):
             if record not in node.filters:
                 node.filters.append(record)
@@ -273,9 +298,16 @@ class DagFilterTable:
         if record not in self._records:
             return False
         self._records.remove(record)
+        self._unlink(record)
+        self.epoch += 1
+        return True
+
+    def _unlink(self, record: FilterRecord) -> None:
+        """Take the record out of this table's leaves and via-lists."""
         kept_leaves = []
         for leaf in record.leaves:
             if leaf.owner is self:
+                leaf.compiled = _DIRTY
                 if record in leaf.filters:
                     leaf.filters.remove(record)
             else:
@@ -284,6 +316,7 @@ class DagFilterTable:
         kept_via = []
         for node, label in record.via:
             if node.owner is self:
+                node.compiled = _DIRTY
                 via = node.via.get(label)
                 if via is not None and record in via:
                     via.remove(record)
@@ -292,8 +325,6 @@ class DagFilterTable:
         record.via[:] = kept_via
         if not record.leaves:
             record.active = False
-        self.epoch += 1
-        return True
 
     # ------------------------------------------------------------------
     # Lookup
@@ -332,22 +363,30 @@ class DagFilterTable:
     # Compiled lookup (wall-clock slow-path specialization)
     # ------------------------------------------------------------------
     def ensure_compiled(self) -> None:
-        """Flatten the DAG if any install/remove happened since the last
-        compile (an int compare when nothing changed)."""
+        """Recompile what install/remove dirtied since the last compile
+        (an int compare when nothing changed)."""
         if self._compiled_epoch != self.epoch:
+            before = self.nodes_compiled
             self._compiled_root = self._compile_node(self._root, 0)
             self._compiled_epoch = self.epoch
+            self.compiles += 1
+            self.nodes_compiled_last = self.nodes_compiled - before
 
     def _compile_node(self, node: _Node, level: int):
+        """Rebuild a dirty node's compiled form from its children's —
+        their memos where clean — and memoise it."""
+        self.nodes_compiled += 1
         if level == len(LEVELS):
             # Leaf: collapse the replica set to its precomputed best.
             best: Optional[FilterRecord] = None
             for record in node.filters:
                 if best is None or record.sort_key() > best.sort_key():
                     best = record
+            node.compiled = best
             return best
         children = {
-            label: self._compile_node(child, level + 1)
+            label: child.compiled if child.compiled is not _DIRTY
+            else self._compile_node(child, level + 1)
             for label, child in node.edges.items()
         }
         name = LEVELS[level]
@@ -361,8 +400,8 @@ class DagFilterTable:
                 (self.width - length, by_length[length])
                 for length in sorted(by_length, reverse=True)
             )
-            return (_C_PREFIX, tables, None)
-        if name in ("sport", "dport"):
+            compiled = (_C_PREFIX, tables, None)
+        elif name in ("sport", "dport"):
             # Flatten the laminar port labels into elementary segments:
             # cut at every label boundary, then resolve each segment once
             # through the matcher itself so compiled and interpreted
@@ -377,21 +416,23 @@ class DagFilterTable:
                 probe = 0 if index == 0 else boundaries[index - 1]
                 label = node.matcher.best_match(probe)
                 kids.append(None if label is None else children[label])
-            return (_C_RANGE, boundaries, kids)
-        wildcard_child = children.get(WILDCARD)
-        exact = {
-            label: child
-            for label, child in children.items()
-            if label != WILDCARD
-        }
-        return (_C_EXACT, exact, wildcard_child)
+            compiled = (_C_RANGE, boundaries, kids)
+        else:
+            wildcard_child = children.get(WILDCARD)
+            exact = {
+                label: child
+                for label, child in children.items()
+                if label != WILDCARD
+            }
+            compiled = (_C_EXACT, exact, wildcard_child)
+        node.compiled = compiled
+        return compiled
 
     def lookup_fast(self, packet: Packet) -> Optional[FilterRecord]:
         """Compiled equivalent of :meth:`lookup`: same record for every
         packet (differentially fuzzed), zero modelled cost, no meter."""
         if self._compiled_epoch != self.epoch:
-            self._compiled_root = self._compile_node(self._root, 0)
-            self._compiled_epoch = self.epoch
+            self.ensure_compiled()
         node = self._compiled_root
         values = (
             packet.src.value,
@@ -436,15 +477,17 @@ class DagFilterTable:
     def __len__(self) -> int:
         return len(self._records)
 
-    def node_count(self) -> int:
-        """Total DAG nodes — measures the replication blow-up (§5.1.2)."""
-        count = 0
+    def nodes(self):
+        """Every DAG node, root first."""
         stack = [self._root]
         while stack:
             node = stack.pop()
-            count += 1
+            yield node
             stack.extend(node.edges.values())
-        return count
+
+    def node_count(self) -> int:
+        """Total DAG nodes — measures the replication blow-up (§5.1.2)."""
+        return sum(1 for _node in self.nodes())
 
     def records(self) -> List[FilterRecord]:
         return list(self._records)

@@ -23,6 +23,8 @@ from .records import FilterRecord
 class LinearFilterTable:
     """Brute-force most-specific-match over a list of filter records."""
 
+    compiles = nodes_compiled = nodes_compiled_last = 0     # nothing to compile
+
     def __init__(self, width: int = 32):
         self.width = width
         self._records: List[FilterRecord] = []

@@ -21,10 +21,12 @@ structures, turning structural invariants into ordinary diagnostics:
   per-plugin fault domain.
 * RP504 — the plan's fields are not reflected in the emitted source (a
   ``tm`` plan without telemetry cells, a ``bounded`` plan that never
-  consults ``MAXR``, ...): the router would run a loop compiled for a
-  different configuration.
+  consults ``MAXR``, ...), or a loop is cached under a plan it was not
+  compiled for, or the active loops are not the current plan's: the
+  router would run a loop compiled for a different configuration.
 * RP505 — a compiled lookup structure violating its shape invariants:
-  stale compile epochs, per-length prefix tables not probed
+  stale compile epochs, a clean DAG node whose memo differs from a fresh
+  compile of its subtree, per-length prefix tables not probed
   longest-first, unsorted range boundaries, or entry counts that do not
   match the interpreted structure.
 
@@ -254,8 +256,12 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
     return diagnostics
 
 
-def audit_loop(fn, subject: str = "compiled batch loop") -> List[Diagnostic]:
-    """Audit one cached compiled loop via its introspection attributes."""
+def audit_loop(
+    fn, subject: str = "compiled batch loop", filed: Optional[tuple] = None
+) -> List[Diagnostic]:
+    """Audit one cached compiled loop via its introspection attributes;
+    ``filed`` is the ``(plan, telemetry, layout)`` its router keeps it
+    under (``Router._loop_cache``)."""
     source = getattr(fn, "_source", None)
     plan = getattr(fn, "_plan", None)
     if source is None:
@@ -268,8 +274,29 @@ def audit_loop(fn, subject: str = "compiled batch loop") -> List[Diagnostic]:
                 hint="_compile must attach fn._source and fn._plan",
             )
         ]
-    return audit_loop_source(
+    diagnostics = audit_loop_source(
         source, fn.__globals__, plan=plan, subject=subject
+    )
+    if filed is not None and plan is not None:
+        compiled_for = (
+            (plan["pre"], plan["routing_active"], plan["sched_active"],
+             plan["has_sched"]),
+            plan["tm"], plan["layout"],
+        )
+        if compiled_for != filed:
+            diagnostics.append(_misfiled(
+                subject, f"filed under {filed!r}, compiled for {compiled_for!r}"
+            ))
+    return diagnostics
+
+
+def _misfiled(subject: str, detail: str) -> Diagnostic:
+    return Diagnostic(
+        "RP504",
+        f"loop cache incoherent: {detail}",
+        subject=subject,
+        hint="Router._select_loops must file loops under the plan and "
+        "telemetry state they are compiled for, and select the current one",
     )
 
 
@@ -277,8 +304,9 @@ def audit_loop(fn, subject: str = "compiled batch loop") -> List[Diagnostic]:
 # Compiled lookup structures (RP505)
 # ----------------------------------------------------------------------
 def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
-    """Shape invariants of the DAG's compiled root (repro.aiu.dag)."""
-    from ..aiu.dag import _C_EXACT, _C_PREFIX, _C_RANGE
+    """Shape invariants of the DAG's compiled root, and the per-node
+    memos it is assembled from (repro.aiu.dag)."""
+    from ..aiu.dag import _C_EXACT, _C_PREFIX, _C_RANGE, _DIRTY
 
     diagnostics: List[Diagnostic] = []
 
@@ -345,6 +373,28 @@ def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
             walk(b)
 
     walk(root)
+
+    # A clean node's memo must equal a fresh compile of its subtree — a
+    # mutation that did not dirty its path is how the compiled and the
+    # interpreted walk come apart.  Recompile everything through the
+    # table's own compiler, compare, put the memos back as found.
+    nodes = [(node, node.compiled) for node in table.nodes()]
+    for node, _memo in nodes:
+        node.compiled = _DIRTY
+    counted = table.nodes_compiled
+    table._compile_node(table._root, 0)
+    table.nodes_compiled = counted
+    stale = [
+        node.level for node, memo in nodes
+        if memo is not _DIRTY and memo != node.compiled
+    ]
+    for node, memo in nodes:
+        node.compiled = memo
+    if stale:
+        bad(
+            f"{len(stale)} clean node(s) hold a memo that differs from a "
+            f"fresh compile of their subtree (deepest at level {max(stale)})"
+        )
     return diagnostics
 
 
@@ -391,19 +441,28 @@ def audit_engine(engine, subject: str = "bmp engine") -> List[Diagnostic]:
 def audit_router_codegen(
     router, warm: bool = True, subject_prefix: str = ""
 ) -> List[Diagnostic]:
-    """Audit every compiled loop on a router plus its compiled lookup
-    structures.  With ``warm=True`` the current plan's batch loop is
-    compiled first, so a freshly configured router is never vacuously
-    clean."""
+    """Audit every compiled loop a router holds — each under the plan
+    it is cached for — plus its compiled lookup structures.  With
+    ``warm=True`` the current plan's batch loop is compiled first, so a
+    freshly configured router is never vacuously clean."""
     from ..core.batch import loop_for
 
     diagnostics: List[Diagnostic] = []
     if warm:
         loop_for(router)
-    for layout, fn in sorted(router._loops.items()):
-        diagnostics.extend(
-            audit_loop(fn, subject=f"{subject_prefix}batch loop ({layout})")
-        )
+    current = (router._plan, router._tm_gate_cells is not None)
+    if router._loops is not router._loop_cache.get(current):
+        diagnostics.append(_misfiled(
+            f"{subject_prefix}batch loops",
+            f"the active loops are not the entry of the current plan {current!r}",
+        ))
+    for key, loops in router._loop_cache.items():
+        cached = "" if loops is router._loops else "cached "
+        for layout, fn in sorted(loops.items()):
+            diagnostics.extend(audit_loop(
+                fn, subject=f"{subject_prefix}{cached}batch loop ({layout})",
+                filed=(*key, layout),
+            ))
     for (gate, width), table in sorted(
         getattr(router.aiu, "_tables", {}).items(),
         key=lambda item: (item[0][0], item[0][1]),

@@ -10,8 +10,9 @@ addresses just outside), port-interval endpoints (low/high and the
 values just outside), the installed protocol values plus an absent one,
 and installed/absent incoming interfaces — and asserting agreement at
 each.  Off-by-one bugs in interval flattening, shift arithmetic in the
-per-length tables, or stale-epoch compilations all surface as exact
-probe-point divergences, so the boundary set is the right test basis.
+per-length tables, stale-epoch compilations or a stale per-node memo all
+surface as exact probe-point divergences, so the boundary set is the
+right test basis.
 
 Probing charges nothing: the interpreted walk runs with the null meter
 and the compiled walk is cost-free by construction, so the verifier is
@@ -143,9 +144,9 @@ def verify_table(
                         f"{interpreted.filter if interpreted else None} for "
                         f"probe {_describe(packet)}",
                         subject=subject,
-                        hint="the compiled table is stale or mis-flattened; "
-                        "bump the table epoch (any install/remove) to force "
-                        "a recompile and report the divergence",
+                        hint="a node's memo is stale or mis-flattened (RP505 "
+                        "compares every memo with a fresh compile); report "
+                        "the divergence",
                     )
                 )
                 if len(diagnostics) >= 16:

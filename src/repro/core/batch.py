@@ -79,11 +79,12 @@ def loop_for(router) -> Callable:
 
 def compiled_loop(router, layout: str) -> Callable:
     """The router's loop for ``layout``, compiled on first use.  The
-    router drops its loops when what they specialize on changes
-    (``Router._refresh_plan``, telemetry attach/detach)."""
+    router switches ``_loops`` when what they specialize on changes
+    (``Router._select_loops``: the plan, telemetry attach/detach)."""
     loop = router._loops.get(layout)
     if loop is None:
         loop = router._loops[layout] = _compile(router, layout)
+        router.loop_compiles += 1
     return loop
 
 

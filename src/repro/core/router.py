@@ -53,6 +53,10 @@ from .shard_state import ShardLocalState
 #: per-packet invariants (docs/PLUGIN_AUTHORING.md, the RP208 lint).
 BATCH_START_HOOK = "on_batch_start"
 
+#: Plans (× telemetry on/off) a router keeps compiled loops for; the
+#: least recently selected goes first.
+LOOP_CACHE_PLANS = 8
+
 
 class Disposition:
     """What the router did with a received packet."""
@@ -169,9 +173,14 @@ class Router:
             (), False, False, False)
         self._batch_hooks: tuple = ()
         # Compiled loops (repro.core.batch) by layout, compiled on first
-        # use and dropped when what they specialize on changes: the plan
-        # above, telemetry on/off.
-        self._loops: Dict[str, Callable] = {}
+        # use.  They specialize on the plan above and telemetry on/off,
+        # so the router keeps one such dict per (plan, telemetry) it has
+        # run under and ``_loops`` is the current one (_select_loops): a
+        # bind -> unbind -> bind compiles each plan once.
+        self._loop_cache: Dict[tuple, Dict[str, Callable]] = {}
+        self.loop_compiles = 0
+        self.loop_reuses = 0
+        self._select_loops()
         # Per-gate contexts pooled by the loops (reused between packets;
         # see PluginContext's contract).  None while a loop holds them.
         self._ctx_pool: Optional[Dict[str, PluginContext]] = None
@@ -321,9 +330,11 @@ class Router:
         return loop_for(self)(self, packets, now)
 
     def _refresh_plan(self) -> None:
-        """Rebuild the active-gate plan if filters changed (cheap epoch
-        compare; AIU bumps ``plan_epoch`` on create/remove filter).  The
-        compiled loops survive an epoch that leaves the plan as it was."""
+        """Rebuild the active-gate plan and the batch-start hooks if
+        filters changed (cheap epoch compare; AIU bumps ``plan_epoch``
+        on create/remove/re-bind).  The compiled loops survive an epoch
+        that leaves the plan as it was, and one that changes it selects
+        that plan's loops."""
         epoch = self.aiu.plan_epoch
         if epoch == self._plan_epoch:
             return
@@ -336,16 +347,29 @@ class Router:
         )
         if plan != self._plan:
             self._plan = plan
-            self._loops.clear()
+            self._select_loops()
         hooks = []
-        instances = [record.instance for record in self.aiu.filters()]
-        instances.extend(self._schedulers.values())
-        for instance in instances:
+        for instance in (*self.aiu._instance_filter_counts, *self._schedulers.values()):
             hook = getattr(instance, BATCH_START_HOOK, None)
             if hook is not None and hook not in hooks:
                 hooks.append(hook)
         self._batch_hooks = tuple(hooks)
         self._plan_epoch = epoch
+
+    def _select_loops(self) -> None:
+        """Point ``_loops`` at the loops compiled for the current plan
+        and telemetry state (none yet, the first time)."""
+        key = (self._plan, self._tm_gate_cells is not None)
+        cache = self._loop_cache
+        loops = cache.pop(key, None)
+        if loops is None:
+            loops = {}
+            if len(cache) >= LOOP_CACHE_PLANS:
+                del cache[next(iter(cache))]
+        elif loops:
+            self.loop_reuses += 1
+        cache[key] = loops
+        self._loops = loops
 
     def _admit_degraded(self, gov, packet: Packet, now: float) -> Optional[str]:
         """Overload admission control, only ever reached in a degraded
@@ -801,7 +825,7 @@ class Router:
         registry.bind_router(self)
         self.telemetry = self.shard_state.telemetry = registry
         self._tm_gate_cells = registry.gate_dispatch_cells
-        self._loops.clear()
+        self._select_loops()
         hist = registry.histogram(
             "aiu.miss_packet_size_bytes",
             help="packet sizes observed on the classification miss path",
@@ -815,7 +839,7 @@ class Router:
         single ``is None`` test."""
         self.telemetry = self.shard_state.telemetry = None
         self._tm_gate_cells = None
-        self._loops.clear()
+        self._select_loops()
         self.aiu._tm_size_hist = None
         self.aiu._tm_size_counts = None
 

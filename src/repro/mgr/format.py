@@ -356,6 +356,16 @@ def _render_aiu(data: dict) -> List[str]:
         f"matches={stats['matches']}"
         for gate, stats in data["gates"].items()
     ]
+    lines.extend(
+        f"{gate}/{width} compile: compiles={table['compiles']} "
+        f"nodes={table['nodes_compiled']} last={table['nodes_compiled_last']}"
+        for gate, stats in data["gates"].items()
+        for width, table in stats["tables"].items()
+    )
+    lines.append(
+        f"loops: compiles={data['loops']['compiles']} "
+        f"reuses={data['loops']['reuses']}"
+    )
     cache = data["flow_cache"]
     lines.append(
         f"flow cache: hits={cache['hits']} misses={cache['misses']} "

@@ -310,6 +310,10 @@ class RouterPluginLibrary:
     def _query_aiu(self) -> dict:
         return {
             "gates": self.router.aiu.classification_stats(),
+            "loops": {
+                "compiles": self.router.loop_compiles,
+                "reuses": self.router.loop_reuses,
+            },
             "flow_cache": self.router.aiu.stats(),
             "analyzed": self._analysis_status(),
         }

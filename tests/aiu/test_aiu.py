@@ -159,6 +159,26 @@ class TestInvalidation:
         instance, _ = aiu.classify(_pkt(), "security")
         assert instance is new
 
+    def test_bound_filter_counts_follow_create_bind_remove(self, aiu):
+        """The router derives its batch-start hooks from these counts, so
+        every way a binding changes must move them and the epoch."""
+        a, b = _FakeInstance("a"), _FakeInstance("b")
+        counts = aiu._instance_filter_counts
+        first = aiu.create_filter("security", "10.*, *, UDP", instance=a)
+        aiu.create_filter("security", "11.*, *, UDP", instance=a)
+        unbound = aiu.create_filter("security", "12.*, *, UDP")
+        assert counts == {a: 2}
+        epoch = aiu.plan_epoch
+        aiu.bind(first, b)
+        aiu.bind(unbound, b)
+        assert counts == {a: 1, b: 2} and aiu.plan_epoch == epoch + 2
+        aiu.remove_filter(first)
+        aiu.bind(first, a)          # a removed record counts for nobody
+        assert counts == {a: 1, b: 1}
+        aiu.purge_instance(a)
+        aiu.purge_instance(b)
+        assert counts == {} and aiu.filter_count() == 0
+
     def test_flow_removal_notifies_instances(self, aiu):
         inst = _FakeInstance("x")
         aiu.create_filter("security", "10.*, *, UDP", instance=inst)

@@ -7,18 +7,25 @@ handles any filter set.  These tests drive all three over seeded random
 filter sets and probe traffic — including traffic aimed *at* the
 installed filters, not just random misses — and assert exact agreement,
 then churn the tables with interleaved installs/removals to prove the
-epoch invalidation never serves a stale compiled result.
+epoch invalidation never serves a stale compiled result.  The generated
+histories at the bottom do the same for the per-node memos: after every
+verb the memoised compile must equal a table rebuilt from scratch.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.aiu import AIU, Filter
 from repro.aiu.dag import DagFilterTable
 from repro.aiu.linear import LinearFilterTable
 from repro.aiu.matchers import AmbiguousFilterError
 from repro.aiu.records import FilterRecord
 from repro.net.addresses import IPV4_WIDTH, IPV6_WIDTH, IPAddress
+from repro.analysis import audit_dag_table
+from repro.analysis.equivalence import _record_probes
 from repro.net.packet import Packet
 from repro.workloads.filtersets import matching_probe, random_filters
 
@@ -163,3 +170,114 @@ def test_recompile_is_lazy_and_epoch_driven():
     assert dag.remove(record)
     assert dag._compiled_epoch != dag.epoch  # invalidated again
     assert dag.lookup_fast(packet) is dag.lookup(packet)
+
+
+# ----------------------------------------------------------------------
+# Generated histories over a laminar pool that replicates
+# ----------------------------------------------------------------------
+#: Every pair is disjoint or nested except the two marked ones, so every
+#: install replicates into (or copies down from) something: a /8 over a
+#: /16 over /24s, port ranges nested three deep, family-wildcard records
+#: that live in both the v4 and the v6 table.
+POOL = tuple(Filter.parse(spec) for spec in (
+    "10.0.0.0/8, *, *",
+    "10.1.0.0/16, *, UDP",
+    "10.1.1.0/24, *, UDP",
+    "10.1.2.0/24, 20.0.0.0/8, UDP",
+    "10.1.2.0/24, 20.1.0.0/16, UDP",
+    "10.1.0.0/16, *, UDP, 1000-2000, *",
+    "10.1.0.0/16, *, UDP, 1200-1300, *",
+    "10.1.1.0/24, *, UDP, 1250, *",
+    "10.1.0.0/16, *, UDP, 1500-2500, *",        # ambiguous beside 1000-2000
+    "10.1.0.0/16, *, UDP, *, *, atm0",
+    "*, *, UDP",
+    "*, *, TCP, *, 0-1023",
+    "*, *, TCP, *, 80",
+    "*, *, UDP, 1100-1400, *",                  # ambiguous in v6 only: rolled back from v4
+    "2001:db8::/32, *, UDP",
+    "2001:db8:1::/48, *, UDP",
+    "2001:db8::/32, *, UDP, 1000-1200, *",
+))
+_VERBS = st.tuples(
+    st.sampled_from(("install", "install", "remove", "rebind")),
+    st.integers(0, len(POOL) - 1),
+)
+
+
+def _rebuilt(table):
+    """A table built from scratch from ``table.records()``, and its
+    records' originals (clones keep the install order, so every tie
+    breaks the same way)."""
+    fresh = DagFilterTable(width=table.width)
+    original = {None: None}
+    for record in table.records():
+        clone = FilterRecord(record.filter, record.gate, record.instance, record.priority)
+        fresh.install(clone)
+        original[clone] = record
+    return fresh, original
+
+
+def _assert_memos_agree(aiu):
+    """At RP301's probe points of every pool filter of the table's
+    family (so a removed filter's boundaries stay probed): memoised
+    ``lookup_fast`` == rebuilt-from-scratch ``lookup_fast`` == metered
+    ``lookup``; and every clean memo equals a fresh compile (RP505)."""
+    for (_gate, width), table in aiu._tables.items():
+        assert audit_dag_table(table) == []
+        fresh, original = _rebuilt(table)
+        family = 4 if width == IPV4_WIDTH else 6
+        for flt in POOL:
+            if flt.family not in (None, family):
+                continue
+            for packet in _record_probes(SimpleNamespace(filter=flt), width, 64):
+                memoised = table.lookup_fast(packet)
+                assert memoised is table.lookup(packet), packet
+                assert memoised is original[fresh.lookup_fast(packet)], packet
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_VERBS, min_size=1, max_size=24))
+# /24s first, then the /16 and the /8 replicate over them; out of order.
+@example([("install", i) for i in (2, 3, 4, 1, 0)] + [("remove", 1), ("install", 1),
+         ("remove", 2), ("rebind", 0), ("remove", 0)])
+# Nested ranges, each ambiguous one refused beside the other.
+@example([("install", i) for i in (5, 6, 7, 8)] + [("remove", 5), ("install", 8),
+         ("install", 5), ("remove", 6)])
+# Ambiguous in the v6 table only: the v4 install is rolled back.
+@example([("install", 10), ("install", 16), ("install", 13), ("remove", 16),
+          ("install", 13), ("install", 16), ("remove", 10)])
+def test_memoised_compile_equals_a_rebuild_after_every_verb(history):
+    aiu = AIU(("g",))
+    live = {}
+    for verb, index in history:
+        if verb == "install" and index not in live:
+            try:
+                live[index] = aiu.create_filter("g", POOL[index], instance=f"i{index}")
+            except AmbiguousFilterError:
+                pass        # must leave every table, and every memo, as it was
+        elif verb == "remove" and index in live:
+            assert aiu.remove_filter(live.pop(index))
+        elif verb == "rebind" and index in live:
+            aiu.bind(live[index], f"rebound{index}")
+        _assert_memos_agree(aiu)
+    for table in aiu._tables.values():
+        assert len(table) == sum(
+            1 for index in live
+            if POOL[index].family in (None, 4 if table.width == IPV4_WIDTH else 6)
+        )
+
+
+def test_a_verb_recompiles_its_path_not_the_table():
+    """What the memos are for, in nodes: one more disjoint /24 beside
+    255 rebuilds its own path and the root's edge table."""
+    table = DagFilterTable(width=IPV4_WIDTH)
+    for i in range(256):
+        flt = Filter.parse(f"10.{i % 16}.{i // 16}.0/24, 20.*, UDP")
+        table.install(FilterRecord(flt, gate="g"))
+        if i == 254:
+            table.ensure_compiled()
+            assert table.nodes_compiled_last == table.nodes_compiled == table.node_count()
+    table.ensure_compiled()
+    assert (table.compiles, table.nodes_compiled_last) == (2, 7)
+    table.ensure_compiled()                     # clean: an int compare
+    assert table.compiles == 2

@@ -162,6 +162,23 @@ class TestAmbiguity:
         # The failed install must leave the table unchanged.
         assert len(table) == 1
 
+    def test_install_refused_by_a_dead_label_leaves_no_ghost(self):
+        """A removed filter's port label stays on its node and can
+        refuse a later filter part-way through the insert, after the
+        record already went down other edges.  None of it may stay."""
+        table = DagFilterTable(width=32)
+        broad = _install(table, "*, *, UDP")
+        table.remove(_install(table, "10.*, *, UDP, 1000-1200, *"))
+        ghost = FilterRecord(Filter.parse("*, *, UDP, 1100-1400, *"), gate="test")
+        with pytest.raises(AmbiguousFilterError):
+            table.install(ghost)
+        for src in ("9.9.9.9", "10.9.9.9"):
+            pkt = make_udp(src, "2.2.2.2", 1100, 9)
+            assert table.lookup_all(pkt) == [broad]
+            assert table.lookup_fast(pkt) is broad
+        assert not ghost.leaves and not ghost.via and not ghost.active
+        assert len(table) == 1
+
     def test_nested_port_ranges_allowed(self):
         table = DagFilterTable(width=32)
         _install(table, "*, *, TCP, 0-1023, *")

@@ -269,6 +269,28 @@ def test_rp505_dag_prefix_tables_out_of_order():
     assert any("longest-first" in d.message for d in findings)
 
 
+def test_rp505_dag_clean_memo_differs_from_a_fresh_compile():
+    """A mutation that does not dirty its path leaves a memo the next
+    recompile would trust; the audit recompiles everything and compares
+    — without disturbing the memos or the table's compile counters."""
+    table = _seeded_table()
+    record, leaf = next(
+        (r, l) for r in table.records() for l in r.leaves if l.compiled is r
+    )
+    leaf.filters.remove(record)             # no dirty mark, no epoch bump
+    counters = table.compiles, table.nodes_compiled, table.nodes_compiled_last
+    findings = audit_dag_table(table)
+    assert _codes(findings) == ["RP505"]
+    assert "memo" in findings[0].message and "level 6" in findings[0].message
+    assert leaf.compiled is record
+    assert counters == (table.compiles, table.nodes_compiled, table.nodes_compiled_last)
+    # Removing it the table's way dirties the path; only it is rebuilt.
+    leaf.filters.append(record)
+    assert table.remove(record)
+    assert audit_dag_table(table) == []
+    assert 0 < table.nodes_compiled_last < table.node_count() // 2
+
+
 def test_rp505_engine_clean_when_untampered():
     assert audit_engine(_seeded_engine()) == []
 
@@ -327,6 +349,36 @@ def test_analyze_router_surfaces_codegen_findings():
     router._loops["lanes"]._plan["tm"] = True  # lie about the plan
     report = analyze_router(router)
     assert any(d.code == "RP504" for d in report)
+
+
+def test_rp504_loop_filed_under_the_wrong_plan():
+    router = _warm_router("audit-misfiled", with_plugin=True)
+    key = (router._plan, False)
+    assert router._loop_cache[key] is router._loops
+    filterless = (((), False, False, True), False)
+    router._loop_cache[filterless] = router._loop_cache.pop(key)
+    findings = audit_router_codegen(router)
+    assert _codes(findings) == ["RP504", "RP504"]
+    assert "not the entry of the current plan" in findings[0].message
+    assert "filed under" in findings[1].message
+    assert findings[1].subject == "batch loop (lanes)"
+
+
+def test_rp504_audits_cached_loops_of_other_plans():
+    """A loop waiting in the cache for its plan to come back is audited
+    like the active ones, against the plan it waits under."""
+    router = _warm_router("audit-cached", with_plugin=True)
+    waiting = router._loops["lanes"]
+    record = router.aiu.create_filter("ip_options", "*, *, UDP")
+    assert audit_router_codegen(router) == []       # warms the new plan
+    assert "lanes" in router._loops and router._loops["lanes"] is not waiting
+    waiting._plan["tm"] = True                      # lie about the plan
+    findings = audit_router_codegen(router)
+    assert findings and all(d.code == "RP504" for d in findings)
+    assert {d.subject for d in findings} == {"cached batch loop (lanes)"}
+    router.aiu.remove_filter(record)
+    findings = audit_router_codegen(router)         # it is served again
+    assert {d.subject for d in findings} == {"batch loop (lanes)"}
 
 
 def test_subject_prefix_labels_findings():

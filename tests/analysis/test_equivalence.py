@@ -71,6 +71,23 @@ def test_corrupted_compiled_dag_is_caught():
     assert all(d.severity == "error" for d in findings)
 
 
+def test_stale_memo_survives_a_recompile_and_is_caught():
+    """The memoised compile's own failure mode: a mutation that moves
+    the epoch but does not dirty its path.  The lazy recompile trusts
+    the clean memos, so the compiled walk keeps serving the record the
+    interpreted walk no longer finds — at that record's boundary probes."""
+    table = _build_dag(random_filters(32, seed=5, host_fraction=0.5), IPV4_WIDTH)
+    table.ensure_compiled()
+    assert verify_table(table, IPV4_WIDTH) == []
+    victim = next(r for r in table.records() if any(l.compiled is r for l in r.leaves))
+    for leaf in victim.leaves:
+        leaf.filters.remove(victim)
+    table.epoch += 1
+    findings = verify_table(table, IPV4_WIDTH, subject="stale-memo")
+    assert findings and all(d.code == "RP301" for d in findings)
+    assert table._compiled_epoch == table.epoch     # it did recompile
+
+
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_corrupted_engine_fast_tables_are_caught(engine_name):
     engine = make_engine(engine_name, IPV4_WIDTH)

@@ -8,6 +8,8 @@ from repro.net.packet import make_udp
 from repro.sim.cost import CycleMeter
 from repro.sim.events import EventLoop
 
+from tests.perf.test_batch_pipeline import _HookedPlugin
+
 
 def _pkt(i=1, **kw):
     kw.setdefault("iif", "atm0")
@@ -72,6 +74,24 @@ class TestPlumbing:
 
     def test_repr(self, router):
         assert "atm0" in repr(router)
+
+
+class TestRebind:
+    def test_rebind_moves_the_batch_start_hook(self, router):
+        """``AIU.bind`` re-binds a filter without adding or removing
+        one; the router must still re-derive its hooks — the epoch
+        moves, the plan and its compiled loop do not."""
+        plugin = _HookedPlugin()
+        router.pcu.load(plugin)
+        old, new = plugin.create_instance(), plugin.create_instance()
+        record = plugin.register_instance(old, "*, *, UDP", gate="ip_security")
+        assert router.receive_batch([_pkt()]) == [Disposition.FORWARDED]
+        assert (len(old.batch_calls), len(new.batch_calls)) == (1, 0)
+        loops = dict(router._loops)
+        router.aiu.bind(record, new)
+        assert router.receive_batch([_pkt(2)]) == [Disposition.FORWARDED]
+        assert (len(old.batch_calls), len(new.batch_calls)) == (1, 1)
+        assert router._loops == loops and router.loop_compiles == len(loops)
 
 
 class TestTopLevelApi:

@@ -14,6 +14,7 @@ from repro import PluginManager, Router, ShardedRouter, Topology
 from repro.core.errors import ConfigurationError
 from repro.mgr import RouterPluginLibrary
 from repro.mgr.fanout import CALLS, VERBS, Fanout
+from repro.net.packet import make_udp
 from repro.shard import mp_available
 
 
@@ -231,3 +232,33 @@ def test_status_commands_answer_from_query(front):
     manager.run_script("overload status\ntelemetry status\n")
     assert lines == ["overload governor enabled tier=normal",
                      "telemetry enabled"]
+
+
+def test_show_aiu_sums_compile_counters_over_the_front(front):
+    """What a verb recompiled (per filter table) and what the plan flips
+    compiled or reused (per router) merge by the topic's key-wise sum."""
+    lines = []
+    manager = PluginManager(front, output=lines.append)
+    manager.run_script(
+        "modload firewall\ncreate firewall fw0 action=allow\n"
+        "bind fw0 ip_security 10.*, *, UDP\n")
+
+    def packet():
+        return make_udp("10.0.0.1", "20.0.0.1", 5000, 9000, iif="eth0")
+
+    routers = _routers(front)
+    for router in routers:
+        assert router.receive(packet()) == "forwarded"
+    if not routers:             # mp: the fold picks the one worker that compiles
+        assert front.receive(packet()) == "forwarded"
+    compiled = len(routers) or 1
+    data = manager.library.query("aiu")
+    assert data["loops"] == {"compiles": compiled, "reuses": 0}
+    assert data["gates"]["ip_security"]["tables"]["32"] == {
+        "compiles": compiled, "nodes_compiled": 7 * compiled,
+        "nodes_compiled_last": 7 * compiled}
+    del lines[:]
+    manager.run_command("show aiu")
+    assert (f"ip_security/32 compile: compiles={compiled} nodes={7 * compiled} "
+            f"last={7 * compiled}") in lines
+    assert f"loops: compiles={compiled} reuses=0" in lines

@@ -303,6 +303,47 @@ class TestFaultCommands:
         )
 
 
+    def test_show_aiu_says_what_a_verb_recompiled(self, output_manager, router):
+        """"That verb recompiled 7 nodes, not the table" and "that plan
+        came back without a compile", from the running system."""
+        manager, output = output_manager
+        manager.run_script(
+            """
+            modload firewall
+            create firewall fw action=allow
+            create firewall ctl action=allow
+            """
+            + "\n".join(f"bind fw ip_security 10.{i}.0.0/16, *, UDP" for i in range(32))
+        )
+
+        def burst(sport):
+            router.receive_batch(
+                [make_udp("10.0.0.1", "20.0.0.1", sport, 53, iif="atm0")])
+
+        def shown(prefix):
+            output.clear()
+            manager.run_command("show aiu")
+            (line,) = [line for line in output if line.startswith(prefix)]
+            return line
+
+        burst(1)
+        nodes = router.aiu._tables["ip_security", 32].node_count()
+        assert shown("ip_security/32") == (
+            f"ip_security/32 compile: compiles=1 nodes={nodes} last={nodes}")
+        assert shown("loops:") == "loops: compiles=1 reuses=0"
+        manager.run_command("bind ctl ip_options 10.200.0.0/16, *, UDP")
+        manager.run_command("bind ctl ip_security 10.200.0.0/16, *, UDP")
+        burst(2)
+        assert shown("ip_security/32") == (
+            f"ip_security/32 compile: compiles=2 nodes={nodes + 7} last=7")
+        assert shown("loops:") == "loops: compiles=2 reuses=0"
+        manager.run_command("unbind ctl")
+        burst(3)                    # the one-gate plan is back: no compile
+        assert shown("loops:") == "loops: compiles=2 reuses=1"
+        tables = manager.library.query("aiu")["gates"]["ip_security"]["tables"]
+        assert tables["32"]["compiles"] == 3 and tables["32"]["nodes_compiled_last"] == 7
+
+
 class TestDynamicReconfiguration:
     def test_plugins_swap_under_live_traffic(self, router):
         """§6.1: "these commands can be executed at any time, even when

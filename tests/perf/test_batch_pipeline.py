@@ -396,6 +396,104 @@ def test_filter_install_between_batches_recompiles_the_loop():
     assert batched._loops == {"lanes": kept}
 
 
+def test_plan_flips_serve_each_plan_its_own_loops_compiled_once():
+    """bind -> unbind -> bind, telemetry on/off and ``set_scheduler``
+    between differential runs on the *same* routers: every arm stays
+    equal to the metered walk across each flip, a plan that comes back
+    gets the very loop objects it had, and no loop is ever served under
+    a plan or telemetry state other than the one it was compiled for."""
+    routers, extra = {}, {}
+
+    def make(name):
+        if name not in routers:
+            routers[name] = _build(name, gates=(GATE_IP_OPTIONS, GATE_IP_SECURITY))
+            _bind(routers[name], _PortFilterPlugin, gate=GATE_IP_OPTIONS)
+            plugin = _HookedPlugin()
+            routers[name].pcu.load(plugin)
+            extra[name] = plugin, plugin.create_instance()
+        return routers[name]
+
+    served = []         # per phase: arm -> (plan, tm, {layout: loop})
+
+    def phase(seed, verb=None):
+        for name, router in routers.items():
+            if verb is not None:
+                verb(router, *extra[name])
+        _run_differential(make, workload=lambda: _mixed_workload(seed=seed, count=40))
+        for router in routers.values():
+            for fn in router._loops.values():
+                assert fn._plan["pre"] == router._plan[0]
+                assert fn._plan["has_sched"] == router._plan[3]
+                assert fn._plan["tm"] == (router._tm_gate_cells is not None)
+        served.append({name: dict(router._loops) for name, router in routers.items()})
+
+    def bind(router, plugin, instance):
+        plugin.register_instance(instance, "10.0.5.0/24, *, UDP", gate=GATE_IP_SECURITY)
+
+    def unbind(router, plugin, instance):
+        assert plugin.deregister_instance(instance)
+
+    phase(1)                                                    # 0: one gate
+    phase(2, bind)                                              # 1: two gates
+    phase(3, unbind)                                            # 2: one gate again
+    phase(4, bind)                                              # 3: two again
+    phase(5, lambda router, *_: router.attach_telemetry())      # 4: two + telemetry
+    phase(6, unbind)                                            # 5: one + telemetry
+    phase(7, lambda router, *_: router.detach_telemetry())      # 6: one gate, off
+    phase(8, lambda router, *_: _drr(router))                   # 7: can queue now
+
+    assert served[2] == served[0] == served[6] and served[3] == served[1]
+    for arm in ("receive", "batch7", "batch256"):
+        router = routers[arm]
+        assert served[1][arm] and served[1][arm].keys() == served[0][arm].keys()
+        for other in (1, 4, 5, 7):
+            assert not set(served[0][arm].values()) & set(served[other][arm].values())
+        assert all(fn._plan["has_sched"] for fn in served[7][arm].values())
+        assert router.counters["queued"] > 0
+        # Five distinct (plan, telemetry) states, each layout compiled once.
+        assert sum(1 for loops in router._loop_cache.values() if loops) == 5
+        assert router.loop_compiles == sum(map(len, router._loop_cache.values()))
+        assert router.loop_reuses == 3                          # phases 2, 3 and 6
+    assert not routers["spec"].loop_compiles
+
+
+def test_loop_cache_is_bounded_and_drops_the_least_recently_selected():
+    from repro.analysis import audit_router_codegen
+    from repro.core.router import LOOP_CACHE_PLANS
+
+    gates = ("g0", "g1", "g2", "g3")
+    router = _build("many-plans", gates=gates)
+    records = {}
+
+    def run(active):
+        """Make exactly ``active`` the gates with a filter; one batch."""
+        for gate in gates:
+            if (gate in active) != (gate in records):
+                if gate in active:
+                    records[gate] = router.aiu.create_filter(gate, "*, *, UDP")
+                else:
+                    router.aiu.remove_filter(records.pop(gate))
+        burst = [make_udp("10.0.0.1", "20.0.1.1", 5000 + i, 9000, iif="atm0")
+                 for i in range(8)]
+        assert router.receive_batch(burst) == ["forwarded"] * 8
+        assert router._loops is router._loop_cache[(router._plan, False)]
+        assert len(router._loop_cache) <= LOOP_CACHE_PLANS
+        return router._loops
+
+    subsets = [gates[:n] for n in range(1, 5)] + [gates[n:] for n in range(1, 4)]
+    subsets += [("g0", "g2"), ("g1", "g3")]
+    assert len(set(subsets)) == LOOP_CACHE_PLANS + 1
+    first = [run(active) for active in subsets[:2]]
+    assert run(subsets[0]) is first[0]              # re-selected: now the newest
+    for active in subsets[2:]:
+        run(active)
+    # The ninth plan made room for itself: the least recently selected
+    # one went, the re-selected one stayed.
+    assert run(subsets[0]) is first[0]
+    assert run(subsets[1]) is not first[1]
+    assert audit_router_codegen(router) == []
+
+
 # ----------------------------------------------------------------------
 # Fault / quarantine equivalence (mid-batch resume)
 # ----------------------------------------------------------------------
