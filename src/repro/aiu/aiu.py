@@ -69,7 +69,6 @@ class AIU:
         initial_records: int = INITIAL_RECORDS,
         max_records: Optional[int] = None,
         use_flow_cache: bool = True,
-        evict_policy: str = "lru",
     ):
         if not gates:
             raise ValueError("AIU needs at least one gate")
@@ -90,7 +89,6 @@ class AIU:
             buckets=flow_buckets,
             initial_records=initial_records,
             max_records=max_records,
-            evict_policy=evict_policy,
         )
         self.flow_table.on_remove = self._notify_flow_removed
         self.filter_lookups = 0
@@ -336,8 +334,7 @@ class AIU:
             record = self.flow_table.install(packet, now)
             counts = self._tm_size_counts
             if counts is not None:
-                # The packet-size histogram seam, budgeted against the
-                # 5% bench_check ceiling: one staged list-index
+                # The packet-size histogram seam: one staged list-index
                 # increment (Histogram.enable_direct), folded into
                 # buckets lazily on the control path.  The raw length
                 # read skips the property frame — parsed packets carry

@@ -42,19 +42,9 @@ class FlowTable:
         initial_records: int = INITIAL_RECORDS,
         max_records: Optional[int] = None,
         use_flow_label: bool = False,
-        evict_policy: str = "lru",
     ):
         if buckets & (buckets - 1):
             raise ValueError("bucket count must be a power of two")
-        if evict_policy not in ("lru", "clock"):
-            raise ValueError(f"unknown evict policy {evict_policy!r}")
-        # Bounded-table reclaim policy.  "lru" (the default) moves a
-        # record to the recency-list head on every hit; "clock" instead
-        # sets a reference bit on hit and reclaims with a second-chance
-        # sweep — cheaper hits (no list surgery) in exchange for an
-        # approximate recency order, the classic page-replacement trade.
-        self.evict_policy = evict_policy
-        self._clock = evict_policy == "clock"
         # §7.3 measured with "IPv6 flow label NOT used"; enabling this
         # hashes (src, flow label) instead of folding the five-tuple —
         # the cheaper hash IPv6 makes possible.  Chain entries are still
@@ -131,22 +121,10 @@ class FlowTable:
         return record
 
     def _reclaim(self) -> None:
-        """Evict one victim into the free list, per ``evict_policy``.
-
-        LRU takes the recency-list tail.  Clock gives each referenced
-        tail record a second chance: its bit is cleared and the record
-        rotates to the list head, and the first unreferenced record met
-        is the victim (bounded by one full rotation, after which every
-        bit is clear).
-        """
+        """Evict the recency-list tail into the free list."""
         record = self._lru_tail
         if record is None:
             raise RuntimeError("flow table cap smaller than a single flow")
-        if self._clock:
-            while record.ref:
-                record.ref = False
-                self._lru_touch(record)
-                record = self._lru_tail
         self._evict(record)
         self._free.append(record)
 
@@ -214,9 +192,7 @@ class FlowTable:
                 meter.access(1, "flow_chain")
             if record.key.matches_packet(packet):
                 record.touch(now, packet.length)
-                if self._clock:
-                    record.ref = True
-                elif self._lru_head is not record:
+                if self._lru_head is not record:
                     self._lru_touch(record)
                 self.hits += 1
                 return record

@@ -105,7 +105,6 @@ class FlowRecord:
         "hash_next",
         "route",
         "route_version",
-        "ref",
     )
 
     def __init__(self, key: FlowKey, gate_count: int, now: float = 0.0):
@@ -128,10 +127,6 @@ class FlowRecord:
         # lookup, whose modelled ROUTE_LOOKUP cost is the spec).
         self.route: Optional[object] = None
         self.route_version: int = -1
-        # Clock-eviction reference bit (FlowTable(evict_policy="clock")):
-        # set on hit instead of LRU list surgery, cleared when the sweep
-        # hand grants the record its second chance.
-        self.ref = False
 
     def reinit(self, key: FlowKey, gate_count: int, now: float) -> None:
         """Reset a recycled record for a new flow (free-list reuse, §5.2).
@@ -164,7 +159,6 @@ class FlowRecord:
         self.hash_next = None
         self.route = None
         self.route_version = -1
-        self.ref = False
 
     def slot(self, gate_index: int) -> GateSlot:
         slots = self.slots

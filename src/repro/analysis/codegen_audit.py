@@ -56,20 +56,16 @@ _FORBIDDEN_FREE = {
     "__import__",
 }
 
-#: (plan field, source marker, reverse direction too?) — RP504.  A
-#: forward check asserts the marker appears when the field is set; a
-#: bidirectional one additionally asserts it is absent when unset.
-_PLAN_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
-    ("tm", "_tm_gate_cells", True),
-    ("probe", "buckets[fold & mask]", True),
+#: (plan field, source marker) — RP504: the marker appears in the
+#: source exactly when the field is set.
+_PLAN_MARKERS: Tuple[Tuple[str, str], ...] = (
+    ("tm", "_tm_gate_cells"),
+    ("probe", "buckets[fold & mask]"),
     # The emitted scheduler drain: present iff the tail can queue.
-    ("has_sched", "sched.dequeue", True),
+    ("has_sched", "sched.dequeue"),
 )
-#: The same, for fields only the inlined probe (``plan["probe"]``) reads.
-_PROBE_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
-    ("bounded", "MAXR", True),
-    ("clock", "record.ref = True", False),
-)
+#: The same, for the field only the inlined probe (``plan["probe"]``) reads.
+_PROBE_MARKERS: Tuple[Tuple[str, str], ...] = (("bounded", "MAXR"),)
 
 
 def _function_node(source: str) -> Optional[ast.FunctionDef]:
@@ -239,11 +235,11 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
         )
 
     markers = _PLAN_MARKERS + (_PROBE_MARKERS if plan.get("probe") else ())
-    for field, marker, bidirectional in markers:
+    for field, marker in markers:
         present = marker in source
         if plan.get(field) and not present:
             bad(field, f"plan sets {field} but {marker!r} never appears")
-        elif bidirectional and not plan.get(field) and present:
+        elif not plan.get(field) and present:
             bad(field, f"plan clears {field} but {marker!r} appears")
     if "on_fault" not in source:
         bad("layout", "every layout classifies tail faults via on_fault")

@@ -709,7 +709,7 @@ def lint_module_concurrency(module) -> List[Diagnostic]:
 
 def lint_shard_concurrency() -> AnalysisReport:
     """The self-lint sweep: RP4xx over ``repro.shard`` and the batch
-    compiler/state modules themselves."""
+    compiler themselves."""
     import importlib
 
     report = AnalysisReport()
@@ -720,7 +720,6 @@ def lint_shard_concurrency() -> AnalysisReport:
         "repro.shard.sharded",
         "repro.shard.control",
         "repro.core.batch",
-        "repro.core.shard_state",
     ):
         module = importlib.import_module(module_name)
         _dedup_extend(

@@ -133,7 +133,6 @@ def _compile(router, layout: str) -> Callable:
             aiu.use_flow_cache and not table.use_flow_label
             and first is not None
         ),
-        "clock": table._clock,
         "bounded": table.max_records is not None,
         "first_gate": first,
         "first_gi": router._gate_indices.get(first),
@@ -335,26 +334,21 @@ def _emit_classify(blk, plan, depth):
                 if size < 0:
                     size = packet.length
                 record.bytes += size
+                if table._lru_head is not record:
+                    prevr = record.lru_prev
+                    nxtr = record.lru_next
+                    prevr.lru_next = nxtr
+                    if nxtr is not None:
+                        nxtr.lru_prev = prevr
+                    else:
+                        table._lru_tail = prevr
+                    headr = table._lru_head
+                    record.lru_prev = None
+                    record.lru_next = headr
+                    headr.lru_prev = record
+                    table._lru_head = record
+                hits += 1
     """)
-    if plan["clock"]:
-        blk(depth + 2, "record.ref = True")
-    else:
-        blk(depth + 2, """
-            if table._lru_head is not record:
-                prevr = record.lru_prev
-                nxtr = record.lru_next
-                prevr.lru_next = nxtr
-                if nxtr is not None:
-                    nxtr.lru_prev = prevr
-                else:
-                    table._lru_tail = prevr
-                headr = table._lru_head
-                record.lru_prev = None
-                record.lru_next = headr
-                headr.lru_prev = record
-                table._lru_head = record
-        """)
-    blk(depth + 2, "hits += 1")
     blk(depth + 1, """
         else:
             table.misses += 1
@@ -391,7 +385,6 @@ def _emit_classify(blk, plan, depth):
         record.bytes = 0
         record.route = None
         record.route_version = -1
-        record.ref = False
         bidx = fold & mask
         record.bucket = bidx
         record.hash_next = None
@@ -472,45 +465,36 @@ def _emit_allocate(blk, plan, depth):
             victim = table._lru_tail
             if victim is None:
                 table._reclaim()    # raises: cap below one flow
-    """)
-    if plan["clock"]:
-        blk(depth + 1, """
-            while victim.ref:
-                victim.ref = False
-                table._lru_touch(victim)
-                victim = table._lru_tail
-        """)
-    blk(depth + 1, """
-        on_remove = table.on_remove
-        if on_remove is not None:
-            on_remove(victim)
-        for vslot in victim.slots:
-            if vslot is not None and vslot.filter_record is not None:
-                vslot.filter_record.flows.discard(victim)
-        prevv = victim.hash_prev
-        nxtv = victim.hash_next
-        if prevv is not None:
-            prevv.hash_next = nxtv
-        else:
-            buckets[victim.bucket] = nxtv
-        if nxtv is not None:
-            nxtv.hash_prev = prevv
-        victim.hash_prev = victim.hash_next = None
-        prevv = victim.lru_prev
-        if prevv is not None:
-            prevv.lru_next = None
-        else:
-            table._lru_head = None
-        table._lru_tail = prevv
-        victim.lru_prev = None
-        table.active -= 1
-        table.evictions += 1
-        # Recycle in place: the scalar path appends the victim to the
-        # free list and immediately pops it back (LIFO), so handing the
-        # victim straight to the installer is state-identical and skips
-        # the list round trip.
-        table.recycled += 1
-        record = victim
+            on_remove = table.on_remove
+            if on_remove is not None:
+                on_remove(victim)
+            for vslot in victim.slots:
+                if vslot is not None and vslot.filter_record is not None:
+                    vslot.filter_record.flows.discard(victim)
+            prevv = victim.hash_prev
+            nxtv = victim.hash_next
+            if prevv is not None:
+                prevv.hash_next = nxtv
+            else:
+                buckets[victim.bucket] = nxtv
+            if nxtv is not None:
+                nxtv.hash_prev = prevv
+            victim.hash_prev = victim.hash_next = None
+            prevv = victim.lru_prev
+            if prevv is not None:
+                prevv.lru_next = None
+            else:
+                table._lru_head = None
+            table._lru_tail = prevv
+            victim.lru_prev = None
+            table.active -= 1
+            table.evictions += 1
+            # Recycle in place: the scalar path appends the victim to the
+            # free list and immediately pops it back (LIFO), so handing the
+            # victim straight to the installer is state-identical and skips
+            # the list round trip.
+            table.recycled += 1
+            record = victim
     """)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..aiu import AIU
 from ..aiu.records import FlowRecord
 from ..bmp import make_engine
 from ..net.fragment import FragmentationError, fragment_v4
@@ -42,7 +43,6 @@ from .faults import DEGRADE_BYPASS, FaultManager
 from .gates import DEFAULT_GATES, GATE_PACKET_SCHEDULING, GATE_ROUTING
 from .pcu import PluginControlUnit
 from .plugin import PluginContext, Verdict
-from .shard_state import ShardLocalState
 
 
 #: Optional plugin hook: ``on_batch_start(now, batch_size)`` is called
@@ -87,24 +87,17 @@ class Router:
         loop: Optional[EventLoop] = None,
         use_flow_cache: bool = True,
         send_icmp_errors: bool = True,
-        flow_eviction: str = "lru",
     ):
         self.name = name
         self.gates: Tuple[str, ...] = tuple(gates)
-        # All mutable classification state lives behind one shard-local
-        # object (repro.core.shard_state) so a sharded front end can
-        # replicate it per worker; the router binds plain aliases to the
-        # same containers, so the hot path is unchanged.
-        self.shard_state = ShardLocalState(
+        self.aiu = AIU(
             self.gates,
             table_kind=table_kind,
             bmp_engine=bmp_engine,
             flow_buckets=flow_buckets,
             max_records=max_flows,
             use_flow_cache=use_flow_cache,
-            evict_policy=flow_eviction,
         )
-        self.aiu = self.shard_state.aiu
         self.pcu = PluginControlUnit(aiu=self.aiu, router=self)
         self.routing_table = RoutingTable(
             lpm_factory=lambda width: make_engine(bmp_engine, width)
@@ -121,24 +114,23 @@ class Router:
         self._schedulers: Dict[str, object] = {}
         self._tx_busy: Dict[str, bool] = {}
         self.loop = loop
-        self.counters: Counter = self.shard_state.counters
+        self.counters: Counter = Counter()
         # Fault containment (docs/ROBUSTNESS.md): per-plugin fault
         # domains plus the live quarantine map the gate macros consult.
         # The map is empty unless a plugin is actually quarantined, so
         # the healthy path pays one truthiness test per plugin call.
-        self._quarantined: Dict[object, object] = self.shard_state.quarantined
-        self.faults = self.shard_state.faults = FaultManager(self)
+        self._quarantined: Dict[object, object] = {}
+        self.faults = FaultManager(self)
         self.send_icmp_errors = send_icmp_errors
         self._icmp_limiter = IcmpRateLimiter()
-        #: Optional per-packet walk recorder (see repro.core.tracing).
-        self.tracer = None
         # --- Telemetry (docs/OBSERVABILITY.md) ----------------------
         # The attached MetricsRegistry, or None.  The hot-path state is
         # mirrored into dedicated attributes so the data path pays one
         # attribute load + None test per seam when telemetry is off:
         # ``_tm_gate_cells`` is the registry's per-gate dispatch cell
         # list (indexed by gate plan index), ``_lifecycle`` the sampled
-        # packet-lifecycle tracer.
+        # packet-lifecycle tracer (repro.telemetry.tracer) — the one
+        # observer of the metered walk.
         self.telemetry = None
         self._tm_gate_cells = None
         self._lifecycle = None
@@ -259,7 +251,8 @@ class Router:
 
         The *metered* walk (`_receive`) is the specification: it charges
         every modelled cycle and memory access and runs whenever a real
-        meter or a tracer is attached.  When nothing observes the walk,
+        meter or the attached tracer observes this packet (a sampled
+        packet walks against a tracer-owned throwaway meter).  Otherwise
         the packet runs through the generated per-packet loop
         (repro.core.batch) as a batch of one — no gate without filters
         is visited and no meter is called, but dispositions, counters
@@ -274,21 +267,18 @@ class Router:
                 disposition = self._admit_degraded(gov, packet, now)
                 if disposition is not None:
                     return disposition
-        if cycles is NULL_METER and self.tracer is None:
-            lifecycle = self._lifecycle
-            if lifecycle is not None and lifecycle.wants(packet):
-                return self._receive_traced(packet, now)
-            self._refresh_plan()
-            loop = self._loops.get("packet")
-            if loop is None:
-                from .batch import compiled_loop
+        if cycles is not NULL_METER:
+            return self._receive(packet, now, cycles)
+        lifecycle = self._lifecycle
+        if lifecycle is not None and lifecycle.wants(packet):
+            return lifecycle.walk(self._receive, packet, now)
+        self._refresh_plan()
+        loop = self._loops.get("packet")
+        if loop is None:
+            from .batch import compiled_loop
 
-                loop = compiled_loop(self, "packet")
-            return loop(self, (packet,), now)[0]
-        disposition = self._receive(packet, now, cycles)
-        if self.tracer is not None:
-            self.tracer.on_done(packet, disposition)
-        return disposition
+            loop = compiled_loop(self, "packet")
+        return loop(self, (packet,), now)[0]
 
     def receive_batch(
         self, packets: Sequence[Packet], now: float = 0.0, cycles=NULL_METER
@@ -303,16 +293,23 @@ class Router:
         ``receive`` runs — otherwise; either way the plan check and the
         invariant loads are paid once per batch.
         """
-        if (
-            cycles is not NULL_METER
-            or self.tracer is not None
-            or self._lifecycle is not None
-        ):
-            # Per-packet receive() so lifecycle sampling sees each packet
-            # (non-sampled ones still take the generated loop inside).
+        if cycles is not NULL_METER:
             return [self.receive(p, now=now, cycles=cycles) for p in packets]
         if not packets:
             return []
+        lifecycle = self._lifecycle
+        if lifecycle is not None:
+            sampled = [i for i, p in enumerate(packets) if lifecycle.wants(p)]
+            if sampled:
+                # In arrival order: each sampled packet through the
+                # traced walk, the unsampled runs between them batched.
+                out: List[str] = []
+                start = 0
+                for i in sampled:
+                    out += self.receive_batch(packets[start:i], now)
+                    out.append(self.receive(packets[i], now))
+                    start = i + 1
+                return out + self.receive_batch(packets[start:], now)
         gov = self._overload
         if gov is not None:
             gov.countdown -= len(packets)
@@ -419,34 +416,10 @@ class Router:
             return None, True
         return action, False
 
-    def _receive_traced(self, packet: Packet, now: float) -> str:
-        """Run one lifecycle-sampled packet through the metered
-        specification path against a tracer-owned throwaway meter.
-
-        The caller's view is unchanged: dispositions, counters, and flow
-        state are packet-for-packet identical between the two paths
-        (tests/perf/, chaos soak), and no caller-visible meter is ever
-        charged — the span's per-stage cycle deltas come from the local
-        meter the tracer hooks snapshot.
-        """
-        lifecycle = self._lifecycle
-        meter = CycleMeter()
-        lifecycle.begin(packet, now, meter)
-        previous = self.tracer
-        self.tracer = lifecycle
-        try:
-            disposition = self._receive(packet, now, meter)
-        finally:
-            self.tracer = previous
-        lifecycle.finish(packet, disposition, now, meter)
-        return disposition
-
     def _receive(self, packet: Packet, now: float, cycles) -> str:
         cycles.charge(Costs.DRIVER_RX, "driver_rx")
         cycles.charge(Costs.IP_INPUT, "ip_input")
         self.counters["rx"] += 1
-        if self.tracer is not None:
-            self.tracer.on_receive(packet)
 
         # Pre-routing gates (everything except routing & scheduling).
         # These run before the local-delivery demux, as in BSD: inbound
@@ -497,8 +470,8 @@ class Router:
                 return route
         cycles.charge(Costs.ROUTE_LOOKUP, "route_lookup")
         route = self.routing_table.lookup(packet.dst)
-        if self.tracer is not None:
-            self.tracer.on_route(packet, route)
+        if self._lifecycle is not None:
+            self._lifecycle.on_route(packet, route)
         return route
 
     def _output(self, packet: Packet, oif: str, now: float, cycles) -> str:
@@ -585,8 +558,8 @@ class Router:
             cycles.charge_memory(1, "fix_fetch")
             instance = record.slot(self.aiu.gate_index(gate)).instance
         if instance is None:
-            if self.tracer is not None:
-                self.tracer.on_gate(packet, gate, None, Verdict.CONTINUE)
+            if self._lifecycle is not None:
+                self._lifecycle.on_gate(packet, gate, None, Verdict.CONTINUE)
             return Verdict.CONTINUE, None
         probe = False
         if self._quarantined:
@@ -597,8 +570,8 @@ class Router:
                 # generated loops execute.
                 bypass = action == DEGRADE_BYPASS
                 verdict = Verdict.CONTINUE if bypass else Verdict.DROP
-                if self.tracer is not None:
-                    self.tracer.on_gate(
+                if self._lifecycle is not None:
+                    self._lifecycle.on_gate(
                         packet, gate, instance, verdict,
                         note=f"quarantined:{action}",
                     )
@@ -623,13 +596,13 @@ class Router:
             # paper's framework makes possible by confining code behind
             # gates.
             verdict = self.faults.on_fault(instance, gate, exc, packet, now)
-            if self.tracer is not None:
-                self.tracer.on_fault(packet, gate, instance, exc, verdict)
+            if self._lifecycle is not None:
+                self._lifecycle.on_fault(packet, gate, instance, exc, verdict)
             return verdict, instance
         if probe:
             self.faults.probe_succeeded(instance, now)
-        if self.tracer is not None:
-            self.tracer.on_gate(packet, gate, instance, verdict)
+        if self._lifecycle is not None:
+            self._lifecycle.on_gate(packet, gate, instance, verdict)
         return verdict, instance
 
     def _scheduler_process(
@@ -657,8 +630,8 @@ class Router:
             verdict = self.faults.on_fault(
                 scheduler, GATE_PACKET_SCHEDULING, exc, packet, now
             )
-            if self.tracer is not None:
-                self.tracer.on_fault(
+            if self._lifecycle is not None:
+                self._lifecycle.on_fault(
                     packet, GATE_PACKET_SCHEDULING, scheduler, exc, verdict
                 )
             return verdict
@@ -823,7 +796,7 @@ class Router:
             self.detach_telemetry()
             return registry
         registry.bind_router(self)
-        self.telemetry = self.shard_state.telemetry = registry
+        self.telemetry = registry
         self._tm_gate_cells = registry.gate_dispatch_cells
         self._select_loops()
         hist = registry.histogram(
@@ -837,7 +810,7 @@ class Router:
     def detach_telemetry(self) -> None:
         """Disable telemetry: every instrumented seam returns to the
         single ``is None`` test."""
-        self.telemetry = self.shard_state.telemetry = None
+        self.telemetry = None
         self._tm_gate_cells = None
         self._select_loops()
         self.aiu._tm_size_hist = None
@@ -850,11 +823,11 @@ class Router:
             from ..telemetry.tracer import LifecycleTracer
 
             tracer = LifecycleTracer(sample=sample, capacity=capacity)
-        self._lifecycle = self.shard_state.lifecycle = tracer
+        self._lifecycle = tracer
         return tracer
 
     def detach_lifecycle_tracer(self) -> None:
-        self._lifecycle = self.shard_state.lifecycle = None
+        self._lifecycle = None
 
     # ------------------------------------------------------------------
     # Overload protection (docs/ROBUSTNESS.md) — control path only
@@ -871,12 +844,12 @@ class Router:
 
             governor = OverloadGovernor(**config)
         governor.bind_router(self)
-        self._overload = self.shard_state.overload = governor
+        self._overload = governor
         return governor
 
     def detach_overload_governor(self) -> None:
         """Remove the governor: the seam returns to one ``None`` test."""
-        self._overload = self.shard_state.overload = None
+        self._overload = None
 
     # ------------------------------------------------------------------
     # Health / fault introspection

@@ -422,6 +422,8 @@ def _render_trace(data: dict) -> List[str]:
         stages = " ".join(
             f"{stage['stage']}={stage['cycles']}cyc"
             + (f"/{stage['vtime']:g}s" if stage["vtime"] else "")
+            + (f"[{stage['instance']}->{stage['verdict']}]"
+               if "instance" in stage else "")
             for stage in span["stages"]
         )
         lines.append(
@@ -487,7 +489,8 @@ register_topic("faults", "_query_faults", _render_faults, merge=_merge_faults)
 register_topic("health", "_query_health", _render_health, merge="frontend")
 register_topic("telemetry", "_query_telemetry", _render_telemetry,
                merge="bucketwise")
-register_topic("trace", "_query_trace", _render_trace, merge=_merge_trace)
+register_topic("trace", "_query_trace", _render_trace, schema_version=2,
+               merge=_merge_trace)
 register_topic("overload", "_query_overload", _render_overload,
                merge="worst-wins")
 register_topic("shards", "_query_shards", _render_shards, merge="frontend")

@@ -354,11 +354,29 @@ class RouterPluginLibrary:
     def _query_shards(self) -> dict:
         """A single router is the one-shard degenerate case: same shape
         as the sharded fanout's cross-shard breakdown (repro.shard)."""
-        return {
-            "nshards": 1,
-            "backend": "local",
-            "shards": [dict(shard=0, **self.router.shard_state.summary())],
+        router = self.router
+        table = router.aiu.flow_table
+        counters = router.counters
+        gov = router._overload
+        row = {
+            "shard": 0,
+            "rx": counters.get("rx", 0),
+            "forwarded": counters.get("forwarded", 0),
+            "dropped": sum(
+                v for k, v in counters.items()
+                if isinstance(k, str) and k.startswith("dropped")
+            ),
+            "flows_active": table.active,
+            "flow_hits": table.hits,
+            "flow_misses": table.misses,
+            "evictions": table.evictions,
+            "filters": router.aiu.filter_count(),
+            "quarantined": sorted(
+                {d.plugin for d in router._quarantined.values()}
+            ),
+            "overload_tier": "normal" if gov is None else gov.brief()["tier"],
         }
+        return {"nshards": 1, "backend": "local", "shards": [row]}
 
     # ------------------------------------------------------------------
     # Introspection ("show" commands) — formatters over query()

@@ -2,11 +2,10 @@
 
 Topology is shared-nothing by construction: each worker process calls
 the user's ``factory(shard_index)`` *after* the fork, so every shard
-owns a private Router — its own :class:`~repro.core.shard_state.
-ShardLocalState` (AIU, flow table, fault domains, governor) with no
-shared mutable memory.  The parent talks to each worker over a pair of
-simplex pipes (SPSC: the parent is the only writer of the work pipe,
-the worker the only writer of the result pipe).
+owns a private Router (AIU, flow table, fault domains, governor) with
+no shared mutable memory.  The parent talks to each worker over a pair
+of simplex pipes (SPSC: the parent is the only writer of the work
+pipe, the worker the only writer of the result pipe).
 
 Batch handoff is credit-windowed: at most ``window`` batches are in
 flight per worker, and the parent drains results opportunistically

@@ -13,7 +13,7 @@ fold, :mod:`repro.shard.dispatch`):
   over SPSC pipes.  This is the throughput backend: the per-shard data
   path is byte-for-byte the single-process one, so wall-clock scaling
   is bounded only by the parent's dispatch pipeline and the machine's
-  cores (benchmarks/bench_throughput.py ``shard_*`` workloads).
+  cores (the ``shard_wire`` workload of benchmarks/e2e/run.py).
 
 The front end also exposes the aggregate views the existing tooling
 expects of a router — ``counters``, ``aiu.flow_table``, ``_overload``,

@@ -4,7 +4,10 @@ A :class:`LifecycleTracer` samples 1-in-N *flows* (same fold the flow
 table hashes with, so all packets of a flow are sampled together) and
 records one span per sampled packet: the stage sequence classify →
 gates → route → schedule → emit with a modelled-cycle delta and a
-virtual-time delta per stage.
+virtual-time delta per stage, plus what each stage decided — which
+instance saw the packet and its verdict, the route chosen, the cause of
+a fault (:meth:`Span.render` narrates the walk like the paper's
+Figure 3).
 
 Sampling is decided in :meth:`Router.receive` with one attribute test;
 non-sampled packets stay on the unmetered fast path untouched.  A
@@ -23,24 +26,30 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.plugin import Verdict
 from ..core.router import Disposition
-from ..sim.cost import NULL_METER
+from ..sim.cost import NULL_METER, CycleMeter
 
 
 class Span:
     """One sampled packet's walk: ``stages`` is a list of
-    ``(stage, cycle_delta, vtime_delta)`` tuples."""
+    ``(stage, cycle_delta, vtime_delta)`` tuples, ``details`` the
+    parallel list of what each stage decided — the fields ``to_dict``
+    adds to the stage (``instance``/``verdict``/``note`` at a gate,
+    ``error`` on a fault, ``route``), or ``None``."""
 
     __slots__ = (
-        "packet_id", "flow", "started", "stages",
+        "packet_id", "flow", "arrived", "started", "stages", "details",
         "disposition", "total_cycles", "queued_at", "done_time",
     )
 
-    def __init__(self, packet_id: int, flow: str, started: float):
-        self.packet_id = packet_id
-        self.flow = flow
+    def __init__(self, packet, started: float):
+        self.packet_id = packet.packet_id
+        self.flow = _flow_digest(packet)
+        self.arrived = f"arrived on {packet.iif} ttl={packet.ttl}"
         self.started = started
         self.stages: List[Tuple[str, int, float]] = []
+        self.details: List[Optional[dict]] = []
         self.disposition: Optional[str] = None
         self.total_cycles = 0
         self.queued_at: Optional[float] = None
@@ -55,10 +64,29 @@ class Span:
             "total_cycles": self.total_cycles,
             "done_time": self.done_time,
             "stages": [
-                {"stage": stage, "cycles": cycles, "vtime": vtime}
-                for stage, cycles, vtime in self.stages
+                {"stage": stage, "cycles": cycles, "vtime": vtime, **(detail or {})}
+                for (stage, cycles, vtime), detail in zip(self.stages, self.details)
             ],
         }
+
+    def render(self) -> str:
+        """The walk as text: one line per stage, who handled the packet
+        and what they decided."""
+        lines = [f"trace #{self.packet_id} {self.flow}", f"  rx: {self.arrived}"]
+        for (stage, cycles, _vtime), detail in zip(self.stages, self.details):
+            text, _, gate = stage.partition(":")
+            detail = detail or {}
+            if text in ("gate", "fault"):
+                who = detail.get("instance") or "(no instance bound)"
+                fault = f" FAULT {detail['error']}" if text == "fault" else ""
+                note = f" [{detail['note']}]" if "note" in detail else ""
+                verdict = detail.get("verdict", Verdict.CONTINUE)
+                text = f"gate {gate.partition(':')[0]}: {who}{fault} -> {verdict}{note}"
+            elif text == "route":
+                text = f"route: {detail['route']}"
+            lines.append(f"  {text} ({cycles} cycles)")
+        lines.append(f"  done: {self.disposition} ({self.total_cycles} cycles)")
+        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (
@@ -78,12 +106,7 @@ def _flow_digest(packet) -> str:
 
 
 class LifecycleTracer:
-    """Flow-sampled per-packet span recorder (1-in-``sample``).
-
-    Implements the same hook protocol as :class:`repro.core.tracing.Tracer`
-    (``on_receive/on_gate/on_fault/on_route/on_done``), so the metered
-    gate macros feed it without new plumbing.
-    """
+    """Flow-sampled per-packet span recorder (1-in-``sample``)."""
 
     def __init__(self, sample: int = 1, capacity: int = 256):
         if sample < 1:
@@ -103,49 +126,65 @@ class LifecycleTracer:
         # bounded to ``capacity`` open spans (a queued packet whose
         # scheduler never emits it must not leak).
         self._open: Dict[int, list] = {}
+        # True while a traced walk is on the stack.
+        self._walking = False
 
     # ------------------------------------------------------------------
     # Sampling decision (hot path: called once per packet when attached)
     # ------------------------------------------------------------------
     def wants(self, packet) -> bool:
-        return packet.flow_fold32() % self.sample == 0
+        """A sampled flow — or any packet entering the router while a
+        traced walk is running: a nested re-injection (tunnel
+        decapsulation re-running the inner datagram through the same
+        router), which path tracers fold into the decapsulating hop's
+        record."""
+        return self._walking or packet.flow_fold32() % self.sample == 0
 
     # ------------------------------------------------------------------
-    # Span lifecycle (driven by Router._receive_traced)
+    # Span lifecycle
     # ------------------------------------------------------------------
-    def begin(self, packet, now: float, meter) -> None:
+    def walk(self, receive, packet, now: float) -> str:
+        """Run ``receive(packet, now, meter)`` — the router's metered
+        specification walk — as one span, against a throwaway meter no
+        caller ever sees.  A nested walk runs cycle-free (its gate
+        sequence and disposition are real, its cycles are not split out
+        of the outer span's)."""
+        nested = self._walking
+        meter = NULL_METER if nested else CycleMeter()
         self.sampled += 1
-        span = Span(packet.packet_id, _flow_digest(packet), now)
-        self._open[packet.packet_id] = [span, meter, 0]
+        span = Span(packet, now)
+        self._open[packet.packet_id] = entry = [span, meter, 0]
         while len(self._open) > self.capacity:
             oldest = next(iter(self._open))
             stale = self._open.pop(oldest)
             self._close(stale[0])
-
-    def finish(self, packet, disposition: str, now: float, meter) -> None:
-        entry = self._open.get(packet.packet_id)
-        if entry is None:
-            return
-        span, _meter, mark = entry
+        self._walking = True
+        try:
+            disposition = receive(packet, now, meter)
+        finally:
+            self._walking = nested
+        if self._open.get(packet.packet_id) is not entry:
+            return disposition      # force-closed mid-walk (capacity)
         span.disposition = disposition
         span.total_cycles = meter.total
-        if meter.total > mark:
+        if meter.total > entry[2]:
             # Tail work after the last hook (route memo, driver tx, ...).
             # Keep a synchronously-recorded emit stage last.
-            tail = ("forward", meter.total - mark, 0.0)
+            at = len(span.stages)
             if span.stages and span.stages[-1][0] == "emit":
-                span.stages.insert(len(span.stages) - 1, tail)
-            else:
-                span.stages.append(tail)
+                at -= 1
+            span.stages.insert(at, ("forward", meter.total - entry[2], 0.0))
+            span.details.insert(at, None)
             entry[2] = meter.total
         if disposition == Disposition.QUEUED and span.done_time is None:
             # Stays open until the scheduler emits it (on_emit).
             span.queued_at = now
-            return
+            return disposition
         del self._open[packet.packet_id]
         if span.done_time is None:
             span.done_time = now
         self._close(span)
+        return disposition
 
     def on_emit(self, packet, at: float) -> None:
         """Scheduler drained the packet onto the wire: close the span
@@ -156,11 +195,12 @@ class LifecycleTracer:
         span = entry[0]
         wait = at - span.queued_at if span.queued_at is not None else 0.0
         span.stages.append(("emit", 0, wait))
+        span.details.append(None)
         span.done_time = at
         if span.disposition is None:
-            # The scheduler drained synchronously, inside _receive, before
-            # finish() ran — leave the span open so finish() can close it
-            # with the real disposition and cycle total.
+            # The scheduler drained synchronously, inside the walk —
+            # leave the span open so walk() can close it with the real
+            # disposition and cycle total.
             return
         del self._open[packet.packet_id]
         self._close(span)
@@ -170,55 +210,42 @@ class LifecycleTracer:
         self._write += 1
         self.recorded += 1
 
-    def _stage(self, packet_id: int, stage: str, vtime: float = 0.0) -> None:
-        entry = self._open.get(packet_id)
+    def _stage(self, packet, stage: str, detail: Optional[dict] = None) -> None:
+        entry = self._open.get(packet.packet_id)
         if entry is None:
-            return
+            return      # a walk this tracer does not observe
         span, meter, mark = entry
-        span.stages.append((stage, meter.total - mark, vtime))
+        span.stages.append((stage, meter.total - mark, 0.0))
+        span.details.append(detail)
         entry[2] = meter.total
 
     # ------------------------------------------------------------------
-    # Tracer hook protocol (called by the metered gate macros)
+    # Hooks called by the metered gate macros
     # ------------------------------------------------------------------
-    def on_receive(self, packet) -> None:
-        # The sampled packet's span was opened by begin(); classification
-        # cycles are anchored at the first gate, mirroring the data path.
-        # A packet with *no* open span entering the metered path while
-        # this tracer is attached is a nested re-injection (tunnel
-        # decapsulation re-running the inner datagram through the same
-        # router): open a cycle-free span for it — the nested walk runs
-        # unmetered, but its gate sequence and disposition are real, and
-        # path tracers fold them into the decapsulating hop's record.
-        if packet.packet_id in self._open:
-            return
-        self.sampled += 1
-        span = Span(
-            packet.packet_id, _flow_digest(packet), packet.arrival_time
-        )
-        self._open[packet.packet_id] = [span, NULL_METER, 0]
-
     def on_gate(self, packet, gate: str, instance, verdict: str, note: str = "") -> None:
-        self._stage(packet.packet_id, f"gate:{gate}")
+        detail = None
+        if instance is not None:
+            detail = {"instance": getattr(instance, "name", None), "verdict": verdict}
+            if note:
+                detail["note"] = note
+        self._stage(packet, f"gate:{gate}", detail)
 
     def on_fault(self, packet, gate: str, instance, error: BaseException, verdict: str) -> None:
-        self._stage(packet.packet_id, f"fault:{gate}:{type(error).__name__}")
+        cause = type(error).__name__
+        self._stage(packet, f"fault:{gate}:{cause}", {
+            "instance": getattr(instance, "name", None),
+            "verdict": verdict,
+            "error": f"{cause}: {error}",
+        })
 
     def on_route(self, packet, route) -> None:
-        self._stage(packet.packet_id, "route")
-
-    def on_done(self, packet, disposition: str) -> None:
-        # Sampled packets are closed by finish() (driven explicitly by
-        # Router._receive_traced); only nested re-injection spans — the
-        # ones on_receive opened against the null meter — close here.
-        entry = self._open.get(packet.packet_id)
-        if entry is None or entry[1] is not NULL_METER:
-            return
-        span = entry[0]
-        span.disposition = disposition
-        span.done_time = span.started
-        del self._open[packet.packet_id]
-        self._close(span)
+        if route is None:
+            text = "no route"
+        else:
+            text = f"{route.prefix} dev {route.interface}" + (
+                f" via {route.next_hop}" if route.next_hop else ""
+            )
+        self._stage(packet, "route", {"route": text})
 
     # ------------------------------------------------------------------
     # Reading

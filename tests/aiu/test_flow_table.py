@@ -157,70 +157,3 @@ class TestIteration:
         assert table.chain_length(pkt) == 0
         table.install(pkt)
         assert table.chain_length(_flow_packet(1)) == 1
-
-
-class TestClockEviction:
-    """The second-chance reclaim policy (``evict_policy="clock"``)."""
-
-    def _capped(self, policy):
-        return FlowTable(
-            gate_count=1, buckets=64, initial_records=2,
-            max_records=2, evict_policy=policy,
-        )
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            FlowTable(gate_count=1, buckets=64, evict_policy="fifo")
-
-    def test_second_chance_spares_referenced_record(self):
-        table = self._capped("clock")
-        a = table.install(_flow_packet(0), now=0.0)
-        table.install(_flow_packet(1), now=1.0)
-        table.lookup(_flow_packet(0), now=2.0)      # marks a referenced
-        table.install(_flow_packet(2), now=3.0)
-        assert table.lookup(_flow_packet(0)) is a   # spared by its ref bit
-        assert table.lookup(_flow_packet(1)) is None  # unreferenced victim
-        assert table.recycled == 1
-        assert table.stats()["evictions"] == 1
-
-    def test_full_rotation_clears_all_ref_bits(self):
-        table = self._capped("clock")
-        table.install(_flow_packet(0))
-        b = table.install(_flow_packet(1))
-        table.lookup(_flow_packet(0))
-        table.lookup(_flow_packet(1))    # every record referenced
-        table.install(_flow_packet(2))
-        # One full rotation clears both bits, then the hand takes the
-        # record it started on — the oldest install.
-        assert b.ref is False
-        assert table.lookup(_flow_packet(0)) is None
-        assert table.lookup(_flow_packet(1)) is b
-
-    def test_policies_choose_different_victims(self):
-        """Same access sequence, divergent survivors: LRU reorders on
-        every hit, clock only marks.  After install A, B; hit B; hit A;
-        install C — LRU evicts B (recency tail) while the clock hand
-        sweeps past both marked records and lands back on A."""
-        survivors = {}
-        for policy in ("lru", "clock"):
-            table = self._capped(policy)
-            table.install(_flow_packet(0), now=0.0)
-            table.install(_flow_packet(1), now=1.0)
-            table.lookup(_flow_packet(1), now=2.0)
-            table.lookup(_flow_packet(0), now=3.0)
-            table.install(_flow_packet(2), now=4.0)
-            survivors[policy] = {
-                i for i in (0, 1) if table.lookup(_flow_packet(i), now=5.0)
-            }
-        assert survivors["lru"] == {0}
-        assert survivors["clock"] == {1}
-
-    def test_clock_victim_recycles_through_the_pool(self):
-        table = self._capped("clock")
-        removed = []
-        table.on_remove = removed.append
-        first = table.install(_flow_packet(0))
-        table.install(_flow_packet(1))
-        table.install(_flow_packet(2))
-        assert removed == [first]
-        assert table.allocated == 2      # capped: no growth, pure reuse

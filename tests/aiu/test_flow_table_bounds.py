@@ -1,6 +1,6 @@
 """Occupancy is an invariant, not a tendency: a bounded flow table never
-holds more than ``max_flows`` records, whatever the traffic, eviction
-policy, entry point, or overload tier does to it."""
+holds more than ``max_flows`` records, whatever the traffic, entry
+point, or overload tier does to it."""
 
 import random
 
@@ -14,8 +14,8 @@ PACKETS = 4000
 BATCH = 32
 
 
-def _router(policy, governed):
-    router = Router(max_flows=MAX_FLOWS, flow_eviction=policy)
+def _router(governed):
+    router = Router(max_flows=MAX_FLOWS)
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("atm1", prefix="20.0.0.0/8")
     if governed:
@@ -41,10 +41,10 @@ def _hostile(rng):
 
 
 @pytest.mark.parametrize("governed", [False, True], ids=["bare", "governed"])
-@pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
-@pytest.mark.parametrize("policy", ["lru", "clock"])
-def test_occupancy_never_exceeds_max_flows(policy, batched, governed):
-    router = _router(policy, governed)
+@pytest.mark.parametrize(
+    "batched", [False, True], ids=["lru-receive", "lru-receive_batch"])
+def test_occupancy_never_exceeds_max_flows(batched, governed):
+    router = _router(governed)
     table = router.aiu.flow_table
     rng = random.Random(13)
     pending = []

@@ -262,3 +262,18 @@ def test_show_aiu_sums_compile_counters_over_the_front(front):
     assert (f"ip_security/32 compile: compiles={compiled} nodes={7 * compiled} "
             f"last={7 * compiled}") in lines
     assert f"loops: compiles={compiled} reuses=0" in lines
+
+
+def test_show_trace_names_the_instance_over_the_front(front):
+    """Which instance saw a traced packet, and its verdict, survive
+    every merge (single, 2-shard inline and mp, per topology node)."""
+    manager = PluginManager(front, output=[].append)
+    manager.run_script(
+        "modload firewall\ncreate firewall fw0 action=deny\n"
+        "bind fw0 ip_security 10.*, *, UDP\ntrace on sample=1\n")
+    packet = make_udp("10.0.0.1", "20.0.0.1", 5000, 9000, iif="eth0")
+    assert front.receive(packet) == "dropped_by_plugin"
+    (span,) = manager.library.query("trace")["spans"]
+    assert span["stages"][-1] == {
+        "stage": "gate:ip_security", "cycles": span["stages"][-1]["cycles"],
+        "vtime": 0.0, "instance": "fw0", "verdict": "drop"}

@@ -68,6 +68,15 @@ class TestRoundTrip:
         data = json.loads(blob)
         assert render_topic(topic, data) == text
 
+    def test_trace_stage_names_instance_and_verdict(self, configured):
+        _router, mgr, lines = configured
+        data = json.loads("\n".join(_run(mgr, lines, "show trace --json")))
+        assert data["schema"] == {"topic": "trace", "version": 2}
+        stage = next(s for s in data["spans"][0]["stages"]
+                     if s["stage"] == "gate:packet_scheduling")
+        assert (stage["instance"], stage["verdict"]) == ("drr0", "consumed")
+        assert "[drr0->consumed]" in _run(mgr, lines, "show trace")[1]
+
     @pytest.mark.parametrize("topic", TOPICS)
     def test_query_dict_is_json_stable(self, configured, topic):
         """dumps -> loads must not change what the formatter renders

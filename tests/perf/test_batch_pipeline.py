@@ -119,6 +119,12 @@ def _bind(router, plugin_cls, gate=GATE_IP_SECURITY, spec="*, *, UDP", **config)
     return instance
 
 
+def _filtered(name, **kwargs):
+    router = _build(name, **kwargs)
+    _bind(router, _PortFilterPlugin)
+    return router
+
+
 def _mixed_workload(seed=42, count=80):
     """Hits, misses, TTL expiry, no-route, plugin drops — shuffled."""
     packets = []
@@ -212,27 +218,16 @@ def test_single_shape_matches_scalar():
 
 
 def test_lanes_shape_matches_scalar():
-    def make(name):
-        router = _build(name)
-        _bind(router, _PortFilterPlugin)
-        return router
-
-    layouts = _layouts(_run_differential(make))
+    layouts = _layouts(_run_differential(_filtered))
     assert layouts["receive"] == {"packet"}
     assert all(layouts[f"batch{chunk}"] == {"lanes"} for chunk in CHUNKS)
 
 
-@pytest.mark.parametrize("policy", ["lru", "clock"])
-def test_fused_shape_bounded_table_matches_scalar(policy):
+def test_fused_shape_bounded_table_matches_scalar():
     """A capped flow table keeps receive_batch on the packet layout:
     in-batch evictions interleave with packet processing exactly as the
     metered order demands."""
-    def make(name):
-        router = _build(name, max_flows=8, flow_eviction=policy)
-        _bind(router, _PortFilterPlugin)
-        return router
-
-    layouts = _layouts(_run_differential(make))
+    layouts = _layouts(_run_differential(lambda n: _filtered(n, max_flows=8)))
     layouts.pop("spec")
     assert all(names == {"packet"} for names in layouts.values())
 
@@ -273,6 +268,41 @@ def test_metered_batch_takes_the_specification_path():
     assert batch_meter.total == scalar_meter.total
     assert _state(batched) == _state(scalar)
     assert not batched._loops
+
+
+def test_tracer_that_samples_nothing_leaves_the_batch_batched(monkeypatch):
+    """An attached tracer none of whose flows are in the batch must not
+    turn ``receive_batch`` into per-packet calls: one generated loop
+    over the whole batch, state equal to a tracer-less twin."""
+    folds = {p.flow_fold32() for p in _mixed_workload()}
+    sample = next(n for n in range(2, 10_000) if all(f % n for f in folds))
+    plain, traced = _filtered("plain"), _filtered("traced")
+    tracer = traced.attach_lifecycle_tracer(sample=sample)
+    monkeypatch.setattr(
+        Router, "receive", lambda *a, **k: pytest.fail("per-packet receive"))
+    assert (traced.receive_batch(_mixed_workload())
+            == plain.receive_batch(_mixed_workload()))
+    assert _state(traced) == _state(plain)
+    assert set(traced._loops) == {"lanes"}
+    assert tracer.sampled == 0
+
+
+def test_mixed_batch_under_a_tracer_matches_packet_by_packet():
+    """Sampled packets walk traced, the unsampled runs between them stay
+    batched, in arrival order: same dispositions, state and spans as
+    feeding the packets one by one."""
+    scalar, batched = _filtered("one-by-one"), _filtered("batched")
+    tracers = [r.attach_lifecycle_tracer(sample=3) for r in (scalar, batched)]
+    expected = [scalar.receive(p) for p in _mixed_workload()]
+    assert batched.receive_batch(_mixed_workload()) == expected
+    assert _state(batched) == _state(scalar)
+    one_by_one, split = (
+        [(s.flow, s.disposition, s.stages, s.details) for s in t.spans()]
+        for t in tracers
+    )
+    assert split == one_by_one
+    assert 0 < len(split) < len(expected)
+    assert set(batched._loops) == {"lanes"}
 
 
 def _v6_workload():

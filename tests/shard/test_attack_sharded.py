@@ -33,8 +33,7 @@ GOV = dict(sample_interval=16, escalate_after=2, shed_after=2, recover_after=2)
 
 def _shard_factory(governed=True):
     def factory(index: int) -> Router:
-        router = Router(max_flows=FLOWS_PER_SHARD, flow_eviction="lru",
-                        name=f"soak/{index}")
+        router = Router(max_flows=FLOWS_PER_SHARD, name=f"soak/{index}")
         router.add_interface("atm0", prefix="10.0.0.0/8")
         router.add_interface("eth0", prefix="20.0.0.0/8")
         router.routing_table.add("0.0.0.0/0", "eth0")

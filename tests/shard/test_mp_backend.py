@@ -3,8 +3,8 @@ the inline backend (which test_differential.py proves equal to a single
 router), and the control protocol must survive worker-side errors.
 
 Kept deliberately small — fork + pipe plumbing, not throughput (that is
-``benchmarks/bench_throughput.py``'s job).  Skipped where the ``fork``
-start method is unavailable.
+the ``shard_wire`` workload's job, benchmarks/e2e/run.py).  Skipped
+where the ``fork`` start method is unavailable.
 """
 
 import random

@@ -35,7 +35,7 @@ GOV = dict(sample_interval=64, escalate_after=2, shed_after=2, recover_after=2)
 
 
 def _build(governed=True, max_flows=MAX_FLOWS, **config):
-    router = Router(max_flows=max_flows, flow_eviction="lru")
+    router = Router(max_flows=max_flows)
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("eth0", prefix="20.0.0.0/8")
     router.routing_table.add("0.0.0.0/0", "eth0")

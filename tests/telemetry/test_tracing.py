@@ -1,9 +1,9 @@
-"""Tests for the per-packet data-path tracer."""
+"""The rendered walk: which instance saw a traced packet at each gate
+and what it decided (``Span.render``)."""
 
 import pytest
 
 from repro.core import GATE_IP_SECURITY, Router
-from repro.core.tracing import Tracer
 from repro.net.packet import make_udp
 from repro.security import FirewallPlugin
 
@@ -13,7 +13,7 @@ def traced_router():
     router = Router(flow_buckets=64)
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("atm1", prefix="20.0.0.0/8")
-    router.tracer = Tracer()
+    router.attach_lifecycle_tracer()
     return router
 
 
@@ -26,7 +26,7 @@ class TestTracer:
     def test_forwarded_packet_walk(self, traced_router):
         pkt = _pkt()
         traced_router.receive(pkt)
-        text = traced_router.tracer.render(pkt)
+        text = traced_router._lifecycle.span_for(pkt.packet_id).render()
         assert "arrived on atm0" in text
         assert "gate ip_options" in text
         assert "route" in text and "atm1" in text
@@ -39,47 +39,47 @@ class TestTracer:
         firewall.register_instance(deny, "10.*, *", gate=GATE_IP_SECURITY)
         pkt = _pkt()
         traced_router.receive(pkt)
-        text = traced_router.tracer.render(pkt)
+        text = traced_router._lifecycle.span_for(pkt.packet_id).render()
         assert "blocker -> drop" in text
         assert "done: dropped_by_plugin" in text
 
     def test_no_route_recorded(self, traced_router):
         pkt = make_udp("10.0.0.1", "99.0.0.1", 1, 2, iif="atm0")
         traced_router.receive(pkt)
-        text = traced_router.tracer.render(pkt)
+        text = traced_router._lifecycle.span_for(pkt.packet_id).render()
         assert "no route" in text
         assert "dropped_no_route" in text
 
     def test_untraced_packet(self, traced_router):
         pkt = _pkt()
-        assert "no trace" in traced_router.tracer.render(pkt)
+        assert traced_router._lifecycle.span_for(pkt.packet_id) is None
 
     def test_capacity_bounded(self):
         router = Router(flow_buckets=64)
         router.add_interface("atm0", prefix="10.0.0.0/8")
         router.add_interface("atm1", prefix="20.0.0.0/8")
-        router.tracer = Tracer(capacity=5)
+        tracer = router.attach_lifecycle_tracer(capacity=5)
         packets = [_pkt(i % 200 + 1) for i in range(20)]
         for pkt in packets:
             router.receive(pkt)
-        assert len(router.tracer) == 5
-        assert router.tracer.trace_for(packets[0]) is None
-        assert router.tracer.trace_for(packets[-1]) is not None
+        assert len(tracer) == 5
+        assert tracer.span_for(packets[0].packet_id) is None
+        assert tracer.span_for(packets[-1].packet_id) is not None
 
     def test_last(self, traced_router):
         first, second = _pkt(1), _pkt(2)
         traced_router.receive(first)
         traced_router.receive(second)
-        assert traced_router.tracer.last().packet_id == second.packet_id
+        assert traced_router._lifecycle.spans()[-1].packet_id == second.packet_id
 
     def test_disabled_by_default(self):
         router = Router(flow_buckets=64)
-        assert router.tracer is None
+        assert router._lifecycle is None
 
     def test_gate_without_instance_traced(self, traced_router):
         pkt = _pkt()
         traced_router.receive(pkt)
-        text = traced_router.tracer.render(pkt)
+        text = traced_router._lifecycle.span_for(pkt.packet_id).render()
         assert "(no instance bound)" in text
 
 
@@ -113,7 +113,7 @@ class TestFaultTracing:
     def test_fault_event_rendered(self, faulty_router):
         pkt = _pkt()
         faulty_router.receive(pkt)
-        text = faulty_router.tracer.render(pkt)
+        text = faulty_router._lifecycle.span_for(pkt.packet_id).render()
         assert "boom0 FAULT ValueError: kaboom -> drop" in text
         assert "done: dropped_by_plugin" in text
 
@@ -123,6 +123,6 @@ class TestFaultTracing:
         faulty_router.faults.quarantine("boom", until=math.inf)
         pkt = _pkt()
         faulty_router.receive(pkt)
-        text = faulty_router.tracer.render(pkt)
+        text = faulty_router._lifecycle.span_for(pkt.packet_id).render()
         assert "[quarantined:drop]" in text
         assert "done: dropped_by_plugin" in text
