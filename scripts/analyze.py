@@ -16,7 +16,6 @@ Modes:
 Options:
 
     --json      emit the machine-readable report instead of text
-    --sarif     emit a SARIF 2.1.0 log (for code-scanning upload)
     --strict    exit non-zero on warnings too, not just errors
 
 Exit status: 0 clean (or warnings without --strict), 1 findings at the
@@ -45,8 +44,6 @@ def main(argv=None) -> int:
     parser.add_argument("--self-lint", action="store_true",
                         help="lint built-in plugins + verify engine equivalence")
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--sarif", action="store_true",
-                        help="SARIF 2.1.0 output (overrides --json)")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings as well")
     args = parser.parse_args(argv)
@@ -69,9 +66,7 @@ def main(argv=None) -> int:
             return 2
         report.extend(analyze_script(text))
 
-    if args.sarif:
-        print(report.to_sarif_json())
-    elif args.json:
+    if args.json:
         print(report.to_json())
     else:
         for line in report.render():

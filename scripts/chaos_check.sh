@@ -1,7 +1,9 @@
 #!/bin/sh
-# One-shot robustness gate: run the seeded chaos soak (deterministic
-# fault injection through the plugin data path — see docs/ROBUSTNESS.md)
-# plus the rest of the fault-containment suite.
+# One-shot robustness check for developers: run the seeded chaos soak
+# (deterministic fault injection through the plugin data path — see
+# docs/ROBUSTNESS.md) plus the rest of the fault-containment suite,
+# without the rest of tier-1 (scripts/ci_check.sh runs these tests once,
+# inside its tier-1 step).
 #
 # Usage: scripts/chaos_check.sh
 #
@@ -18,8 +20,8 @@
 #
 # Multi-hop containment — quarantine rerouting across an ECMP topology
 # and the seeded multi-hop attack soaks (IPsec spoofing, drop-action v6
-# options) — runs in the topo gate (scripts/ci_check.sh, tests/topo/),
-# which drives the same seeded scenarios through whole networks.
+# options) — is tests/topo/ (`pytest -m topo`), which drives the same
+# seeded scenarios through whole networks.
 
 set -eu
 

@@ -279,11 +279,6 @@ class AIU:
                 purged += 1
         return purged
 
-    def active_gates(self) -> Tuple[str, ...]:
-        """Gates that currently have at least one filter installed, in
-        gate order — the input to the router's fast-path plan."""
-        return tuple(g for g in self.gates if self._gate_filter_counts[g])
-
     def filters(self, gate: Optional[str] = None) -> List[FilterRecord]:
         # A family-wildcard filter appears in both per-family tables;
         # dedup by identity with an insertion-ordered dict (the previous

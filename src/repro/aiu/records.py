@@ -172,12 +172,5 @@ class FlowRecord:
         self.packets += 1
         self.bytes += size
 
-    def filter_records(self) -> List[FilterRecord]:
-        return [
-            s.filter_record
-            for s in self.slots
-            if s is not None and s.filter_record is not None
-        ]
-
     def __repr__(self) -> str:
         return f"FlowRecord({self.key}, pkts={self.packets})"

@@ -1,5 +1,5 @@
-"""Static analysis for the plugin router (filter semantics, hot-path
-lint, shard-safety/concurrency lint, exec-codegen audit,
+"""Static analysis for the plugin router (filter semantics, the plugin
+lint — hot-path and shard-safety rules in one pass — exec-codegen audit,
 compiled/interpreted equivalence).
 
 Public API::
@@ -8,7 +8,6 @@ Public API::
         AnalysisReport, Diagnostic, CODES,
         analyze_filterset, analyze_table, analyze_records,
         lint_plugin, lint_plugins, lint_builtin_plugins,
-        lint_plugin_concurrency, lint_plugins_concurrency,
         audit_router_codegen, audit_query_mergeability,
         verify_table, verify_engine, verify_aiu,
         analyze_router, analyze_sharded, analyze_script, self_lint,
@@ -27,15 +26,7 @@ from .codegen_audit import (
     audit_loop_source,
     audit_router_codegen,
 )
-from .concurrency import (
-    audit_query_mergeability,
-    lint_builtin_concurrency,
-    lint_instance_state,
-    lint_module_concurrency,
-    lint_plugin_concurrency,
-    lint_plugins_concurrency,
-    lint_shard_concurrency,
-)
+from .concurrency import audit_query_mergeability
 from .diagnostics import (
     CODES,
     ERROR,
@@ -49,7 +40,7 @@ from .diagnostics import (
     title_of,
     unknown_suppressed_codes,
 )
-from .equivalence import verify_aiu, verify_engine, verify_engines, verify_table
+from .equivalence import verify_aiu, verify_engine, verify_table
 from .filterset import analyze_filterset, analyze_records, analyze_table
 from .hotpath import (
     builtin_plugin_classes,
@@ -81,18 +72,11 @@ __all__ = [
     "audit_query_mergeability",
     "audit_router_codegen",
     "builtin_plugin_classes",
-    "lint_builtin_concurrency",
     "lint_builtin_plugins",
-    "lint_instance_state",
-    "lint_module_concurrency",
     "lint_plugin",
-    "lint_plugin_concurrency",
     "lint_plugins",
-    "lint_plugins_concurrency",
-    "lint_shard_concurrency",
     "verify_aiu",
     "verify_engine",
-    "verify_engines",
     "verify_table",
     "analyze_router",
     "analyze_script",

@@ -15,10 +15,11 @@ structures, turning structural invariants into ordinary diagnostics:
 * RP502 — nondeterministic builtins in generated code: ``hash()`` (the
   RP209 hazard, fatal in generated code), ``time``/``random``/
   ``datetime``/``uuid``/``os`` references.
-* RP503 — a fault handler that neither resumes through the ``_resume``
-  helper (a ``lanes`` sweep) nor classifies through ``on_fault`` (every
-  other plugin call) nor re-raises: plugin faults would escape the
-  per-plugin fault domain.
+* RP503 — an emitted plugin call (``.process(`` / ``.dequeue(``) outside
+  any ``try``, or a fault handler that neither resumes through the
+  ``_resume`` helper (a ``lanes`` sweep) nor classifies through
+  ``on_fault`` (every other plugin call) nor re-raises: plugin faults
+  would escape the per-plugin fault domain.
 * RP504 — the plan's fields are not reflected in the emitted source (a
   ``tm`` plan without telemetry cells, a ``bounded`` plan that never
   consults ``MAXR``, ...), or a loop is cached under a plan it was not
@@ -40,7 +41,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from .diagnostics import AnalysisReport, Diagnostic
+from .diagnostics import Diagnostic
+from .equivalence import routing_engines
+from .hotpath import bound_names
 
 #: Builtins the loop emitter is allowed to reference freely.
 _SAFE_BUILTINS = {
@@ -76,32 +79,9 @@ def _function_node(source: str) -> Optional[ast.FunctionDef]:
     return None
 
 
-def _bound_names(fn_node: ast.FunctionDef) -> Set[str]:
-    args = fn_node.args
-    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-    if args.vararg is not None:
-        bound.add(args.vararg.arg)
-    if args.kwarg is not None:
-        bound.add(args.kwarg.arg)
-    bound.add(fn_node.name)
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            bound.add(node.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            bound.add(node.name)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bound.add(node.name)
-    return bound
-
-
 def _free_names(fn_node: ast.FunctionDef) -> Dict[str, int]:
     """Free (load-context, never-bound) names -> first line referenced."""
-    bound = _bound_names(fn_node)
+    bound = bound_names(fn_node) | {fn_node.name}
     free: Dict[str, int] = {}
     for node in ast.walk(fn_node):
         if (
@@ -164,25 +144,37 @@ def audit_loop_source(
                 )
             )
 
-    # RP503 — every fault handler must resume or classify.
-    handlers = [
-        node for node in ast.walk(fn_node)
-        if isinstance(node, ast.ExceptHandler)
-    ]
-    if not handlers:
-        diagnostics.append(
-            Diagnostic(
-                "RP503",
-                "generated loop has no fault handler at all; a plugin "
-                "exception would unwind the whole batch instead of being "
-                "charged to the faulting plugin's domain",
-                subject=subject,
-                hint="every emitted plugin call must sit inside a "
-                "try/except that splits or classifies the fault",
+    # RP503 — every plugin call is guarded, every handler resumes or
+    # classifies.  A loop with no plugin call has nothing to guard.
+    tries = [node for node in ast.walk(fn_node) if isinstance(node, ast.Try)]
+    guarded = {
+        id(node)
+        for block in tries if block.handlers
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    for node in ast.walk(fn_node):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("process", "dequeue")
+            and id(node) not in guarded
+        ):
+            diagnostics.append(
+                Diagnostic(
+                    "RP503",
+                    f"generated .{node.func.attr}() call has no fault handler; "
+                    "a plugin exception would unwind the whole batch instead "
+                    "of being charged to the faulting plugin's domain",
+                    subject=subject,
+                    file="<repro.core.batch>",
+                    line=node.lineno,
+                    hint="every emitted plugin call must sit inside a "
+                    "try/except that splits or classifies the fault",
+                )
             )
-        )
-    for handler in handlers:
-        if not _handler_resumes(handler):
+    for handler in ast.walk(fn_node):
+        if isinstance(handler, ast.ExceptHandler) and not _handler_resumes(handler):
             diagnostics.append(
                 Diagnostic(
                     "RP503",
@@ -470,19 +462,6 @@ def audit_router_codegen(
                     subject=f"{subject_prefix}{gate}/{width}-bit table",
                 )
             )
-    for width, engine in sorted(
-        getattr(router.routing_table, "_engines", {}).items()
-    ):
-        if hasattr(engine, "entries") and hasattr(engine, "lookup_entry_fast"):
-            diagnostics.extend(
-                audit_engine(
-                    engine,
-                    subject=f"{subject_prefix}routing/{width}-bit engine",
-                )
-            )
+    for subject, engine in routing_engines(router, subject_prefix):
+        diagnostics.extend(audit_engine(engine, subject=subject))
     return diagnostics
-
-
-def audit_codegen(router) -> AnalysisReport:
-    """Report-typed convenience wrapper around audit_router_codegen."""
-    return AnalysisReport(audit_router_codegen(router))

@@ -1,4 +1,4 @@
-"""Shard-safety / concurrency lint (RP4xx) — plugin state that diverges
+"""Shard-safety / concurrency rules (RP4xx) — plugin state that diverges
 or breaks under the sharded data path.
 
 The sharded front end (:mod:`repro.shard`) replicates every plugin into
@@ -6,10 +6,10 @@ N shared-nothing workers and keeps them identically *configured* via
 control-plane fanout — but nothing keeps them identically *stateful*.
 Plugin state that lives anywhere other than the instance itself silently
 diverges per shard today and becomes a data race the moment a
-shared-memory backend lands.  This pass walks plugin classes, their
-data-path closure (same traversal as :mod:`repro.analysis.hotpath`),
-and — when live instances are available — the instances' actual state,
-and flags:
+shared-memory backend lands.  The rules here are generators over the
+parsed-function records of :mod:`repro.analysis.hotpath`, which lists
+them in its rule tables and runs them over the same closures as the
+RP2xx rules:
 
 * RP401 — module-level mutable globals written from a data-path hook
   (``global`` rebinds, subscript/attribute stores, or mutator calls such
@@ -19,15 +19,11 @@ and flags:
 * RP402 — class-attribute state shared across instances mutated on the
   data path (``type(self).x``/``ClassName.x`` writes, or mutation of a
   mutable class attribute never shadowed by an ``__init__`` assignment).
-* RP403 — fork/codec-hostile instance state: open files, sockets,
-  locks, threads, generators.  These break :class:`ShardWorkerPool`'s
-  post-fork plugin factory (the object cannot be re-created identically
-  in the child) and can never transit the descriptor codec.
 * RP404 — query-topic payloads the one cross-child aggregation,
   :meth:`repro.mgr.fanout.Fanout.query`, cannot merge: the sum-merge
   rule understands numeric/bool/str leaves and nested dicts; anything
   else (lists, arbitrary objects) silently takes shard 0's value and
-  drops the rest.
+  drops the rest.  (Not a source rule: it audits live payloads.)
 * RP405 — control commands (``handle_custom`` and its closure) whose
   configuration effect is guarded by shard-local traffic state (flow
   table contents, hit counters).  A verb of
@@ -35,37 +31,29 @@ and flags:
   fanout applies it to; deciding from local traffic makes shards diverge.
 
 Findings are suppressible with ``# rp: ignore[RP4xx]`` on the flagged
-line, exactly like the RP2xx lint.  Everything here runs on source text
+line, exactly like the RP2xx ones.  Everything here runs on source text
 and control-path object inspection — no packet flows through it.
 """
 
 from __future__ import annotations
 
 import ast
-import collections
 import collections.abc
 import inspect
-import io
-import socket
-import textwrap
-import threading
-import types
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from ..mgr.fanout import VERBS
-from .diagnostics import AnalysisReport, Diagnostic, is_suppressed
-from .hotpath import BATCH_HOOKS, ROOT_METHODS, _closure_lints
+from .diagnostics import Diagnostic
 
-#: Container types whose in-place mutation the lint recognizes.
+if TYPE_CHECKING:  # pragma: no cover - hotpath imports this module
+    from .hotpath import Finding, FunctionSource, LintRun
+
+#: Container types whose in-place mutation the lint recognizes (list,
+#: dict, set, bytearray, deque and the ``collections`` dicts all register).
 _MUTABLE_TYPES = (
-    list,
-    dict,
-    set,
-    bytearray,
-    collections.deque,
-    collections.Counter,
-    collections.defaultdict,
-    collections.OrderedDict,
+    collections.abc.MutableMapping,
+    collections.abc.MutableSequence,
+    collections.abc.MutableSet,
 )
 
 #: Method names that mutate a container in place.
@@ -74,9 +62,6 @@ _MUTATORS = {
     "extend", "extendleft", "insert", "remove", "discard", "clear",
     "setdefault", "sort", "reverse", "rotate",
 }
-
-#: Module roots whose factories produce fork/codec-hostile objects.
-_HOSTILE_MODULES = {"threading", "socket", "multiprocessing", "tempfile"}
 
 #: Attribute names that read as shard-local traffic state (RP405).
 _LOCAL_STATE_ATTRS = {
@@ -92,640 +77,209 @@ _CONFIG_CALLS = set(VERBS) | {
     "deregister_instance",
 }
 
-
-_LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
-_GENERATOR_TYPES = (
-    types.GeneratorType,
-    types.CoroutineType,
-    types.AsyncGeneratorType,
+_STATE_HINT = (
+    "move the state onto the instance (self.*) or expose it as a "
+    "telemetry metric so cross-shard merge applies"
 )
 
 
 # ----------------------------------------------------------------------
-# Per-function checks
+# RP401 / RP402 — shared state written from the data path
 # ----------------------------------------------------------------------
-class _ConcurrencyCheck:
-    """RP401/402/403/405 checks over one parsed function.
-
-    Wraps a :class:`~repro.analysis.hotpath._FunctionLint` (which did the
-    ``inspect``/``ast`` parsing and the closure discovery) and runs its
-    own walk; the hot-path lint's RP2xx findings are discarded here —
-    the two passes report independently.
-    """
-
-    def __init__(self, lint, shared_attrs: Optional[Set[str]] = None):
-        self.lint = lint
-        self.fn = lint.fn
-        self.owner = lint.owner
-        self.node = lint.node
-        self.shared_attrs = shared_attrs or set()
-        self.diagnostics: List[Diagnostic] = []
-        self.locals = self._local_bindings()
-        self.global_decls: Set[str] = set()
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Global):
-                self.global_decls.update(sub.names)
-        self.locals -= self.global_decls
-
-    def _local_bindings(self) -> Set[str]:
-        args = self.node.args
-        names = {
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        }
-        if args.vararg is not None:
-            names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            names.add(args.kwarg.arg)
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                names.add(sub.id)
-            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                for alias in sub.names:
-                    names.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(sub, ast.ExceptHandler) and sub.name:
-                names.add(sub.name)
-        return names
-
-    def emit(self, code: str, node: ast.AST, message: str, hint: str) -> None:
-        if is_suppressed(code, self.lint.source_line(node)):
-            return
-        self.diagnostics.append(
-            Diagnostic(
-                code,
-                message,
-                subject=self.lint._subject(),
-                file=self.lint.file,
-                line=self.lint.absolute_line(node),
-                hint=hint,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def run_datapath(self) -> None:
-        """RP401 + RP402 + RP403 (factory form) over a data-path hook."""
-        for node in ast.walk(self.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                self._check_store(node)
-                self.check_class_alias_store(node)
-                self._check_self_factory_assign(node, in_init=False)
-            elif isinstance(node, ast.Call):
-                self._check_mutator_call(node)
-
-    def run_init(self) -> None:
-        """RP403 (factory form) over ``__init__``: hostile state created
-        at construction time breaks the post-fork factory just as badly
-        as state created per packet."""
-        for node in ast.walk(self.node):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                self._check_self_factory_assign(node, in_init=True)
-
-    def _check_self_factory_assign(self, node: ast.AST, in_init: bool) -> None:
-        """RP403 fires only on hostile objects *stored on the instance*
-        — a scoped ``with open(...)`` temporary is RP201's business."""
-        targets: List[ast.expr] = []
-        value = None
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-        if value is None or not isinstance(value, ast.Call):
-            return
-        stores_on_self = any(
-            isinstance(t, ast.Attribute)
-            and isinstance(t.value, ast.Name)
-            and t.value.id == "self"
-            for t in targets
-        )
-        if stores_on_self:
-            self._check_hostile_factory(value, in_init=in_init)
-
-    def run_control(self) -> None:
-        """RP405 over a control-path handler (``handle_custom``)."""
-        for node in ast.walk(self.node):
-            if isinstance(node, ast.If) and self._reads_local_state(node.test):
-                call = self._config_call_in(node.body + node.orelse)
-                if call is not None:
-                    self.emit(
-                        "RP405",
-                        node,
-                        f"control command calls {call}() only when shard-local "
-                        "traffic state says so; each shard will decide "
-                        "differently and the fanout diverges",
-                        "decide on the control plane from the aggregated "
-                        "query() view, then fan out unconditionally",
-                    )
-
-    # ------------------------------------------------------------------
-    # RP401
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _root_name(expr: ast.expr) -> Tuple[Optional[str], List[str]]:
-        """(root Name id, attribute chain) of a dotted/subscripted target."""
-        chain: List[str] = []
-        node = expr
-        while True:
-            if isinstance(node, ast.Attribute):
-                chain.append(node.attr)
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value
-            elif isinstance(node, ast.Name):
-                chain.reverse()
-                return node.id, chain
-            else:
-                return None, []
-
-    def _module_global(self, name: str):
-        """The module-level object ``name`` resolves to from this
-        function, or None when it is local, missing, or innocuous
-        (modules, classes, and functions are code, not state)."""
-        if name in self.locals or name == "self":
-            return None
-        obj = self.fn.__globals__.get(name)
-        if obj is None:
-            return None
-        if inspect.ismodule(obj) or isinstance(obj, type) or callable(obj):
-            return None
-        return obj
-
-    @staticmethod
-    def _is_mutable_state(obj) -> bool:
-        if isinstance(obj, _MUTABLE_TYPES):
-            return True
-        if isinstance(
-            obj,
-            (
-                collections.abc.MutableMapping,
-                collections.abc.MutableSequence,
-                collections.abc.MutableSet,
-            ),
-        ):
-            return True
-        # A module-level instance with mutable attribute storage is a
-        # stats object / registry — attribute stores into it diverge
-        # per shard exactly like a dict.
-        return hasattr(obj, "__dict__") or hasattr(type(obj), "__slots__")
-
-    def _check_store(self, node: ast.AST) -> None:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if target.id in self.global_decls:
-                    self.emit(
-                        "RP401",
-                        node,
-                        f"rebinds module global {target.id!r} from a "
-                        "data-path hook; each shard rebinds its own copy",
-                        "keep per-flow/per-plugin state on the instance "
-                        "(self.*); it is created identically in every shard",
-                    )
-                continue
-            if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                continue
-            root, chain = self._root_name(target)
-            if root is None:
-                continue
-            if root == "self":
-                self._check_self_store(node, target, chain)
-                continue
-            if self._is_class_alias(target):
-                continue  # handled as RP402 by _check_self_store path
-            obj = self._module_global(root)
-            if obj is not None and self._is_mutable_state(obj):
-                self.emit(
-                    "RP401",
-                    node,
-                    f"writes into module-level mutable global {root!r} from "
-                    "a data-path hook; shards each mutate their own copy "
-                    "and diverge",
-                    "move the state onto the instance (self.*) or expose it "
-                    "as a telemetry metric so cross-shard merge applies",
-                )
-
-    def _check_mutator_call(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _MUTATORS:
-            return
-        root, chain = self._root_name(func)
-        if root is None or not chain:
-            return
-        holder_chain = chain[:-1]
-        if root == "self":
-            if (
-                len(holder_chain) >= 1
-                and holder_chain[0] in self.shared_attrs
-            ):
-                self._emit_shared_attr(node, holder_chain[0], func.attr)
-            return
-        if self._class_alias_root(func) is not None:
-            cls_attr = holder_chain[0] if holder_chain else None
-            if cls_attr is not None:
-                self._emit_shared_attr(node, cls_attr, func.attr)
-            return
-        obj = self._module_global(root)
-        if obj is None:
-            return
-        holder = obj
-        for attr in holder_chain:
-            holder = getattr(holder, attr, None)
-            if holder is None:
-                return
-        if isinstance(holder, _MUTABLE_TYPES) or isinstance(
-            holder,
-            (
-                collections.abc.MutableMapping,
-                collections.abc.MutableSequence,
-                collections.abc.MutableSet,
-            ),
-        ):
-            dotted = ".".join([root, *holder_chain])
-            self.emit(
-                "RP401",
-                node,
-                f"{dotted}.{func.attr}() mutates a module-level container "
-                "from a data-path hook; shards each mutate their own copy "
-                "and diverge",
-                "move the state onto the instance (self.*) or expose it as "
-                "a telemetry metric so cross-shard merge applies",
-            )
-
-    # ------------------------------------------------------------------
-    # RP402
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _class_alias_node(expr: ast.expr) -> Optional[ast.expr]:
-        """The ``type(self)`` / ``self.__class__`` root of ``expr``."""
-        node = expr
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            parent = node
+def _root_name(expr: ast.expr) -> Tuple[Optional[str], List[str]]:
+    """(root Name id, attribute chain) of a dotted/subscripted target."""
+    chain: List[str] = []
+    node = expr
+    while True:
+        if isinstance(node, ast.Attribute):
+            chain.append(node.attr)
             node = node.value
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "type"
-                and len(node.args) == 1
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == "self"
-            ):
-                return parent
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "__class__"
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                return parent
-        return None
+        elif isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Name):
+            chain.reverse()
+            return node.id, chain
+        else:
+            return None, []
 
-    def _class_alias_root(self, expr: ast.expr) -> Optional[ast.expr]:
-        alias = self._class_alias_node(expr)
-        if alias is not None:
-            return alias
-        root, _ = self._root_name(expr)
-        if root is None or self.owner is None:
-            return None
-        mro_names = {base.__name__ for base in self.owner.__mro__[:-1]}
-        if root in mro_names and self.fn.__globals__.get(root) in set(
-            self.owner.__mro__
+
+def _module_global(source: FunctionSource, name: str):
+    """The module-level object ``name`` resolves to from this function,
+    or None when it is local, missing, or innocuous (modules, classes,
+    and functions are code, not state)."""
+    if name in source.bound or name == "self":
+        return None
+    obj = source.fn.__globals__.get(name)
+    if obj is None or inspect.ismodule(obj) or isinstance(obj, type) or callable(obj):
+        return None
+    return obj
+
+
+def _class_alias(source: FunctionSource, expr: ast.expr) -> Optional[ast.expr]:
+    """The node naming the class attribute when ``expr`` is rooted at
+    ``type(self)`` / ``self.__class__`` / a class of the owner's MRO."""
+    node = expr
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        parent = node
+        node = node.value
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "type"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "self"
+        ) or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__class__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
         ):
-            return expr
+            return parent
+    root, _ = _root_name(expr)
+    if root is None or source.owner is None:
         return None
-
-    def _is_class_alias(self, expr: ast.expr) -> bool:
-        return self._class_alias_root(expr) is not None
-
-    def _check_self_store(
-        self, node: ast.AST, target: ast.expr, chain: List[str]
-    ) -> None:
-        if chain and chain[0] in self.shared_attrs:
-            if isinstance(target, ast.Attribute) and len(chain) == 1:
-                return  # plain rebind self.x = ... creates instance state
-            self._emit_shared_attr(node, chain[0], "[...]=")
-
-    def _emit_shared_attr(self, node: ast.AST, attr: str, how: str) -> None:
-        owner_name = self.owner.__name__ if self.owner else "?"
-        self.emit(
-            "RP402",
-            node,
-            f"mutates class attribute {owner_name}.{attr} ({how}), which "
-            "every instance — and after fanout, every shard — shares",
-            f"initialize per-instance state in __init__ "
-            f"(self.{attr} = ...) instead of a class-level default",
-        )
-
-    def check_class_alias_store(self, node: ast.AST) -> None:
-        """Direct class-attribute writes: ``type(self).x = ...``."""
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            alias = self._class_alias_root(target)
-            if alias is None:
-                continue
-            attr = alias.attr if isinstance(alias, ast.Attribute) else "?"
-            self._emit_shared_attr(node, attr, "=")
-
-    # ------------------------------------------------------------------
-    # RP403 (AST factory form)
-    # ------------------------------------------------------------------
-    def _check_hostile_factory(self, node: ast.Call, in_init: bool) -> None:
-        func = node.func
-        what = None
-        if isinstance(func, ast.Name):
-            if func.id == "open" and self._module_global("open") is None and (
-                "open" not in self.locals
-            ):
-                what = "open() file handle"
-        elif isinstance(func, ast.Attribute):
-            root = func.value
-            chain = [func.attr]
-            while isinstance(root, ast.Attribute):
-                chain.append(root.attr)
-                root = root.value
-            if isinstance(root, ast.Name):
-                top = root.id
-                resolved = self.fn.__globals__.get(top)
-                if inspect.ismodule(resolved):
-                    top = resolved.__name__.split(".")[0]
-                if top in _HOSTILE_MODULES and top not in self.locals:
-                    what = f"{top}.{'.'.join(reversed(chain))}() object"
-        if what is None:
-            return
-        where = "__init__" if in_init else "a data-path hook"
-        self.emit(
-            "RP403",
-            node,
-            f"creates a fork/codec-hostile {what} in {where}; it cannot "
-            "be rebuilt by ShardWorkerPool's post-fork factory and never "
-            "transits the descriptor codec",
-            "keep I/O and synchronization on the control path; instances "
-            "must hold only plain, reconstructible state (a seeded "
-            "self._rng is fine)",
-        )
-
-    # ------------------------------------------------------------------
-    # RP405 helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _reads_local_state(test: ast.expr) -> bool:
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute) and sub.attr in _LOCAL_STATE_ATTRS:
-                return True
-        return False
-
-    @staticmethod
-    def _config_call_in(body: List[ast.stmt]) -> Optional[str]:
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Call):
-                    func = sub.func
-                    name = None
-                    if isinstance(func, ast.Name):
-                        name = func.id
-                    elif isinstance(func, ast.Attribute):
-                        name = func.attr
-                    if name in _CONFIG_CALLS:
-                        return name
-        return None
-
-
-# ----------------------------------------------------------------------
-# Class-level helpers
-# ----------------------------------------------------------------------
-def _shared_mutable_attrs(cls: type) -> Set[str]:
-    """Mutable class attributes never shadowed by an ``__init__`` self
-    assignment anywhere in the MRO — the ones instances actually share."""
-    mutable: Set[str] = set()
-    for base in cls.__mro__:
-        for name, value in base.__dict__.items():
-            if isinstance(value, _MUTABLE_TYPES):
-                mutable.add(name)
-    if not mutable:
-        return mutable
-    shadowed: Set[str] = set()
-    for base in cls.__mro__:
-        init = base.__dict__.get("__init__")
-        if init is None or not inspect.isfunction(init):
-            continue
-        try:
-            source = textwrap.dedent(inspect.getsource(init))
-        except (OSError, TypeError):
-            continue
-        tree = ast.parse(source)
-        for sub in ast.walk(tree):
-            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets
-                    if isinstance(sub, ast.Assign)
-                    else [sub.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        shadowed.add(target.attr)
-    return mutable - shadowed
-
-
-def _dedup_extend(
-    out: List[Diagnostic],
-    seen: Set[Tuple[str, Optional[str], Optional[int]]],
-    found: Iterable[Diagnostic],
-) -> None:
-    for diagnostic in found:
-        key = (diagnostic.code, diagnostic.file, diagnostic.line)
-        if key not in seen:
-            seen.add(key)
-            out.append(diagnostic)
-
-
-# ----------------------------------------------------------------------
-# Live-instance object-graph scan (RP403)
-# ----------------------------------------------------------------------
-def _hostile_kind(value) -> Optional[str]:
-    if isinstance(value, io.IOBase):
-        return "open file handle"
-    if isinstance(value, socket.socket):
-        return "socket"
-    if isinstance(value, _LOCK_TYPES):
-        return "lock"
-    if isinstance(value, threading.Thread):
-        return "thread"
-    if isinstance(
-        value, (threading.Event, threading.Condition, threading.Semaphore)
-    ):
-        return "thread-synchronization primitive"
-    if isinstance(value, _GENERATOR_TYPES):
-        return "generator/coroutine"
+    mro = source.owner.__mro__
+    if root in {base.__name__ for base in mro[:-1]} and source.fn.__globals__.get(root) in mro:
+        return expr
     return None
 
 
-def _instance_state(instance) -> Dict[str, object]:
-    state: Dict[str, object] = dict(getattr(instance, "__dict__", {}) or {})
-    for base in type(instance).__mro__:
-        slots = base.__dict__.get("__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for slot in slots:
-            if slot not in state and hasattr(instance, slot):
-                state[slot] = getattr(instance, slot)
-    return state
+def _shared_mutable_attrs(cls: type, run: LintRun) -> Set[str]:
+    """Mutable class attributes never shadowed by an ``__init__`` self
+    assignment anywhere in the MRO — the ones instances actually share."""
+    mutable = {
+        name
+        for base in cls.__mro__
+        for name, value in base.__dict__.items()
+        if isinstance(value, _MUTABLE_TYPES)
+    }
+    if not mutable:
+        return mutable
+    for base in cls.__mro__:
+        init = base.__dict__.get("__init__")
+        parsed = run.get(init, base) if inspect.isfunction(init) else None
+        if parsed is not None:
+            mutable -= {parsed.self_attr(target) for _, target in parsed.stores()}
+    return mutable
 
 
-def lint_instance_state(instance, subject: Optional[str] = None) -> List[Diagnostic]:
-    """RP403 over a live instance's actual attribute values."""
-    diagnostics: List[Diagnostic] = []
-    cls = type(instance)
-    subject = subject or f"{cls.__name__} ({getattr(instance, 'name', '?')})"
-    file = None
-    line = None
-    try:
-        file = inspect.getsourcefile(cls)
-        _, line = inspect.getsourcelines(cls)
-    except (OSError, TypeError):
-        pass
-    for name, value in sorted(_instance_state(instance).items()):
-        kind = _hostile_kind(value)
-        if kind is None:
+def shared_state_writes(source: FunctionSource) -> Iterator[Finding]:
+    """RP401 (module globals) and RP402 (class attributes) written or
+    mutated in place by a data-path function."""
+    owner = source.owner
+    shared = _shared_mutable_attrs(owner, source.run) if owner is not None else set()
+
+    def rp402(node: ast.AST, attr: str, how: str) -> Finding:
+        return (
+            "RP402", node,
+            f"mutates class attribute {owner.__name__ if owner else '?'}.{attr} "
+            f"({how}), which every instance — and after fanout, every shard — shares",
+            f"initialize per-instance state in __init__ (self.{attr} = ...) "
+            "instead of a class-level default",
+        )
+
+    for stmt, target in source.stores():
+        if isinstance(target, ast.Name):
+            if target.id in source.global_decls:
+                yield (
+                    "RP401", stmt,
+                    f"rebinds module global {target.id!r} from a data-path "
+                    "hook; each shard rebinds its own copy",
+                    "keep per-flow/per-plugin state on the instance (self.*); "
+                    "it is created identically in every shard",
+                )
             continue
-        diagnostics.append(
-            Diagnostic(
-                "RP403",
-                f"instance attribute {name!r} holds a live {kind}; it "
-                "cannot be rebuilt by the post-fork plugin factory and "
-                "never transits the descriptor codec",
-                subject=subject,
-                file=file,
-                line=line,
-                hint="hold only plain, reconstructible state on instances "
-                "(a seeded self._rng is fine); do I/O on the control path",
+        if not isinstance(target, (ast.Attribute, ast.Subscript)):
+            continue
+        root, chain = _root_name(target)
+        alias = _class_alias(source, target)
+        if alias is not None:  # type(self).x = ...
+            yield rp402(stmt, alias.attr if isinstance(alias, ast.Attribute) else "?", "=")
+        elif root == "self":
+            # A plain rebind ``self.x = ...`` creates instance state.
+            if chain and chain[0] in shared and source.self_attr(target) is None:
+                yield rp402(stmt, chain[0], "[...]=")
+        elif root is not None:
+            obj = _module_global(source, root)
+            # A module-level instance with mutable attribute storage is a
+            # stats object / registry — attribute stores into it diverge
+            # per shard exactly like a dict.
+            if obj is not None and (
+                isinstance(obj, _MUTABLE_TYPES)
+                or hasattr(obj, "__dict__")
+                or hasattr(type(obj), "__slots__")
+            ):
+                yield (
+                    "RP401", stmt,
+                    f"writes into module-level mutable global {root!r} from "
+                    "a data-path hook; shards each mutate their own copy and "
+                    "diverge",
+                    _STATE_HINT,
+                )
+
+    for node in source.nodes:
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            continue
+        root, chain = _root_name(node.func)
+        holders = chain[:-1]
+        if root is None:
+            continue
+        if root == "self":
+            if holders and holders[0] in shared:
+                yield rp402(node, holders[0], node.func.attr)
+        elif _class_alias(source, node.func) is not None:
+            if holders:
+                yield rp402(node, holders[0], node.func.attr)
+        else:
+            holder = _module_global(source, root)
+            for attr in holders:
+                holder = getattr(holder, attr, None)
+            if isinstance(holder, _MUTABLE_TYPES):
+                yield (
+                    "RP401", node,
+                    f"{'.'.join([root, *holders])}.{node.func.attr}() mutates a "
+                    "module-level container from a data-path hook; shards "
+                    "each mutate their own copy and diverge",
+                    _STATE_HINT,
+                )
+
+
+# ----------------------------------------------------------------------
+# RP405 — control commands guarded by shard-local state
+# ----------------------------------------------------------------------
+def _config_call_in(body: List[ast.stmt]) -> Optional[str]:
+    for stmt in body:
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if name in _CONFIG_CALLS:
+                    return name
+    return None
+
+
+def local_state_guards(source: FunctionSource) -> Iterator[Finding]:
+    """RP405 over a control-path handler (``handle_custom``)."""
+    for node in source.nodes:
+        if not isinstance(node, ast.If) or not any(
+            isinstance(sub, ast.Attribute) and sub.attr in _LOCAL_STATE_ATTRS
+            for sub in ast.walk(node.test)
+        ):
+            continue
+        call = _config_call_in(node.body + node.orelse)
+        if call is not None:
+            yield (
+                "RP405", node,
+                f"control command calls {call}() only when shard-local "
+                "traffic state says so; each shard will decide "
+                "differently and the fanout diverges",
+                "decide on the control plane from the aggregated "
+                "query() view, then fan out unconditionally",
             )
-        )
-    return diagnostics
-
-
-# ----------------------------------------------------------------------
-# Plugin entry points
-# ----------------------------------------------------------------------
-def lint_plugin_concurrency(plugin) -> List[Diagnostic]:
-    """RP401/402/403/405 over one plugin (class or live object)."""
-    plugin_cls = plugin if isinstance(plugin, type) else type(plugin)
-    from .hotpath import _instance_classes, _lintable
-
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    instance_classes = _instance_classes(plugin_cls)
-    for instance_cls in instance_classes:
-        shared = _shared_mutable_attrs(instance_cls)
-        for method_name in (*ROOT_METHODS, *BATCH_HOOKS):
-            root = getattr(instance_cls, method_name, None)
-            if root is None or not callable(root):
-                continue
-            for lint in _closure_lints(root, instance_cls):
-                check = _ConcurrencyCheck(lint, shared_attrs=shared)
-                check.run_datapath()
-                _dedup_extend(diagnostics, seen, check.diagnostics)
-        init = instance_cls.__dict__.get("__init__")
-        if init is not None and inspect.isfunction(init) and _lintable(init):
-            for lint in _closure_lints(init, instance_cls):
-                check = _ConcurrencyCheck(lint, shared_attrs=shared)
-                check.run_init()
-                _dedup_extend(diagnostics, seen, check.diagnostics)
-    for cls in (plugin_cls, *instance_classes):
-        handler = cls.__dict__.get("handle_custom")
-        if handler is None or not inspect.isfunction(handler):
-            continue
-        if not _lintable(handler):
-            continue
-        for lint in _closure_lints(handler, cls):
-            check = _ConcurrencyCheck(lint)
-            check.run_control()
-            _dedup_extend(diagnostics, seen, check.diagnostics)
-    if not isinstance(plugin, type):
-        for instance in getattr(plugin, "instances", ()):
-            _dedup_extend(diagnostics, seen, lint_instance_state(instance))
-    return diagnostics
-
-
-def lint_plugins_concurrency(plugins: Iterable[object]) -> AnalysisReport:
-    report = AnalysisReport()
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for plugin in plugins:
-        _dedup_extend(report.diagnostics, seen, lint_plugin_concurrency(plugin))
-    return report
-
-
-def lint_builtin_concurrency() -> AnalysisReport:
-    from .hotpath import builtin_plugin_classes
-
-    return lint_plugins_concurrency(builtin_plugin_classes())
-
-
-# ----------------------------------------------------------------------
-# Module sweep (the self-lint over repro.shard / repro.core.batch)
-# ----------------------------------------------------------------------
-def lint_module_concurrency(module) -> List[Diagnostic]:
-    """RP401/402 over every function and method defined in ``module``.
-
-    Used by the self-lint to hold the shard/batch layers themselves to
-    the same standard as plugins: the dispatch loop, worker pool, and
-    generated-loop compiler must not stash state in module globals."""
-    from .hotpath import _FunctionLint, _lintable
-
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-
-    def _sweep(fn, owner: Optional[type]) -> None:
-        if not _lintable(fn):
-            return
-        lint = _FunctionLint(fn, owner)
-        shared = _shared_mutable_attrs(owner) if owner is not None else set()
-        check = _ConcurrencyCheck(lint, shared_attrs=shared)
-        check.run_datapath()
-        _dedup_extend(diagnostics, seen, check.diagnostics)
-
-    for name in sorted(vars(module)):
-        obj = vars(module)[name]
-        if inspect.isfunction(obj) and obj.__module__ == module.__name__:
-            _sweep(obj, None)
-        elif isinstance(obj, type) and obj.__module__ == module.__name__:
-            for attr_name in sorted(vars(obj)):
-                member = vars(obj)[attr_name]
-                if inspect.isfunction(member):
-                    _sweep(member, obj)
-    return diagnostics
-
-
-def lint_shard_concurrency() -> AnalysisReport:
-    """The self-lint sweep: RP4xx over ``repro.shard`` and the batch
-    compiler themselves."""
-    import importlib
-
-    report = AnalysisReport()
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for module_name in (
-        "repro.shard.dispatch",
-        "repro.shard.mp",
-        "repro.shard.sharded",
-        "repro.shard.control",
-        "repro.core.batch",
-    ):
-        module = importlib.import_module(module_name)
-        _dedup_extend(
-            report.diagnostics, seen, lint_module_concurrency(module)
-        )
-    return report
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP205": (ERROR, "packet-bytes touch without a cost-model charge"),
     "RP206": (WARNING, "over-broad except Exception on the data path"),
     "RP207": (WARNING, "metric emission bypasses the telemetry registry"),
-    "RP208": (WARNING, "per-packet recomputation of loop-invariant work in a batch hook"),
     "RP209": (ERROR, "process-seeded builtin hash() on packet/flow state"),
     "RP210": (WARNING, "suppression names an unknown diagnostic code"),
     # RP3xx — compiled/interpreted equivalence (repro.analysis.equivalence).
@@ -48,7 +47,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     # RP4xx — shard-safety / concurrency (repro.analysis.concurrency).
     "RP401": (ERROR, "module-global mutable state written from a data-path hook"),
     "RP402": (ERROR, "class-attribute state shared across instances mutated on the data path"),
-    "RP403": (ERROR, "fork/codec-hostile instance state (file, socket, lock, thread, generator)"),
     "RP404": (WARNING, "query payload not mergeable by cross-shard aggregation"),
     "RP405": (WARNING, "control-command effect depends on shard-local traffic state"),
     # RP5xx — exec-codegen audit (repro.analysis.codegen_audit).
@@ -200,65 +198,6 @@ class AnalysisReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    def to_sarif(self, tool_name: str = "repro-analyze") -> Dict[str, object]:
-        """SARIF 2.1.0 rendering: one rule per registry code (the rule
-        set is stable, not just the codes that fired), one result per
-        diagnostic.  CI uploads this for inline annotations."""
-        level_of = {ERROR: "error", WARNING: "warning", INFO: "note"}
-        codes = sorted(CODES)
-        index = {code: i for i, code in enumerate(codes)}
-        rules: List[Dict[str, object]] = [
-            {
-                "id": code,
-                "shortDescription": {"text": CODES[code][1]},
-                "defaultConfiguration": {"level": level_of[CODES[code][0]]},
-            }
-            for code in codes
-        ]
-        results: List[Dict[str, object]] = []
-        for d in self.diagnostics:
-            text = d.message if not d.hint else f"{d.message} (hint: {d.hint})"
-            result: Dict[str, object] = {
-                "ruleId": d.code,
-                "ruleIndex": index[d.code],
-                "level": level_of[d.severity],
-                "message": {"text": text},
-            }
-            location: Dict[str, object] = {}
-            if d.file is not None:
-                physical: Dict[str, object] = {
-                    "artifactLocation": {"uri": d.file}
-                }
-                if d.line is not None:
-                    physical["region"] = {"startLine": d.line}
-                location["physicalLocation"] = physical
-            if d.subject:
-                location["logicalLocations"] = [
-                    {"fullyQualifiedName": d.subject}
-                ]
-            if location:
-                result["locations"] = [location]
-            results.append(result)
-        return {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": tool_name,
-                            "informationUri": "docs/STATIC_ANALYSIS.md",
-                            "rules": rules,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-
-    def to_sarif_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_sarif(), indent=indent)
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)

@@ -21,7 +21,7 @@ safe to run against live tables from the control path.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..aiu.filters import PORT_MAX
 from ..net.addresses import IPAddress, prefix_range
@@ -194,9 +194,9 @@ def verify_aiu(aiu) -> AnalysisReport:
     return report
 
 
-def verify_engines(engines: Sequence, subject_prefix: str = "") -> AnalysisReport:
-    report = AnalysisReport()
-    for engine in engines:
-        name = f"{subject_prefix}{type(engine).__name__}/{engine.width}"
-        report.extend(verify_engine(engine, subject=name))
-    return report
+def routing_engines(router, subject_prefix: str = "") -> Iterator[Tuple[str, object]]:
+    """``(subject, engine)`` for every BMP-backed engine of a router's
+    routing table, in width order."""
+    for width, engine in sorted(getattr(router.routing_table, "_engines", {}).items()):
+        if hasattr(engine, "entries") and hasattr(engine, "lookup_entry_fast"):
+            yield f"{subject_prefix}routing/{width}-bit engine", engine

@@ -1,14 +1,18 @@
-"""Plugin hot-path lint (RP2xx) — AST checks over data-path methods.
+"""Plugin lint — one pass over one parse; the RP2xx hot-path rules.
 
 The data path must never block, must be deterministic (replayable seeded
 simulations are the repo's ground truth), must not swallow faults the
 circuit breaker needs to see, and must charge the :mod:`repro.sim.cost`
 model for any packet-byte work so modelled-cycle experiments stay
-honest.  This lint walks the AST of every data-path root method
-(``process``, ``enqueue``, ``dequeue``, ``on_flow_created``,
-``on_flow_removed``) of a plugin's instance classes, following the
+honest.  The lint walks every data-path root method (``process``,
+``enqueue``, ``dequeue``, ``on_flow_created``, ``on_flow_removed``,
+``on_batch_start``) of a plugin's instance classes, following the
 transitive closure of ``self.*``/``super()`` method calls and
-same-package helper functions, and flags:
+same-package helper functions.  Every ``(function, owner)`` pair in that
+closure is parsed once per run into a :class:`FunctionSource`, and every
+rule — the RP2xx ones below and the RP4xx ones of
+:mod:`repro.analysis.concurrency` — is a generator over that record,
+listed in one table per root kind (:data:`RULES`).  This module's rules:
 
 * RP201 — blocking I/O (``open``/``input``, ``socket``/``subprocess``/
   ``requests``/``urllib``, ``time.sleep``, ``os.system`` & co).
@@ -20,7 +24,7 @@ same-package helper functions, and flags:
   declares ``__slots__``.
 * RP205 — packet-byte touches (``.payload`` access, ``.serialize()``)
   with no ``charge``/``charge_memory``/``access`` call anywhere in the
-  root's closure.
+  root's closure (the one closure-level rule).
 * RP206 — ``except Exception`` (warning; the fault domains already
   contain plugin exceptions, catching them hides real bugs).
 * RP207 — metric emission that bypasses the telemetry registry: a
@@ -28,14 +32,10 @@ same-package helper functions, and flags:
   ``self.counters[...] += 1``, …) on the data path.  Plugin-local metrics
   belong in registry handles grabbed at bind time (docs/OBSERVABILITY.md)
   so exporters and ``pmgr show telemetry`` can see them.
-* RP208 — per-packet work inside a batch hook (``on_batch_start``,
-  ``process_batch``, ``on_batch_end``) that does not depend on the
-  packet being iterated: an assignment inside a loop over a hook
-  parameter whose right-hand side calls or dereferences only
-  loop-invariant names.  The whole point of the batch hooks is hoisting
-  such work to one evaluation per batch (docs/PERFORMANCE.md, "Batched
-  pipeline"); recomputing it per packet silently re-creates the scalar
-  overhead the compiled batch loops removed.
+* RP209 — builtin ``hash()`` on a non-constant argument: process-seeded,
+  so the same packet hashes differently in different workers.
+* RP210 — a ``# rp: ignore[...]`` comment naming a code that does not
+  exist suppresses nothing.
 
 Findings on a source line carrying ``# rp: ignore[RPxxx]`` (or a blanket
 ``# rp: ignore``) are suppressed.  Everything runs on source text via
@@ -45,12 +45,15 @@ Findings on a source line carrying ``# rp: ignore[RPxxx]`` (or a blanket
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 import inspect
 import sys
 import textwrap
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core.plugin import PluginInstance
+from ..core.plugin import Plugin, PluginInstance
+from . import concurrency
 from .diagnostics import (
     AnalysisReport,
     Diagnostic,
@@ -58,19 +61,40 @@ from .diagnostics import (
     unknown_suppressed_codes,
 )
 
-#: Data-path root methods, per the plugin/scheduler contracts.
-ROOT_METHODS = ("process", "enqueue", "dequeue", "on_flow_created", "on_flow_removed")
+#: Data-path root methods, per the plugin/scheduler contracts (the last
+#: is the batch hook ``repro.core.router.BATCH_START_HOOK``).
+ROOT_METHODS = (
+    "process", "enqueue", "dequeue", "on_flow_created", "on_flow_removed",
+    "on_batch_start",
+)
 
-#: Batch-pipeline hooks (repro.core.batch): called once per batch, so
-#: they are data-path roots too — and additionally get the RP208
-#: loop-invariance check.
-BATCH_HOOKS = ("on_batch_start", "process_batch", "on_batch_end")
-
-_BLOCKING_BUILTINS = {"open", "input"}
-_BLOCKING_MODULES = {"socket", "subprocess", "requests", "urllib", "http", "select"}
 _BLOCKING_OS = {"system", "popen", "read", "write", "open", "fork", "wait"}
-_NONDET_MODULES = {"random", "uuid", "secrets"}
-_NONDET_DATETIME = {"now", "utcnow", "today"}
+#: ``(top-level module, attrs or None for any) -> code``; first match wins.
+_CALL_TABLE: Tuple[Tuple[str, Optional[Set[str]], str], ...] = (
+    ("builtins", {"open", "input"}, "RP201"),
+    *((module, None, "RP201") for module in (
+        "socket", "subprocess", "requests", "urllib", "http", "select")),
+    ("time", {"sleep"}, "RP201"),
+    ("time", None, "RP202"),
+    *((module, None, "RP202") for module in ("random", "uuid", "secrets")),
+    ("os", {"urandom"}, "RP202"),
+    ("os", _BLOCKING_OS, "RP201"),
+    ("datetime", {"now", "utcnow", "today"}, "RP202"),
+)
+_CALL_TEXT = {
+    "RP201": (
+        "blocks the data path",
+        "move I/O to the control path (a plugin message handler); "
+        "schedulers return CONSUMED and rely on dequeue(now)",
+    ),
+    "RP202": (
+        "is nondeterministic on the data path",
+        "use a seeded RNG created in __init__ (self._rng) or take time "
+        "from ctx.now; the simulator owns the clock",
+    ),
+}
+#: The C implementations behind ``os`` report these as ``__module__``.
+_MODULE_ALIASES = {"posix": "os", "nt": "os"}
 _CHARGE_NAMES = {"charge", "charge_memory", "access"}
 _TOUCH_ATTRS = {"payload"}
 _TOUCH_CALLS = {"serialize"}
@@ -80,430 +104,217 @@ _METRIC_ATTRS = {
     "telemetry", "meters",
 }
 
+#: What a rule yields: ``(code, node, message, hint)``.
+Finding = Tuple[str, ast.AST, str, str]
+Rule = Callable[["FunctionSource"], Iterator[Finding]]
 
-class _FunctionLint:
-    """One function's parsed source plus its per-function findings."""
 
-    def __init__(self, fn, owner: Optional[type]):
+def bound_names(fn_node: ast.FunctionDef) -> Set[str]:
+    """Names a function body binds locally: parameters, stores, imports,
+    ``except ... as`` names and nested definitions, minus ``global``
+    declarations.  Shared by the RP4xx rules and the RP501 audit."""
+    args = fn_node.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    bound.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    declared_global: Set[str] = set()
+    for node in ast.walk(fn_node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn_node:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+    return bound - declared_global
+
+
+def dotted_call(func: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
+    """``root.a.b`` -> (root expression, ["a", "b"]); a bare name is its
+    own root with an empty chain."""
+    chain: List[str] = []
+    while isinstance(func, ast.Attribute):
+        chain.append(func.attr)
+        func = func.value
+    chain.reverse()
+    return func, chain
+
+
+class FunctionSource:
+    """One ``(function, owner)`` pair, parsed once per lint run: source
+    lines, AST nodes, locally bound names, local imports, and the
+    ``self.x()`` / ``super().x()`` / same-package callees the closure
+    walk follows.  Rules read it; none re-parses."""
+
+    def __init__(self, fn, owner: Optional[type], run: LintRun):
         self.fn = fn
         self.owner = owner
+        self.run = run
         self.file = inspect.getsourcefile(fn)
-        lines, start = inspect.getsourcelines(fn)
-        self.lines = lines
-        self.start = start
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        self.node = tree.body[0]
-        # Function-local imports (``import time`` inside the body) bind
-        # names that never appear in ``fn.__globals__``; track them so
-        # local imports cannot smuggle blocking modules past the lint.
-        self.local_modules: Dict[str, str] = {}          # alias -> module
-        self.local_names: Dict[str, Tuple[str, str]] = {}  # alias -> (module, attr)
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Import):
-                for alias in sub.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    self.local_modules[bound] = alias.name
-            elif isinstance(sub, ast.ImportFrom) and sub.module and sub.level == 0:
-                for alias in sub.names:
-                    bound = alias.asname or alias.name
-                    self.local_names[bound] = (sub.module, alias.name)
-        self.calls_self: Set[str] = set()
-        self.calls_super: Set[str] = set()
-        self.calls_global: Set[str] = set()
-        self.has_charge = False
-        self.touches: List[Tuple[int, str]] = []      # (lineno, what)
-        self.diagnostics: List[Diagnostic] = []
-
-    def absolute_line(self, node: ast.AST) -> int:
-        return self.start + getattr(node, "lineno", 1) - 1
-
-    def source_line(self, node: ast.AST) -> str:
-        index = getattr(node, "lineno", 1) - 1
-        if 0 <= index < len(self.lines):
-            return self.lines[index]
-        return ""
-
-    def emit(self, code: str, node: ast.AST, message: str, hint: str) -> None:
-        if is_suppressed(code, self.source_line(node)):
-            return
-        subject = self._subject()
-        self.diagnostics.append(
-            Diagnostic(
-                code,
-                message,
-                subject=subject,
-                file=self.file,
-                line=self.absolute_line(node),
-                hint=hint,
-            )
+        self.lines, self.start = inspect.getsourcelines(fn)
+        tree = ast.parse(textwrap.dedent("".join(self.lines)))
+        self.node: ast.FunctionDef = tree.body[0]  # type: ignore[assignment]
+        self.nodes = list(ast.walk(self.node))
+        self.subject = (
+            f"{owner.__name__}.{fn.__name__}" if owner is not None
+            else getattr(fn, "__qualname__", fn.__name__)
         )
+        self.bound = bound_names(self.node)
+        self.global_decls: Set[str] = set()
+        # Function-local imports bind names that never appear in
+        # ``fn.__globals__``; track them so local imports cannot smuggle
+        # blocking modules past the lint.  alias -> (module, attr | None).
+        self.imports: Dict[str, Tuple[str, Optional[str]]] = {}
+        self.callees: List[Tuple[object, Optional[type]]] = []
+        self.charges = False
+        self.touches: List[Tuple[ast.AST, str]] = []
+        for node in self.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.imports[alias.asname or alias.name.split(".")[0]] = (alias.name, None)
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    self.imports[alias.asname or alias.name] = (node.module, alias.name)
+            elif isinstance(node, ast.Global):
+                self.global_decls.update(node.names)
+            elif isinstance(node, ast.Attribute) and node.attr in _TOUCH_ATTRS:
+                self.touches.append((node, f".{node.attr}"))
+            elif isinstance(node, ast.Call):
+                self._note_call(node)
 
-    def _subject(self) -> str:
-        qual = getattr(self.fn, "__qualname__", getattr(self.fn, "__name__", "?"))
-        if self.owner is not None:
-            return f"{self.owner.__name__}.{self.fn.__name__}"
-        return qual
-
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        slots = _slot_union(self.owner) if self.owner is not None else None
-        for node in ast.walk(self.node):
-            if isinstance(node, ast.Call):
-                self._check_call(node)
-            elif isinstance(node, ast.ExceptHandler):
-                self._check_except(node)
-            elif isinstance(node, ast.Attribute):
-                if node.attr in _TOUCH_ATTRS:
-                    self.touches.append((self.absolute_line(node), f".{node.attr}"))
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                if slots is not None:
-                    self._check_slots_assign(node, slots)
-                self._check_metric_assign(node)
-        self._check_suppressions()
-
-    def _check_suppressions(self) -> None:
-        """RP210: a ``# rp: ignore[...]`` comment naming a code that does
-        not exist suppresses nothing — usually a typo that leaves the
-        author believing a finding is handled."""
-        for offset, line in enumerate(self.lines):
-            unknown = sorted(unknown_suppressed_codes(line))
-            if not unknown or is_suppressed("RP210", line):
-                continue
-            self.diagnostics.append(
-                Diagnostic(
-                    "RP210",
-                    "suppression names unknown diagnostic code(s) "
-                    f"{', '.join(unknown)}; nothing is suppressed",
-                    subject=self._subject(),
-                    file=self.file,
-                    line=self.start + offset,
-                    hint="valid codes are listed in docs/STATIC_ANALYSIS.md; "
-                    "fix the typo or drop the comment",
-                )
-            )
-
-    # ------------------------------------------------------------------
-    def _check_call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _CHARGE_NAMES:
-                self.has_charge = True
-            if func.attr in _TOUCH_CALLS:
-                self.touches.append((self.absolute_line(node), f".{func.attr}()"))
-            self._check_dotted(node, func)
+    def _note_call(self, node: ast.Call) -> None:
+        root, chain = dotted_call(node.func)
+        if chain and chain[-1] in _CHARGE_NAMES:
+            self.charges = True
+        if chain and chain[-1] in _TOUCH_CALLS:
+            self.touches.append((node, f".{chain[-1]}()"))
+        owner = self.owner
+        targets: List[Tuple[object, Optional[type]]] = []
+        if isinstance(root, ast.Name) and not chain:
+            # Same-package helper: followed as an unowned function.
+            target = None if root.id in self.bound else self.fn.__globals__.get(root.id)
+            if inspect.isfunction(target) and (target.__module__ or "").startswith("repro."):
+                targets.append((target, None))
+        elif len(chain) != 1 or owner is None:
             return
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in _BLOCKING_BUILTINS:
-                self.emit(
-                    "RP201",
-                    node,
-                    f"call to {name}() blocks the data path",
-                    "move I/O to the control path (a plugin message handler)",
-                )
-                return
-            if (
-                name == "hash"
-                and name not in self.local_names
-                and self.fn.__globals__.get(name) is None
-                and node.args
-                and not isinstance(node.args[0], ast.Constant)
-            ):
-                self.emit(
-                    "RP209",
-                    node,
+        elif isinstance(root, ast.Name) and root.id == "self":
+            # Resolved on the concrete class, so subclass overrides (the
+            # hardware crypto ``_charge_crypto``) are honored.
+            targets.append((getattr(owner, chain[0], None), owner))
+        elif (
+            isinstance(root, ast.Call)
+            and isinstance(root.func, ast.Name)
+            and root.func.id == "super"
+        ):
+            targets.extend((base.__dict__.get(chain[0]), owner) for base in owner.__mro__[1:])
+        for target, target_owner in targets:
+            if callable(target) and not isinstance(target, type):
+                self.callees.append((target, target_owner))
+
+    @staticmethod
+    def self_attr(expr: ast.AST) -> Optional[str]:
+        """``X`` when ``expr`` is the attribute ``self.X``, else None."""
+        if (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+        ):
+            return expr.attr
+        return None
+
+    def stores(self) -> Iterator[Tuple[ast.stmt, ast.expr]]:
+        """Every ``(statement, target)`` of the body's assignments."""
+        for node in self.nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    yield node, target
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                yield node, node.target
+
+    def resolve(self, func: ast.expr) -> Optional[Tuple[str, str]]:
+        """The one call resolver: ``(top-level module, dotted attr)`` a
+        called expression refers to — its root name looked up through the
+        function's local imports, then ``fn.__globals__``, then the
+        builtins — or None (``self._rng.random()`` is never confused with
+        module-level ``random.random()``)."""
+        root, chain = dotted_call(func)
+        if not isinstance(root, ast.Name):
+            return None
+        if root.id in self.imports:
+            module, attr = self.imports[root.id]
+        elif root.id in self.bound:
+            return None
+        else:
+            target = self.fn.__globals__.get(root.id)
+            if target is None:
+                module, attr = "builtins", root.id
+                if not hasattr(builtins, root.id):
+                    return None
+            elif inspect.ismodule(target):
+                module, attr = target.__name__, None
+            else:
+                module = getattr(target, "__module__", None)
+                attr = getattr(target, "__name__", None)
+                if not module or not attr:
+                    return None  # an instance, not an imported callable
+        dotted = ".".join(chain if attr is None else [attr, *chain])
+        top = module.split(".")[0]
+        return (_MODULE_ALIASES.get(top, top), dotted) if dotted else None
+
+
+# ----------------------------------------------------------------------
+# Per-function rules
+# ----------------------------------------------------------------------
+def forbidden_calls(source: FunctionSource) -> Iterator[Finding]:
+    """RP201 / RP202 / RP209: what each call resolves to, looked up in
+    the one ``(module, attr) -> code`` table."""
+    for node in source.nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        resolved = source.resolve(node.func)
+        if resolved is None:
+            continue
+        module, dotted = resolved
+        if resolved == ("builtins", "hash"):
+            if node.args and not isinstance(node.args[0], ast.Constant):
+                yield (
+                    "RP209", node,
                     "builtin hash() is process-seeded (PYTHONHASHSEED): the "
                     "same packet hashes differently in different workers",
                     "derive placement from the deterministic five-tuple fold "
                     "(Packet.flow_fold32 / fold_five_tuple), never hash()",
                 )
-                return
-            if name in self.local_names:
-                module, attr = self.local_names[name]
-                top = module.split(".")[0]
-                if (
-                    top in _NONDET_MODULES
-                    or (top == "time" and attr != "sleep")
-                    or (top == "os" and attr == "urandom")
-                    or (top == "datetime" and attr in _NONDET_DATETIME)
-                ):
-                    self.emit(
-                        "RP202",
-                        node,
-                        f"call to {top}.{attr} is nondeterministic on the "
-                        "data path",
-                        "use a seeded RNG created in __init__ (self._rng) or "
-                        "take time from ctx.now",
-                    )
-                elif (
-                    top == "time"
-                    or top in _BLOCKING_MODULES
-                    or (top == "os" and attr in _BLOCKING_OS)
-                ):
-                    self.emit(
-                        "RP201",
-                        node,
-                        f"call to {top}.{attr} blocks the data path",
-                        "move I/O to the control path (a plugin message "
-                        "handler)",
-                    )
-                return
-            target = self.fn.__globals__.get(name)
-            if target is None:
-                return
-            module_name = getattr(target, "__module__", None)
-            if inspect.ismodule(target):
-                return  # handled via the Attribute branch
-            if module_name in _NONDET_MODULES or (
-                module_name == "time" and getattr(target, "__name__", "") != "sleep"
-            ):
-                self.emit(
-                    "RP202",
-                    node,
-                    f"call to {module_name}.{getattr(target, '__name__', name)} "
-                    "is nondeterministic on the data path",
-                    "use a seeded RNG created in __init__ (self._rng) or take "
-                    "time from ctx.now",
-                )
-                return
-            if module_name == "time" or (
-                module_name == "os" and getattr(target, "__name__", "") in _BLOCKING_OS
-            ):
-                self.emit(
-                    "RP201",
-                    node,
-                    f"call to {module_name}.{getattr(target, '__name__', name)} "
-                    "blocks the data path",
-                    "move I/O to the control path (a plugin message handler)",
-                )
-                return
-            if inspect.isfunction(target) and module_name and module_name.startswith("repro."):
-                self.calls_global.add(name)
+            continue
+        last = dotted.rsplit(".", 1)[-1]
+        for table_module, attrs, code in _CALL_TABLE:
+            if module == table_module and (attrs is None or last in attrs):
+                what = f"{dotted}()" if module == "builtins" else f"{module}.{dotted}"
+                text, hint = _CALL_TEXT[code]
+                yield code, node, f"call to {what} {text}", hint
+                break
 
-    def _check_dotted(self, node: ast.Call, func: ast.Attribute) -> None:
-        """Calls of the form root.a.b(): resolve the root through the
-        function's globals so ``self._rng.random()`` is never confused
-        with module-level ``random.random()``."""
-        chain = [func.attr]
-        root = func.value
-        while isinstance(root, ast.Attribute):
-            chain.append(root.attr)
-            root = root.value
-        chain.reverse()
-        if isinstance(root, ast.Call) and isinstance(root.func, ast.Name):
-            if root.func.id == "super" and len(chain) == 1:
-                self.calls_super.add(chain[0])
-            return
-        if not isinstance(root, ast.Name):
-            return
-        if root.id == "self":
-            if len(chain) == 1:
-                self.calls_self.add(chain[0])
-            return
-        target = self.fn.__globals__.get(root.id)
-        if target is not None and inspect.ismodule(target):
-            top = getattr(target, "__name__", "").split(".")[0]
-        elif root.id in self.local_modules:
-            top = self.local_modules[root.id].split(".")[0]
-        else:
-            return
-        last = chain[-1]
-        if top in _BLOCKING_MODULES:
-            self.emit(
-                "RP201",
-                node,
-                f"call to {top}.{'.'.join(chain)} blocks the data path",
-                "move I/O to the control path (a plugin message handler)",
-            )
-        elif top == "time":
-            if last == "sleep":
-                self.emit(
-                    "RP201",
-                    node,
-                    "call to time.sleep blocks the data path",
-                    "schedulers must return CONSUMED and rely on dequeue(now)",
-                )
-            else:
-                self.emit(
-                    "RP202",
-                    node,
-                    f"call to time.{last} is nondeterministic on the data path",
-                    "take time from ctx.now; the simulator owns the clock",
-                )
-        elif top in _NONDET_MODULES:
-            self.emit(
-                "RP202",
-                node,
-                f"call to {top}.{'.'.join(chain)} is nondeterministic on the "
-                "data path",
-                "create a seeded RNG in __init__ (self._rng = "
-                "random.Random(seed)) and use that instead",
-            )
-        elif top == "os":
-            if last == "urandom":
-                self.emit(
-                    "RP202",
-                    node,
-                    "call to os.urandom is nondeterministic on the data path",
-                    "use a seeded RNG created in __init__",
-                )
-            elif last in _BLOCKING_OS:
-                self.emit(
-                    "RP201",
-                    node,
-                    f"call to os.{last} blocks the data path",
-                    "move I/O to the control path (a plugin message handler)",
-                )
-        elif top == "datetime" and last in _NONDET_DATETIME:
-            self.emit(
-                "RP202",
-                node,
-                f"call to {'.'.join(chain)} is nondeterministic on the data path",
-                "take time from ctx.now; the simulator owns the clock",
-            )
 
-    def _check_except(self, node: ast.ExceptHandler) -> None:
+def except_hygiene(source: FunctionSource) -> Iterator[Finding]:
+    """RP203 / RP206: handlers that hide faults from the fault domain."""
+    for node in source.nodes:
+        if not isinstance(node, ast.ExceptHandler):
+            continue
         if node.type is None:
-            self.emit(
-                "RP203",
-                node,
+            yield (
+                "RP203", node,
                 "bare except swallows every fault, including the ones the "
                 "circuit breaker must count",
                 "catch the specific exceptions the operation can raise",
             )
-        elif isinstance(node.type, ast.Name) and node.type.id in (
-            "Exception",
-            "BaseException",
-        ):
-            self.emit(
-                "RP206",
-                node,
+        elif isinstance(node.type, ast.Name) and node.type.id in ("Exception", "BaseException"):
+            yield (
+                "RP206", node,
                 f"except {node.type.id} hides real bugs; the per-plugin fault "
                 "domain already contains uncaught exceptions",
                 "catch the specific exceptions the operation can raise",
             )
-
-    def _check_slots_assign(self, node: ast.AST, slots: Set[str]) -> None:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr not in slots
-            ):
-                self.emit(
-                    "RP204",
-                    node,
-                    f"assignment to self.{target.attr} outside __init__ on a "
-                    "__slots__ class",
-                    f"declare {target.attr!r} in __slots__ (or assign it in "
-                    "__init__)",
-                )
-
-    def check_batch_invariants(self) -> None:
-        """RP208: loop-invariant work recomputed per packet in a batch
-        hook.  Walks each ``for`` loop over a hook parameter, tracking a
-        taint set seeded with the loop targets (names derived from the
-        per-item value are loop-variant); an assignment whose right-hand
-        side performs work (a call, attribute load, or subscript) while
-        referencing no tainted name could have been hoisted."""
-        args = self.node.args
-        params = {
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-            if a.arg != "self"
-        }
-        for loop in ast.walk(self.node):
-            if isinstance(loop, ast.For) and self._loops_over(loop.iter, params):
-                tainted = {
-                    n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)
-                }
-                self._flag_invariant_assigns(loop.body, tainted)
-
-    @staticmethod
-    def _loops_over(iter_node: ast.expr, params: Set[str]) -> bool:
-        if isinstance(iter_node, ast.Name):
-            return iter_node.id in params
-        if (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Name)
-            and iter_node.func.id in ("enumerate", "reversed", "sorted")
-            and iter_node.args
-        ):
-            first = iter_node.args[0]
-            return isinstance(first, ast.Name) and first.id in params
-        return False
-
-    def _flag_invariant_assigns(self, body: List[ast.stmt], tainted: Set[str]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                refs = {
-                    n.id for n in ast.walk(stmt.value) if isinstance(n, ast.Name)
-                }
-                works = any(
-                    isinstance(n, (ast.Call, ast.Attribute, ast.Subscript))
-                    for n in ast.walk(stmt.value)
-                )
-                if refs & tainted or not works:
-                    # Loop-variant (or trivially cheap): its targets now
-                    # carry per-item values.
-                    for target in stmt.targets:
-                        for n in ast.walk(target):
-                            if isinstance(n, ast.Name):
-                                tainted.add(n.id)
-                else:
-                    self.emit(
-                        "RP208",
-                        stmt,
-                        "loop-invariant work recomputed per packet inside a "
-                        "batch hook",
-                        "hoist the assignment to the per-batch prologue "
-                        "(before the packet loop)",
-                    )
-            elif isinstance(stmt, ast.AugAssign):
-                if isinstance(stmt.target, ast.Name):
-                    tainted.add(stmt.target.id)
-            elif isinstance(stmt, ast.For):
-                tainted |= {
-                    n.id for n in ast.walk(stmt.target) if isinstance(n, ast.Name)
-                }
-                self._flag_invariant_assigns(stmt.body, tainted)
-                self._flag_invariant_assigns(stmt.orelse, tainted)
-                continue
-            for field in ("body", "orelse", "finalbody"):
-                self._flag_invariant_assigns(getattr(stmt, field, []), tainted)
-
-    def _check_metric_assign(self, node: ast.AST) -> None:
-        """RP207: ``self.stats[...] = / += ...`` style ad-hoc metric
-        stores on the data path, invisible to exporters."""
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            if not isinstance(target, ast.Subscript):
-                continue
-            container = target.value
-            if (
-                isinstance(container, ast.Attribute)
-                and isinstance(container.value, ast.Name)
-                and container.value.id == "self"
-                and container.attr in _METRIC_ATTRS
-            ):
-                self.emit(
-                    "RP207",
-                    node,
-                    f"metric emission into self.{container.attr}[...] bypasses "
-                    "the telemetry registry",
-                    "grab a Counter/Histogram handle from router.telemetry at "
-                    "bind time instead (docs/OBSERVABILITY.md)",
-                )
 
 
 def _slot_union(cls: type) -> Optional[Set[str]]:
@@ -526,9 +337,143 @@ def _slot_union(cls: type) -> Optional[Set[str]]:
     return allowed if has_slots else None
 
 
-def _overrides_create_instance(plugin_cls: type) -> bool:
-    from ..core.plugin import Plugin
+def slot_stores(source: FunctionSource) -> Iterator[Finding]:
+    """RP204: an attribute created outside ``__init__`` on a class whose
+    MRO declares ``__slots__``."""
+    slots = _slot_union(source.owner) if source.owner is not None else None
+    if slots is None:
+        return
+    for stmt, target in source.stores():
+        attr = source.self_attr(target)
+        if attr is not None and attr not in slots:
+            yield (
+                "RP204", stmt,
+                f"assignment to self.{attr} outside __init__ on a __slots__ class",
+                f"declare {attr!r} in __slots__ (or assign it in __init__)",
+            )
 
+
+def metric_stores(source: FunctionSource) -> Iterator[Finding]:
+    """RP207: ``self.stats[...] = / += ...`` style ad-hoc metric stores
+    on the data path, invisible to exporters."""
+    for stmt, target in source.stores():
+        attr = source.self_attr(target.value) if isinstance(target, ast.Subscript) else None
+        if attr in _METRIC_ATTRS:
+            yield (
+                "RP207", stmt,
+                f"metric emission into self.{attr}[...] bypasses the telemetry registry",
+                "grab a Counter/Histogram handle from router.telemetry at "
+                "bind time instead (docs/OBSERVABILITY.md)",
+            )
+
+
+#: The rule tables, one per root kind: every function in the closure of a
+#: data-path root (or of a swept module) gets ``"data"``, every function
+#: in the closure of ``handle_custom`` gets ``"control"``.  A new rule is
+#: one generator appended to one of these.
+RULES: Dict[str, Tuple[Rule, ...]] = {
+    "data": (
+        forbidden_calls, except_hygiene, slot_stores, metric_stores,
+        concurrency.shared_state_writes,
+    ),
+    "control": (concurrency.local_state_guards,),
+}
+
+
+# ----------------------------------------------------------------------
+# The run: one cache, one closure walk, one emit path
+# ----------------------------------------------------------------------
+class LintRun:
+    """One lint run: the parsed-function records (at most one per
+    ``(function, owner)`` pair however many closures reach it), the
+    findings so far, and what has already been ruled and reported."""
+
+    def __init__(self) -> None:
+        self.diagnostics: List[Diagnostic] = []
+        self._sources: Dict[Tuple[int, int], Optional[FunctionSource]] = {}
+        self._seen: Set[Tuple[str, Optional[str], int]] = set()
+        self._ruled: Set[Tuple[int, str]] = set()
+
+    def get(self, fn, owner: Optional[type]) -> Optional[FunctionSource]:
+        """The record for ``fn`` as a member of ``owner``, or None when
+        its source is unavailable (builtins, C extensions, ``exec``)."""
+        fn = inspect.unwrap(fn)
+        key = (id(getattr(fn, "__code__", fn)), id(owner))
+        if key not in self._sources:
+            try:
+                self._sources[key] = FunctionSource(fn, owner, self)
+            except (OSError, TypeError):
+                self._sources[key] = None
+        return self._sources[key]
+
+    def emit(
+        self, source: FunctionSource, code: str, lineno: int, message: str,
+        hint: str, subject: Optional[str] = None,
+    ) -> None:
+        """The one emit path: ``# rp: ignore[...]`` on the flagged line,
+        then ``(code, file, line)`` de-duplication across the run."""
+        line = source.start + lineno - 1
+        key = (code, source.file, line)
+        if key in self._seen or is_suppressed(code, source.lines[lineno - 1]):
+            return
+        self._seen.add(key)
+        self.diagnostics.append(Diagnostic(
+            code, message, subject=subject or source.subject,
+            file=source.file, line=line, hint=hint,
+        ))
+
+    def closure(self, root, owner: Optional[type]) -> List[FunctionSource]:
+        """The root's record and that of every function reachable from
+        it, root first."""
+        sources: List[FunctionSource] = []
+        work = [(root, owner)]
+        while work:
+            source = self.get(*work.pop())
+            if source is not None and source not in sources:
+                sources.append(source)
+                work.extend(source.callees)
+        return sources
+
+    def lint(
+        self, root, owner: Optional[type], kind: str, charged_as: Optional[str] = None
+    ) -> None:
+        """Apply the ``kind`` rule table to every function in the root's
+        closure (once per function per run), then — for a plugin's
+        data-path root, named by ``charged_as`` — RP205 over the closure
+        as a whole."""
+        sources = self.closure(root, owner)
+        for source in sources:
+            if (id(source), kind) in self._ruled:
+                continue
+            self._ruled.add((id(source), kind))
+            for offset, line in enumerate(source.lines):
+                unknown = sorted(unknown_suppressed_codes(line))
+                if unknown:
+                    self.emit(
+                        source, "RP210", offset + 1,
+                        "suppression names unknown diagnostic code(s) "
+                        f"{', '.join(unknown)}; nothing is suppressed",
+                        "valid codes are listed in docs/STATIC_ANALYSIS.md; "
+                        "fix the typo or drop the comment",
+                    )
+            for rule in RULES[kind]:
+                for code, node, message, hint in rule(source):
+                    self.emit(source, code, getattr(node, "lineno", 1), message, hint)
+        if charged_as is None or any(source.charges for source in sources):
+            return
+        for source in sources:
+            for node, what in source.touches:
+                self.emit(
+                    source, "RP205", getattr(node, "lineno", 1),
+                    f"packet-byte touch ({what}) in the {charged_as} path "
+                    "never charges the cost model",
+                    "charge per-byte work via ctx.cycles.charge(n, label) "
+                    "(see Costs.SW_AUTH_PER_BYTE)",
+                    subject=charged_as,
+                )
+
+
+def _overrides_create_instance(plugin_cls: type) -> bool:
     for base in plugin_cls.__mro__:
         if base is Plugin or base is object:
             break
@@ -559,152 +504,51 @@ def _instance_classes(plugin_cls: type) -> List[type]:
     return [classes[name] for name in sorted(classes)]
 
 
-def _lintable(fn) -> bool:
-    try:
-        inspect.getsourcelines(fn)
-        return True
-    except (OSError, TypeError):
-        return False
-
-
-def _closure_lints(root_fn, owner: type) -> List[_FunctionLint]:
-    """Lint the root and every reachable helper: ``self.x()`` resolved on
-    the concrete instance class (so subclass overrides like the hardware
-    crypto ``_charge_crypto`` are honored), ``super().x()`` resolved as
-    every base implementation, plus same-package module functions."""
-    lints: List[_FunctionLint] = []
-    seen: Set[Tuple[int, Optional[int]]] = set()
-    work: List[Tuple[object, Optional[type]]] = [(root_fn, owner)]
-    while work:
-        fn, fn_owner = work.pop()
-        fn = inspect.unwrap(fn)
-        key = (id(getattr(fn, "__code__", fn)), id(fn_owner))
-        if key in seen or not _lintable(fn):
-            continue
-        seen.add(key)
-        lint = _FunctionLint(fn, fn_owner)
-        lint.run()
-        lints.append(lint)
-        for name in lint.calls_self:
-            if fn_owner is None:
+def lint_plugins(
+    plugins: Iterable[object] = (), modules: Iterable[object] = ()
+) -> AnalysisReport:
+    """One lint run over one parse cache: every data-path root and
+    ``handle_custom`` of each plugin (class or instance), and every
+    function and method defined in each of ``modules`` held to the
+    data-path rules (RP205, the plugin cost contract, excepted)."""
+    run = LintRun()
+    for plugin in plugins:
+        plugin_cls = plugin if isinstance(plugin, type) else type(plugin)
+        instance_classes = _instance_classes(plugin_cls)
+        for cls in instance_classes:
+            for name in ROOT_METHODS:
+                root = getattr(cls, name, None)
+                if callable(root):
+                    run.lint(root, cls, "data", charged_as=f"{cls.__name__}.{name}")
+        for cls in (plugin_cls, *instance_classes):
+            handler = cls.__dict__.get("handle_custom")
+            if inspect.isfunction(handler):
+                run.lint(handler, cls, "control")
+    for module in modules:
+        for _, obj in sorted(vars(module).items()):
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            target = getattr(fn_owner, name, None)
-            if callable(target) and not isinstance(target, type):
-                work.append((target, fn_owner))
-        for name in lint.calls_super:
-            if fn_owner is None:
-                continue
-            for base in fn_owner.__mro__[1:]:
-                target = base.__dict__.get(name)
-                if callable(target) and not isinstance(target, type):
-                    work.append((target, fn_owner))
-        for name in lint.calls_global:
-            target = fn.__globals__.get(name)
-            if inspect.isfunction(target):
-                work.append((target, None))
-    return lints
+            if inspect.isfunction(obj):
+                run.lint(obj, None, "data")
+            elif isinstance(obj, type):
+                for _, member in sorted(vars(obj).items()):
+                    if inspect.isfunction(member):
+                        run.lint(member, obj, "data")
+    return AnalysisReport(run.diagnostics)
 
 
 def lint_plugin(plugin) -> List[Diagnostic]:
     """Lint every data-path root of a plugin (class or instance)."""
-    plugin_cls = plugin if isinstance(plugin, type) else type(plugin)
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for instance_cls in _instance_classes(plugin_cls):
-        for method_name in (*ROOT_METHODS, *BATCH_HOOKS):
-            root = getattr(instance_cls, method_name, None)
-            if root is None or not callable(root):
-                continue
-            lints = _closure_lints(root, instance_cls)
-            if method_name in BATCH_HOOKS and lints:
-                # The root lint is first on the closure list; only the
-                # hook body itself gets the loop-invariance check.
-                lints[0].check_batch_invariants()
-            has_charge = any(l.has_charge for l in lints)
-            for lint in lints:
-                for diagnostic in lint.diagnostics:
-                    key = (diagnostic.code, diagnostic.file, diagnostic.line)
-                    if key not in seen:
-                        seen.add(key)
-                        diagnostics.append(diagnostic)
-            if not has_charge:
-                for lint in lints:
-                    for line, what in lint.touches:
-                        if is_suppressed("RP205", lint.lines[line - lint.start]):
-                            continue
-                        key = ("RP205", lint.file, line)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        diagnostics.append(
-                            Diagnostic(
-                                "RP205",
-                                f"packet-byte touch ({what}) in the "
-                                f"{instance_cls.__name__}.{method_name} path "
-                                "never charges the cost model",
-                                subject=f"{instance_cls.__name__}.{method_name}",
-                                file=lint.file,
-                                line=line,
-                                hint="charge per-byte work via ctx.cycles."
-                                "charge(n, label) (see Costs.SW_AUTH_PER_BYTE)",
-                            )
-                        )
-    return diagnostics
+    return lint_plugins([plugin]).diagnostics
 
 
-def lint_plugins(plugins: Iterable[object]) -> AnalysisReport:
-    report = AnalysisReport()
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for plugin in plugins:
-        for diagnostic in lint_plugin(plugin):
-            key = (diagnostic.code, diagnostic.file, diagnostic.line)
-            if key not in seen:
-                seen.add(key)
-                report.add(diagnostic)
-    return report
-
-
-def lint_module_functions(module) -> List[Diagnostic]:
-    """Lint every module-level function defined in ``module`` (plus its
-    closure) as data-path code.  Used for non-plugin hot paths like the
-    shard dispatch layer, where an RP209 ``hash()`` regression would
-    silently break cross-process flow placement."""
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for name in sorted(vars(module)):
-        fn = vars(module)[name]
-        if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
-            continue
-        for lint in _closure_lints(fn, None):
-            for diagnostic in lint.diagnostics:
-                key = (diagnostic.code, diagnostic.file, diagnostic.line)
-                if key not in seen:
-                    seen.add(key)
-                    diagnostics.append(diagnostic)
-    return diagnostics
-
-
-def lint_shard_dispatch() -> AnalysisReport:
-    """RP2xx over the shard dispatch/handoff layer (repro.shard.dispatch
-    and the worker pool's hot methods)."""
-    import importlib
-
-    from ..shard import mp as shard_mp
-
-    report = AnalysisReport()
-    dispatch = importlib.import_module("repro.shard.dispatch")
-    for diagnostic in lint_module_functions(dispatch):
-        report.add(diagnostic)
-    seen: Set[Tuple[str, Optional[str], Optional[int]]] = set()
-    for root in (shard_mp.ShardWorkerPool.process_wire, shard_mp._worker_main):
-        owner = shard_mp.ShardWorkerPool if root.__name__ == "process_wire" else None
-        for lint in _closure_lints(root, owner):
-            for diagnostic in lint.diagnostics:
-                key = (diagnostic.code, diagnostic.file, diagnostic.line)
-                if key not in seen:
-                    seen.add(key)
-                    report.add(diagnostic)
-    return report
+def swept_modules() -> List[object]:
+    """The non-plugin data-path code the self-lint holds to the same
+    rules — the shard layer and the batch-loop compiler, where an RP209
+    ``hash()`` regression would silently break cross-process flow
+    placement."""
+    names = ("shard.dispatch", "shard.mp", "shard.sharded", "shard.control", "core.batch")
+    return [importlib.import_module(f"repro.{name}") for name in names]
 
 
 def builtin_plugin_classes() -> List[type]:
@@ -718,6 +562,6 @@ def builtin_plugin_classes() -> List[type]:
 
 
 def lint_builtin_plugins() -> AnalysisReport:
-    """Run the hot-path lint over every registry plugin (the self-lint
+    """Run the plugin lint over every registry plugin (the self-lint
     gate pinned by tests/analysis/test_self_lint.py)."""
     return lint_plugins(builtin_plugin_classes())

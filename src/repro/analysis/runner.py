@@ -1,29 +1,34 @@
 """Analysis entry points: whole-router, sharded, script, and self-lint.
 
 ``analyze_router`` is what ``pmgr analyze`` and ``scripts/analyze.py``
-call: the filter-set semantic analysis over the AIU, the hot-path and
-shard-safety lints over every loaded plugin, the compiled/interpreted
-equivalence verification over every filter table and BMP-backed routing
-engine, and the exec-codegen audit over every compiled loop.
+call: the filter-set semantic analysis over the AIU, the plugin lint
+(hot-path and shard-safety rules, one pass) over every loaded plugin,
+the compiled/interpreted equivalence verification over every filter
+table and BMP-backed routing engine, and the exec-codegen audit over
+every compiled loop.
 ``analyze_sharded`` sweeps all shards of a ``ShardedRouter``.  Everything
 runs from the control path and charges zero modelled cost.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .codegen_audit import audit_router_codegen
-from .concurrency import (
-    audit_query_mergeability,
-    lint_builtin_concurrency,
-    lint_plugins_concurrency,
-    lint_shard_concurrency,
-)
-from .diagnostics import AnalysisReport
-from .equivalence import verify_aiu, verify_engine
+from .concurrency import audit_query_mergeability
+from .diagnostics import AnalysisReport, Diagnostic
+from .equivalence import routing_engines, verify_aiu, verify_engine
 from .filterset import analyze_filterset
-from .hotpath import lint_builtin_plugins, lint_plugins, lint_shard_dispatch
+from .hotpath import builtin_plugin_classes, lint_plugins, swept_modules
+
+
+def _verify_compiled(router, prefix: str = "") -> Iterator[Diagnostic]:
+    """Equivalence verification and codegen audit of everything one
+    router has compiled (RP3xx + RP5xx)."""
+    yield from verify_aiu(router.aiu)
+    for subject, engine in routing_engines(router, prefix):
+        yield from verify_engine(engine, subject=subject)
+    yield from audit_router_codegen(router, subject_prefix=prefix)
 
 
 def analyze_router(router, include_plugins: bool = True) -> AnalysisReport:
@@ -31,16 +36,8 @@ def analyze_router(router, include_plugins: bool = True) -> AnalysisReport:
     report = AnalysisReport()
     report.extend(analyze_filterset(router.aiu))
     if include_plugins:
-        plugins = router.pcu.plugins()
-        report.extend(lint_plugins(plugins))
-        report.extend(lint_plugins_concurrency(plugins))
-    report.extend(verify_aiu(router.aiu))
-    for width, engine in sorted(getattr(router.routing_table, "_engines", {}).items()):
-        if hasattr(engine, "entries") and hasattr(engine, "lookup_entry_fast"):
-            report.extend(
-                verify_engine(engine, subject=f"routing/{width}-bit engine")
-            )
-    report.extend(audit_router_codegen(router))
+        report.extend(lint_plugins(router.pcu.plugins()))
+    report.extend(_verify_compiled(router))
     return report
 
 
@@ -63,22 +60,9 @@ def analyze_sharded(
     shard0 = sharded.shards[0]
     report.extend(analyze_filterset(shard0.aiu))
     if include_plugins:
-        plugins = shard0.pcu.plugins()
-        report.extend(lint_plugins(plugins))
-        report.extend(lint_plugins_concurrency(plugins))
+        report.extend(lint_plugins(shard0.pcu.plugins()))
     for index, shard in enumerate(sharded.shards):
-        prefix = f"shard{index}: "
-        report.extend(verify_aiu(shard.aiu))
-        for width, engine in sorted(
-            getattr(shard.routing_table, "_engines", {}).items()
-        ):
-            if hasattr(engine, "entries") and hasattr(engine, "lookup_entry_fast"):
-                report.extend(
-                    verify_engine(
-                        engine, subject=f"{prefix}routing/{width}-bit engine"
-                    )
-                )
-        report.extend(audit_router_codegen(shard, subject_prefix=prefix))
+        report.extend(_verify_compiled(shard, prefix=f"shard{index}: "))
     if libraries:
         report.extend(audit_query_mergeability(libraries[0].query))
     return report
@@ -103,9 +87,7 @@ def analyze_script(text: str, router=None) -> AnalysisReport:
     return report
 
 
-def _script_diagnostic(error):
-    from .diagnostics import Diagnostic
-
+def _script_diagnostic(error) -> Diagnostic:
     return Diagnostic(
         "RP107",
         f"script line {error.lineno} failed: {error.cause}",
@@ -148,8 +130,8 @@ def _self_codegen_audit() -> List:
 
 
 def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
-    """The CI self-check: lint every built-in plugin (hot-path and
-    shard-safety passes), sweep the shard/batch layers themselves, warm
+    """The CI self-check: lint every built-in plugin and the shard/batch
+    layers themselves (one pass, hot-path and shard-safety rules), warm
     and audit both generated loop layouts, then build a small seeded
     filter table per BMP engine and verify compiled/interpreted
     equivalence for the DAG and the engines."""
@@ -162,10 +144,7 @@ def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
     from .equivalence import verify_table
 
     report = AnalysisReport()
-    report.extend(lint_builtin_plugins())
-    report.extend(lint_builtin_concurrency())
-    report.extend(lint_shard_dispatch())
-    report.extend(lint_shard_concurrency())
+    report.extend(lint_plugins(builtin_plugin_classes(), modules=swept_modules()))
     report.extend(_self_codegen_audit())
     names = engine_names or sorted(set(ENGINES))
     filters = random_filters(64, seed=7, host_fraction=0.5)

@@ -21,7 +21,6 @@ rebuild is both simpler and how such tables are deployed in practice).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..net.addresses import Prefix
@@ -190,8 +189,3 @@ class BinarySearchOnLengths(BMPEngine):
         if self._dirty:
             self._rebuild()
         return _tree_depth(self._tree)
-
-    @staticmethod
-    def theoretical_bound(width: int) -> int:
-        """The paper's idealized bound: log2(W) probes per address."""
-        return int(math.log2(width))

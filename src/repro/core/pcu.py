@@ -38,9 +38,9 @@ class PluginControlUnit:
         """Register a plugin's callback; returns its 32-bit plugin code.
 
         With ``strict=True`` the plugin's data-path methods are run
-        through the hot-path lint (:mod:`repro.analysis.hotpath`) and
-        the shard-safety lint (:mod:`repro.analysis.concurrency`) first,
-        and any error-severity finding refuses the load *before* the
+        through the plugin lint (:mod:`repro.analysis.hotpath`: the
+        hot-path and shard-safety rules, one pass) first, and any
+        error-severity finding refuses the load *before* the
         PCU tables are touched — a misbehaving module never becomes
         reachable from the fast path or replicated into a shard.
         """
@@ -49,14 +49,9 @@ class PluginControlUnit:
         if plugin.plugin_type <= 0:
             raise PluginError(f"plugin {plugin.name!r} has no plugin_type")
         if strict:
-            from ..analysis.concurrency import lint_plugin_concurrency
             from ..analysis.hotpath import lint_plugin
 
-            findings = [
-                d
-                for d in (*lint_plugin(plugin), *lint_plugin_concurrency(plugin))
-                if d.severity == "error"
-            ]
+            findings = [d for d in lint_plugin(plugin) if d.severity == "error"]
             if findings:
                 detail = "; ".join(
                     f"{d.code} at {d.location()}" for d in findings[:4]

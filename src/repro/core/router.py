@@ -50,7 +50,7 @@ from .plugin import PluginContext, Verdict
 #: instance bound through the current filter set or registered as a
 #: scheduler.  The contract is that the hook must not change observable
 #: per-packet behavior — it exists so a plugin can hoist its own
-#: per-packet invariants (docs/PLUGIN_AUTHORING.md, the RP208 lint).
+#: per-packet invariants (docs/PLUGIN_AUTHORING.md §7).
 BATCH_START_HOOK = "on_batch_start"
 
 #: Plans (× telemetry on/off) a router keeps compiled loops for; the

@@ -2,11 +2,9 @@
 
 from .altq_kernel import AltqKernel, build_altq_kernel
 from .base import (
-    BatchReplayResult,
     KernelResult,
     TABLE3_HEADER,
     format_table3,
-    run_batched_replay,
     run_table3_workload,
 )
 from .besteffort import BestEffortKernel, build_besteffort_kernel
@@ -31,11 +29,9 @@ def build_all_table3_kernels():
 __all__ = [
     "AltqKernel",
     "build_altq_kernel",
-    "BatchReplayResult",
     "KernelResult",
     "TABLE3_HEADER",
     "format_table3",
-    "run_batched_replay",
     "run_table3_workload",
     "BestEffortKernel",
     "build_besteffort_kernel",

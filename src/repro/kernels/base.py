@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..sim.cost import CPU_HZ, CycleMeter, NULL_METER, cycles_to_us
+from ..sim.cost import CPU_HZ, CycleMeter, cycles_to_us
 from ..workloads.flows import FlowSpec, round_robin_trains, table3_flows
 
 
@@ -96,65 +96,3 @@ def format_table3(results: Sequence[KernelResult]) -> str:
     lines = [TABLE3_HEADER]
     lines.extend(result.row(baseline) for result in results)
     return "\n".join(lines)
-
-
-@dataclass
-class BatchReplayResult:
-    """Wall-clock result of a batched (unmetered) replay.
-
-    Modelled cycles are deliberately absent: the batched entry point is
-    the wall-clock specialization, and mixing the two measurements in
-    one row invites comparing a Python wall-clock number against the
-    paper's cycle model.  Table 3 rows come from
-    :func:`run_table3_workload`; this result answers "how fast does the
-    host actually push packets through this kernel".
-    """
-
-    name: str
-    packets: int
-    wall_seconds: float
-    burst: int
-
-    @property
-    def packets_per_second(self) -> float:
-        return self.packets / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def run_batched_replay(
-    kernel,
-    flows: Optional[Sequence[FlowSpec]] = None,
-    packets_per_flow: int = 100,
-    repetitions: int = 10,
-    burst: int = 64,
-) -> BatchReplayResult:
-    """Replay the Table 3 workload through a kernel's batched entry
-    point (``process_batch``, run-to-completion bursts), measuring wall
-    clock only.
-
-    Kernels without ``process_batch`` (the stock best-effort and ALTQ
-    rows) replay per packet through ``process`` with the null meter —
-    the same observable behavior, so the result is still comparable.
-    """
-    flows = list(flows or table3_flows())
-    batch = getattr(kernel, "process_batch", None)
-    for packet in round_robin_trains(flows, 1):
-        kernel.process(packet, NULL_METER)
-    total_packets = 0
-    wall = 0.0
-    for _ in range(repetitions):
-        train = list(round_robin_trains(flows, packets_per_flow))
-        total_packets += len(train)
-        start = time.perf_counter()
-        if batch is not None:
-            for offset in range(0, len(train), burst):
-                batch(train[offset:offset + burst])
-        else:
-            for packet in train:
-                kernel.process(packet, NULL_METER)
-        wall += time.perf_counter() - start
-    return BatchReplayResult(
-        name=kernel.name,
-        packets=total_packets,
-        wall_seconds=wall,
-        burst=burst,
-    )

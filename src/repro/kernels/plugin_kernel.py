@@ -40,13 +40,6 @@ class PluginKernel:
     def process(self, packet: Packet, cycles=NULL_METER, now: float = 0.0) -> str:
         return self.router.receive(packet, now=now, cycles=cycles)
 
-    def process_batch(self, packets: Sequence[Packet], now: float = 0.0):
-        """Run-to-completion burst through the compiled batch pipeline
-        (repro.core.batch).  The DRR row (gates limited to packet
-        scheduling) has no pre-routing gate to anchor classification at,
-        so its loop classifies through a call to ``AIU.classify``."""
-        return self.router.receive_batch(packets, now=now)
-
 
 def _install_background_filters(router: Router, filters: Sequence[Filter]) -> None:
     """The paper's '16 filters installed' — classifier state that does

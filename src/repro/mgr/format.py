@@ -281,8 +281,11 @@ def _merge_trace(per_node: List[dict]) -> dict:
 
 
 def _merge_faults(per_node: List[dict]) -> dict:
-    """Bespoke: per-plugin fault snapshots merge field-by-field, and any
-    node reporting a quarantine surfaces it on the aggregate."""
+    """Bespoke: per-plugin fault snapshots merge field-by-field — the
+    observed counters sum, the policy fields (configuration, identical on
+    every node by fanout) are the first node's, the quarantine deadline
+    is the latest — and any node reporting a quarantine surfaces it on
+    the aggregate."""
     plugins: dict = {}
     for d in per_node:
         for name, snap in d["plugins"].items():
@@ -291,7 +294,11 @@ def _merge_faults(per_node: List[dict]) -> dict:
                 plugins[name] = dict(snap)
             else:
                 for key, value in snap.items():
-                    if isinstance(value, bool):
+                    if key in ("threshold", "window", "cooldown"):
+                        pass  # configuration: the first node's answer stands
+                    elif key == "quarantined_until":
+                        slot[key] = max(slot[key], value)
+                    elif isinstance(value, bool):
                         slot[key] = slot.get(key) or value
                     elif isinstance(value, (int, float)):
                         slot[key] = slot.get(key, 0) + value

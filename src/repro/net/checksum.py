@@ -24,23 +24,3 @@ def internet_checksum(data: bytes) -> int:
 def verify_checksum(data: bytes) -> bool:
     """True if ``data`` (including its checksum field) sums to zero."""
     return internet_checksum(data) == 0
-
-
-def pseudo_header_v4(src: int, dst: int, protocol: int, length: int) -> bytes:
-    """The IPv4 pseudo-header used by TCP/UDP checksums."""
-    return (
-        src.to_bytes(4, "big")
-        + dst.to_bytes(4, "big")
-        + bytes([0, protocol])
-        + length.to_bytes(2, "big")
-    )
-
-
-def pseudo_header_v6(src: int, dst: int, protocol: int, length: int) -> bytes:
-    """The IPv6 pseudo-header (RFC 2460 §8.1) used by upper-layer checksums."""
-    return (
-        src.to_bytes(16, "big")
-        + dst.to_bytes(16, "big")
-        + length.to_bytes(4, "big")
-        + bytes([0, 0, 0, protocol])
-    )

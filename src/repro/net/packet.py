@@ -158,11 +158,6 @@ class Packet:
             self._label_fold = None
             self._length = -1
 
-    def invalidate_flow_cache(self) -> None:
-        """Drop cached classification state after mutating the five-tuple,
-        incoming interface, or headers.  Equivalent to ``fix = None``."""
-        self.fix = None
-
     # ------------------------------------------------------------------
     # Classification views
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ pool, and :mod:`repro.shard.control` for the control-plane fanout.
 """
 
 from .control import ShardedPluginLibrary
-from .dispatch import decode_packet, dispatch_packets, dispatch_wire, encode_packet, shard_of
+from .dispatch import decode_packet, dispatch_packets, dispatch_wire, encode_packet
 from .mp import ShardWorkerPool, mp_available, usable_cpus
 from .sharded import ShardedRouter
 
@@ -20,6 +20,5 @@ __all__ = [
     "dispatch_wire",
     "encode_packet",
     "mp_available",
-    "shard_of",
     "usable_cpus",
 ]

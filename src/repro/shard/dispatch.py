@@ -34,11 +34,6 @@ from ..net.packet import Packet, packet_from_fields
 WireDescriptor = Tuple
 
 
-def shard_of(fold: int, nshards: int) -> int:
-    """Shard index for a 32-bit five-tuple fold."""
-    return fold % nshards
-
-
 def encode_packet(packet: Packet) -> WireDescriptor:
     """Packet -> primitive descriptor tuple (the RX-ring view).
 

@@ -42,10 +42,7 @@ from .dispatch import decode_packet, dispatch_wire
 
 def mp_available() -> bool:
     """True when the fork-based backend can run here."""
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def usable_cpus() -> int:
@@ -232,5 +229,5 @@ class ShardWorkerPool:
     def __del__(self):  # pragma: no cover — belt and braces
         try:
             self.close()
-        except Exception:
+        except Exception:  # rp: ignore[RP206] — a finalizer must never raise
             pass

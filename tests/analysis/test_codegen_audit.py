@@ -94,11 +94,21 @@ def test_rp502_wins_over_rp501_for_forbidden_names():
 def test_rp503_no_handler_at_all():
     source = '''\
 def _batch_loop(packets, now):
-    return [classify(p, now) for p in packets]
+    inst, ctx = classify(packets[0], now)
+    return [inst.process(p, ctx) for p in packets]
 '''
     findings = audit_loop_source(source, NAMESPACE)
     assert _codes(findings) == ["RP503"]
     assert "no fault handler" in findings[0].message
+
+
+def test_rp503_one_guarded_call_does_not_excuse_another():
+    source = CLEAN_SOURCE.replace(
+        "    return out\n", "    sched.dequeue(now)\n    return out\n"
+    ).replace("emit(packet)", "sched.process(packet, now)")
+    findings = audit_loop_source(source, {**NAMESPACE, "sched": object()})
+    assert _codes(findings) == ["RP503"]
+    assert ".dequeue()" in findings[0].message and findings[0].line == 13
 
 
 def test_rp503_swallowing_handler():

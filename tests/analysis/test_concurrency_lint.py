@@ -3,17 +3,9 @@ violation and stays quiet on the idiomatic (instance-local) twin,
 suppressions work on the new codes, a typo'd suppression is flagged as
 RP210, and the strict load refuses RP4xx errors like RP2xx ones."""
 
-import socket
-import threading
-
 import pytest
 
-from repro.analysis import (
-    audit_query_mergeability,
-    lint_instance_state,
-    lint_plugin,
-    lint_plugin_concurrency,
-)
+from repro.analysis import audit_query_mergeability, lint_plugin
 from repro.core.errors import PluginError
 from repro.core.plugin import (
     Plugin,
@@ -30,7 +22,7 @@ PACKET_COUNT = 0
 
 
 def _codes(plugin_cls):
-    return sorted(d.code for d in lint_plugin_concurrency(plugin_cls))
+    return sorted(d.code for d in lint_plugin(plugin_cls))
 
 
 def _make_plugin(instance_cls, plugin_name, **extra):
@@ -126,24 +118,6 @@ class ShadowedClassDefaultInstance(PluginInstance):
         return Verdict.CONTINUE
 
 
-# ----------------------------------------------------------------------
-# RP403 — fork/codec-hostile instance state
-# ----------------------------------------------------------------------
-class LockHolderInstance(PluginInstance):
-    def __init__(self, plugin, **config):
-        super().__init__(plugin, **config)
-        self.lock = threading.Lock()
-
-    def process(self, packet, ctx):
-        return Verdict.CONTINUE
-
-
-class FileHolderInstance(PluginInstance):
-    def process(self, packet, ctx):
-        self.trace = open("/tmp/trace.log", "a")  # noqa: SIM115
-        return Verdict.CONTINUE
-
-
 class PlainStateInstance(PluginInstance):
     """Clean twin: only plain, reconstructible state on the instance."""
 
@@ -199,8 +173,6 @@ class TypoSuppressionInstance(PluginInstance):
         (ClassListInstance, "RP402"),
         (TypeSelfWriterInstance, "RP402"),
         (DunderClassWriterInstance, "RP402"),
-        (LockHolderInstance, "RP403"),
-        (FileHolderInstance, "RP403"),
     ],
 )
 def test_bad_pattern_is_flagged(instance_cls, expected):
@@ -253,62 +225,13 @@ def test_valid_suppression_does_not_warn_rp210():
 
 def test_diagnostics_carry_location_and_hint():
     plugin_cls = _make_plugin(GlobalDictWriterInstance, "located-rp401")
-    findings = [
-        d for d in lint_plugin_concurrency(plugin_cls) if d.code == "RP401"
-    ]
+    findings = [d for d in lint_plugin(plugin_cls) if d.code == "RP401"]
     assert findings
     diag = findings[0]
     assert diag.file and diag.file.endswith("test_concurrency_lint.py")
     assert diag.line is not None and diag.line > 0
     assert diag.hint
     assert "GlobalDictWriterInstance.process" in diag.subject
-
-
-# ----------------------------------------------------------------------
-# RP403 live object-graph scan
-# ----------------------------------------------------------------------
-class _Bag:
-    pass
-
-
-def test_live_instance_scan_flags_hostile_handles():
-    holder = _Bag()
-    holder.lock = threading.Lock()
-    holder.gen = (x for x in range(3))
-    sock = socket.socket()
-    try:
-        holder.sock = sock
-        findings = lint_instance_state(holder, subject="bag")
-        kinds = sorted(d.message for d in findings)
-        assert len(findings) == 3
-        assert all(d.code == "RP403" for d in findings)
-        assert any("'lock'" in m for m in kinds)
-        assert any("'sock'" in m for m in kinds)
-        assert any("'gen'" in m for m in kinds)
-    finally:
-        sock.close()
-    holder.gen.close()
-
-
-def test_live_instance_scan_quiet_on_plain_state():
-    holder = _Bag()
-    holder.counts = {"seen": 3}
-    holder.window = [1, 2, 3]
-    holder.name = "clean"
-    assert lint_instance_state(holder) == []
-
-
-def test_live_scan_runs_via_plugin_object_instances():
-    plugin_cls = _make_plugin(PlainStateInstance, "live-scan")
-    router = Router(name="live-scan-router")
-    plugin = plugin_cls()
-    router.pcu.load(plugin)
-    instance = plugin.create_instance()
-    instance.stash = threading.Lock()
-    codes = [d.code for d in lint_plugin_concurrency(plugin)]
-    assert "RP403" in codes
-    # The class alone (no live instances) stays clean.
-    assert "RP403" not in _codes(plugin_cls)
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_multicover_shadowing_needs_the_dag_walk():
     assert "10.0.0.0/8" in shadows[0].subject
 
 
+def test_partial_port_overlap_rp104_names_the_second_filter():
+    records = [
+        FilterRecord(Filter.parse("<*, *, UDP, *, 10-20, *>"), gate="g"),
+        FilterRecord(Filter.parse("<*, *, UDP, *, 15-25, *>"), gate="g"),
+    ]
+    report = analyze_records(records, width=IPV4_WIDTH)
+    (overlap,) = report.diagnostics
+    assert overlap.code == "RP104"
+    assert "15-25" in overlap.subject and "10-20" in overlap.message
+
+
 def test_unreachable_branch_info_rp106():
     records = [
         FilterRecord(Filter.parse("<10.0.0.0/9, *, *, *, *, *>"), gate="g"),

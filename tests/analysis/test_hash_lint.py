@@ -14,11 +14,7 @@ import textwrap
 import pytest
 
 from repro.analysis.diagnostics import CODES
-from repro.analysis.hotpath import (
-    lint_module_functions,
-    lint_plugin,
-    lint_shard_dispatch,
-)
+from repro.analysis.hotpath import lint_plugin, lint_plugins, swept_modules
 
 
 def _load_module(tmp_path, name, source):
@@ -103,12 +99,12 @@ def test_module_function_lint_catches_hash(tmp_path):
         def pick_shard(packet, nshards):
             return hash(packet.src) % nshards
     """)
-    diags = lint_module_functions(module)
+    diags = lint_plugins(modules=[module]).diagnostics
     assert [d.code for d in diags] == ["RP209"]
 
 
 def test_shard_dispatch_layer_self_lints_clean():
     """The shipped dispatch/handoff layer must never trip its own lint
     (this is the ci_check.sh self-lint gate's shard slice)."""
-    report = lint_shard_dispatch()
+    report = lint_plugins(modules=swept_modules())
     assert report.diagnostics == []

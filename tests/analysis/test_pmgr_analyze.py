@@ -9,6 +9,7 @@ import sys
 from repro.analysis import analyze_script
 from repro.core.router import Router
 from repro.mgr.pmgr import PluginManager
+from repro.net.packet import make_udp
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -35,6 +36,23 @@ def test_analyze_command_reports_findings():
     text = "\n".join(out)
     assert "RP102" in text
     assert "1 findings" in text
+
+
+def test_analyze_is_quiet_on_a_loop_with_no_plugin_call_to_guard():
+    """No scheduling gate and no active filter: the generated loop calls
+    no plugin, so it rightly holds no fault handler and RP503 must stay
+    silent."""
+    router = Router(name="no-sched", gates=("ip_options", "ip_security"))
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    packet = make_udp("10.0.0.1", "20.0.0.1", 5000, 9000, iif="atm0")
+    assert router.receive(packet) == "forwarded"
+    assert "except" not in router._loops["packet"]._source
+    out = []
+    PluginManager(router, output=out.append).run_command("analyze")
+    assert out == ["0 findings (0 errors, 0 warnings, 0 info)"]
+    # What scripts/analyze.py exits on, for a script run on this router.
+    assert len(analyze_script("modload firewall\n", router=router)) == 0
 
 
 def test_analyze_json_output():
@@ -121,6 +139,20 @@ def test_cli_json_mode(tmp_path):
 
     payload = json.loads(proc.stdout)
     assert payload["findings"] == []
+
+
+def test_cli_strict_gates_on_warnings(tmp_path):
+    # A script error surfaces as RP107 (warning): gate only with --strict.
+    script = tmp_path / "warn.pmgr"
+    script.write_text("modload no_such_plugin\n")
+    import json
+
+    proc = _run_cli("--json", str(script))
+    assert proc.returncode == 0
+    assert [f["code"] for f in json.loads(proc.stdout)["findings"]] == ["RP107"]
+    strict = _run_cli("--json", "--strict", str(script))
+    assert strict.returncode == 1
+    assert json.loads(strict.stdout)["findings"]
 
 
 def test_cli_usage_error_exits_two():

@@ -7,7 +7,9 @@ for authenticated flows.  The lint found it, the charge was added, and
 this suite keeps the registry at zero findings forever after.
 """
 
-from repro.analysis import lint_builtin_plugins, self_lint
+from pathlib import Path
+
+from repro.analysis import CODES, lint_builtin_plugins, self_lint
 from repro.analysis.hotpath import builtin_plugin_classes
 
 
@@ -30,6 +32,14 @@ def test_full_self_lint_gate_is_clean():
     report = self_lint()
     assert not report.has_errors, [d.render() for d in report.errors()]
     assert len(report) == 0, [d.render() for d in report]
+
+
+def test_every_registered_code_is_named_by_a_test():
+    """Every rule pays rent (docs/STATIC_ANALYSIS.md): a code with no
+    planted-violation test under tests/ cannot land."""
+    tests = Path(__file__).resolve().parents[1]
+    text = "".join(path.read_text() for path in sorted(tests.rglob("test_*.py")))
+    assert [code for code in sorted(CODES) if code not in text] == []
 
 
 def test_ah_charges_sw_auth_per_byte():

@@ -114,8 +114,8 @@ def _configuration(library) -> dict:
     return {
         "plugins": library.query("plugins")["plugins"],
         "filters": library.query("filters")["filters"],
-        # state/action only: the faults merge sums every numeric field
-        # per child, policy thresholds included.
+        # state/action here; the policy numerics are pinned by
+        # test_faults_policy_is_not_multiplied_by_the_front.
         "faults": {
             name: (snap["state"], snap["action"])
             for name, snap in faults.items()
@@ -232,6 +232,25 @@ def test_status_commands_answer_from_query(front):
     manager.run_script("overload status\ntelemetry status\n")
     assert lines == ["overload governor enabled tier=normal",
                      "telemetry enabled"]
+
+
+def test_faults_policy_is_not_multiplied_by_the_front(front):
+    """Policy fields are configuration — the same on every child by
+    fanout — so a front reports the value, not children x the value; the
+    quarantine deadline is the latest child's, not the sum."""
+    library = PluginManager(front).library
+    library.modload("firewall")
+    library.set_fault_policy("firewall", threshold=3, window=2.5, cooldown=4.0)
+
+    def policy():
+        snap = library.query("faults")["plugins"]["firewall"]
+        return [snap[key] for key in
+                ("threshold", "window", "cooldown", "quarantined_until")]
+
+    assert policy() == [3, 2.5, 4.0, 0.0]
+    for router in _routers(front):          # none reachable under mp
+        router.faults.quarantine("firewall", now=6.0)
+        assert policy() == [3, 2.5, 4.0, 10.0]
 
 
 def test_show_aiu_sums_compile_counters_over_the_front(front):

@@ -1,8 +1,8 @@
 """A control verb recompiles the path it changed, not the table: the
 machine-independent form of ``aiu.compile_ms`` (docs/PERFORMANCE.md,
 "Control-op stall").  Both sides are best-of-N on the same interpreter,
-so the ratio holds on a slow or busy box; scripts/ci_check.sh runs it
-beside the size lines."""
+so the ratio holds on a slow or busy box (tier-1, so
+scripts/ci_check.sh runs it)."""
 
 from time import perf_counter
 

@@ -14,7 +14,7 @@ Equality claims pinned here, all against the same seeded packet streams:
   every shard and changes dispositions exactly like the single router;
 * quarantine state propagates to every shard and aggregates back.
 
-Run via the shard gate in ``scripts/ci_check.sh`` (``-m shard``).
+Run alone with ``-m shard``; part of tier-1.
 """
 
 import json

@@ -13,8 +13,7 @@ Acceptance criteria pinned here:
 * a legitimate flash crowd is *served*, not shed;
 * a governor on healthy traffic is bit-identical to no governor at all.
 
-Run standalone via the attack gate in ``scripts/ci_check.sh``
-(``-m attack``).
+Run alone with ``-m attack``; part of tier-1.
 """
 
 import random

@@ -14,7 +14,7 @@ Equality claims pinned here (docs/TOPOLOGY.md):
 * a forwarding loop is cut at ``max_hops`` with the topology-level
   ``dropped_loop`` disposition.
 
-Run via the topo gate in ``scripts/ci_check.sh`` (``-m topo``).
+Run alone with ``-m topo``; part of tier-1.
 """
 
 import random
@@ -278,6 +278,35 @@ class TestEcmpAndLoops:
         expected = ["left", "right"][packet.flow_fold32() % 2]
         topo.receive(_clone(packet))
         assert topo.node(expected).counters["rx"] == 1
+
+    def test_node_down_refolds_onto_the_other_member_and_back(self):
+        from repro import PluginManager
+
+        topo = self._diamond()
+        packets = _stream(64, dst_net="20.8.0")
+
+        def burst():
+            before = {n: topo.node(n).counters["rx"] for n in ("left", "right")}
+            for packet in packets:
+                assert topo.receive(_clone(packet)) == "forwarded"
+            return {n: topo.node(n).counters["rx"] - before[n] for n in before}
+
+        spread = burst()
+        assert spread["left"] > 0 and spread["right"] > 0
+        topo.set_node_down("left")
+        assert burst() == {"left": 0, "right": 64}
+        assert topo.health()["down"] == ["left"]
+        lines = []
+        PluginManager(topo, output=lines.append).run_command("show topology")
+        (left,) = [line for line in lines if line.startswith("  node left ")]
+        assert left.endswith(" DOWN")
+        # Nowhere healthy to go: the fold spreads over all members again.
+        topo.set_node_down("right")
+        assert burst() == spread
+        topo.set_node_down("left", down=False)
+        topo.set_node_down("right", down=False)
+        assert topo.health()["down"] == []
+        assert burst() == spread
 
     def test_forwarding_loop_dropped(self):
         topo = Topology("loop", max_hops=4)
