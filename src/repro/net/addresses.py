@@ -94,7 +94,12 @@ def _format_ipv6(value: int) -> str:
 
 
 class IPAddress:
-    """An IPv4 or IPv6 address: an integer value plus a bit width."""
+    """An IPv4 or IPv6 address: an integer value plus a bit width.
+
+    Immutable by contract: ``Packet.serialize`` takes a ``src`` that is
+    still the parsed object for the parsed address, and the ESP tunnel
+    endpoints are one shared object on every packet.
+    """
 
     __slots__ = ("value", "width")
 

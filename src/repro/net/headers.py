@@ -61,8 +61,10 @@ class HeaderError(ValueError):
 # flat codec in :mod:`repro.net.packet` pack and unpack through these same
 # objects, so a format string exists in exactly one place.
 IPV4_STRUCT = struct.Struct("!BBHHHBBHII")      # addresses as 32-bit ints
-IPV4_WORDS = struct.Struct("!10H")              # the same 20 bytes, for the checksum
+IPV4_READ_STRUCT = struct.Struct("!HHHHHHIIHH")  # the same header as checksum words + the port pair
+IPV4_HOP_STRUCT = struct.Struct("!8sHH")        # a hop's rewrite: 8 bytes kept, TTL/proto, checksum
 IPV6_STRUCT = struct.Struct("!IHBB16s16s")
+IPV6_HOP_STRUCT = struct.Struct("!7sB")         # a hop's rewrite: 7 bytes kept, hop limit
 UDP_STRUCT = struct.Struct("!HHHH")
 TCP_STRUCT = struct.Struct("!HHIIBBHHH")
 PORTS_STRUCT = struct.Struct("!HH")             # the port pair UDP and TCP both lead with

@@ -21,10 +21,12 @@ from .addresses import IPAddress, IPV4_WIDTH, IPV6_WIDTH
 from .headers import (
     FragInfo,
     HeaderError,
+    IPV4_HOP_STRUCT as _V4_HOP,
     IPV4_MF,
     IPV4_OFFSET_MASK,
+    IPV4_READ_STRUCT as _V4_READ,
     IPV4_STRUCT as _V4,
-    IPV4_WORDS as _V4_WORDS,
+    IPV6_HOP_STRUCT as _V6_HOP,
     IPV6_STRUCT as _V6,
     OptionsHeader,
     OptionTLV,
@@ -45,6 +47,8 @@ _V4_HDR = _V4.size
 _V6_HDR = _V6.size
 _TCP_HDR = _TCP.size
 _UDP_HDR = _UDP.size
+_V4_READ_SIZE = _V4_READ.size
+_V4_FRAGMENT = IPV4_MF | IPV4_OFFSET_MASK
 
 
 class ParseStats:
@@ -105,6 +109,12 @@ class Packet:
     different flow" signal used by the interfaces on delivery and by the
     IPsec plugins after en/decapsulation — also drops every cache, so a
     packet folds its five-tuple exactly once per hop.
+
+    A packet from :meth:`parse` keeps its receive buffer, so bytes the
+    ``Packet`` does not model (IPv4 identification and DF, the UDP
+    checksum, TCP seq / ack / flags / window) survive an untouched
+    forward; once a modelled field is written, :meth:`serialize` packs
+    from the fields alone (identification 0, UDP checksum 0 = "none").
     """
 
     src: IPAddress
@@ -134,6 +144,8 @@ class Packet:
     _label_fold: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _length: int = field(default=-1, init=False, repr=False, compare=False)
     _length_payload: int = field(default=-1, init=False, repr=False, compare=False)
+    # Written only by ``parse``: its buffer and what it read (``serialize`` patches it).
+    _wire: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.src.width != self.dst.width:
@@ -266,11 +278,41 @@ class Packet:
         header checksum is folded from the ints already in hand.  A
         fragment (``annotations['frag']``) is its raw slice behind an
         IPv4 header carrying the ident / MF / offset fields.
+
+        A forwarded datagram is the received one a hop older: while
+        every packed field of a packet from :meth:`parse` still holds
+        the parsed value — compared here each time, by value or
+        identity; plugins write ``packet.tos`` and friends directly, so
+        no dirty flag could be trusted — the result is the receive
+        buffer with the TTL/protocol word and checksum replaced
+        (RFC 1624; the number the full pass computes), the hop-limit
+        byte on IPv6, or the buffer itself when the TTL did not move.
         """
         src = self.src
         dst = self.dst
         protocol = self.protocol
         payload = self.payload
+        wire = self._wire
+        if wire is not None:
+            (
+                data, end, word, checksum, src0, dst0, protocol0,
+                sport0, dport0, tos0, label0, payload0,
+            ) = wire
+            if (
+                src is src0 and dst is dst0 and payload is payload0
+                and protocol == protocol0
+                and self.src_port == sport0 and self.dst_port == dport0
+                and self.tos == tos0 and self.flow_label == label0
+                and not self.hop_options and "frag" not in self.annotations
+            ):
+                new = (self.ttl << 8) | protocol
+                if new == word:
+                    return data if end == len(data) else data[:end]
+                # ``pack`` cuts the buffer to the leading bytes it keeps.
+                if src.width == IPV6_WIDTH:
+                    return _V6_HOP.pack(data, self.ttl) + data[8:end]
+                checksum = (checksum + word - new) % 0xFFFF
+                return _V4_HOP.pack(data, new, checksum) + data[12:end]
         ident = flags_frag = 0
         transport = b""
         frag = self.annotations.get("frag") if self.annotations else None
@@ -328,10 +370,13 @@ class Packet:
     def parse(cls, data: bytes, iif: Optional[str] = None) -> "Packet":
         """Decode a wire datagram into a Packet.
 
-        One flat pass, the mirror of :meth:`serialize`: the structs read
-        the fields straight out of the caller's buffer, the IPv4 header
-        checksum is a C-speed word sum, and :func:`packet_from_fields`
-        builds the packet — no header objects, no slices.
+        One flat pass, the mirror of :meth:`serialize`: one struct read
+        takes the IPv4 header and the port pair behind it straight out
+        of the caller's buffer, the header checksum is verified from
+        those words, and the packet is built by direct slot stores —
+        no header objects, and no slice but the payload view.  A plain
+        datagram (no fragment, no hop options) in an immutable buffer
+        also leaves the ``_wire`` record :meth:`serialize` patches from.
 
         Zero-copy: the payload is a :class:`memoryview` slice into the
         caller's buffer, never a copied ``bytes`` (a ~64 B payload copy
@@ -354,26 +399,36 @@ class Packet:
             raise HeaderError("empty datagram")
         size = len(data)
         version = data[0] >> 4
-        hop_options = annotations = None
-        src_port = dst_port = fragment = flow_label = 0
+        plain = data.__class__ is bytes     # immutable: serialize may hand it back
+        hop_options = []
+        annotations = {}
         if version == 4:
             if size < _V4_HDR:
                 raise HeaderError("short IPv4 header")
+            # The header and the four bytes behind it in one read: the port
+            # pair if this turns out to be UDP or TCP (decided below), zeros
+            # if the datagram ends first.
+            head = data if size >= _V4_READ_SIZE else bytes(data) + b"\0\0\0\0"
             (
-                ver_ihl, tos, end, ident, flags_frag,
-                ttl, protocol, _checksum, src, dst,
-            ) = _V4.unpack_from(data)
-            if ver_ihl != 0x45:
+                ver_tos, end, ident, flags_frag, word, checksum,
+                src, dst, src_port, dst_port,
+            ) = _V4_READ.unpack_from(head)
+            if ver_tos >> 8 != 0x45:
                 raise HeaderError("IPv4 options unsupported")
-            # A valid header's ten words sum to 0xFFFF once folded, i.e.
-            # to a (non-zero) multiple of 0xFFFF before.
-            if sum(_V4_WORDS.unpack_from(data)) % 0xFFFF:
+            # A valid header's words sum to a (non-zero) multiple of 0xFFFF;
+            # 2**16 is 1 modulo 0xFFFF, so 32-bit addresses fold themselves.
+            if (ver_tos + end + ident + flags_frag + word + checksum + src + dst) % 0xFFFF:
                 raise HeaderError("bad IPv4 header checksum")
             if not _V4_HDR <= end <= size:
                 raise HeaderError("truncated datagram")
+            tos = ver_tos & 0xFF
+            ttl = word >> 8
+            protocol = word & 0xFF
+            flow_label = 0
+            fold = src ^ dst
             width = IPV4_WIDTH
             offset = _V4_HDR
-            fragment = flags_frag & (IPV4_MF | IPV4_OFFSET_MASK)
+            fragment = flags_frag & _V4_FRAGMENT
         elif version == 6:
             if size < _V6_HDR:
                 raise HeaderError("short IPv6 header")
@@ -385,13 +440,21 @@ class Packet:
             dst = int.from_bytes(dst, "big")
             tos = (first >> 20) & 0xFF
             flow_label = first & 0xFFFFF
+            fold = src ^ dst
+            while fold >> 32:
+                fold = (fold & 0xFFFFFFFF) ^ (fold >> 32)
             width = IPV6_WIDTH
             offset = _V6_HDR
+            fragment = checksum = 0
             if protocol == PROTO_HOPOPTS:
                 opts, consumed = OptionsHeader.parse(memoryview(data)[offset:end])
                 hop_options = opts.options
                 protocol = opts.next_header
                 offset += consumed
+                plain = False
+            word = (ttl << 8) | protocol
+            room = end - offset >= _PORTS.size
+            src_port, dst_port = _PORTS.unpack_from(data, offset) if room else (0, 0)
         else:
             raise HeaderError(f"unknown IP version {version}")
 
@@ -401,44 +464,61 @@ class Packet:
             frag = FragInfo(
                 ident, (fragment & IPV4_OFFSET_MASK) << 3, bool(fragment & IPV4_MF)
             )
-            if (
-                frag.is_first
-                and protocol in (PROTO_UDP, PROTO_TCP)
-                and end - offset >= _PORTS.size
-            ):
-                src_port, dst_port = _PORTS.unpack_from(data, offset)
+            leads = frag.is_first and protocol in (PROTO_UDP, PROTO_TCP)
+            if not (leads and end - offset >= _PORTS.size):
+                src_port = dst_port = 0
+            plain = False
         elif protocol == PROTO_UDP:
             if end - offset < _UDP_HDR:
                 raise HeaderError("short UDP header")
-            src_port, dst_port, _length, _checksum = _UDP.unpack_from(data, offset)
             offset += _UDP_HDR
         elif protocol == PROTO_TCP:
             if end - offset < _TCP_HDR:
                 raise HeaderError("short TCP header")
-            (
-                src_port, dst_port, seq, _ack, data_offset,
-                flags, _window, _checksum, _urgent,
-            ) = _TCP.unpack_from(data, offset)
+            _, _, seq, _, data_offset, flags, _, _, _ = _TCP.unpack_from(data, offset)
             if data_offset >> 4 != 5:
                 raise HeaderError("TCP options unsupported")
             annotations = {"tcp_seq": seq, "tcp_flags": flags}
             offset += _TCP_HDR
+        else:
+            src_port = dst_port = 0
 
         payload = memoryview(data)[offset:end]
-        packet = packet_from_fields((
-            src, dst, width, protocol, src_port, dst_port, iif, payload,
-            ttl, tos, flow_label,
-            fold_five_tuple(src, dst, protocol, src_port, dst_port),
-            next(_packet_ids), 0.0,
-        ))
-        packet._length = end        # wire packets know their length
-        packet._length_payload = end - offset
         if fragment:
             annotations = {"frag": frag, "frag_raw": payload}
-        if annotations is not None:
-            packet.annotations = annotations
-        if hop_options:
-            packet.hop_options = hop_options
+        # :func:`fold_five_tuple` (addresses folded above) and :func:`packet_from_fields`, inline.
+        PARSE_STATS.tuple_derivations += 1
+        fold ^= (protocol << 24) ^ (src_port << 12) ^ dst_port
+        packet = _NEW_PACKET(Packet)
+        packet.src = src_address = _NEW_ADDRESS(IPAddress)
+        src_address.value = src
+        src_address.width = width
+        packet.dst = dst_address = _NEW_ADDRESS(IPAddress)
+        dst_address.value = dst
+        dst_address.width = width
+        packet.protocol = protocol
+        packet.src_port = src_port
+        packet.dst_port = dst_port
+        packet.iif = iif
+        packet.payload = payload
+        packet.ttl = ttl
+        packet.tos = tos
+        packet.flow_label = flow_label
+        packet.hop_options = hop_options
+        packet.arrival_time = 0.0
+        packet.departure_time = None
+        packet.packet_id = next(_packet_ids)
+        packet.annotations = annotations
+        packet._fix = None
+        packet._flow_key = None
+        packet._flow_fold = fold ^ (fold >> 16)
+        packet._label_fold = None
+        packet._length = end        # wire packets know their length
+        packet._length_payload = end - offset
+        packet._wire = (
+            data, end, word, checksum, src_address, dst_address, protocol,
+            src_port, dst_port, tos, flow_label, payload,
+        ) if plain else None
         return packet
 
     def copy(self) -> "Packet":
@@ -475,10 +555,11 @@ def packet_from_fields(fields: Tuple) -> Packet:
     pipe (:mod:`repro.shard.dispatch`).  ``Packet`` is a slots dataclass;
     building it through ``__init__`` costs two default-factory calls, a
     ``__post_init__`` and two validating ``IPAddress`` constructions
-    that a caller holding already-checked fields (the wire parser, a
-    copy, a shard descriptor) does not need.  ``fold`` lands in the
-    five-tuple hash cache (``None`` leaves it cold), so a fold computed
-    upstream is never derived twice.  Measured ~0.47 us per packet.
+    that a caller holding already-checked fields (a copy, a shard
+    descriptor; ``Packet.parse`` makes the same stores inline) does not
+    need.  ``fold`` lands in the five-tuple hash cache (``None`` leaves
+    it cold), so a fold computed upstream is never derived twice.
+    Measured ~0.5 us per packet with the ``_wire`` store.
     """
     (
         sv, dv, width, proto, sport, dport, iif,
@@ -512,6 +593,7 @@ def packet_from_fields(fields: Tuple) -> Packet:
     pkt._label_fold = None
     pkt._length = -1
     pkt._length_payload = -1
+    pkt._wire = None
     return pkt
 
 

@@ -29,6 +29,9 @@ class EspOutboundInstance(PluginInstance):
         if sa.encryption_key is None:
             raise SecurityError("ESP SA needs an encryption key")
         self.sa = sa
+        # Parsed once; every tunnelled packet shares the (immutable) pair.
+        self._tunnel_src = IPAddress.parse(sa.tunnel_src)
+        self._tunnel_dst = IPAddress.parse(sa.tunnel_dst)
 
     def _charge_crypto(self, ctx: PluginContext, nbytes: int) -> None:
         """Cost-model hook: software cipher+MAC work is per byte.  The
@@ -51,8 +54,8 @@ class EspOutboundInstance(PluginInstance):
             self.sa.spi.to_bytes(4, "big") + sequence.to_bytes(4, "big") + ciphertext
         )
         header = ESPHeader(spi=self.sa.spi, sequence=sequence, body=body)
-        packet.src = IPAddress.parse(self.sa.tunnel_src)
-        packet.dst = IPAddress.parse(self.sa.tunnel_dst)
+        packet.src = self._tunnel_src
+        packet.dst = self._tunnel_dst
         packet.protocol = PROTO_ESP
         packet.src_port = 0
         packet.dst_port = 0

@@ -16,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 AUTH_ALGORITHMS = ("hmac-md5", "hmac-sha1", "hmac-sha256")
 ICV_BYTES = 12          # RFC 2402-style truncated ICV
+# Block counters as the keystream hashes them (8 bytes, big-endian), grown on demand.
+_COUNTERS: List[bytes] = []
 
 
 class SecurityError(RuntimeError):
@@ -99,17 +101,14 @@ class SecurityAssociation:
         """SHA-256 counter-mode keystream (simulation-grade cipher)."""
         if self.encryption_key is None:
             raise SecurityError(f"SA {self.spi:#x} has no encryption key")
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            block = hashlib.sha256(
-                self.encryption_key
-                + sequence.to_bytes(8, "big")
-                + counter.to_bytes(8, "big")
-            ).digest()
-            out.extend(block)
-            counter += 1
-        return bytes(out[:length])
+        blocks = -(-length // 32)
+        while len(_COUNTERS) < blocks:
+            _COUNTERS.append(len(_COUNTERS).to_bytes(8, "big"))
+        prefix = self.encryption_key + sequence.to_bytes(8, "big")
+        sha256 = hashlib.sha256
+        return b"".join(
+            [sha256(prefix + counter).digest() for counter in _COUNTERS[:blocks]]
+        )[:length]
 
     def encrypt(self, sequence: int, plaintext: bytes) -> bytes:
         stream = self.keystream(sequence, len(plaintext))

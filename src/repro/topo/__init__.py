@@ -30,23 +30,23 @@ __all__ = [
 ]
 
 
-def _quarantined_names(router) -> List[str]:
-    shards = getattr(router, "shards", None) or (router,)
-    names = set()
-    for shard in shards:
-        names.update(d.plugin for d in shard._quarantined.values())
-    return sorted(names)
-
-
 def _query_topology(library, **filters) -> dict:
     """The composed network, or a degenerate one-node view for a plain
-    or sharded router library."""
+    or sharded router library.  A sharded front asks its children like
+    any other topic — under the mp backend the routers live in the
+    workers — and merges their one-node answers."""
     topo = getattr(library, "topology", None)
     if topo is not None:
         return topo.describe()
     router = library.router
     sharded = hasattr(router, "nshards")
-    first = router.shards[0] if sharded else router
+    if sharded:
+        rows = [r["nodes"][0] for r in library._each("query", ("topology",), {})]
+        interfaces = set().union(*(row["interfaces"] for row in rows))
+        quarantined = set().union(*(row["quarantined"] for row in rows))
+    else:
+        interfaces = router.interfaces
+        quarantined = {d.plugin for d in router._quarantined.values()}
     name = getattr(router, "name", "router")
     return {
         "name": name,
@@ -56,9 +56,9 @@ def _query_topology(library, **filters) -> dict:
             "name": name,
             "kind": "sharded" if sharded else "router",
             "nshards": getattr(router, "nshards", 1),
-            "interfaces": sorted(first.interfaces),
+            "interfaces": sorted(interfaces),
             "down": False,
-            "quarantined": _quarantined_names(router),
+            "quarantined": sorted(quarantined),
         }],
         "links": [],
         "ecmp": [],

@@ -3,6 +3,8 @@
 If this test breaks, the guide is lying to third-party plugin authors.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
@@ -14,7 +16,8 @@ from repro.core import (
     Verdict,
 )
 from repro.core.messages import Message
-from repro.net.packet import make_udp
+from repro.net.headers import IPv4Header
+from repro.net.packet import Packet, make_udp
 
 
 # --- the guide's §2 example, verbatim --------------------------------------
@@ -71,6 +74,21 @@ class TestGuideExample:
         other = make_udp("10.0.0.2", "20.0.0.1", 5000, 53, iif="atm0")
         router.receive(other)
         assert other.tos == 0
+
+    def test_wire_to_wire_emits_the_mark(self, router):
+        """The example writes ``packet.tos`` and nothing else — no flag,
+        no ``fix = None`` — and a datagram that came off the wire still
+        leaves with the new TOS under a valid checksum."""
+        router.pcu.load(DscpMarkPlugin())
+        plugin = router.pcu.get("dscpmark")
+        plugin.register_instance(plugin.create_instance(dscp=46), "10.0.0.1, *, UDP")
+        sent = []
+        router.interface("atm1").link = SimpleNamespace(
+            carry=lambda sender, packet, departure: sent.append(packet))
+        wire = make_udp("10.0.0.1", "20.0.0.1", 5000, 53, payload_size=8).serialize()
+        assert router.receive_batch([Packet.parse(wire, "atm0")]) == ["forwarded"]
+        header = IPv4Header.parse(sent[0].serialize())      # verifies the checksum
+        assert (header.tos, header.ttl) == (46 << 2, 63)
 
     def test_multiple_instances_coexist(self, router):
         router.pcu.load(DscpMarkPlugin())

@@ -296,3 +296,21 @@ def test_show_trace_names_the_instance_over_the_front(front):
     assert span["stages"][-1] == {
         "stage": "gate:ip_security", "cycles": span["stages"][-1]["cycles"],
         "vtime": 0.0, "instance": "fw0", "verdict": "drop"}
+
+
+def test_show_topology_answers_on_every_front(front):
+    """Interfaces and quarantined plugins come from the children — an mp
+    front holds no router of its own to read them from — so the inline
+    and the mp front give the same node rows."""
+    lines = []
+    manager = PluginManager(front, output=lines.append)
+    manager.run_script("modload stats\ncreate stats s0\nquarantine stats\n")
+    nodes = manager.library.query("topology")["nodes"]
+    for node in nodes:
+        assert node["interfaces"] == ["eth0", "eth1"]
+        assert node["quarantined"] == ["stats"]
+    fronts = getattr(front, "nodes", {"": front}).values()
+    assert [node["nshards"] for node in nodes] == [
+        getattr(router, "nshards", 1) for router in fronts]
+    manager.run_command("show topology")
+    assert any("quarantined=stats" in line for line in lines)

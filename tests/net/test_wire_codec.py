@@ -3,16 +3,24 @@
 The header dataclasses in :mod:`repro.net.headers` are the reference:
 the codec must produce and accept exactly the bytes they compose, and
 reject exactly what they reject — plus datagrams shorter than their own
-length fields.
+length fields.  A packet from ``parse`` serializes by patching its
+receive buffer; that path is held to the same reference, through a
+constructor-built twin that has no buffer to patch.
 """
+
+import copy
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import Topology
+from repro.core.plugin import PluginContext
 from repro.net.addresses import IPAddress, IPV4_WIDTH, IPV6_WIDTH
 from repro.net.checksum import internet_checksum
 from repro.net.fragment import FragInfo, Reassembler, fragment_v4
 from repro.net.headers import (
+    ESPHeader,
     HeaderError,
     IPv4Header,
     IPv6Header,
@@ -24,10 +32,15 @@ from repro.net.headers import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
+    TCP_ACK,
+    TCP_PSH,
     TCPHeader,
     UDPHeader,
 )
+from repro.net.icmp import QUOTE_BYTES, time_exceeded
 from repro.net.packet import PARSE_STATS, Packet, make_tcp, make_udp
+from repro.security import EspPlugin, SecurityAssociation
+from repro.security.sa import ICV_BYTES
 from repro.shard import decode_packet, encode_packet
 
 
@@ -130,6 +143,169 @@ def test_codec_matches_the_header_classes(pkt):
     for name, want in read(wire).items():
         assert getattr(parsed, name) == want, name
     assert parsed.length == len(wire)
+
+
+# ----------------------------------------------------------------------
+# A packet from parse keeps its receive buffer and serialize patches it;
+# the patch must be what a constructor-built twin (the header classes'
+# reading of the same bytes, no buffer) packs in full.
+# ----------------------------------------------------------------------
+def _emit(pkt: Packet):
+    try:
+        return pkt.serialize()
+    except HeaderError as exc:
+        return str(exc)
+
+
+def _distinct(value):
+    """An equal object that is not the same object (where that exists)."""
+    if isinstance(value, IPAddress):
+        return IPAddress(value.value, value.width)
+    if isinstance(value, list):
+        return list(value)
+    return bytes(value) if isinstance(value, memoryview) else value
+
+
+def _changed(value):
+    if isinstance(value, IPAddress):
+        return IPAddress(value.value ^ 1, value.width)
+    if isinstance(value, list):
+        return value + [OptionTLV(OPT_ROUTER_ALERT, b"\x00\x00")]
+    return bytes(value) + b"\x00" if isinstance(value, memoryview) else value ^ 1
+
+
+@given(packets())
+def test_a_parsed_packet_serializes_as_its_constructor_built_twin(pkt):
+    wire = pkt.serialize()
+    for ttl in (pkt.ttl, max(pkt.ttl - 1, 0), 0, 255):
+        parsed = Packet.parse(wire)
+        twin = Packet(**read(wire))
+        parsed.ttl = twin.ttl = ttl
+        parsed.fix = None               # what NetworkInterface.deliver does per hop
+        for same in (parsed, copy.copy(parsed), parsed.copy()):
+            assert same.serialize() == twin.serialize()
+    if not pkt.hop_options:             # nothing to pack: the input itself
+        assert Packet.parse(wire).serialize() is wire
+
+
+WRITES = [
+    "src", "dst", "protocol", "src_port", "dst_port", "tos", "flow_label",
+    "payload", "hop_options", "hop_options.append", "annotations['frag']",
+]
+
+
+@given(packets(), st.sampled_from(WRITES), st.booleans())
+def test_a_written_field_is_repacked(pkt, write, equal):
+    wire = pkt.serialize()
+    parsed, twin = Packet.parse(wire), Packet(**read(wire))
+    parsed.ttl = twin.ttl = max(pkt.ttl - 1, 0)
+    if hasattr(parsed, write):
+        value = getattr(parsed, write)
+        value = _distinct(value) if equal else _changed(value)
+    for target in (parsed, twin):
+        if hasattr(parsed, write):
+            setattr(target, write, value)
+        elif write == "hop_options.append":
+            target.hop_options.append(OptionTLV(OPT_ROUTER_ALERT, b"\x00\x00"))
+        else:
+            target.annotations["frag"] = FragInfo(7, 0, True)
+    assert _emit(parsed) == _emit(twin)
+
+
+def _foreign(protocol: int, transport: bytes, **header) -> bytes:
+    """A datagram no Packet packs: IPv4 and transport fields it does not model."""
+    body = transport + b"payload!"
+    return IPv4Header(
+        A4, B4, protocol, total_length=20 + len(body), **header
+    ).serialize() + body
+
+
+def _differing(a: bytes, b: bytes) -> set:
+    assert len(a) == len(b)
+    return {i for i in range(len(a)) if a[i] != b[i]}
+
+
+FOREIGN = {
+    "udp": lambda **header: _foreign(
+        PROTO_UDP, UDPHeader(5000, 53, 16).serialize(checksum=0xBEEF), **header),
+    "tcp": lambda **header: _foreign(
+        PROTO_TCP, TCPHeader(5000, 80, seq=123456, ack=654321,
+                             flags=TCP_PSH | TCP_ACK, window=1000).serialize(),
+        **header),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOREIGN))
+def test_an_untouched_forward_keeps_the_bytes_the_packet_does_not_model(kind):
+    wire = FOREIGN[kind](identification=0x1234, flags=2)        # DF
+    pkt = Packet.parse(wire, "atm0")
+    pkt.ttl -= 1
+    out = pkt.serialize()
+    assert {8} <= _differing(out, wire) <= {8, 10, 11}
+    assert Packet.parse(out).ttl == 63 and IPv4Header.parse(out).flags == 2
+    # The ICMP quote and the ESP tunnel's inner datagram are those bytes.
+    assert time_exceeded(pkt, A4).payload == out[:QUOTE_BYTES]
+    sa = SecurityAssociation(
+        spi=9, auth_key=b"a" * 16, encryption_key=b"e" * 16, mode="tunnel",
+        tunnel_src="192.0.2.1", tunnel_dst="192.0.2.2")
+    EspPlugin().create_instance(direction="out", sa=sa).process(pkt, PluginContext())
+    assert sa.decrypt(1, ESPHeader.parse(pkt.payload).body[:-ICV_BYTES]) == out
+    # A written modelled field re-packs from the fields alone, as before.
+    marked = Packet.parse(wire)
+    marked.tos = 0x28
+    header = IPv4Header.parse(marked.serialize())
+    assert (header.tos, header.identification, header.flags) == (0x28, 0, 0)
+
+
+@pytest.mark.parametrize("padding", [b"", b"\xAA" * 6], ids=["exact", "padded"])
+@pytest.mark.parametrize("received", [0x0000, 0xFFFF])
+def test_checksum_patch_edges(received, padding):
+    """Both encodings of a zero checksum, the largest TTL step, and link
+    padding: the patched header verifies and ends at ``total_length``."""
+    ident = int.from_bytes(FOREIGN["udp"](ttl=255)[10:12], "big")   # sums the rest to zero
+    wire = FOREIGN["udp"](ttl=255, identification=ident)
+    assert wire[10:12] == b"\x00\x00"
+    wire = wire[:10] + received.to_bytes(2, "big") + wire[12:]
+    pkt = Packet.parse(wire + padding)
+    assert pkt.serialize() == wire
+    pkt.ttl = 0
+    out = pkt.serialize()
+    assert _differing(out, wire) <= {8, 10, 11}
+    assert IPv4Header.parse(out).ttl == 0 and Packet.parse(out).ttl == 0
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview])
+def test_a_mutable_or_foreign_buffer_is_packed_not_handed_back(buffer):
+    for wire in (V4_UDP, V6_UDP):
+        pkt = Packet.parse(buffer(wire))
+        pkt.ttl -= 1
+        twin = Packet(**read(wire))
+        twin.ttl -= 1
+        out = pkt.serialize()
+        assert out == twin.serialize() and type(out) is bytes
+
+
+def test_four_hops_end_in_one_patch():
+    """``fix = None`` on every delivery keeps the buffer: after a 4-hop
+    walk the packet still serializes as its input, four hops older."""
+    topo = Topology("chain")
+    for hop in range(4):
+        topo.add_node(f"r{hop}")
+        topo.add_interface(f"r{hop}", "dn0")
+        topo.add_interface(f"r{hop}", "up0")
+        topo.add_route(f"r{hop}", "10.0.0.0/8", "up0")
+        if hop:
+            topo.link(f"r{hop - 1}", "up0", f"r{hop}", "dn0")
+    sent = []
+    topo.node("r3").interface("up0").link = SimpleNamespace(
+        carry=lambda sender, packet, departure: sent.append(packet))
+    wire = FOREIGN["tcp"](identification=0x1234, flags=2)
+    pkt = Packet.parse(wire, "dn0")
+    assert topo.receive(pkt) == "forwarded"
+    assert sent == [pkt] and pkt.ttl == 60
+    out = pkt.serialize()
+    assert {8} <= _differing(out, wire) <= {8, 10, 11}
+    assert IPv4Header.parse(out).identification == 0x1234
 
 
 # ----------------------------------------------------------------------

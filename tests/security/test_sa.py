@@ -1,5 +1,7 @@
 """Tests for security associations, replay windows, and the SADB."""
 
+import hashlib
+
 import pytest
 
 from repro.security.sa import (
@@ -77,6 +79,22 @@ class TestSecurityAssociation:
     def test_keystream_differs_per_sequence(self):
         sa = _sa(encryption_key=b"e" * 16)
         assert sa.encrypt(1, b"same") != sa.encrypt(2, b"same")
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1500, 4096])
+    def test_keystream_is_the_counter_mode_loop(self, length):
+        """The block-at-a-time loop the keystream replaced, kept as the
+        reference: every ESP ciphertext is unchanged."""
+        key, sequence = b"e" * 16, 0x0102030405
+        out = bytearray()
+        counter = 0
+        while len(out) < length:
+            out.extend(hashlib.sha256(
+                key + sequence.to_bytes(8, "big") + counter.to_bytes(8, "big")
+            ).digest())
+            counter += 1
+        stream = _sa(encryption_key=key).keystream(sequence, length)
+        assert stream == bytes(out[:length])
+        assert type(stream) is bytes
 
     def test_encrypt_without_key_rejected(self):
         with pytest.raises(SecurityError):
