@@ -22,7 +22,7 @@ from ..net.addresses import IPV4_WIDTH, IPV6_WIDTH
 from ..net.packet import Packet
 from ..sim.cost import NULL_METER
 from .dag import DagFilterTable
-from .filters import Filter
+from .filters import Filter, flow_key_of
 from .flow_table import DEFAULT_BUCKETS, FlowTable, INITIAL_RECORDS
 from .linear import LinearFilterTable
 from .records import FilterRecord, FlowRecord, GateSlot
@@ -344,8 +344,6 @@ class AIU:
                 else:
                     self._tm_size_hist.observe(size)
         else:
-            from .filters import flow_key_of
-
             record = FlowRecord(flow_key_of(packet), len(self.gates), now)
         # The compiled walk is only legal when nothing observes the
         # lookup: NULL_METER means no meter (the router additionally

@@ -67,7 +67,8 @@ LEVELS = ("src", "dst", "protocol", "sport", "dport", "iif")
 #   _C_RANGE:  a = sorted segment boundaries, b = children (len(a) + 1)
 #   _C_EXACT:  a = {label: child}, b = wildcard child or None
 # Children at the last level are the leaf's precomputed best FilterRecord
-# (or None for an empty leaf).
+# (or None for an empty leaf).  lookup_fast never reads the tag — the
+# level fixes the kind; only the RP505 audit (codegen_audit) checks it.
 _C_PREFIX, _C_RANGE, _C_EXACT = 0, 1, 2
 
 class _DIRTY:
@@ -430,35 +431,37 @@ class DagFilterTable:
 
     def lookup_fast(self, packet: Packet) -> Optional[FilterRecord]:
         """Compiled equivalent of :meth:`lookup`: same record for every
-        packet (differentially fuzzed), zero modelled cost, no meter."""
+        packet (differentially fuzzed), zero modelled cost, no meter.
+        Straight-line per level: the level fixes each node's kind."""
         if self._compiled_epoch != self.epoch:
             self.ensure_compiled()
         node = self._compiled_root
-        values = (
-            packet.src.value,
-            packet.dst.value,
-            packet.protocol,
-            packet.src_port,
-            packet.dst_port,
-            packet.iif,
-        )
-        for level in range(6):
-            kind, a, b = node
-            value = values[level]
-            if kind == _C_PREFIX:
-                child = None
-                for shift, table in a:
-                    child = table.get(value >> shift)
-                    if child is not None:
-                        break
-            elif kind == _C_RANGE:
-                child = b[bisect_right(a, value)]
-            else:
-                child = a.get(value, b)
-            if child is None:
-                return None
-            node = child
-        return node
+        value = packet.src.value
+        for shift, table in node[1]:
+            node = table.get(value >> shift)
+            if node is not None:
+                break
+        else:
+            return None
+        value = packet.dst.value
+        for shift, table in node[1]:
+            node = table.get(value >> shift)
+            if node is not None:
+                break
+        else:
+            return None
+        node = node[1].get(packet.protocol, node[2])
+        if node is None:
+            return None
+        cuts, kids = node[1], node[2]
+        node = kids[bisect_right(cuts, packet.src_port)] if cuts else kids[0]
+        if node is None:
+            return None
+        cuts, kids = node[1], node[2]
+        node = kids[bisect_right(cuts, packet.dst_port)] if cuts else kids[0]
+        if node is None:
+            return None
+        return node[1].get(packet.iif, node[2])
 
     def lookup_all(self, packet: Packet) -> List[FilterRecord]:
         """All filters matching the packet (testing/diagnostics; uses the

@@ -294,7 +294,7 @@ def _misfiled(subject: str, detail: str) -> Diagnostic:
 def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
     """Shape invariants of the DAG's compiled root, and the per-node
     memos it is assembled from (repro.aiu.dag)."""
-    from ..aiu.dag import _C_EXACT, _C_PREFIX, _C_RANGE, _DIRTY
+    from ..aiu.dag import _C_EXACT, _C_PREFIX, _C_RANGE, _DIRTY, LEVELS
 
     diagnostics: List[Diagnostic] = []
 
@@ -323,17 +323,25 @@ def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
 
     seen: Set[int] = set()
 
-    def walk(node) -> None:
+    # The level fixes the kind: lookup_fast probes without reading tags.
+    kinds = (_C_PREFIX, _C_PREFIX, _C_EXACT, _C_RANGE, _C_RANGE, _C_EXACT)
+
+    def walk(node, level: int) -> None:
         if node is None or id(node) in seen:
             return
         seen.add(id(node))
-        if not (
-            isinstance(node, tuple)
-            and len(node) == 3
-            and node[0] in (_C_PREFIX, _C_RANGE, _C_EXACT)
-        ):
-            return  # leaf FilterRecord
+        if level == len(LEVELS):
+            if isinstance(node, tuple):
+                bad(f"a node tuple at depth {level}, where only leaf records belong")
+            return
+        if not isinstance(node, tuple) or len(node) != 3:
+            bad(f"a {type(node).__name__} child at depth {level}, above the leaves")
+            return
         kind, a, b = node
+        if kind != kinds[level]:
+            bad(f"{LEVELS[level]} level holds a kind-{kind} node, but "
+                f"lookup_fast walks it as kind {kinds[level]}")
+            return
         if kind == _C_PREFIX:
             shifts = [shift for shift, _ in a]
             if shifts != sorted(shifts) or len(set(shifts)) != len(shifts):
@@ -343,7 +351,7 @@ def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
                 )
             for _, children in a:
                 for child in children.values():
-                    walk(child)
+                    walk(child, level + 1)
         elif kind == _C_RANGE:
             boundaries = list(a)
             if boundaries != sorted(boundaries):
@@ -354,13 +362,13 @@ def audit_dag_table(table, subject: str = "filter table") -> List[Diagnostic]:
                     f"{len(b)} children (must be boundaries+1)"
                 )
             for child in b:
-                walk(child)
+                walk(child, level + 1)
         else:
             for child in a.values():
-                walk(child)
-            walk(b)
+                walk(child, level + 1)
+            walk(b, level + 1)
 
-    walk(root)
+    walk(root, 0)
 
     # A clean node's memo must equal a fresh compile of its subtree — a
     # mutation that did not dirty its path is how the compiled and the

@@ -281,3 +281,36 @@ def test_a_verb_recompiles_its_path_not_the_table():
     assert (table.compiles, table.nodes_compiled_last) == (2, 7)
     table.ensure_compiled()                     # clean: an int compare
     assert table.compiles == 2
+
+
+_EDGES = sorted({p for f in POOL for s in (f.sport, f.dport)
+                 for p in (s.low - 1, s.low, s.high, s.high + 1) if 0 <= p <= 65535})
+
+
+def _pool_address(width):
+    nets = sorted({p.value for f in POOL for p in (f.src, f.dst)
+                   if not p.is_wildcard and p.width == width})
+    near = st.tuples(st.sampled_from(nets), st.integers(0, 0xFFFF)).map(lambda t: t[0] | t[1])
+    return st.one_of(near, st.integers(0, (1 << width) - 1)).map(lambda v: IPAddress(v, width))
+
+
+_port = st.one_of(st.sampled_from(_EDGES), st.integers(0, 65535))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((IPV4_WIDTH, IPV6_WIDTH)).flatmap(lambda width: st.builds(
+    Packet, src=_pool_address(width), dst=_pool_address(width),
+    protocol=st.sampled_from((1, 6, 17)), src_port=_port, dst_port=_port,
+    iif=st.sampled_from(("atm0", "atm1", None)),
+)))
+def test_compiled_walk_is_the_metered_walk_on_random_packets(packet):
+    """Every pool filter that installs, random packets near its prefixes
+    and port edges: the straight-line walk returns the metered walk's record."""
+    aiu = AIU(("g",))
+    for flt in POOL:
+        try:
+            aiu.create_filter("g", flt)
+        except AmbiguousFilterError:
+            pass
+    table = aiu._tables[("g", packet.src.width)]
+    assert table.lookup_fast(packet) is table.lookup(packet)

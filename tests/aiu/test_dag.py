@@ -10,8 +10,8 @@ from repro.aiu.filters import Filter, PortSpec
 from repro.aiu.linear import LinearFilterTable
 from repro.aiu.matchers import AmbiguousFilterError
 from repro.aiu.records import FilterRecord
-from repro.net.addresses import IPV6_WIDTH
-from repro.net.packet import make_tcp, make_udp
+from repro.net.addresses import IPV6_WIDTH, IPAddress
+from repro.net.packet import Packet, make_tcp, make_udp
 from repro.sim.cost import MemoryMeter
 
 
@@ -245,6 +245,82 @@ class TestIntrospection:
         table = DagFilterTable(width=32)
         a = _install(table, "10.*, *, UDP")
         assert table.records() == [a]
+
+
+# ---------------------------------------------------------------------------
+# The compiled walk's dead ends and fall-throughs, level by level.
+# ---------------------------------------------------------------------------
+_ADDRS = {
+    "v4": dict(a="10.0.0.0/8", b="20.0.0.0/8", c="30.0.0.0/8",
+               a1="10.0.0.1", b1="20.0.0.1", c1="30.0.0.1",
+               x1="11.0.0.1", y1="40.0.0.1"),
+    "v6": dict(a="2001:db8::/32", b="2001:db9::/32", c="2001:dba::/32",
+               a1="2001:db8::1", b1="2001:db9::1", c1="2001:dba::1",
+               x1="2002::1", y1="2001:dbb::1"),
+}
+
+#: name -> spec; disjoint port ranges leave a None segment between them.
+_WALK_FILTERS = {
+    "low": "{a}, {b}, UDP, 0-1999, 0-99",
+    "high": "{a}, {b}, UDP, 3000-65535, 60000-65535",
+    "anyproto": "{a}, {c}, *",
+    "tcp_atm0": "{a}, {b}, TCP, *, *, atm0",
+    "tcp": "{a}, {b}, TCP",
+}
+
+#: (case, src, dst, protocol, sport, dport, iif, expected filter name)
+_WALK_CASES = [
+    ("no source prefix", "x1", "b1", 17, 5, 5, None, None),
+    ("source but no destination", "a1", "y1", 17, 5, 5, None, None),
+    ("no protocol edge, no wildcard", "a1", "b1", 1, 5, 5, None, None),
+    ("protocol falls to wildcard", "a1", "c1", 6, 5, 5, "atm1", "anyproto"),
+    ("sport in the gap", "a1", "b1", 17, 2500, 50, None, None),
+    ("dport in the gap", "a1", "b1", 17, 1000, 100, None, None),
+    ("ports 0 at range edges", "a1", "b1", 17, 0, 0, None, "low"),
+    ("ports 65535 at range edges", "a1", "b1", 17, 65535, 65535, None, "high"),
+    ("iif exact", "a1", "b1", 6, 5, 5, "atm0", "tcp_atm0"),
+    ("iif falls to wildcard", "a1", "b1", 6, 5, 5, "atm1", "tcp"),
+]
+
+
+def _walk_table(family):
+    table = DagFilterTable(width=32 if family == "v4" else IPV6_WIDTH)
+    records = {
+        name: _install(table, spec.format(**_ADDRS[family]))
+        for name, spec in _WALK_FILTERS.items()
+    }
+    return table, records
+
+
+def _walk_packet(family, src, dst, protocol, sport, dport, iif):
+    addrs = _ADDRS[family]
+    return Packet(
+        src=IPAddress.parse(addrs[src]), dst=IPAddress.parse(addrs[dst]),
+        protocol=protocol, src_port=sport, dst_port=dport, iif=iif,
+    )
+
+
+@pytest.mark.parametrize("family", ["v4", "v6"])
+@pytest.mark.parametrize("case", _WALK_CASES, ids=[c[0] for c in _WALK_CASES])
+def test_compiled_walk_dead_ends_and_fall_throughs(family, case):
+    table, records = _walk_table(family)
+    pkt = _walk_packet(family, *case[1:7])
+    expected = records.get(case[7])
+    assert table.lookup_fast(pkt) is table.lookup(pkt)
+    assert table.lookup_fast(pkt) is expected
+
+
+@pytest.mark.parametrize("family", ["v4", "v6"])
+def test_compiled_walk_on_empty_and_emptied_tables(family):
+    empty = DagFilterTable(width=32 if family == "v4" else IPV6_WIDTH)
+    emptied, records = _walk_table(family)
+    for record in records.values():
+        assert emptied.remove(record)
+    for table in (empty, emptied):
+        for case in _WALK_CASES:
+            pkt = _walk_packet(family, *case[1:7])
+            assert table.lookup_fast(pkt) is table.lookup(pkt)
+            assert table.lookup_fast(pkt) is None
 
 
 # ---------------------------------------------------------------------------

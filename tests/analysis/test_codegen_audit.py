@@ -5,7 +5,7 @@ codes can gate CI without false positives)."""
 
 import pytest
 
-from repro.aiu.dag import _C_PREFIX, DagFilterTable
+from repro.aiu.dag import _C_EXACT, _C_PREFIX, _C_RANGE, DagFilterTable
 from repro.aiu.matchers import AmbiguousFilterError
 from repro.aiu.records import FilterRecord
 from repro.analysis import (
@@ -277,6 +277,46 @@ def test_rp505_dag_prefix_tables_out_of_order():
     findings = audit_dag_table(table)
     assert "RP505" in _codes(findings)
     assert any("longest-first" in d.message for d in findings)
+
+
+def _plant(table, depth, replace):
+    """Swap the first node at ``depth`` on the root's first path for
+    ``replace(node)``, rebuilding only the path above it: the memos
+    stay as compiled, so the level check is the only thing to trip."""
+    def rebuild(node, level):
+        if level == depth:
+            return replace(node)
+        kind, a, b = node
+        if kind == _C_PREFIX:
+            (shift, children), *rest = a
+            label, child = next(iter(children.items()))
+            return (kind, ((shift, {**children, label: rebuild(child, level + 1)}), *rest), b)
+        if kind == _C_RANGE:
+            i = next(i for i, kid in enumerate(b) if kid is not None)
+            return (kind, a, b[:i] + [rebuild(b[i], level + 1)] + b[i + 1:])
+        if not a:
+            return (kind, a, rebuild(b, level + 1))
+        label, child = next(iter(a.items()))
+        return (kind, {**a, label: rebuild(child, level + 1)}, b)
+
+    table._compiled_root = rebuild(table._compiled_root, 0)
+
+
+@pytest.mark.parametrize(
+    "depth,replace,level",
+    [
+        (3, lambda node: (_C_EXACT, {}, node[2][0]), "sport"),
+        (2, lambda node: (_C_RANGE, [], [node[2]]), "protocol"),
+    ],
+)
+def test_rp505_dag_node_of_the_wrong_kind_for_its_level(depth, replace, level):
+    """The compiled walk never reads a tag — the level fixes the kind —
+    so a mis-kinded node would be mis-walked silently; the audit flags it."""
+    table = _seeded_table()
+    _plant(table, depth, replace)
+    findings = audit_dag_table(table)
+    assert _codes(findings) == ["RP505"]
+    assert f"{level} level holds a kind-" in findings[0].message
 
 
 def test_rp505_dag_clean_memo_differs_from_a_fresh_compile():
