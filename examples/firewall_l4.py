@@ -76,7 +76,7 @@ def main() -> None:
 
     print(f"\nfirewall: {allow.allowed} allowed, {deny.denied} denied")
     print(f"video took the premium path (atm2) purely on its destination port —")
-    print(f"route lookups skipped for L4-routed flows: see bench_ablation docs")
+    print("route lookups skipped for L4-routed flows: see EXPERIMENTS.md")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The one CI entry point: static-analysis gate, the --json topic gate,
-# the tier-1 suite (once), then the benchmark's self-tests.  Everything
-# here repeats exactly — there is no wall-clock floor or ceiling
+# the tier-1 suite (once), the paper rows too slow for tier-1, then the
+# benchmark's self-tests.  Everything here repeats exactly — there is no
+# wall-clock floor or ceiling
 # (docs/PERFORMANCE.md "Running the benchmark": speed is judged by
 # paired runs of benchmarks/e2e/run.py).
 #
@@ -13,11 +14,12 @@
 # layouts (RP5xx), and verifies compiled/interpreted equivalence for the
 # classifier DAG and all BMP engines (scripts/analyze.py --self-lint),
 # plus ruff/mypy over the linted subsystems when those tools are
-# installed.  pyproject.toml's addopts deselects no marker, so the
-# tier-1 run already includes the cost-model goldens, the recompile
-# ratio, the chaos soak and fault-containment suites
-# (scripts/chaos_check.sh runs those alone), the attack soaks, and the
-# shard and topo suites.  Exits non-zero if any gate fails.
+# installed.  pyproject.toml's addopts deselects only the ``paper``
+# marker, so the tier-1 run already includes the cost-model goldens, the
+# paper's rows (tests/perf/test_paper.py), the recompile ratio, the chaos
+# soak and fault-containment suites (scripts/chaos_check.sh runs those
+# alone), the attack soaks, and the shard and topo suites; the slow
+# ``paper`` rows run right after it.  Exits non-zero if any gate fails.
 
 set -eu
 
@@ -49,6 +51,8 @@ fi
 echo "==== size (src/ net lines is a tracked metric, ROADMAP aim 2) ===="
 find src -name '*.py' | xargs wc -l | tail -1
 wc -l src/repro/analysis/*.py
+echo "benchmarks/*.py (the paper runner; e2e/ excluded):"
+wc -l benchmarks/*.py | tail -1
 
 echo "==== telemetry gate (pmgr --json schema) ===="
 # Every `pmgr show X --json` output must be machine-parseable: drive a
@@ -90,8 +94,11 @@ print(json.dumps(blobs))
 EOF
 echo "ok: all show topics emit valid JSON (single router and 2-shard front)"
 
-echo "==== tier-1 tests (every test under tests/, once) ===="
+echo "==== tier-1 tests (every test under tests/ but the slow paper rows, once) ===="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "==== the paper's slow rows (pytest -m paper: 50k-filter Table 2, the big DAGs, ...) ===="
+PYTHONPATH=src python -m pytest -q -m paper tests/perf/test_paper.py
 
 echo "==== benchmark self-tests (benchmarks/e2e/tests) ===="
 # The end-to-end benchmark's own checks (oracles, generators, harness

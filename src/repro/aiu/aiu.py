@@ -93,7 +93,7 @@ class AIU:
         self.flow_table.on_remove = self._notify_flow_removed
         self.filter_lookups = 0
         # Ablation knob: with the cache off, every packet takes the full
-        # n-gate filter classification (benchmarks/bench_ablation_*).
+        # n-gate filter classification (ablation A1, benchmarks/paper.py).
         self.use_flow_cache = use_flow_cache
         # Fast-path plan support: how many filters are installed at each
         # gate and how many are bound to each instance, and an epoch

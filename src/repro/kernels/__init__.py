@@ -1,12 +1,7 @@
 """The four kernel configurations of the paper's Table 3."""
 
 from .altq_kernel import AltqKernel, build_altq_kernel
-from .base import (
-    KernelResult,
-    TABLE3_HEADER,
-    format_table3,
-    run_table3_workload,
-)
+from .base import KernelResult, run_table3_workload
 from .besteffort import BestEffortKernel, build_besteffort_kernel
 from .plugin_kernel import (
     EmptyPlugin,
@@ -30,8 +25,6 @@ __all__ = [
     "AltqKernel",
     "build_altq_kernel",
     "KernelResult",
-    "TABLE3_HEADER",
-    "format_table3",
     "run_table3_workload",
     "BestEffortKernel",
     "build_besteffort_kernel",

@@ -8,9 +8,8 @@ derived throughput — the exact columns of Table 3.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..sim.cost import CPU_HZ, CycleMeter, cycles_to_us
 from ..workloads.flows import FlowSpec, round_robin_trains, table3_flows
@@ -23,7 +22,6 @@ class KernelResult:
     name: str
     avg_cycles: float
     packets: int
-    wall_seconds: float = 0.0
 
     @property
     def avg_us(self) -> float:
@@ -38,28 +36,12 @@ class KernelResult:
         """Relative overhead against a baseline row (paper's last column)."""
         return self.avg_cycles / baseline.avg_cycles - 1.0
 
-    def row(self, baseline: Optional["KernelResult"] = None) -> str:
-        overhead = (
-            "-" if baseline is None or baseline is self
-            else f"{self.overhead_vs(baseline) * 100:+.1f}%"
-        )
-        return (
-            f"{self.name:<44} {self.avg_cycles:>8.0f} {self.avg_us:>8.2f} "
-            f"{overhead:>8} {self.throughput_pps:>9.0f}"
-        )
-
-
-TABLE3_HEADER = (
-    f"{'Kernel':<44} {'Cycles':>8} {'us':>8} {'Ovrhd':>8} {'pkts/s':>9}"
-)
-
 
 def run_table3_workload(
     kernel,
     flows: Optional[Sequence[FlowSpec]] = None,
     packets_per_flow: int = 100,
     repetitions: int = 10,
-    warmup_packets: int = 3,
 ) -> KernelResult:
     """Replay the §7.3 measurement against one kernel.
 
@@ -75,24 +57,14 @@ def run_table3_workload(
         kernel.process(packet, CycleMeter())
     total_cycles = 0
     total_packets = 0
-    start = time.perf_counter()
     for _ in range(repetitions):
         for packet in round_robin_trains(flows, packets_per_flow):
             meter = CycleMeter()
             kernel.process(packet, meter)
             total_cycles += meter.total
             total_packets += 1
-    wall = time.perf_counter() - start
     return KernelResult(
         name=kernel.name,
         avg_cycles=total_cycles / total_packets,
         packets=total_packets,
-        wall_seconds=wall,
     )
-
-
-def format_table3(results: Sequence[KernelResult]) -> str:
-    baseline = results[0]
-    lines = [TABLE3_HEADER]
-    lines.extend(result.row(baseline) for result in results)
-    return "\n".join(lines)

@@ -49,15 +49,19 @@ def _install_background_filters(router: Router, filters: Sequence[Filter]) -> No
         router.aiu.create_filter(gates[index % len(gates)], flt)
 
 
-def build_plugin_kernel(filter_count: int = 16) -> PluginKernel:
-    """Row 2: plugin architecture, empty plugins at three gates."""
-    router = Router(name="plugin", gates=DEFAULT_GATES, flow_buckets=32768)
+def build_plugin_kernel(
+    filter_count: int = 16, gates: Sequence[str] = DEFAULT_GATES, use_flow_cache: bool = True
+) -> PluginKernel:
+    """Row 2: plugin architecture, empty plugins at three gates (the
+    gate-count and flow-cache ablations vary ``gates`` and the cache)."""
+    router = Router(name="plugin", gates=gates, flow_buckets=32768,
+                    use_flow_cache=use_flow_cache)
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("atm1", prefix="20.0.0.0/8")
     plugin = EmptyPlugin()
     router.pcu.load(plugin)
     instance = plugin.create_instance()
-    for gate in DEFAULT_GATES:
+    for gate in router.gates:
         # Catch-all binding so every measured packet calls the empty
         # plugin at every gate, matching the paper's setup.
         plugin.register_instance(instance, "*, *, UDP", gate=gate)

@@ -11,6 +11,7 @@ from .adversarial import (
 from .filtersets import (
     PORT_CATALOGUE,
     matching_probe,
+    prefix_length_filters,
     random_filters,
     table3_filters,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "scenario_names",
     "PORT_CATALOGUE",
     "matching_probe",
+    "prefix_length_filters",
     "random_filters",
     "table3_filters",
     "FlowSpec",

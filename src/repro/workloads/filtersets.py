@@ -105,6 +105,33 @@ def random_filters(
     return filters
 
 
+def prefix_length_filters(width: int = IPV4_WIDTH, seed: int = 1) -> List[Filter]:
+    """Table 2's worst case: one filter per src length 2..``width`` (any
+    dst), then one per dst length from the longest src.
+
+    BSPL's length search tree is balanced, so D distinct lengths cost
+    ⌈log₂(D+1)⌉ probes; ``width - 1`` lengths make it perfect, so every
+    lookup probes log₂(width) per address (5 and 7: the paper's
+    2·log₂W row; all ``width`` lengths would give 6 and 8).  Length n is
+    n−1 ones then a zero under a random mask: the prefixes are disjoint,
+    so set pruning replicates nothing and the DAG stays linear in size.
+    """
+    rng = random.Random(seed)
+    masks = rng.getrandbits(width), rng.getrandbits(width)
+
+    def stair(n: int, mask: int) -> Prefix:
+        return Prefix((((1 << (n - 1)) - 1) << (width - n + 1)) ^ mask, n, width)
+
+    lengths = range(2, width + 1)
+    host = stair(width, masks[0])
+    pairs = [(stair(n, masks[0]), Prefix(0, 0, width)) for n in lengths]
+    pairs += [(host, stair(n, masks[1])) for n in lengths]
+    return [
+        Filter(src=s, dst=d, protocol=17, sport=PortSpec.exact(5000), dport=PortSpec.exact(53))
+        for s, d in pairs
+    ]
+
+
 def matching_probe(flt: Filter, rng: random.Random):
     """A (src, dst, protocol, sport, dport) tuple matching the filter —
     used to generate lookup traffic that actually hits installed filters."""

@@ -1,8 +1,8 @@
-"""Tests for the Table 3 result arithmetic and formatting."""
+"""Tests for the Table 3 result arithmetic."""
 
 import pytest
 
-from repro.kernels.base import KernelResult, TABLE3_HEADER, format_table3
+from repro.kernels.base import KernelResult
 from repro.sim.cost import CPU_HZ
 
 
@@ -19,23 +19,3 @@ class TestKernelResult:
         base = KernelResult("base", avg_cycles=6460, packets=1)
         other = KernelResult("plugin", avg_cycles=6970, packets=1)
         assert other.overhead_vs(base) == pytest.approx(0.0789, abs=0.001)
-
-    def test_row_formats_overhead(self):
-        base = KernelResult("base", avg_cycles=1000, packets=1)
-        other = KernelResult("double", avg_cycles=2000, packets=1)
-        assert "+100.0%" in other.row(base)
-        # 233 MHz / 2000 cycles = 116 500 pkts/s.
-        assert other.row(None).strip().endswith("116500")
-
-    def test_row_baseline_is_dash(self):
-        base = KernelResult("base", avg_cycles=1000, packets=1)
-        assert " -" in base.row(base)
-
-    def test_format_table3(self):
-        rows = [
-            KernelResult("a", avg_cycles=1000, packets=1),
-            KernelResult("b", avg_cycles=1100, packets=1),
-        ]
-        table = format_table3(rows)
-        assert table.splitlines()[0] == TABLE3_HEADER
-        assert "+10.0%" in table

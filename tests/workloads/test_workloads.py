@@ -7,13 +7,15 @@ import pytest
 from repro.aiu.dag import DagFilterTable
 from repro.aiu.matchers import AmbiguousFilterError
 from repro.aiu.records import FilterRecord
-from repro.net.addresses import IPV6_WIDTH
+from repro.bmp.waldvogel import BinarySearchOnLengths
+from repro.net.addresses import IPV4_WIDTH, IPV6_WIDTH, Prefix
 from repro.workloads import (
     bursty_arrivals,
     heavy_tailed_train_lengths,
     matching_probe,
     pareto_on_off,
     poisson_arrivals,
+    prefix_length_filters,
     random_filters,
     round_robin_trains,
     scenario,
@@ -162,3 +164,23 @@ class TestFilterSets:
 
     def test_table3_filters_count(self):
         assert len(table3_filters()) == 16
+
+    @pytest.mark.parametrize("width,probes", [(IPV4_WIDTH, 5), (IPV6_WIDTH, 7)])
+    def test_prefix_length_filters_fill_the_bspl_tree(self, width, probes):
+        """Table 2's 2·log₂W: width − 1 lengths in each address table make
+        BSPL's length tree perfect, log₂W deep; one more length deepens it."""
+        filters = prefix_length_filters(width)
+        for field in ("src", "dst"):
+            engine = BinarySearchOnLengths(width)
+            for flt in filters:
+                prefix = getattr(flt, field)
+                if not prefix.is_wildcard:
+                    engine.insert(prefix, flt)
+            assert len({p.length for p, _ in engine.entries()}) == width - 1
+            assert engine.worst_case_accesses() == probes
+            engine.insert(Prefix(0, 1, width), None)
+            assert engine.worst_case_accesses() == probes + 1
+        table = DagFilterTable(width=width)
+        for flt in filters:
+            table.install(FilterRecord(flt, gate="g"))
+        assert len(table) == 2 * (width - 1)
