@@ -29,10 +29,12 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + dag + aiu + batch + wire codec + esp + drr) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + esp + drr) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
+        src/repro/aiu/flow_table.py src/repro/aiu/records.py \
+        src/repro/core/pcu.py \
         src/repro/core/batch.py src/repro/net/packet.py \
         src/repro/net/headers.py src/repro/net/checksum.py \
         src/repro/security/sa.py src/repro/security/esp.py \

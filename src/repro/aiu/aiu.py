@@ -16,7 +16,7 @@ table.  The data-path contract mirrors §3.2 exactly:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.addresses import IPV4_WIDTH, IPV6_WIDTH
 from ..net.packet import Packet
@@ -25,32 +25,36 @@ from .dag import DagFilterTable
 from .filters import Filter, flow_key_of
 from .flow_table import DEFAULT_BUCKETS, FlowTable, INITIAL_RECORDS
 from .linear import LinearFilterTable
-from .records import FilterRecord, FlowRecord, GateSlot
+from .records import FilterRecord, FlowRecord
 
 TABLE_KINDS = {"dag": DagFilterTable, "linear": LinearFilterTable}
 
 
-def _filter_matches_key(flt: Filter, key) -> bool:
-    """Would this filter match packets of a cached flow?"""
-    version = 6 if key.src_width == IPV6_WIDTH else 4
+def _claimed_by(flt: Filter) -> Callable[[FlowRecord], bool]:
+    """``Filter.matches`` over a cached flow's key, with the filter's
+    family, masks, protocol, port bounds and iif read once: the flows a
+    new filter could claim (a wildcard prefix has mask and value 0)."""
     family = flt.family
-    if family is not None and family != version:
-        return False
-    if not flt.src.is_wildcard and not (
-        flt.src.width == key.src_width and flt.src.matches(key.src)
-    ):
-        return False
-    if not flt.dst.is_wildcard and not (
-        flt.dst.width == key.src_width and flt.dst.matches(key.dst)
-    ):
-        return False
-    if flt.protocol is not None and flt.protocol != key.protocol:
-        return False
-    if not flt.sport.matches(key.sport) or not flt.dport.matches(key.dport):
-        return False
-    if flt.iif is not None and flt.iif != key.iif:
-        return False
-    return True
+    width = None if family is None else (IPV6_WIDTH if family == 6 else IPV4_WIDTH)
+    smask, svalue = flt.src.mask, flt.src.value
+    dmask, dvalue = flt.dst.mask, flt.dst.value
+    protocol, iif = flt.protocol, flt.iif
+    slow, shigh = flt.sport.low, flt.sport.high
+    dlow, dhigh = flt.dport.low, flt.dport.high
+
+    def claimed(flow: FlowRecord) -> bool:
+        key = flow.key
+        return (
+            (width is None or key.src_width == width)
+            and key.src & smask == svalue
+            and key.dst & dmask == dvalue
+            and (protocol is None or key.protocol == protocol)
+            and slow <= key.sport <= shigh
+            and dlow <= key.dport <= dhigh
+            and (iif is None or key.iif == iif)
+        )
+
+    return claimed
 
 
 class GateError(KeyError):
@@ -199,14 +203,9 @@ class AIU:
         self.plan_epoch += 1
         # Live reconfiguration: cached flows the new filter could claim
         # must re-classify, or they would keep their old bindings until
-        # cache expiry.  O(cached flows) on the control path.
-        self._purge_flows_matching(flt)
+        # cache expiry.  One pass over the cached flows.
+        self.flow_table.purge(_claimed_by(flt))
         return record
-
-    def _purge_flows_matching(self, flt: Filter) -> None:
-        for record in list(self.flow_table):
-            if _filter_matches_key(flt, record.key):
-                self.flow_table.invalidate(record)
 
     def _count_binding(self, instance: object, delta: int) -> None:
         """``delta`` more filters are bound to ``instance``; only
@@ -216,6 +215,16 @@ class AIU:
             counts[instance] = count = counts.get(instance, 0) + delta
             if not count:
                 del counts[instance]
+
+    def _derived_from(self, record: FilterRecord) -> Callable[[FlowRecord], bool]:
+        """The cached flows whose binding at the record's gate came from it."""
+        index = self._gate_index[record.gate]
+
+        def derived(flow: FlowRecord) -> bool:
+            slot = flow.slots[index]
+            return slot is not None and slot.filter_record is record
+
+        return derived
 
     def bind(self, record: FilterRecord, instance: object) -> None:
         """Bind (or rebind) a filter record to a plugin instance.
@@ -229,55 +238,60 @@ class AIU:
             self._count_binding(instance, 1)
             self.plan_epoch += 1
         record.instance = instance
-        self.flow_table.invalidate_filter(record)
+        self.flow_table.purge(self._derived_from(record))
 
     def remove_filter(self, record: FilterRecord) -> bool:
         """Remove a filter and purge flow-table entries derived from it."""
+        removed = self._unlink(record)
+        if removed:
+            self.flow_table.purge(self._derived_from(record))
+        return removed
+
+    def _unlink(self, record: FilterRecord) -> bool:
+        """Take a record out of its tables and counts; no flow is touched."""
         removed = False
         for table in self._tables_for_filter(record.gate, record.filter):
             removed = table.remove(record) or removed
         if removed:
-            self.flow_table.invalidate_filter(record)
             record.active = False
             self._gate_filter_counts[record.gate] -= 1
             self._count_binding(record.instance, -1)
             self.plan_epoch += 1
         return removed
 
-    def purge_instance(self, instance: object) -> int:
-        """Remove *every* AIU reference to a plugin instance: its filter
-        records and any flow-table gate slot still pointing at it.
+    def purge(self, owned: Callable[[object], bool]) -> Tuple[int, int]:
+        """Remove *every* AIU reference to the instances ``owned``
+        accepts: unlink their filter records, then drop, in one pass over
+        the flow table, each cached flow with a slot holding one.
+        Returns (filters removed, flows invalidated).
 
-        ``remove_filter`` alone only purges flows reachable through the
-        filter's back-references; an instance can also sit in a gate
-        slot with no live back-reference (e.g. bound after the flow was
-        cached, or installed outside ``register_instance``).  Unload
-        must never let the data path resurrect such an instance from the
-        flow cache, so this sweeps the flow table too — clearing the
-        slot *before* invalidating the record, which also protects a
-        packet mid-walk whose FIX still points at the record.
-
-        Returns the number of flow records invalidated.
+        A slot bound through a filter record is left intact, so its
+        instance hears ``on_flow_removed`` as on any filter removal.  A
+        slot with no filter behind it (bound after the flow was cached,
+        or outside ``register_instance``) is cleared first, so neither
+        the flow cache nor a packet mid-walk whose FIX still points at
+        the record can resurrect the instance.
         """
-        if instance in self._instance_filter_counts:
-            for record in self.filters():
-                if record.instance is instance:
-                    self.remove_filter(record)
-        purged = 0
-        for flow in list(self.flow_table):
-            stale = False
+        records: List[FilterRecord] = []
+        if any(owned(instance) for instance in self._instance_filter_counts):
+            records = [r for r in self.filters() if owned(r.instance)]
+            for record in records:
+                self._unlink(record)
+
+        def stale(flow: FlowRecord) -> bool:
+            hit = False
             for slot in flow.slots:
-                if slot is not None and slot.instance is instance:
-                    if slot.filter_record is not None:
-                        slot.filter_record.flows.discard(flow)
-                        slot.filter_record = None
-                    slot.instance = None
-                    slot.private = None
-                    stale = True
-            if stale:
-                self.flow_table.invalidate(flow)
-                purged += 1
-        return purged
+                if slot is not None and slot.instance is not None and owned(slot.instance):
+                    hit = True
+                    if slot.filter_record is None:
+                        slot.instance = slot.private = None
+            return hit
+
+        return len(records), self.flow_table.purge(stale)
+
+    def purge_instance(self, instance: object) -> int:
+        """:meth:`purge` of one instance; returns the flows invalidated."""
+        return self.purge(lambda candidate: candidate is instance)[1]
 
     def filters(self, gate: Optional[str] = None) -> List[FilterRecord]:
         # A family-wildcard filter appears in both per-family tables;
@@ -364,10 +378,6 @@ class AIU:
             slot = record.slot(index)
             slot.instance = filter_record.instance
             slot.filter_record = filter_record
-            if install:
-                # Backrefs (for purge-on-filter-removal) only for records
-                # that actually live in the flow table.
-                filter_record.flows.add(record)
             binder = getattr(filter_record.instance, "on_flow_created", None)
             if binder is not None:
                 binder(record, slot)

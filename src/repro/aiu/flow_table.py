@@ -26,7 +26,7 @@ from typing import Callable, Iterator, List, Optional
 from ..net.packet import Packet
 from ..sim.cost import Costs, NULL_METER
 from .filters import FlowKey, flow_key_of
-from .records import FilterRecord, FlowRecord
+from .records import FlowRecord
 
 DEFAULT_BUCKETS = 32768
 INITIAL_RECORDS = 1024
@@ -245,9 +245,6 @@ class FlowTable:
     def _evict(self, record: FlowRecord) -> None:
         if self.on_remove is not None:
             self.on_remove(record)
-        for slot in record.slots:
-            if slot is not None and slot.filter_record is not None:
-                slot.filter_record.flows.discard(record)
         # O(1) intrusive unlink (previously an O(chain) list.remove).
         prev, nxt = record.hash_prev, record.hash_next
         if prev is not None:
@@ -266,12 +263,20 @@ class FlowTable:
         self._evict(record)
         self._free.append(record)
 
-    def invalidate_filter(self, filter_record: FilterRecord) -> None:
-        """Purge every flow derived from a removed filter (§4:
-        deregister-instance removes 'all references to it ... from the
-        flow table and the filter table')."""
-        for record in list(filter_record.flows):
-            self.invalidate(record)
+    def purge(self, stale: Callable[[FlowRecord], bool]) -> int:
+        """Drop every flow ``stale`` accepts in one walk of the recency
+        list, most recent first; returns how many went.  The control
+        path's one way to drop flows: a verb pays one pass, however many
+        filter records it removed."""
+        removed = 0
+        record = self._lru_head
+        while record is not None:
+            following = record.lru_next
+            if stale(record):
+                self.invalidate(record)
+                removed += 1
+            record = following
+        return removed
 
     def expire_idle(self, now: float, max_idle: float) -> int:
         """Drop flows idle longer than ``max_idle`` (§3.2: idle cached

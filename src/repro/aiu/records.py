@@ -14,7 +14,7 @@ linkage.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .filters import Filter, FlowKey
 
@@ -35,7 +35,6 @@ class FilterRecord:
         "active",
         "leaves",
         "via",
-        "flows",
     )
 
     def __init__(
@@ -60,8 +59,6 @@ class FilterRecord:
         # (node, label) via-list entries, for O(1) removal.
         self.leaves: List[object] = []
         self.via: List[Tuple[object, object]] = []
-        # Flow-table entries derived from this filter, purged on removal.
-        self.flows: Set["FlowRecord"] = set()
 
     def sort_key(self) -> tuple:
         """Most-specific-filter ordering: specificity, then priority, then

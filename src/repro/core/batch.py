@@ -433,7 +433,6 @@ def _emit_classify(blk, plan, depth):
             finst = frec.instance
             fslot.instance = finst
             fslot.filter_record = frec
-            frec.flows.add(record)
             binder = getattr(finst, "on_flow_created", None)
             if binder is not None:
                 binder(record, fslot)
@@ -468,9 +467,6 @@ def _emit_allocate(blk, plan, depth):
             on_remove = table.on_remove
             if on_remove is not None:
                 on_remove(victim)
-            for vslot in victim.slots:
-                if vslot is not None and vslot.filter_record is not None:
-                    vslot.filter_record.flows.discard(victim)
             prevv = victim.hash_prev
             nxtv = victim.hash_next
             if prevv is not None:

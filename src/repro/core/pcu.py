@@ -71,28 +71,13 @@ class PluginControlUnit:
     def unload(self, plugin_or_name) -> None:
         """Unload a plugin, freeing its instances and AIU bindings.
 
-        ``detach`` frees every *tracked* instance (which purges its
-        filters and flow-table slots); the sweep below additionally
-        catches instances the plugin never registered in
-        ``plugin.instances`` — without it, an unload mid-traffic could
-        leave a cached flow whose gate slot resurrects the unloaded
-        code on the next packet.
+        ``detach`` purges the AIU of every instance of the plugin,
+        including ones it never registered in ``plugin.instances``, in
+        one pass over the flow table.
         """
         plugin = self._resolve(plugin_or_name)
         code = plugin_code_of(plugin)
         plugin.detach()
-        if self.aiu is not None:
-            strays = {
-                id(record.instance): record.instance
-                for record in self.aiu.filters()
-                if getattr(record.instance, "plugin", None) is plugin
-            }
-            for flow in self.aiu.flow_table:
-                for slot in flow.slots:
-                    if slot is not None and getattr(slot.instance, "plugin", None) is plugin:
-                        strays.setdefault(id(slot.instance), slot.instance)
-            for stray in strays.values():
-                self.aiu.purge_instance(stray)
         if self.router is not None:
             for iface, scheduler in list(self.router._schedulers.items()):
                 if getattr(scheduler, "plugin", None) is plugin:

@@ -156,9 +156,13 @@ class Plugin:
         self.code = code
 
     def detach(self) -> None:
-        """Called by the PCU on unload; frees all instances."""
+        """Called by the PCU on unload: one AIU purge for every instance
+        of this plugin, tracked in ``self.instances`` or not (a cached
+        flow must not resurrect unloaded code), then frees them all."""
+        if self.pcu is not None and self.pcu.aiu is not None:
+            self.pcu.aiu.purge(lambda instance: getattr(instance, "plugin", None) is self)
         for instance in list(self.instances):
-            self.free_instance(instance)
+            self._release(instance)
         self.pcu = None
         self.code = None
 
@@ -202,6 +206,10 @@ class Plugin:
             # still referencing it — mid-traffic frees must not leave a
             # cached flow that resurrects the dead instance.
             self.pcu.aiu.purge_instance(instance)
+        self._release(instance)
+
+    def _release(self, instance: PluginInstance) -> None:
+        """Everything ``free_instance`` does once the AIU is purged."""
         router = self.pcu.router if self.pcu is not None else None
         if router is not None:
             for iface, scheduler in list(router._schedulers.items()):
@@ -224,11 +232,8 @@ class Plugin:
             raise InstanceError("plugin is not attached to a PCU with an AIU")
         if record is not None:
             return self.pcu.aiu.remove_filter(record)
-        removed = False
-        for rec in list(self.pcu.aiu.filters()):
-            if rec.instance is instance:
-                removed = self.pcu.aiu.remove_filter(rec) or removed
-        return removed
+        filters, _flows = self.pcu.aiu.purge(lambda candidate: candidate is instance)
+        return filters > 0
 
     # -- plugin-specific messages ----------------------------------------
     def handle_custom(self, message: Message):

@@ -97,8 +97,11 @@ class ChaosInstance(PluginInstance):
             self.inner.on_flow_removed(flow, slot)
 
     def free(self) -> None:
-        if self.inner is not None:
-            self.inner.free()
+        inner = self.inner
+        if inner is not None:
+            inner.free()
+            if inner in inner.plugin.instances:
+                inner.plugin.instances.remove(inner)
 
     def injections(self) -> Dict[str, int]:
         """Ground truth for reconciliation against fault records."""
@@ -157,10 +160,3 @@ class ChaosPlugin(Plugin):
         )
         self.instances.append(instance)
         return instance
-
-    def free_instance(self, instance: PluginInstance) -> None:
-        inner_instance = getattr(instance, "inner", None)
-        super().free_instance(instance)
-        if inner_instance is not None and self.inner is not None:
-            if inner_instance in self.inner.instances:
-                self.inner.instances.remove(inner_instance)

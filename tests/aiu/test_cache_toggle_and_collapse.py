@@ -34,10 +34,13 @@ class TestFlowCacheToggle:
         assert record.slot(aiu.gate_index("ip_security")).instance == "sec"
 
     def test_disabled_cache_leaves_no_filter_backrefs(self):
+        """Cache-off classification builds throwaway flow records: none
+        reaches the flow table, so no purge can ever find one."""
         aiu = AIU(GATES, flow_buckets=64, use_flow_cache=False)
-        filter_record = aiu.create_filter("ip_security", "10.*, *, UDP", instance="s")
-        aiu.classify(_pkt(), "ip_security")
-        assert filter_record.flows == set()
+        aiu.create_filter("ip_security", "10.*, *, UDP", instance="s")
+        _instance, record = aiu.classify(_pkt(), "ip_security")
+        assert record.slot(aiu.gate_index("ip_security")).filter_record is not None
+        assert len(aiu.flow_table) == 0 and list(aiu.flow_table) == []
 
     def test_enabled_cache_default(self):
         aiu = AIU(GATES, flow_buckets=64)

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.aiu.filters import Filter
 from repro.aiu.flow_table import FlowTable
-from repro.aiu.records import FilterRecord
 from repro.net.packet import make_udp
 from repro.sim.cost import Costs, CycleMeter, MemoryMeter
 
@@ -110,18 +108,25 @@ class TestInvalidation:
         assert table.lookup(_flow_packet(1)) is None
         assert len(table) == 0
 
-    def test_invalidate_filter_purges_derived_flows(self, table):
-        filter_record = FilterRecord(Filter.parse("10.*, *, UDP"), gate="g")
-        flows = []
-        for i in range(3):
-            record = table.install(_flow_packet(i))
-            record.slot(0).filter_record = filter_record
-            filter_record.flows.add(record)
-            flows.append(record)
-        other = table.install(_flow_packet(50))
-        table.invalidate_filter(filter_record)
-        assert len(table) == 1
-        assert table.lookup(_flow_packet(50)) is other
+    def test_purge_drops_accepted_flows_in_one_recency_walk(self, table):
+        removed = []
+        table.on_remove = removed.append
+        records = [table.install(_flow_packet(i), now=float(i)) for i in range(6)]
+        table.lookup(_flow_packet(0), now=9.0)      # flow 0 is now the most recent
+        seen = []
+
+        def stale(record):
+            seen.append(record)
+            return record.key.sport % 2 == 0        # flows 0, 2, 4
+
+        assert table.purge(stale) == 3
+        recency = [records[0]] + records[:0:-1]
+        assert seen == recency                      # each flow tested once, MRU first
+        assert removed == [r for r in recency if r.key.sport % 2 == 0]
+        assert [r.key.sport for r in table] == [1005, 1003, 1001]
+        for i in (1, 3, 5):
+            assert table.lookup(_flow_packet(i)) is records[i]
+        assert table.purge(stale) == 0
 
     def test_expire_idle(self, table):
         table.install(_flow_packet(1), now=0.0)

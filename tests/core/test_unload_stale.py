@@ -127,18 +127,15 @@ class TestPurgeInstanceDirect:
         assert router.aiu.purge_instance(instance) == 0
 
     def test_purge_counts_slots_unreachable_from_filters(self, router):
-        # A slot with no filter back-reference is exactly what the sweep
-        # exists for: remove_filter cannot see it.
+        # A slot holding the instance with no filter record behind it is
+        # exactly what the sweep exists for: remove_filter cannot see it.
         plugin = CountingPlugin()
         router.pcu.load(plugin)
         instance = plugin.create_instance()
-        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
         router.receive(_pkt())
-        for flow in router.aiu.flow_table:
-            for slot in flow.slots:
-                if slot is None:
-                    continue
-                if slot.instance is instance and slot.filter_record is not None:
-                    slot.filter_record.flows.discard(flow)
-                    slot.filter_record = None
+        (flow,) = router.aiu.flow_table
+        slot = flow.slot(router.aiu.gate_index(GATE_IP_SECURITY))
+        slot.instance = instance
+        assert slot.filter_record is None
         assert router.aiu.purge_instance(instance) == 1
+        assert slot.instance is None and len(router.aiu.flow_table) == 0
