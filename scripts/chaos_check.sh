@@ -9,14 +9,16 @@
 #
 # The soak's seeds are fixed in tests/sim/test_chaos_soak.py (STORM),
 # so every run replays the same fault storm: ~5 % injected faults across
-# three plugins over 10k packets, on both the metered walk and the
-# generated un-metered loops, with packet-for-packet agreement asserted.
-# The same storm also runs through receive_batch in both layouts (packet
-# and lanes), pinning mid-batch fault resume against the metered walk.
+# three plugins over 10k packets, on the metered walk and the generated
+# un-metered loops (per packet, and per batch in both layouts), with
+# packet-for-packet agreement asserted.  The oracle
+# (tests/oracle/test_oracle.py) replays its derandomized histories —
+# chaos-wrapped plugins, fault policies, quarantines, governor floods —
+# across every executor against the metered walk.
 #
 # Exits non-zero if containment fails: a fault escapes the router, a
-# record fails to reconcile, a quarantine misbehaves, or the two data
-# paths diverge.
+# record fails to reconcile, a quarantine misbehaves, or an executor
+# diverges from the metered walk.
 #
 # Multi-hop containment — quarantine rerouting across an ECMP topology
 # and the seeded multi-hop attack soaks (IPsec spoofing, drop-action v6
@@ -29,6 +31,9 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos soak (seeded fault storm) =="
 PYTHONPATH=src python -m pytest -q -m chaos tests/sim/test_chaos_soak.py
+
+echo "== the oracle (every executor against the metered walk) =="
+PYTHONPATH=src python -m pytest -q tests/oracle/
 
 echo "== fault-domain unit + equivalence suites =="
 PYTHONPATH=src python -m pytest -q \

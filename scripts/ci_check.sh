@@ -16,9 +16,10 @@
 # plus ruff/mypy over the linted subsystems when those tools are
 # installed.  pyproject.toml's addopts deselects only the ``paper``
 # marker, so the tier-1 run already includes the cost-model goldens, the
-# paper's rows (tests/perf/test_paper.py), the recompile ratio, the chaos
-# soak and fault-containment suites (scripts/chaos_check.sh runs those
-# alone), the attack soaks, and the shard and topo suites; the slow
+# paper's rows (tests/perf/test_paper.py), the recompile ratio, the
+# oracle (tests/oracle/), the chaos soak and fault-containment suites
+# (scripts/chaos_check.sh runs those alone), the attack soaks, and the
+# shard and topo suites; the slow
 # ``paper`` rows run right after it.  Exits non-zero if any gate fails.
 
 set -eu
@@ -51,7 +52,7 @@ else
 fi
 
 echo "==== size (src/ net lines is a tracked metric, ROADMAP aim 2) ===="
-find src -name '*.py' | xargs wc -l | tail -1
+echo "src/: $(find src -name '*.py' | xargs cat | wc -l)  tests/: $(git ls-files tests | xargs cat | wc -l)"
 wc -l src/repro/analysis/*.py
 echo "benchmarks/*.py (the paper runner; e2e/ excluded):"
 wc -l benchmarks/*.py | tail -1

@@ -20,18 +20,18 @@ sample window and walks a hysteresis ladder::
   cycles, and is bit-identical with the governor attached or detached
   (golden-pinned by tests/perf/test_cost_invariance.py).
 * **PRESSURE** — new-flow births pass a per-interface token bucket
-  (``admit_rate``/``admit_burst``); flows over the rate are classified
+  (``ADMIT_RATE``/``ADMIT_BURST``); flows over the rate are classified
   *cache-bypass*: correctly, through the full slow path, but without
   installing a FlowRecord — floods stop consuming table entries while
   established flows keep their cached fast path.  A tuple that keeps
-  coming back (``persist_after`` misses) is admitted past the bucket:
+  coming back (``PERSIST_AFTER`` misses) is admitted past the bucket:
   flood tuples never repeat, so persistence is the cheap tell that
   separates a legitimate flow (or an established one evicted before
   detection kicked in) from attack traffic — and it is what lets the
   miss rate actually fall once an attack stops, instead of bypassed
   legitimate flows re-missing forever and holding the ladder up.
 * **THRASH** — same ladder rung with the bucket refill scaled down by
-  ``thrash_admit_scale``: only a trickle of new flows may establish.
+  ``THRASH_ADMIT_SCALE``: only a trickle of new flows may establish.
 * **SHED** — new flows over the (scaled) rate are dropped outright
   (``Disposition.DROPPED_OVERLOAD``) before any gate runs; established
   flows are never shed.
@@ -81,12 +81,33 @@ _TRANSITION_RING = 32
 #: grow governor memory past a small constant.
 _SEEN_CAP = 8192
 
+#: Ladder signals, per sample window: a tier escalates on a miss ratio
+#: at or above its ``*_MISS`` together with an eviction fraction at or
+#: above its ``*_EVICT`` (or occupancy at or above ``HIGH_OCCUPANCY``);
+#: a window is calm at or below both ``CALM_*``.
+PRESSURE_MISS = 0.35
+PRESSURE_EVICT = 0.05
+THRASH_MISS = 0.60
+THRASH_EVICT = 0.30
+CALM_MISS = 0.15
+CALM_EVICT = 0.05
+HIGH_OCCUPANCY = 0.85
+
+#: Admission: the per-interface token bucket (births per second, depth),
+#: its refill scale above PRESSURE, and the uncached misses after which a
+#: repeating tuple is admitted past the bucket.
+ADMIT_RATE = 200.0
+ADMIT_BURST = 64
+THRASH_ADMIT_SCALE = 0.25
+PERSIST_AFTER = 3
+
 
 class OverloadGovernor:
     """Thrash detector + graceful-degradation ladder for one router.
 
-    All thresholds are constructor keywords so ``pmgr overload on
-    key=value...`` can tune them; see the module docstring for the
+    The clock, hysteresis and memory keywords are what ``pmgr overload
+    on key=value...`` can tune; the signal and admission thresholds are
+    the module constants above.  See the module docstring for the
     ladder semantics.  Ratios are per sample window: ``miss_ratio`` is
     misses / (hits + misses) and ``evict_frac`` evictions per classified
     packet.
@@ -95,9 +116,6 @@ class OverloadGovernor:
     __slots__ = (
         # --- configuration -------------------------------------------
         "sample_interval", "escalate_after", "shed_after", "recover_after",
-        "pressure_miss", "pressure_evict", "thrash_miss", "thrash_evict",
-        "calm_miss", "calm_evict", "high_occupancy",
-        "admit_rate", "admit_burst", "thrash_admit_scale", "persist_after",
         "memory_budget", "idle_reclaim",
         # --- hot-path state (read by Router.receive) -----------------
         "countdown", "degraded", "tier",
@@ -113,17 +131,6 @@ class OverloadGovernor:
         escalate_after: int = 2,
         shed_after: int = 3,
         recover_after: int = 3,
-        pressure_miss: float = 0.35,
-        pressure_evict: float = 0.05,
-        thrash_miss: float = 0.60,
-        thrash_evict: float = 0.30,
-        calm_miss: float = 0.15,
-        calm_evict: float = 0.05,
-        high_occupancy: float = 0.85,
-        admit_rate: float = 200.0,
-        admit_burst: int = 64,
-        thrash_admit_scale: float = 0.25,
-        persist_after: int = 3,
         memory_budget: Optional[int] = None,
         idle_reclaim: float = 2.0,
     ):
@@ -131,29 +138,12 @@ class OverloadGovernor:
             raise ValueError("sample_interval must be >= 1")
         if escalate_after < 1 or recover_after < 1 or shed_after < 1:
             raise ValueError("escalate_after/shed_after/recover_after must be >= 1")
-        if admit_rate <= 0 or admit_burst < 1:
-            raise ValueError("admit_rate must be > 0 and admit_burst >= 1")
-        if not 0.0 < thrash_admit_scale <= 1.0:
-            raise ValueError("thrash_admit_scale must be in (0, 1]")
-        if persist_after < 2:
-            raise ValueError("persist_after must be >= 2")
         if memory_budget is not None and memory_budget < 1:
             raise ValueError("memory_budget must be >= 1")
         self.sample_interval = int(sample_interval)
         self.escalate_after = int(escalate_after)
         self.shed_after = int(shed_after)
         self.recover_after = int(recover_after)
-        self.pressure_miss = float(pressure_miss)
-        self.pressure_evict = float(pressure_evict)
-        self.thrash_miss = float(thrash_miss)
-        self.thrash_evict = float(thrash_evict)
-        self.calm_miss = float(calm_miss)
-        self.calm_evict = float(calm_evict)
-        self.high_occupancy = float(high_occupancy)
-        self.admit_rate = float(admit_rate)
-        self.admit_burst = int(admit_burst)
-        self.thrash_admit_scale = float(thrash_admit_scale)
-        self.persist_after = int(persist_after)
         self.memory_budget = memory_budget
         self.idle_reclaim = float(idle_reclaim)
 
@@ -243,14 +233,14 @@ class OverloadGovernor:
             "occupancy": occupancy,
         }
 
-        hot = occupancy is not None and occupancy >= self.high_occupancy
-        pressure_sig = miss_ratio >= self.pressure_miss and (
-            evict_frac >= self.pressure_evict or hot
+        hot = occupancy is not None and occupancy >= HIGH_OCCUPANCY
+        pressure_sig = miss_ratio >= PRESSURE_MISS and (
+            evict_frac >= PRESSURE_EVICT or hot
         )
-        thrash_sig = miss_ratio >= self.thrash_miss and (
-            evict_frac >= self.thrash_evict or hot
+        thrash_sig = miss_ratio >= THRASH_MISS and (
+            evict_frac >= THRASH_EVICT or hot
         )
-        calm_sig = miss_ratio <= self.calm_miss and evict_frac <= self.calm_evict
+        calm_sig = miss_ratio <= CALM_MISS and evict_frac <= CALM_EVICT
 
         tier = self.tier
         if tier == TIER_NORMAL:
@@ -318,7 +308,7 @@ class OverloadGovernor:
         consults the governor on a flow-cache miss.
 
         A tuple misses its way to admission: each uncached miss bumps a
-        per-fold counter, and at ``persist_after`` misses the flow is
+        per-fold counter, and at ``PERSIST_AFTER`` misses the flow is
         admitted past the token bucket.  Flood tuples never repeat so
         they never qualify; legitimate flows (including established ones
         whose record was evicted before detection) establish within a
@@ -345,7 +335,7 @@ class OverloadGovernor:
             seen.clear()
         fold = packet.flow_fold32()
         count = seen.get(fold, 0) + 1
-        if count >= self.persist_after:
+        if count >= PERSIST_AFTER:
             # Persistent tuple: a real flow, not flood noise.  Admit it
             # and drop the counter — if it is ever evicted again it will
             # re-earn admission in the same few packets.
@@ -353,16 +343,16 @@ class OverloadGovernor:
             self.admitted += 1
             return ADMIT
         seen[fold] = count
-        rate = self.admit_rate
+        rate = ADMIT_RATE
         if tier != TIER_PRESSURE:
-            rate *= self.thrash_admit_scale
+            rate *= THRASH_ADMIT_SCALE
         bucket = self._buckets.get(packet.iif)
         if bucket is None:
-            bucket = self._buckets[packet.iif] = [float(self.admit_burst), now]
+            bucket = self._buckets[packet.iif] = [float(ADMIT_BURST), now]
         else:
             elapsed = now - bucket[1]
             if elapsed > 0.0:
-                bucket[0] = min(float(self.admit_burst), bucket[0] + elapsed * rate)
+                bucket[0] = min(float(ADMIT_BURST), bucket[0] + elapsed * rate)
                 bucket[1] = now
         if bucket[0] >= 1.0:
             bucket[0] -= 1.0
@@ -408,17 +398,17 @@ class OverloadGovernor:
                 "escalate_after": self.escalate_after,
                 "shed_after": self.shed_after,
                 "recover_after": self.recover_after,
-                "pressure_miss": self.pressure_miss,
-                "pressure_evict": self.pressure_evict,
-                "thrash_miss": self.thrash_miss,
-                "thrash_evict": self.thrash_evict,
-                "calm_miss": self.calm_miss,
-                "calm_evict": self.calm_evict,
-                "high_occupancy": self.high_occupancy,
-                "admit_rate": self.admit_rate,
-                "admit_burst": self.admit_burst,
-                "thrash_admit_scale": self.thrash_admit_scale,
-                "persist_after": self.persist_after,
+                "pressure_miss": PRESSURE_MISS,
+                "pressure_evict": PRESSURE_EVICT,
+                "thrash_miss": THRASH_MISS,
+                "thrash_evict": THRASH_EVICT,
+                "calm_miss": CALM_MISS,
+                "calm_evict": CALM_EVICT,
+                "high_occupancy": HIGH_OCCUPANCY,
+                "admit_rate": ADMIT_RATE,
+                "admit_burst": ADMIT_BURST,
+                "thrash_admit_scale": THRASH_ADMIT_SCALE,
+                "persist_after": PERSIST_AFTER,
                 "memory_budget": self.memory_budget,
                 "idle_reclaim": self.idle_reclaim,
             },

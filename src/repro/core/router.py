@@ -316,7 +316,9 @@ class Router:
             if gov.countdown <= 0:
                 gov.sample(now)
             if gov.degraded:
-                # The admission / cache-bypass seam lives in receive().
+                # The admission / cache-bypass seam lives in receive(),
+                # which counts each packet against the clock itself.
+                gov.countdown += len(packets)
                 return [self.receive(p, now=now) for p in packets]
         # Pre-warm the compiled classifier tables so flow misses inside
         # the batch pay dict probes, not compile latency (epoch compare

@@ -226,7 +226,7 @@ class RouterPluginLibrary:
     # ------------------------------------------------------------------
     def enable_overload(self, **config):
         """Attach an overload governor; ``config`` keywords are the
-        :class:`~repro.core.overload.OverloadGovernor` thresholds."""
+        :class:`~repro.core.overload.OverloadGovernor` constructor's."""
         try:
             return self.router.attach_overload_governor(**config)
         except (TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ Command language (one command per line; ``#`` comments allowed)::
                                               # hop-by-hop path trace
                                               # (topology routers only;
                                               # results: show paths)
-    overload on [key=value...]                # overload governor thresholds
+    overload on [key=value...]                # overload governor clock/budget
     overload off|status                       # (docs/ROBUSTNESS.md)
     show <topic> [--json]                     # any registered topic
 

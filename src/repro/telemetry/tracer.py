@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.faults import packet_digest
 from ..core.plugin import Verdict
 from ..core.router import Disposition
 from ..sim.cost import NULL_METER, CycleMeter
@@ -45,7 +46,7 @@ class Span:
 
     def __init__(self, packet, started: float):
         self.packet_id = packet.packet_id
-        self.flow = _flow_digest(packet)
+        self.flow = packet_digest(packet)
         self.arrived = f"arrived on {packet.iif} ttl={packet.ttl}"
         self.started = started
         self.stages: List[Tuple[str, int, float]] = []
@@ -93,16 +94,6 @@ class Span:
             f"Span(#{self.packet_id}, {self.flow}, "
             f"{self.disposition}, cycles={self.total_cycles})"
         )
-
-
-def _flow_digest(packet) -> str:
-    try:
-        return (
-            f"{packet.src}:{packet.src_port}->{packet.dst}:{packet.dst_port}"
-            f"/{packet.protocol}"
-        )
-    except Exception:
-        return repr(packet)
 
 
 class LifecycleTracer:

@@ -21,9 +21,10 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..core.faults import packet_digest
 from ..net.addresses import IPAddress
 from ..net.packet import Packet
-from ..telemetry.tracer import LifecycleTracer, _flow_digest
+from ..telemetry.tracer import LifecycleTracer
 
 #: A probe spec: a Packet, a ⟨src, dst, proto, sport, dport⟩ five-tuple,
 #: or a bare destination address/prefix string.
@@ -120,7 +121,7 @@ class _HopRecorder:
             "shard": shard,
             "time": at,
             "iif": packet.iif,
-            "flow": _flow_digest(packet),
+            "flow": packet_digest(packet),
             "disposition": disposition,
             "classification": self._classification(target, packet),
             "gates": [],

@@ -3,7 +3,9 @@
 The compiled slow path (``DagFilterTable.lookup_fast``) is a wall-clock
 specialization of the metered walk (``DagFilterTable.lookup``); the
 :class:`LinearFilterTable` is the brute-force correctness oracle that
-handles any filter set.  These tests drive all three over seeded random
+handles any filter set.  (Through a router — verbs mutating the tables
+between compiles, the un-metered executors walking them — the two walks
+meet in the oracle, tests/oracle/.)  These tests drive all three over seeded random
 filter sets and probe traffic — including traffic aimed *at* the
 installed filters, not just random misses — and assert exact agreement,
 then churn the tables with interleaved installs/removals to prove the
@@ -51,49 +53,20 @@ def _build_tables(filters, width):
 
 def _probe_packets(filters, width, rng, per_filter=2, random_probes=64):
     """Packets matching installed filters plus uniform random traffic."""
-    packets = []
-    for flt in filters:
-        for _ in range(per_filter):
-            src, dst, protocol, sport, dport = matching_probe(flt, rng)
-            packets.append(
-                Packet(
-                    src=IPAddress(src, width),
-                    dst=IPAddress(dst, width),
-                    protocol=protocol,
-                    src_port=sport,
-                    dst_port=dport,
-                    iif=rng.choice(["atm0", "atm1", None]),
-                )
-            )
-    for _ in range(random_probes):
-        packets.append(
-            Packet(
-                src=IPAddress(rng.getrandbits(width), width),
-                dst=IPAddress(rng.getrandbits(width), width),
-                protocol=rng.choice((6, 17)),
-                src_port=rng.randrange(65536),
-                dst_port=rng.randrange(65536),
-                iif=rng.choice(["atm0", "atm1", None]),
-            )
-        )
-    return packets
+    tuples = [matching_probe(flt, rng) for flt in filters for _ in range(per_filter)]
+    tuples += [(rng.getrandbits(width), rng.getrandbits(width), rng.choice((6, 17)),
+                rng.randrange(65536), rng.randrange(65536)) for _ in range(random_probes)]
+    return [Packet(src=IPAddress(src, width), dst=IPAddress(dst, width), protocol=protocol,
+                   src_port=sport, dst_port=dport, iif=rng.choice(["atm0", "atm1", None]))
+            for src, dst, protocol, sport, dport in tuples]
 
 
 def _assert_agree(dag, linear, packet):
+    """Compiled is metered is the linear oracle's record (sort keys are
+    unique — the record seq breaks every tie — so the same object)."""
     metered = dag.lookup(packet)
-    compiled = dag.lookup_fast(packet)
-    oracle = linear.lookup(packet)
-    # sort keys are unique (the record seq breaks every tie), so matching
-    # keys means the very same record object.
-    assert compiled is metered, (
-        f"compiled/metered divergence on {packet}: {compiled!r} != {metered!r}"
-    )
-    if oracle is None:
-        assert metered is None, f"oracle miss but DAG hit {metered!r} on {packet}"
-    else:
-        assert metered is oracle, (
-            f"DAG/oracle divergence on {packet}: {metered!r} != {oracle!r}"
-        )
+    assert dag.lookup_fast(packet) is metered, packet
+    assert metered is linear.lookup(packet), packet
 
 
 @pytest.mark.parametrize("seed", SEEDS)

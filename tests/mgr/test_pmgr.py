@@ -116,6 +116,15 @@ class TestPmgrCommands:
         with pytest.raises(ConfigurationError):
             manager.run_command("show nonsense")
 
+    def test_overload_thresholds_are_not_configuration(self, manager):
+        """Only the clock, hysteresis and memory keywords are tunable;
+        the signal and admission thresholds are module constants."""
+        with pytest.raises(ConfigurationError, match="bad overload config"):
+            manager.run_command("overload on admit_rate=50")
+        manager.run_command("overload on sample_interval=8 memory_budget=64")
+        config = manager.library.query("overload")["config"]
+        assert (config["sample_interval"], config["admit_rate"]) == (8, 200.0)
+
     def test_comments_and_blanks_skipped(self, manager):
         assert manager.run_script("\n# comment only\n\n") == 0
 

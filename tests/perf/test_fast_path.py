@@ -2,26 +2,19 @@
 
 The metered data path (`Router._receive`) is the specification; the fast
 path and `receive_batch` are specializations that must produce the same
-dispositions, counters, flow-table statistics, and plugin callbacks.
-These tests pin that equivalence, plus the two cache-coherence hazards
-the fast path introduces: LRU recycling under a capped record pool, and
-the active-gate plan going stale across filter installs/removals.
+dispositions, counters, flow-table statistics, and plugin callbacks (the
+oracle's world compares them, tests/oracle/).  Pinned here besides: the
+two cache-coherence hazards the fast path introduces, LRU recycling
+under a capped record pool, and the active-gate plan going stale across
+filter installs/removals.
 """
 
 import random
 
-from repro.core.gates import DEFAULT_GATES, GATE_IP_SECURITY
+from repro.core.gates import GATE_IP_SECURITY
 from repro.core.plugin import Plugin, PluginInstance, TYPE_IP_SECURITY, Verdict
-from repro.core.router import Router
 from repro.net.packet import make_udp
-from repro.sim.cost import CycleMeter
-
-
-def _build_router(name, **kwargs):
-    router = Router(name=name, gates=DEFAULT_GATES, **kwargs)
-    router.add_interface("atm0", prefix="10.0.0.0/8")
-    router.add_interface("atm1", prefix="20.0.0.0/8")
-    return router
+from tests.oracle.harness import World, build_router
 
 
 class _PortFilterInstance(PluginInstance):
@@ -29,9 +22,7 @@ class _PortFilterInstance(PluginInstance):
 
     def process(self, packet, ctx):
         self.packets_processed += 1
-        if packet.dst_port == 7777:
-            return Verdict.DROP
-        return Verdict.CONTINUE
+        return Verdict.DROP if packet.dst_port == 7777 else Verdict.CONTINUE
 
 
 class _PortFilterPlugin(Plugin):
@@ -49,80 +40,45 @@ def _install_port_filter(router):
 
 
 def _mixed_workload():
-    """A deterministic packet mix covering every disposition class:
-    cache hits, misses, TTL expiry, no-route drops, and plugin drops."""
-    packets = []
-    for i in range(5):                      # 5 flows x 4 packets: mostly hits
-        for _ in range(4):
-            packets.append(
-                make_udp("10.0.0.1", f"20.0.1.{i + 1}", 5000 + i, 9000, iif="atm0")
-            )
-    for i in range(10):                     # every packet a fresh flow: misses
-        packets.append(
-            make_udp("10.0.2.1", "20.0.2.1", 6000 + i, 9000, iif="atm0")
-        )
-    for i in range(3):                      # TTL expiry (ICMP time exceeded)
-        packets.append(
-            make_udp("10.0.3.1", "20.0.3.1", 7000 + i, 9000, iif="atm0", ttl=1)
-        )
-    for i in range(3):                      # no route (30/8 is unrouted)
-        packets.append(
-            make_udp("10.0.4.1", "30.0.0.1", 7100 + i, 9000, iif="atm0")
-        )
-    for i in range(4):                      # dropped by the port-filter plugin
-        packets.append(
-            make_udp("10.0.5.1", "20.0.5.1", 7200 + i, 7777, iif="atm0")
-        )
+    """Every disposition class: cache hits, misses, TTL expiry, no-route
+    drops, and plugin drops."""
+    packets = [make_udp("10.0.0.1", f"20.0.1.{i % 5 + 1}", 5000 + i % 5, 9000, iif="atm0")
+               for i in range(20)]
+    packets += [make_udp("10.0.2.1", "20.0.2.1", 6000 + i, 9000, iif="atm0") for i in range(10)]
+    packets += [make_udp("10.0.3.1", "20.0.3.1", 7000 + i, 9000, iif="atm0", ttl=1)
+                for i in range(3)]
+    packets += [make_udp("10.0.4.1", "40.0.0.1", 7100 + i, 9000, iif="atm0") for i in range(3)]
+    packets += [make_udp("10.0.5.1", "20.0.5.1", 7200 + i, 7777, iif="atm0") for i in range(4)]
     random.Random(42).shuffle(packets)
     return packets
 
 
-def _state(router):
-    return {
-        "counters": dict(router.counters),
-        "flow_stats": router.aiu.flow_table.stats(),
-        "filter_lookups": router.aiu.filter_lookups,
-    }
-
-
 def test_fast_path_matches_metered_path():
-    """Same workload, metered vs unmetered: identical observable state."""
-    metered = _build_router("spec")
-    fast = _build_router("fast")
-    spec_instance = _install_port_filter(metered)
-    fast_instance = _install_port_filter(fast)
+    """Same workload, metered vs unmetered: identical observable state,
+    the plugin called as often."""
+    instances = {}
 
-    spec_dispositions = [
-        metered.receive(p, cycles=CycleMeter()) for p in _mixed_workload()
-    ]
-    fast_dispositions = [fast.receive(p) for p in _mixed_workload()]
+    def configure(router):
+        instances[router.name] = _install_port_filter(router)
 
-    assert fast_dispositions == spec_dispositions
-    assert _state(fast) == _state(metered)
-    assert fast_instance.packets_processed == spec_instance.packets_processed
+    world = World(lambda name: build_router(name, configure), fronts=("receive",))
+    world.run(_mixed_workload)
+    assert not world.parked
+    assert instances["receive"].packets_processed == instances["spec"].packets_processed > 0
 
 
 def test_receive_batch_matches_sequential_receive():
     """receive_batch is semantically a loop over receive()."""
-    sequential = _build_router("seq")
-    batched = _build_router("batch")
-    _install_port_filter(sequential)
-    _install_port_filter(batched)
-
-    expected = [sequential.receive(p) for p in _mixed_workload()]
-    packets = _mixed_workload()
-    got = []
-    for start in range(0, len(packets), 7):   # uneven chunks on purpose
-        got.extend(batched.receive_batch(packets[start:start + 7]))
-
-    assert got == expected
-    assert _state(batched) == _state(sequential)
+    world = World(lambda name: build_router(name, _install_port_filter),
+                  fronts=("receive", "batch7"))
+    world.run(_mixed_workload)
+    assert not world.parked
 
 
 def test_lru_recycle_storm_stats():
     """A capped record pool under a flow storm: LRU recycling keeps the
     table consistent and the hit/miss/recycled stats exact."""
-    router = _build_router("storm", max_flows=8)
+    router = build_router("storm", max_flows=8)
     table = router.aiu.flow_table
 
     def flow_packet(i):
@@ -155,7 +111,7 @@ def test_lru_recycle_storm_stats():
 def test_gate_plan_tracks_filter_changes():
     """Flows cached before create_filter re-classify after it, and the
     fast path stops calling the plugin after remove_filter."""
-    router = _build_router("plan")
+    router = build_router("plan")
 
     packet = lambda: make_udp("10.0.0.9", "20.0.0.9", 5500, 9000, iif="atm0")
     assert router.receive(packet()) == "forwarded"      # flow cached, no filters

@@ -2,17 +2,13 @@
 equal to one Router over any workload (docs/PERFORMANCE.md, "Sharded
 data path").
 
-Equality claims pinned here, all against the same seeded packet streams:
-
-* per-packet dispositions, in input order, through every entry point
-  (receive / receive_batch / receive_wire);
-* per-flow ordering (dispatch buckets preserve arrival order, and a
-  flow never splits across shards);
-* aggregate flow-table accounting (hits, misses, births, active);
-* aggregated telemetry counters and merged histograms;
-* control-plane fanout: a filter installed mid-run via pmgr lands on
-  every shard and changes dispositions exactly like the single router;
-* quarantine state propagates to every shard and aggregates back.
+The oracle's world (tests/oracle/harness.py) holds the N-shard front to
+the metered single router on dispositions in input order, summed
+counters, emitted bytes and aggregate flow-table accounting; the cases
+here drive it with a pmgr configuration and pin, besides, per-flow
+ordering (dispatch buckets preserve arrival order, a flow never splits
+across shards), the wire descriptors, merged telemetry histograms, and
+quarantine propagating to every shard and aggregating back.
 
 Run alone with ``-m shard``; part of tier-1.
 """
@@ -27,6 +23,7 @@ from repro.aiu.filters import flow_key_of
 from repro.mgr.format import render_topic
 from repro.net.packet import make_tcp, make_udp
 from repro.shard import decode_packet, dispatch_packets, encode_packet
+from tests.oracle.harness import World
 
 SEED = 11
 NSHARDS = 4
@@ -62,6 +59,12 @@ def _sharded(nshards: int = NSHARDS) -> PluginManager:
     return manager
 
 
+def _world(*fronts) -> World:
+    world = World(_factory, fronts=fronts)
+    assert world.verb("run_script", CONFIG) is None
+    return world
+
+
 def _packets(count: int = 600, flows: int = 40, seed: int = SEED):
     """Seeded mixed UDP/TCP stream over a fixed flow population; callers
     get fresh Packet objects every call (the data path mutates TTLs)."""
@@ -85,23 +88,14 @@ def _packets(count: int = 600, flows: int = 40, seed: int = SEED):
 @pytest.mark.shard
 @pytest.mark.parametrize("nshards", [1, 2, 4])
 def test_dispositions_equal_across_shard_counts(nshards):
-    """The headline differential: identical disposition sequences for
-    1 router vs N shards, through both scalar and batch entry points."""
-    single, sharded = _single(), _sharded(nshards)
-    expected = [single.router.receive(p, now=i * 1e-4)
-                for i, p in enumerate(_packets())]
-    scalar = [sharded.router.receive(p, now=i * 1e-4)
-              for i, p in enumerate(_packets())]
-    assert scalar == expected
-    resharded = _sharded(nshards)
-    batched = []
-    pkts = _packets()
-    for start in range(0, len(pkts), 128):
-        batched.extend(
-            resharded.router.receive_batch(pkts[start:start + 128],
-                                           now=start * 1e-4)
-        )
-    assert batched == expected
+    """The headline differential: 1 router vs N shards, scalar and
+    batched, in bursts of 128 on a 0.1 ms clock."""
+    world = _world(f"sharded{nshards}")
+    packets = _packets()
+    for start in range(0, len(packets), 128):
+        world.send(lambda start=start: _packets()[start:start + 128], advance=128e-4)
+    world.check()
+    assert not world.parked
 
 
 @pytest.mark.shard
@@ -147,15 +141,9 @@ def test_flows_never_split_and_stay_ordered():
 
 @pytest.mark.shard
 def test_flow_stats_aggregate_to_single_router():
-    single, sharded = _single(), _sharded()
-    now = 0.0
-    single.router.receive_batch(_packets(), now=now)
-    sharded.router.receive_batch(_packets(), now=now)
-    st = single.router.aiu.flow_table
-    agg = sharded.router.aiu.flow_table
-    assert (agg.hits, agg.misses, agg.births, agg.active) == (
-        st.hits, st.misses, st.births, st.active)
-    assert dict(sharded.router.counters) == dict(single.router.counters)
+    world = _world("sharded").run(_packets)
+    assert not world.parked
+    assert world.router("spec").aiu.flow_table.hits > 0
 
 
 @pytest.mark.shard
@@ -180,23 +168,13 @@ def test_telemetry_aggregates_to_single_router():
 def test_mid_run_filter_install_fans_out():
     """A bind issued between batches reaches every shard: dispositions
     flip identically on the sharded and single routers."""
-    single, sharded = _single(), _sharded()
-    first, second = _packets(), _packets()
-    expected = single.router.receive_batch(first, now=0.0)
-    got = sharded.router.receive_batch(second, now=0.0)
-    assert got == expected
-    install = (
-        "create firewall fw1 action=deny\n"
-        "bind fw1 ip_security <*, *, TCP, *, 80, *>\n"
-    )
-    single.run_script(install)
-    sharded.run_script(install)
-    third, fourth = _packets(seed=SEED + 1), _packets(seed=SEED + 1)
-    expected2 = single.router.receive_batch(third, now=1.0)
-    got2 = sharded.router.receive_batch(fourth, now=1.0)
-    assert got2 == expected2
-    assert "dropped_by_plugin" in set(got2)
-    per_shard = sharded.library.query("shards")["shards"]
+    world = _world("sharded4").run(_packets)
+    world.verb("run_script", "create firewall fw1 action=deny\n"
+                             "bind fw1 ip_security <*, *, TCP, *, 80, *>\n")
+    world.run(lambda: _packets(seed=SEED + 1))
+    assert not world.parked
+    assert "dropped_by_plugin" in world.fronts["sharded4"].dispositions[-1]
+    per_shard = world.fronts["sharded4"].library.query("shards")["shards"]
     assert all(row["filters"] == 2 for row in per_shard)
 
 

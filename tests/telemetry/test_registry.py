@@ -58,10 +58,11 @@ class TestMetrics:
         every integer in its domain (the AIU miss seam relies on it)."""
         h = Histogram("x", bounds=DEFAULT_SIZE_BOUNDS)
         assert h.bucket_lut is not None
+        reference = Histogram("ref", bounds=DEFAULT_SIZE_BOUNDS)
         for size in range(len(h.bucket_lut)):
-            reference = Histogram("ref", bounds=DEFAULT_SIZE_BOUNDS)
+            before = reference.counts[h.bucket_lut[size]]
             reference.observe(size)
-            assert reference.counts[h.bucket_lut[size]] == 1, size
+            assert reference.counts[h.bucket_lut[size]] == before + 1, size
 
     def test_histogram_lut_skipped_for_huge_bounds(self):
         h = Histogram("x", bounds=(1e9,))

@@ -4,7 +4,8 @@ Equality claims pinned here (docs/TOPOLOGY.md):
 
 * a single unlinked node driven through ``Topology.receive`` is
   packet-for-packet the bare router — dispositions, counters, flow
-  stats, and modelled cycles — over an existing adversarial workload;
+  stats — over an existing adversarial workload (modelled cycles and
+  the rest are the oracle's ``topology`` front, tests/oracle/);
 * a packet through an N-hop chain produces, at every hop, exactly the
   dispositions/counters/cycles of that hop's router run standalone on
   the same deliveries (scalar and batched entry, and with the middle
@@ -23,9 +24,9 @@ import pytest
 
 from repro import Router, Topology
 from repro.net.packet import make_udp
-from repro.sim import CycleMeter
 from repro.topo import DROPPED_LOOP
 from repro.workloads import run_scenario, scenario
+from tests.oracle.harness import World
 
 pytestmark = pytest.mark.topo
 
@@ -103,59 +104,42 @@ def _standalone_hop(prefix_iface, capture=()):
     return router, taps
 
 
-class TestSingleNodeEquivalence:
-    def test_attack_scenario_bit_equal(self):
-        """The acceptance bar: one unlinked node behaves exactly like
-        the bare router on an existing adversarial workload."""
-        sc = scenario("syn_flood", seed=SEED, warmup_packets=200,
-                      attack_packets=600, recovery_packets=200)
-        bare = Router(name="bare")
-        bare.add_interface("atm0", prefix="0.0.0.0/0")
-        topo = Topology("solo")
-        node = topo.add_node("only")
-        topo.add_interface("only", "atm0", prefix="0.0.0.0/0")
+def _bare_and_solo():
+    bare = Router(name="bare")
+    bare.add_interface("atm0", prefix="0.0.0.0/0")
+    topo = Topology("solo")
+    node = topo.add_node("only")
+    topo.add_interface("only", "atm0", prefix="0.0.0.0/0")
+    return bare, topo, node
 
-        report_bare = run_scenario(bare, sc)
-        report_topo = run_scenario(topo, sc)
+
+class TestSingleNodeEquivalence:
+    def _scenario_bit_equal(self, name, batch):
+        sc = scenario(name, seed=SEED, warmup_packets=200, attack_packets=600,
+                      recovery_packets=200)
+        bare, topo, node = _bare_and_solo()
+        report_bare = run_scenario(bare, sc, batch_size=batch)
+        report_topo = run_scenario(topo, sc, batch_size=batch)
         assert report_topo["phases"] == report_bare["phases"]
         assert report_topo["max_active"] == report_bare["max_active"]
         assert dict(node.counters) == dict(bare.counters)
-        for attr in ("active", "hits", "misses", "births", "evictions"):
-            assert getattr(node.aiu.flow_table, attr) == getattr(
-                bare.aiu.flow_table, attr
-            )
+        assert node.aiu.flow_table.stats() == bare.aiu.flow_table.stats()
+
+    def test_attack_scenario_bit_equal(self):
+        """The acceptance bar: one unlinked node behaves exactly like
+        the bare router on an existing adversarial workload."""
+        self._scenario_bit_equal("syn_flood", 0)
 
     def test_batched_entry_bit_equal(self):
-        sc = scenario("cache_thrash", seed=SEED, warmup_packets=200,
-                      attack_packets=600, recovery_packets=200)
-        bare = Router(name="bare")
-        bare.add_interface("atm0", prefix="0.0.0.0/0")
-        topo = Topology("solo")
-        node = topo.add_node("only")
-        topo.add_interface("only", "atm0", prefix="0.0.0.0/0")
-        report_bare = run_scenario(bare, sc, batch_size=32)
-        report_topo = run_scenario(topo, sc, batch_size=32)
-        assert report_topo["phases"] == report_bare["phases"]
-        assert dict(node.counters) == dict(bare.counters)
+        self._scenario_bit_equal("cache_thrash", 32)
 
     def test_entry_meter_matches_bare_router(self):
         """A meter passed to Topology.receive charges exactly what the
-        bare router charges for the entry hop."""
-        bare = Router(name="bare")
-        bare.add_interface("lan0", prefix="10.7.0.0/16")
-        bare.add_interface("up0")
-        bare.routing_table.add("20.7.0.0/16", "up0")
-        topo = Topology("solo")
-        topo.add_node("only", router=None)
-        topo.add_interface("only", "lan0", prefix="10.7.0.0/16")
-        topo.add_interface("only", "up0")
-        topo.add_route("only", "20.7.0.0/16", "up0")
-        for packet in _stream(50):
-            meter_bare, meter_topo = CycleMeter(), CycleMeter()
-            a = bare.receive(_clone(packet), cycles=meter_bare)
-            b = topo.receive(_clone(packet), cycles=meter_topo)
-            assert a == b
-            assert meter_topo.total == meter_bare.total
+        bare router charges for the entry hop (the oracle's ``topology``
+        front is metered and held to the spec's cycles)."""
+        world = World(fronts=("topology",))
+        world.run(lambda: _stream(50, dst_net="20.0.7"))
+        assert not world.parked and world.spec.meter.total > 0
 
 
 class TestChainDifferential:
