@@ -25,7 +25,7 @@ from .dag import DagFilterTable
 from .filters import Filter, flow_key_of
 from .flow_table import DEFAULT_BUCKETS, FlowTable, INITIAL_RECORDS
 from .linear import LinearFilterTable
-from .records import FilterRecord, FlowRecord
+from .records import FilterRecord, FlowRecord, overrides
 
 TABLE_KINDS = {"dag": DagFilterTable, "linear": LinearFilterTable}
 
@@ -94,7 +94,6 @@ class AIU:
             initial_records=initial_records,
             max_records=max_records,
         )
-        self.flow_table.on_remove = self._notify_flow_removed
         self.filter_lookups = 0
         # Ablation knob: with the cache off, every packet takes the full
         # n-gate filter classification (ablation A1, benchmarks/paper.py).
@@ -105,6 +104,10 @@ class AIU:
         # can cache its active-gate plan and hooks (see Router).
         self._gate_filter_counts: Dict[str, int] = {g: 0 for g in self.gates}
         self._instance_filter_counts: Dict[object, int] = {}
+        # §4's per-flow callbacks are optional and cost only where a
+        # class overrides them: eviction notifies (``flow_table.on_remove``)
+        # only while this many bound instances override ``on_flow_removed``.
+        self._removal_hooks = 0
         self.plan_epoch = 0
         # Per-gate classification counters: [lookups, compiled, matches].
         # ``lookups`` counts slow-path filter-table lookups at the gate,
@@ -204,7 +207,7 @@ class AIU:
         # Live reconfiguration: cached flows the new filter could claim
         # must re-classify, or they would keep their old bindings until
         # cache expiry.  One pass over the cached flows.
-        self.flow_table.purge(_claimed_by(flt))
+        self._drop_flows(_claimed_by(flt))
         return record
 
     def _count_binding(self, instance: object, delta: int) -> None:
@@ -212,9 +215,21 @@ class AIU:
         instances with a bound filter stay keys."""
         if instance is not None:
             counts = self._instance_filter_counts
-            counts[instance] = count = counts.get(instance, 0) + delta
+            before = counts.get(instance, 0)
+            counts[instance] = count = before + delta
             if not count:
                 del counts[instance]
+            if (not before or not count) and overrides(type(instance), "on_flow_removed"):
+                self._removal_hooks += 1 if count else -1
+
+    def _drop_flows(self, stale: Callable[[FlowRecord], bool]) -> int:
+        """A verb's one ``FlowTable.purge``, *then* the removal hook from
+        the counts the verb left: an instance that just lost its last
+        filter still hears the flows this pass drops."""
+        table = self.flow_table
+        removed = table.purge(stale)
+        table.on_remove = self._notify_flow_removed if self._removal_hooks else None
+        return removed
 
     def _derived_from(self, record: FilterRecord) -> Callable[[FlowRecord], bool]:
         """The cached flows whose binding at the record's gate came from it."""
@@ -237,14 +252,14 @@ class AIU:
             self._count_binding(record.instance, -1)
             self._count_binding(instance, 1)
             self.plan_epoch += 1
-        record.instance = instance
-        self.flow_table.purge(self._derived_from(record))
+        record.attach(instance)
+        self._drop_flows(self._derived_from(record))
 
     def remove_filter(self, record: FilterRecord) -> bool:
         """Remove a filter and purge flow-table entries derived from it."""
         removed = self._unlink(record)
         if removed:
-            self.flow_table.purge(self._derived_from(record))
+            self._drop_flows(self._derived_from(record))
         return removed
 
     def _unlink(self, record: FilterRecord) -> bool:
@@ -287,7 +302,7 @@ class AIU:
                         slot.instance = slot.private = None
             return hit
 
-        return len(records), self.flow_table.purge(stale)
+        return len(records), self._drop_flows(stale)
 
     def purge_instance(self, instance: object) -> int:
         """:meth:`purge` of one instance; returns the flows invalidated."""
@@ -378,9 +393,9 @@ class AIU:
             slot = record.slot(index)
             slot.instance = filter_record.instance
             slot.filter_record = filter_record
-            binder = getattr(filter_record.instance, "on_flow_created", None)
-            if binder is not None:
-                binder(record, slot)
+            created = filter_record.on_flow_created
+            if created is not None:
+                created(record, slot)
         return record
 
     def ensure_compiled(self) -> None:

@@ -13,12 +13,21 @@ linkage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import List, Optional, Tuple
 
 from .filters import Filter, FlowKey
 
 _record_seq = itertools.count(1)
+
+
+@functools.lru_cache(maxsize=None)
+def overrides(cls: type, hook: str) -> bool:
+    """Whether ``cls`` has a per-flow ``hook`` other than
+    ``PluginInstance``'s no-op; decided once per class."""
+    from ..core.plugin import PluginInstance    # core imports aiu, not the reverse
+    return getattr(cls, hook, None) not in (None, getattr(PluginInstance, hook))
 
 
 class FilterRecord:
@@ -35,6 +44,7 @@ class FilterRecord:
         "active",
         "leaves",
         "via",
+        "on_flow_created",
     )
 
     def __init__(
@@ -46,7 +56,7 @@ class FilterRecord:
     ):
         self.filter = flt
         self.gate = gate
-        self.instance = instance
+        self.attach(instance)
         self.private: object = None      # plugin-owned hard state
         self.priority = priority
         self.seq = next(_record_seq)
@@ -59,6 +69,15 @@ class FilterRecord:
         # (node, label) via-list entries, for O(1) removal.
         self.leaves: List[object] = []
         self.via: List[Tuple[object, object]] = []
+
+    def attach(self, instance: object) -> None:
+        """Bind ``instance``; a miss calls ``on_flow_created`` only if its
+        class overrides the no-op (resolved here, not per flow)."""
+        self.instance = instance
+        self.on_flow_created = (
+            instance.on_flow_created
+            if overrides(type(instance), "on_flow_created") else None
+        )
 
     def sort_key(self) -> tuple:
         """Most-specific-filter ordering: specificity, then priority, then

@@ -47,7 +47,7 @@ from .hotpath import bound_names
 
 #: Builtins the loop emitter is allowed to reference freely.
 _SAFE_BUILTINS = {
-    "len", "enumerate", "range", "zip", "isinstance", "getattr", "iter",
+    "len", "enumerate", "range", "zip", "isinstance", "iter",
     "next", "min", "max", "abs", "id", "True", "False", "None",
     "Exception", "StopIteration", "AttributeError", "KeyError",
 }

@@ -220,6 +220,8 @@ def _emit_prologue(blk, plan):
             counters = router.counters
             rtable = router.routing_table
             rlookup = rtable.lookup_fast
+            rmemo4 = rtable._memo4
+            rmemo6 = rtable._memo6
             ifget = router.interfaces.get
             local_addrs = router.local_addresses
             qmap = router._quarantined
@@ -430,12 +432,11 @@ def _emit_classify(blk, plan, depth):
             fslot = record.slots[_gi]
             if fslot is None:
                 fslot = record.slots[_gi] = GateSlot()
-            finst = frec.instance
-            fslot.instance = finst
+            fslot.instance = frec.instance
             fslot.filter_record = frec
-            binder = getattr(finst, "on_flow_created", None)
-            if binder is not None:
-                binder(record, fslot)
+            fcreated = frec.on_flow_created
+            if fcreated is not None:
+                fcreated(record, fslot)
     """)
     blk(depth + 1, f"""
         packet._fix = record
@@ -666,7 +667,11 @@ def _emit_tail(blk, plan, depth, idx):
         if record.route_version == rv and record.route is not None:
             route = record.route
         else:
-            route = rlookup(packet.dst)
+            # A new flow: probe the table's per-destination memo inline.
+            dst_a = packet.dst
+            route = (rmemo4 if dst_a.width == 32 else rmemo6).get(dst_a.value)
+            if route is None:
+                route = rlookup(dst_a)
             if route is not None:
                 record.route = route
                 record.route_version = rv

@@ -119,12 +119,13 @@ class PluginInstance:
         return Verdict.CONTINUE
 
     # -- optional AIU callbacks (§4: "functions which are called by the
-    # AIU on removal of an entry in the flow or filter table") ----------
+    # AIU on removal of an entry in the flow or filter table"); a class
+    # that overrides neither pays nothing (docs/PLUGIN_AUTHORING.md) ---
     def on_flow_created(self, flow: "FlowRecord", slot: "GateSlot") -> None:
-        """Called when the AIU binds a new flow-table entry to us."""
+        """Called when the AIU binds a new flow-table entry to us (if our class overrides it)."""
 
     def on_flow_removed(self, flow: "FlowRecord", slot: "GateSlot") -> None:
-        """Called when a bound flow-table entry is evicted."""
+        """Called when a bound flow-table entry is evicted (if our class overrides it)."""
 
     def free(self) -> None:
         """Release instance resources (free_instance)."""

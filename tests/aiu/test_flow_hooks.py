@@ -1,0 +1,131 @@
+"""§4's per-flow callbacks are optional, and a flow pays only for the ones
+its plugins have: a filter record carries its binding's creation hook,
+and eviction calls nothing unless a bound class overrides
+``on_flow_removed``."""
+
+import pytest
+
+from repro.aiu.aiu import AIU
+from repro.core.plugin import PluginInstance
+from repro.core.router import Router
+from repro.net.packet import make_udp
+from repro.sched.drr import DrrPlugin
+from repro.security.firewall import FirewallPlugin
+from repro.sim.events import EventLoop
+
+
+def _router(**kwargs):
+    router = Router(**kwargs)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    return router
+
+
+def _flows(count, first=0):
+    return [make_udp(f"10.0.{i // 250}.{i % 250 + 1}", "20.0.0.1", 5000 + i % 7, 9000,
+                     iif="atm0") for i in range(first, first + count)]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
+def test_a_firewall_only_churn_calls_no_hook(batched, monkeypatch):
+    calls = []
+    for owner, name in ((PluginInstance, "on_flow_created"),
+                        (PluginInstance, "on_flow_removed"),
+                        (AIU, "_notify_flow_removed")):
+        def counting(self, *args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(owner, name, counting)
+    router = _router(max_flows=16)
+    plugin = FirewallPlugin()
+    router.pcu.load(plugin)
+    plugin.register_instance(plugin.create_instance(action="allow"), "*, *, UDP",
+                             gate="ip_security")
+    packets = _flows(64)
+    if batched:
+        router.receive_batch(packets)
+    else:
+        for packet in packets:
+            router.receive(packet)
+    table = router.aiu.flow_table
+    assert table.births == 64 and table.evictions == 48
+    assert calls == []
+
+
+def test_on_remove_is_set_exactly_while_a_removal_hook_is_bound():
+    router = _router()
+    table = router.aiu.flow_table
+    assert table.on_remove is None
+    firewall, drr_plugin = FirewallPlugin(), DrrPlugin()
+    router.pcu.load(firewall)
+    router.pcu.load(drr_plugin)
+    firewall.register_instance(firewall.create_instance(action="allow"), "*, *, UDP",
+                               gate="ip_security")
+    assert table.on_remove is None
+    drr = drr_plugin.create_instance(interface="atm1")
+    first = drr_plugin.register_instance(drr, "*, *, UDP", gate="packet_scheduling")
+    assert table.on_remove == router.aiu._notify_flow_removed
+    second = drr_plugin.register_instance(drr, "10.0.0.0/8, *, UDP",
+                                          gate="packet_scheduling")
+    router.aiu.remove_filter(first)
+    assert table.on_remove is not None            # one binding left
+    router.aiu.remove_filter(second)
+    assert table.on_remove is None
+    record = firewall.register_instance(firewall.create_instance(), "*, *, TCP",
+                                        gate="ip_security")
+    router.aiu.bind(record, drr)
+    assert table.on_remove is not None
+    drr_plugin.deregister_instance(drr)
+    assert table.on_remove is None
+
+
+@pytest.mark.parametrize("verb", ["remove_filter", "deregister_instance", "rebind"])
+def test_unbinding_a_drr_drops_its_queued_flows(verb):
+    """The verb unbinds the last filter of the only instance with a
+    removal hook, so the hook goes, but only after the verb's purge: the
+    DRR still hears every flow it held queued packets for."""
+    router = _router(loop=EventLoop())          # the loop holds the drain back
+    plugin = DrrPlugin()
+    router.pcu.load(plugin)
+    drr = plugin.create_instance(interface="atm1")
+    record = plugin.register_instance(drr, "*, *, UDP", gate="packet_scheduling")
+    assert router.receive_batch(_flows(6)) == ["queued"] * 6
+    assert drr.backlog() == 6
+    if verb == "remove_filter":
+        router.aiu.remove_filter(record)
+    elif verb == "deregister_instance":
+        plugin.deregister_instance(drr)
+    else:
+        router.aiu.bind(record, FirewallPlugin().create_instance(action="allow"))
+    assert drr.backlog() == 0 and drr.active_flows() == 0
+
+
+def test_hooks_are_decided_by_the_class_when_a_filter_is_bound():
+    class Counting(PluginInstance):
+        created = 0
+
+        def on_flow_created(self, flow, slot):
+            self.created += 1
+
+    class Duck:                                  # no PluginInstance base
+        def __init__(self):
+            self.created = 0
+
+        def process(self, packet, ctx):
+            return "continue"
+
+        def on_flow_created(self, flow, slot):
+            self.created += 1
+
+    router = _router()
+    aiu = router.aiu
+    plain = PluginInstance(FirewallPlugin())
+    plain.on_flow_created = lambda flow, slot: pytest.fail("an instance attribute is no hook")
+    counting, duck = Counting(FirewallPlugin()), Duck()
+    records = [aiu.create_filter("ip_security", "*, *, UDP, *, 9000", instance=counting),
+               aiu.create_filter("ip_options", "*, *, UDP", instance=duck),
+               aiu.create_filter("packet_scheduling", "*, *, UDP", instance=plain)]
+    assert [r.on_flow_created is not None for r in records] == [True, True, False]
+    router.receive_batch(_flows(3))
+    router.receive(_flows(1, first=3)[0])
+    assert counting.created == duck.created == 4

@@ -70,6 +70,16 @@ def test_rp501_unresolved_free_name():
     assert findings[0].line is not None
 
 
+def test_rp501_a_per_packet_getattr_is_not_a_safe_builtin():
+    """Per-flow hooks are resolved when a filter is bound, so no emitted
+    loop looks an attribute up by name per packet."""
+    source = CLEAN_SOURCE.replace(
+        "emit(packet)", 'getattr(packet, "on_flow_created", emit)(packet)')
+    findings = audit_loop_source(source, NAMESPACE)
+    assert _codes(findings) == ["RP501"]
+    assert "'getattr'" in findings[0].message
+
+
 def test_rp502_nondeterministic_builtin():
     source = CLEAN_SOURCE.replace(
         "out.append(classify(packet, now))",

@@ -78,10 +78,36 @@ def build_router(name, configure=None, **kwargs):
 TRIGGER_PORT = 5003
 
 
+class Hooks(PluginInstance):
+    """Overrides both per-flow hooks and counts the calls: the oracle's
+    view of which flows an instance heard created and removed.  A flow
+    the governor's bypass tier classifies without caching it (no bucket)
+    is never removed, so it counts apart."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.created = self.removed = self.uncached = 0
+
+    def on_flow_created(self, flow, slot):
+        if flow.bucket is None:
+            self.uncached += 1
+        else:
+            self.created += 1
+
+    def on_flow_removed(self, flow, slot):
+        self.removed += 1
+
+
+class HooksPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "hooks"
+    instance_class = Hooks
+
+
 class Installer(PluginInstance):
-    """On the first trigger packet, binds itself at the ``ip_options``
-    gate, where it drops everything: a gate's filter installed by a
-    plugin, mid-batch."""
+    """On the first trigger packet, binds :meth:`planted` (itself) at the
+    ``ip_options`` gate, where it drops everything: a gate's filter
+    installed by a plugin, mid-batch."""
 
     def __init__(self, plugin, **config):
         super().__init__(plugin, **config)
@@ -92,14 +118,41 @@ class Installer(PluginInstance):
             return Verdict.DROP
         if packet.dst_port == TRIGGER_PORT and not self.armed:
             self.armed = True
-            self.plugin.register_instance(self, "*, *, UDP", gate=GATE_IP_OPTIONS)
+            self.plugin.register_instance(self.planted(), "*, *, UDP", gate=GATE_IP_OPTIONS)
         return Verdict.CONTINUE
+
+    def planted(self):
+        return self
 
 
 class InstallerPlugin(Plugin):
     plugin_type = TYPE_IP_SECURITY
     name = "installer"
     instance_class = Installer
+
+
+class Planted(Hooks):
+    """What a :class:`Planter` binds: it drops, as the installer does."""
+
+    def process(self, packet, ctx):
+        return Verdict.DROP
+
+
+class Planter(Installer):
+    """An installer whose mid-batch filter binds a fresh :class:`Planted`
+    instead: the flows classified after it must be heard at once, though
+    the batch's loop was compiled before any class with a per-flow hook
+    was bound."""
+
+    def planted(self):
+        hooks = Planted(self.plugin, name=f"{self.name}/hooks")
+        self.plugin.instances.append(hooks)
+        return hooks
+
+
+class PlanterPlugin(InstallerPlugin):
+    name = "planter"
+    instance_class = Planter
 
 
 class Writer(PluginInstance):
@@ -120,11 +173,12 @@ class WriterPlugin(Plugin):
 
 
 #: Registry names the oracle's rules modload, beside PLUGIN_REGISTRY's.
-PLUGINS = {"installer": InstallerPlugin, "writer": WriterPlugin, "chaos": ChaosPlugin}
+PLUGINS = {"installer": InstallerPlugin, "planter": PlanterPlugin, "writer": WriterPlugin,
+           "hooks": HooksPlugin, "chaos": ChaosPlugin}
 
 #: Plugins whose instances keep per-call state (an RNG, an arming flag):
 #: each shard holds its own, so the sharded front cannot match them.
-PER_INSTANCE_STATE = frozenset(("chaos", "installer"))
+PER_INSTANCE_STATE = frozenset(("chaos", "installer", "planter"))
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +188,31 @@ def _settled(router):
     if router.loop is not None:
         router.loop.run()
     return router
+
+
+def _hooks(router):
+    return [i for p in router.pcu.plugins() for i in p.instances if isinstance(i, Hooks)]
+
+
+def _removes(instance):
+    """Whether the instance's class has a removal hook of its own."""
+    return getattr(type(instance), "on_flow_removed", None) not in (
+        None, PluginInstance.on_flow_removed)
+
+
+def hooks_hold(router):
+    """The AIU's hook bookkeeping, on any router: with
+    ``flow_table.on_remove`` unset no cached flow's slot holds an
+    instance whose class overrides ``on_flow_removed``, and every
+    :class:`Hooks` instance has heard created (cached), less removed,
+    exactly the cached slots that hold it."""
+    table = router.aiu.flow_table
+    held = Counter(slot.instance for flow in table for slot in flow.slots
+                   if slot is not None and slot.instance is not None)
+    assert table.on_remove is not None or not any(map(_removes, held)), router.name
+    for hooks in _hooks(router):
+        assert hooks.created - hooks.removed == held[hooks], (
+            router.name, hooks.name, hooks.created, hooks.removed, held[hooks])
 
 
 def router_view(router):
@@ -151,6 +230,7 @@ def router_view(router):
                     if isinstance(i.link, Tap)},
         "health": health,
         "faults": [r.signature() for r in router.faults.records()],
+        "hooks": {h.name: (h.created, h.removed, h.uncached) for h in _hooks(router)},
     }
     if router._tm_gate_cells is not None:
         view["gate_cells"] = list(router._tm_gate_cells)
@@ -382,8 +462,10 @@ class World:
         return self
 
     def check(self):
-        """Compare every front with the spec; park a front whose
-        difference an exemption predicate explains, fail otherwise."""
+        """Hold :func:`hooks_hold` on every router, then compare every
+        front with the spec; park a front whose difference an exemption
+        predicate explains, fail otherwise."""
+        self.each_router(hooks_hold)
         spec = self.spec
         want = router_view(spec.routers[0])
         want_config = configuration(spec.library)

@@ -12,8 +12,12 @@ plugin, a flood that trips the overload governor, and ROADMAP's four
 first customers (a gate's first filter installed by a plugin mid-batch
 and, traced, between the sampled and unsampled runs of one batch; equal
 writes before a patched ``serialize``; a table mutated between
-compiles).  After every step the invariant runs
-:meth:`tests.oracle.harness.World.check`.
+compiles) — and two for the per-flow hooks: a plugin that plants the
+first instance with them mid-batch, and one that loses its last filter
+while holding cached flows.  After every step the invariant runs
+:meth:`tests.oracle.harness.World.check`, which also holds the AIU's
+hook bookkeeping (:func:`tests.oracle.harness.hooks_hold`) on every
+router.
 
 CI runs one derandomized, bounded profile.  When it fails, Hypothesis
 prints the step program: paste it below as a plain test (see
@@ -31,7 +35,7 @@ from repro.net.fragment import fragment_v4
 from repro.net.headers import OptionTLV
 from repro.net.packet import make_udp
 
-from .harness import PLUGINS, TRIGGER_PORT, World
+from .harness import PLUGINS, TRIGGER_PORT, World, _hooks
 
 MAX_FLOWS = 16
 
@@ -223,6 +227,33 @@ class Oracle(RuleBasedStateMachine):
         self.burst("cached", 1)
 
     @rule()
+    def hooks_planted_at_an_active_gate(self):
+        """A plugin binds the first instance with per-flow hooks mid-batch
+        at a gate a filter already activates: the plan stands, so the
+        ``packet`` layout must call its ``on_flow_created`` from the next
+        miss on."""
+        verb = self.world.verb
+        verb("modload", "firewall")
+        verb("create_instance", "firewall", "opener", action="allow")
+        verb("bind", "opener", "*, *, TCP", gate="ip_options")
+        verb("modload", "planter")
+        verb("create_instance", "planter", "planter")
+        verb("bind", "planter", "*, *, UDP", gate="ip_security")
+        self.burst("cached", 1)
+
+    @rule(seed=st.integers(0, 3))
+    def hooks_outlive_their_filters(self, seed):
+        """An instance whose class has both per-flow hooks loses its last
+        filter while it holds cached flows: the removal hook may go only
+        after that verb's purge, or the instance never hears them go."""
+        verb = self.world.verb
+        verb("modload", "hooks")
+        verb("create_instance", "hooks", "h")
+        verb("bind", "h", "*, *, UDP", gate="ip_security")
+        self.burst("cached", seed)
+        verb("unbind", "h")
+
+    @rule()
     def equal_writes_before_a_patched_serialize(self):
         verb = self.world.verb
         verb("modload", "writer")
@@ -354,3 +385,22 @@ def test_a_plugin_filter_at_an_active_gate_waits_for_the_batch_only_under_lanes(
         assert state.world.parked == dict.fromkeys(
             parked, "filter_change_mid_batch_lands_at_batch_boundary") | {
             "sharded": "per_shard_state"}
+
+
+def test_hooks_planted_mid_batch_are_heard_at_once_under_packet():
+    """Hooks are decided per filter record, not per compiled plan: the
+    loop compiled before the plant calls the planted instance's
+    ``on_flow_created`` for every flow it classifies after."""
+    for bounded, parked in ((False, {"batch7", "batch256", "wire"}), (True, set())):
+        state = Oracle()
+        state.build(bounded=bounded)
+        state.hooks_planted_at_an_active_gate()
+        state.fronts_agree()
+        state.traffic(kind="churn", seed=0, wire=False)
+        state.fronts_agree()
+        state.teardown()
+        assert state.world.parked == dict.fromkeys(
+            parked, "filter_change_mid_batch_lands_at_batch_boundary") | {
+            "sharded": "per_shard_state"}
+        (hooks,) = _hooks(state.world.router("spec"))
+        assert hooks.created > 0 and (hooks.removed > 0) == bounded
