@@ -30,7 +30,7 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + esp + drr) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + ipsec + drr) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
@@ -39,6 +39,7 @@ if command -v ruff >/dev/null 2>&1; then
         src/repro/core/batch.py src/repro/net/packet.py \
         src/repro/net/headers.py src/repro/net/checksum.py \
         src/repro/security/sa.py src/repro/security/esp.py \
+        src/repro/security/ah.py src/repro/security/hw_offload.py \
         src/repro/sched/base.py src/repro/sched/drr.py scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="

@@ -14,6 +14,7 @@ import struct
 from ..core.plugin import Plugin, PluginContext, PluginInstance, TYPE_IP_SECURITY, Verdict
 from ..net.headers import AHHeader, PROTO_AH
 from ..net.packet import Packet
+from ..sim.cost import Costs
 from .sa import SADatabase, SecurityAssociation, SecurityError
 
 
@@ -38,8 +39,6 @@ class AhOutboundInstance(PluginInstance):
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
         super().process(packet, ctx)
-        from ..sim.cost import Costs
-
         sequence = self.sa.next_sequence()
         inner_proto = packet.protocol
         icv_input = _authenticated_bytes(packet, inner_proto, packet.payload)
@@ -78,8 +77,6 @@ class AhInboundInstance(PluginInstance):
         except (ValueError, SecurityError):
             self.auth_failures += 1
             return Verdict.DROP
-        from ..sim.cost import Costs
-
         inner_payload = packet.payload[consumed:]
         icv_input = _authenticated_bytes(packet, header.next_header, inner_payload)
         ctx.cycles.charge(len(icv_input) * Costs.SW_AUTH_PER_BYTE, "sw_auth")

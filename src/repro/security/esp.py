@@ -14,6 +14,7 @@ from ..core.plugin import Plugin, PluginContext, PluginInstance, TYPE_IP_SECURIT
 from ..net.addresses import IPAddress
 from ..net.headers import ESPHeader, PROTO_ESP
 from ..net.packet import Packet
+from ..sim.cost import Costs
 from .sa import ICV_BYTES, SADatabase, SecurityAssociation, SecurityError
 
 
@@ -35,10 +36,8 @@ class EspOutboundInstance(PluginInstance):
 
     def _charge_crypto(self, ctx: PluginContext, nbytes: int) -> None:
         """Cost-model hook: software cipher+MAC work is per byte.  The
-        hardware-offload subclass overrides this with a fixed driver
+        hardware-offload subclasses override this with a fixed driver
         cost (§3: plugins as drivers for crypto engines)."""
-        from ..sim.cost import Costs
-
         ctx.cycles.charge(
             nbytes * (Costs.SW_CRYPTO_PER_BYTE + Costs.SW_AUTH_PER_BYTE),
             "sw_crypto",
@@ -78,13 +77,8 @@ class EspInboundInstance(PluginInstance):
         self.replays = 0
         self.decapsulated = 0
 
-    def _charge_crypto(self, ctx: PluginContext, nbytes: int) -> None:
-        from ..sim.cost import Costs
-
-        ctx.cycles.charge(
-            nbytes * (Costs.SW_CRYPTO_PER_BYTE + Costs.SW_AUTH_PER_BYTE),
-            "sw_crypto",
-        )
+    # Decrypt-and-verify costs what encrypt-and-sign does, per byte.
+    _charge_crypto = EspOutboundInstance._charge_crypto
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
         super().process(packet, ctx)

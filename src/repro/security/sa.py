@@ -6,9 +6,9 @@ window state.  The SADB indexes SAs by SPI for inbound processing and by
 name for configuration.
 
 Cryptography: authentication uses stdlib HMAC (real); the ESP cipher is
-a SHA-256 counter-mode keystream — **simulation grade, not for
-production** (documented substitution in DESIGN.md: the paper's IPsec
-plugins are exercised architecturally).
+a SHAKE-256 XOF keystream (simulation grade) — **not for production**
+(documented substitution in DESIGN.md: the paper's IPsec plugins are
+exercised architecturally).
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 AUTH_ALGORITHMS = ("hmac-md5", "hmac-sha1", "hmac-sha256")
 ICV_BYTES = 12          # RFC 2402-style truncated ICV
-# Block counters as the keystream hashes them (8 bytes, big-endian), grown on demand.
-_COUNTERS: List[bytes] = []
 
 
 class SecurityError(RuntimeError):
@@ -72,6 +70,8 @@ class SecurityAssociation:
     def __post_init__(self) -> None:
         if self.auth_algorithm not in AUTH_ALGORITHMS:
             raise SecurityError(f"unknown auth algorithm {self.auth_algorithm!r}")
+        # hashlib's name for the HMAC digest: "md5", "sha1" or "sha256".
+        self._digest = self.auth_algorithm[len("hmac-"):]
         if self.mode not in ("transport", "tunnel"):
             raise SecurityError(f"unknown mode {self.mode!r}")
         if self.mode == "tunnel" and not (self.tunnel_src and self.tunnel_dst):
@@ -82,33 +82,22 @@ class SecurityAssociation:
         self.sequence += 1
         return self.sequence
 
-    def _digestmod(self):
-        return {
-            "hmac-md5": hashlib.md5,
-            "hmac-sha1": hashlib.sha1,
-            "hmac-sha256": hashlib.sha256,
-        }[self.auth_algorithm]
-
     def icv(self, data: bytes) -> bytes:
         """Truncated HMAC over the authenticated data."""
-        return hmac.new(self.auth_key, data, self._digestmod()).digest()[:ICV_BYTES]
+        return hmac.digest(self.auth_key, data, self._digest)[:ICV_BYTES]
 
     def verify(self, data: bytes, icv: bytes) -> bool:
         return hmac.compare_digest(self.icv(data), icv)
 
     # ------------------------------------------------------------------
     def keystream(self, sequence: int, length: int) -> bytes:
-        """SHA-256 counter-mode keystream (simulation-grade cipher)."""
+        """SHAKE-256 XOF keystream (simulation-grade cipher): one digest
+        of ``key ‖ seq8`` read out to ``length`` bytes."""
         if self.encryption_key is None:
             raise SecurityError(f"SA {self.spi:#x} has no encryption key")
-        blocks = -(-length // 32)
-        while len(_COUNTERS) < blocks:
-            _COUNTERS.append(len(_COUNTERS).to_bytes(8, "big"))
-        prefix = self.encryption_key + sequence.to_bytes(8, "big")
-        sha256 = hashlib.sha256
-        return b"".join(
-            [sha256(prefix + counter).digest() for counter in _COUNTERS[:blocks]]
-        )[:length]
+        return hashlib.shake_256(
+            self.encryption_key + sequence.to_bytes(8, "big")
+        ).digest(length)
 
     def encrypt(self, sequence: int, plaintext: bytes) -> bytes:
         stream = self.keystream(sequence, len(plaintext))

@@ -168,8 +168,10 @@ def ipsec_tunnel(
     topo.add_route("gwa", "10.2.0.0/16", "wan0")
     topo.add_route("gwa", "192.0.2.0/24", "wan0")
     topo.add_route("gwb", "10.2.0.0/16", "dn0")
-    # gwb deliberately has no 192.0.2/24 route: ESP that matches no
-    # inbound SA filter has nowhere to go and is dropped.
+    # gwb has no static 192.0.2/24 route, but its wan0 prefix is a
+    # connected one: ESP that matches no inbound SA filter is sent back
+    # to gwa, bounces between the gateways and ends as dropped_loop at
+    # max_hops (e1, then gwa/gwb alternating: 8 receives, not 3).
     topo.add_route("e2", "10.2.0.0/16", "lan0")
 
     esp_out = EspPlugin()

@@ -1,6 +1,7 @@
 """Tests for security associations, replay windows, and the SADB."""
 
 import hashlib
+import hmac
 
 import pytest
 
@@ -81,20 +82,35 @@ class TestSecurityAssociation:
         assert sa.encrypt(1, b"same") != sa.encrypt(2, b"same")
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1500, 4096])
-    def test_keystream_is_the_counter_mode_loop(self, length):
-        """The block-at-a-time loop the keystream replaced, kept as the
-        reference: every ESP ciphertext is unchanged."""
+    def test_keystream_is_one_shake_256_call(self, length):
+        """One SHAKE-256 digest of ``key ‖ seq8``, read out to the
+        plaintext length."""
         key, sequence = b"e" * 16, 0x0102030405
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            out.extend(hashlib.sha256(
-                key + sequence.to_bytes(8, "big") + counter.to_bytes(8, "big")
-            ).digest())
-            counter += 1
         stream = _sa(encryption_key=key).keystream(sequence, length)
-        assert stream == bytes(out[:length])
+        assert stream == hashlib.shake_256(
+            key + sequence.to_bytes(8, "big")
+        ).digest(length)
         assert type(stream) is bytes
+
+    def test_keystream_known_answer(self):
+        """A literal vector: a change to the construction is a visible
+        diff here, not only a changed reference."""
+        stream = _sa(encryption_key=b"e" * 16).keystream(0x0102030405, 16)
+        assert stream.hex() == "f942d961330e1a485e9cd09ec72ab83d"
+
+    @pytest.mark.parametrize("algo", ["md5", "sha1", "sha256"])
+    @pytest.mark.parametrize("length", [0, 1, 1008])
+    def test_icv_is_the_truncated_hmac(self, algo, length):
+        """Byte-identical to ``hmac.new(...).digest()`` truncated, for
+        every algorithm; a one-bit flip of the ICV fails ``verify``."""
+        key = b"k" * 16
+        data = bytes(i % 251 for i in range(length))
+        sa = _sa(auth_key=key, auth_algorithm=f"hmac-{algo}")
+        icv = sa.icv(data)
+        assert icv == hmac.new(key, data, getattr(hashlib, algo)).digest()[:ICV_BYTES]
+        assert sa.verify(data, icv)
+        flipped = bytes([icv[0] ^ 0x01]) + icv[1:]
+        assert not sa.verify(data, flipped)
 
     def test_encrypt_without_key_rejected(self):
         with pytest.raises(SecurityError):

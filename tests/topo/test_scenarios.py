@@ -10,7 +10,7 @@ control-plane commands across nodes (broadcast by default, one node via
 
 import pytest
 
-from repro import Topology, TopologyPluginLibrary
+from repro import PathTracer, Topology, TopologyPluginLibrary
 from repro.core.errors import ConfigurationError
 from repro.mgr.format import strip_schema
 from repro.workloads import (
@@ -31,6 +31,18 @@ def test_scenario_holds_invariants(name, batch):
     kwargs = {"batch_size": batch} if batch else {}
     report = run_scenario(topo, sc, **kwargs)
     sc.check(report)
+
+
+def test_spoofed_esp_loops_between_the_gateways_until_max_hops():
+    """Pins today's behaviour, not the intended one: gwb's connected
+    192.0.2.0/24 (wan0) sends an unmatched ESP packet back to gwa, so it
+    bounces until ``max_hops``.  Giving it a real drop at gwb flips this
+    test on purpose."""
+    topo, sc = build_topo_scenario("ipsec_tunnel", seed=SEED)
+    spoofed = next(p for _t, p, attack in sc.attack if attack)
+    trace = PathTracer(topo).trace(spoofed)
+    assert trace.path() == ["e1"] + ["gwa", "gwb"] * 3 + ["gwa"]
+    assert trace.disposition == "dropped_loop"
 
 
 def test_registry_has_the_four_issue_scenarios():
