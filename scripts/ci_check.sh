@@ -30,12 +30,15 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + ipsec + drr) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + plugins + drr) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
         src/repro/aiu/flow_table.py src/repro/aiu/records.py \
-        src/repro/core/pcu.py \
+        src/repro/core/pcu.py src/repro/core/plugin.py \
+        src/repro/core/routing_plugin.py src/repro/options/plugins.py \
+        src/repro/stats/plugin.py src/repro/stats/tcp_monitor.py \
+        src/repro/security/firewall.py \
         src/repro/core/batch.py src/repro/net/packet.py \
         src/repro/net/headers.py src/repro/net/checksum.py \
         src/repro/security/sa.py src/repro/security/esp.py \

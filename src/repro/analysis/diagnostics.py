@@ -41,6 +41,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP207": (WARNING, "metric emission bypasses the telemetry registry"),
     "RP209": (ERROR, "process-seeded builtin hash() on packet/flow state"),
     "RP210": (WARNING, "suppression names an unknown diagnostic code"),
+    "RP211": (WARNING, "zero-argument super() on a plugin's per-packet path"),
     # RP3xx — compiled/interpreted equivalence (repro.analysis.equivalence).
     "RP301": (ERROR, "compiled DAG walk diverges from interpreted matchers"),
     "RP302": (ERROR, "compiled BMP lookup diverges from engine lookup"),

@@ -7,8 +7,8 @@ model for any packet-byte work so modelled-cycle experiments stay
 honest.  The lint walks every data-path root method (``process``,
 ``enqueue``, ``dequeue``, ``on_flow_created``, ``on_flow_removed``,
 ``on_batch_start``) of a plugin's instance classes, following the
-transitive closure of ``self.*``/``super()`` method calls and
-same-package helper functions.  Every ``(function, owner)`` pair in that
+transitive closure of ``self.*``/``super()``/``Base.method(self, ...)``
+calls and same-package helper functions.  Every ``(function, owner)`` pair in that
 closure is parsed once per run into a :class:`FunctionSource`, and every
 rule — the RP2xx ones below and the RP4xx ones of
 :mod:`repro.analysis.concurrency` — is a generator over that record,
@@ -36,6 +36,8 @@ listed in one table per root kind (:data:`RULES`).  This module's rules:
   so the same packet hashes differently in different workers.
 * RP210 — a ``# rp: ignore[...]`` comment naming a code that does not
   exist suppresses nothing.
+* RP211 — zero-argument ``super()`` in a plugin instance's data-path
+  closure (warning): per packet, it builds a super object on CPython < 3.12.
 
 Findings on a source line carrying ``# rp: ignore[RPxxx]`` (or a blanket
 ``# rp: ignore``) are suppressed.  Everything runs on source text via
@@ -209,6 +211,8 @@ class FunctionSource:
             and root.func.id == "super"
         ):
             targets.extend((base.__dict__.get(chain[0]), owner) for base in owner.__mro__[1:])
+        elif isinstance(root, ast.Name) and self.fn.__globals__.get(root.id) in owner.__mro__:
+            targets.append((getattr(self.fn.__globals__[root.id], chain[0], None), owner))
         for target, target_owner in targets:
             if callable(target) and not isinstance(target, type):
                 self.callees.append((target, target_owner))
@@ -268,8 +272,8 @@ class FunctionSource:
 # Per-function rules
 # ----------------------------------------------------------------------
 def forbidden_calls(source: FunctionSource) -> Iterator[Finding]:
-    """RP201 / RP202 / RP209: what each call resolves to, looked up in
-    the one ``(module, attr) -> code`` table."""
+    """RP201 / RP202 / RP209 / RP211: what each call resolves to, looked
+    up in the one ``(module, attr) -> code`` table."""
     for node in source.nodes:
         if not isinstance(node, ast.Call):
             continue
@@ -285,6 +289,15 @@ def forbidden_calls(source: FunctionSource) -> Iterator[Finding]:
                     "same packet hashes differently in different workers",
                     "derive placement from the deterministic five-tuple fold "
                     "(Packet.flow_fold32 / fold_five_tuple), never hash()",
+                )
+            continue
+        if resolved == ("builtins", "super"):
+            if not node.args and issubclass(source.owner or object, PluginInstance):
+                yield (
+                    "RP211", node,
+                    "zero-argument super() on a plugin instance's per-packet path",
+                    "on CPython < 3.12 each call builds a super object and walks the MRO "
+                    "per packet; call the base explicitly or inline the bookkeeping",
                 )
             continue
         last = dotted.rsplit(".", 1)[-1]

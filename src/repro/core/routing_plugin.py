@@ -39,7 +39,7 @@ class L4RouteInstance(PluginInstance):
         )
 
     def process(self, packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         packet.annotations["route"] = self.route
         return Verdict.CONTINUE
 
@@ -48,7 +48,7 @@ class L4BlackholeInstance(PluginInstance):
     """Policy routing's drop action (e.g. RFC1918 sources at the edge)."""
 
     def process(self, packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         return Verdict.DROP
 
 

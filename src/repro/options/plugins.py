@@ -37,7 +37,7 @@ class HopByHopInstance(PluginInstance):
         self.icmp_sent = 0        # modelled: we count instead of emitting
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         for option in packet.hop_options:
             if option.opt_type in KNOWN_OPTIONS:
                 continue
@@ -61,7 +61,7 @@ class RouterAlertInstance(PluginInstance):
         self.alerts = 0
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         for option in packet.hop_options:
             if option.opt_type == OPT_ROUTER_ALERT:
                 self.alerts += 1
@@ -81,7 +81,7 @@ class JumboInstance(PluginInstance):
         self.malformed = 0
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         for option in packet.hop_options:
             if option.opt_type != OPT_JUMBO:
                 continue

@@ -137,9 +137,21 @@ class DrrInstance(SchedulerInstance):
     # Scheduler contract
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, ctx: PluginContext) -> bool:
-        queue = self._queue_for(packet, ctx)
-        if not queue.queue.push(packet):
+        """One frame: ``PacketQueue.push`` inlined, ``_queue_for`` only for a new slot."""
+        slot = ctx.slot
+        queue = slot.private if slot is not None else None
+        if queue is None:
+            queue = self._queue_for(packet, ctx)
+        fifo = queue.queue
+        packets = fifo.packets
+        if len(packets) >= fifo.limit:
+            fifo.drops += 1
             return False
+        size = packet._length
+        if size < 0:
+            size = packet.length
+        packets.append(packet)
+        fifo.bytes += size
         self._backlog += 1
         if not queue.active:
             queue.active = True
@@ -163,7 +175,9 @@ class DrrInstance(SchedulerInstance):
                 if queue.needs_quantum:
                     queue.deficit += self.quantum * queue.weight
                     queue.needs_quantum = False
-                size = packets[0].length
+                size = packets[0]._length
+                if size < 0:
+                    size = packets[0].length
                 if queue.deficit < size:
                     # Deficit exhausted: back of the round-robin list; the
                     # next visit grants a fresh quantum.

@@ -38,7 +38,7 @@ class AhOutboundInstance(PluginInstance):
         self.sa = sa
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         sequence = self.sa.next_sequence()
         inner_proto = packet.protocol
         icv_input = _authenticated_bytes(packet, inner_proto, packet.payload)
@@ -68,7 +68,7 @@ class AhInboundInstance(PluginInstance):
         self.replays = 0
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         if packet.protocol != PROTO_AH:
             return Verdict.CONTINUE
         try:

@@ -44,7 +44,7 @@ class EspOutboundInstance(PluginInstance):
         )
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         sequence = self.sa.next_sequence()
         inner = packet.serialize()
         self._charge_crypto(ctx, len(inner))
@@ -81,7 +81,7 @@ class EspInboundInstance(PluginInstance):
     _charge_crypto = EspOutboundInstance._charge_crypto
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         if packet.protocol != PROTO_ESP:
             return Verdict.CONTINUE
         try:

@@ -28,7 +28,7 @@ class FirewallInstance(PluginInstance):
         self.denied = 0
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         if self.action == "allow":
             self.allowed += 1
             return Verdict.CONTINUE

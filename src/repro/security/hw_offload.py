@@ -39,7 +39,7 @@ class HwEspOutboundInstance(EspOutboundInstance):
         self.offloaded += 1
 
     def process(self, packet, ctx: PluginContext) -> str:
-        verdict = super().process(packet, ctx)
+        verdict = EspOutboundInstance.process(self, packet, ctx)
         if verdict == Verdict.CONTINUE:
             packet.annotations["hw_crypto_latency"] = self.latency
         return verdict

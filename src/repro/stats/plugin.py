@@ -12,7 +12,7 @@ exactly the "change the kinds of statistics" requirement.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..core.messages import Message
 from ..core.plugin import Plugin, PluginContext, PluginInstance, TYPE_STATISTICS, Verdict
@@ -28,13 +28,13 @@ def collect_volume(packet: Packet, record: Dict) -> None:
 
 def collect_sizes(packet: Packet, record: Dict) -> None:
     """Histogram of packet sizes in 256-byte bins."""
-    bins = record.setdefault("size_bins", Counter())
+    bins = record.get("size_bins") or record.setdefault("size_bins", Counter())
     bins[packet.length // 256] += 1
 
 
 def collect_protocols(packet: Packet, record: Dict) -> None:
     """Per-protocol packet counts."""
-    protos = record.setdefault("protocols", Counter())
+    protos = record.get("protocols") or record.setdefault("protocols", Counter())
     protos[protocol_name(packet.protocol)] += 1
 
 
@@ -62,19 +62,19 @@ class StatisticsInstance(PluginInstance):
 
     # ------------------------------------------------------------------
     def on_flow_created(self, flow, slot) -> None:
-        record: Dict = {}
-        slot.private = record
-        self._flows[flow.key.src, flow.key.dst, flow.key.protocol,
-                    flow.key.sport, flow.key.dport] = record
+        key = flow.key      # a re-created flow re-adopts its tuple's record
+        slot.private = self._flows.setdefault(
+            (key.src, key.dst, key.protocol, key.sport, key.dport), {})
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         if ctx.slot is not None:
             if ctx.slot.private is None:
                 self.on_flow_created(ctx.flow, ctx.slot)
             record = ctx.slot.private
         else:
-            record = self._flows.setdefault(packet.five_tuple(), {})
+            key = packet.five_tuple()
+            record = self._flows.get(key) or self._flows.setdefault(key, {})
         self._collector(packet, record)
         return Verdict.CONTINUE
 

@@ -11,7 +11,7 @@ router needs to police flows that ignore congestion signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.messages import Message
@@ -58,15 +58,17 @@ class TcpMonitorInstance(PluginInstance):
         self.non_tcp_ignored = 0
 
     def _state_for(self, packet: Packet, ctx: PluginContext) -> TcpFlowState:
-        if ctx.slot is not None:
-            if not isinstance(ctx.slot.private, TcpFlowState):
-                ctx.slot.private = TcpFlowState()
-                self._flows[packet.five_tuple()] = ctx.slot.private
-            return ctx.slot.private
-        return self._flows.setdefault(packet.five_tuple(), TcpFlowState())
+        slot = ctx.slot
+        if slot is not None and isinstance(slot.private, TcpFlowState):
+            return slot.private
+        key = packet.five_tuple()
+        state = self._flows.get(key) or self._flows.setdefault(key, TcpFlowState())
+        if slot is not None:
+            slot.private = state    # a re-created flow re-adopts its history
+        return state
 
     def process(self, packet: Packet, ctx: PluginContext) -> str:
-        super().process(packet, ctx)
+        self.packets_processed += 1
         if packet.protocol != PROTO_TCP:
             self.non_tcp_ignored += 1
             return Verdict.CONTINUE

@@ -214,6 +214,27 @@ class RegistryMetricsInstance(PluginInstance):
         return Verdict.CONTINUE
 
 
+class SuperCallInstance(PluginInstance):
+    def process(self, packet, ctx):
+        super().process(packet, ctx)
+        return Verdict.CONTINUE
+
+
+class ExplicitBaseCallInstance(PluginInstance):
+    """The clean twin: the base named explicitly, no super object."""
+
+    def process(self, packet, ctx):
+        PluginInstance.process(self, packet, ctx)
+        return Verdict.CONTINUE
+
+
+class ExplicitBaseTouchInstance(UnchargedTouchInstance):
+    """The closure walk follows ``Base.method(self, ...)`` into the base."""
+
+    def process(self, packet, ctx):
+        return UnchargedTouchInstance.process(self, packet, ctx)
+
+
 @pytest.mark.parametrize(
     "instance_cls,expected",
     [
@@ -230,9 +251,11 @@ class RegistryMetricsInstance(PluginInstance):
         (BareExceptInstance, "RP203"),
         (SlotsInstance, "RP204"),
         (UnchargedTouchInstance, "RP205"),
+        (ExplicitBaseTouchInstance, "RP205"),
         (BroadExceptInstance, "RP206"),
         (AdHocMetricsInstance, "RP207"),
         (AdHocCounterAugInstance, "RP207"),
+        (SuperCallInstance, "RP211"),
     ],
 )
 def test_bad_pattern_is_flagged(instance_cls, expected):
@@ -247,6 +270,7 @@ def test_bad_pattern_is_flagged(instance_cls, expected):
         ChargedTouchInstance,
         HelperChargedInstance,
         RegistryMetricsInstance,
+        ExplicitBaseCallInstance,
     ],
 )
 def test_good_pattern_is_clean(instance_cls):

@@ -32,7 +32,7 @@ class DscpMarkInstance(PluginInstance):
         self.marked = 0
 
     def process(self, packet, ctx):
-        super().process(packet, ctx)
+        self.packets_processed += 1
         packet.tos = self.dscp << 2
         self.marked += 1
         return Verdict.CONTINUE
@@ -69,7 +69,7 @@ class TestGuideExample:
         pkt = make_udp("10.0.0.1", "20.0.0.1", 5000, 53, iif="atm0")
         router.receive(pkt)
         assert pkt.tos == 46 << 2
-        assert gold.marked == 1
+        assert gold.marked == gold.packets_processed == 1
         # Unbound flows are untouched.
         other = make_udp("10.0.0.2", "20.0.0.1", 5000, 53, iif="atm0")
         router.receive(other)
@@ -117,3 +117,9 @@ class TestGuideExample:
 
     def test_default_gate_is_options(self):
         assert DscpMarkPlugin().default_gate() == GATE_IP_OPTIONS
+
+    def test_example_lints_clean(self):
+        """The §2 template passes the §8 lint, RP211 included."""
+        from repro.analysis import lint_plugin
+
+        assert lint_plugin(DscpMarkPlugin) == []
