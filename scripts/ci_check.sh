@@ -30,7 +30,7 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + plugins + drr) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + plugins + drr/scfq + daemons) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
@@ -43,7 +43,8 @@ if command -v ruff >/dev/null 2>&1; then
         src/repro/net/headers.py src/repro/net/checksum.py \
         src/repro/security/sa.py src/repro/security/esp.py \
         src/repro/security/ah.py src/repro/security/hw_offload.py \
-        src/repro/sched/base.py src/repro/sched/drr.py scripts/analyze.py
+        src/repro/sched/base.py src/repro/sched/drr.py src/repro/sched/scfq.py \
+        src/repro/daemons scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="
 fi

@@ -16,7 +16,7 @@ table.  The data-path contract mirrors §3.2 exactly:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..net.addresses import IPV4_WIDTH, IPV6_WIDTH
 from ..net.packet import Packet
@@ -55,6 +55,20 @@ def _claimed_by(flt: Filter) -> Callable[[FlowRecord], bool]:
         )
 
     return claimed
+
+
+def _orphaned_at(index: int) -> Callable[[FlowRecord], bool]:
+    """The cached flows bound, at gate ``index``, through a filter record
+    that has since been removed."""
+
+    def orphaned(flow: FlowRecord) -> bool:
+        slot = flow.slots[index]
+        if slot is None:
+            return False
+        record = slot.filter_record
+        return record is not None and not record.active
+
+    return orphaned
 
 
 class GateError(KeyError):
@@ -257,10 +271,17 @@ class AIU:
 
     def remove_filter(self, record: FilterRecord) -> bool:
         """Remove a filter and purge flow-table entries derived from it."""
-        removed = self._unlink(record)
-        if removed:
-            self._drop_flows(self._derived_from(record))
-        return removed
+        return self.remove_filters((record,)) > 0
+
+    def remove_filters(self, records: Iterable[FilterRecord]) -> int:
+        """Remove filters, then drop in one flow-table pass every cached
+        flow bound through any of them.  Returns the filters removed."""
+        gates = [self._gate_index[r.gate] for r in records if self._unlink(r)]
+        tests = [_orphaned_at(index) for index in set(gates)]
+        if tests:
+            self._drop_flows(tests[0] if len(tests) == 1
+                             else lambda flow: any(test(flow) for test in tests))
+        return len(gates)
 
     def _unlink(self, record: FilterRecord) -> bool:
         """Take a record out of its tables and counts; no flow is touched."""

@@ -681,7 +681,8 @@ class Router:
             # unreachable
         if not self._tx_busy[oif]:
             self._tx_busy[oif] = True
-            self.loop.schedule_at(max(now, iface.next_free), self._tx_one, oif)
+            # Clamped as on receive: a stale ``now`` must not schedule into the past.
+            self.loop.schedule_at(max(now, iface.next_free, self.loop.now), self._tx_one, oif)
 
     def _tx_one(self, oif: str) -> None:
         iface = self.interfaces[oif]
@@ -740,17 +741,18 @@ class Router:
         self.counters[Disposition.DROPPED_NO_ROUTE] += 1
         return result
 
+    def source_address(self, width: int, iface: Optional[str] = None):
+        """A local address of the ``width``-bit family to originate from:
+        ``iface``'s own address if it is of that family, else the first
+        local address that is; None when the router has none."""
+        address = self.interface_addresses.get(iface)
+        if address is not None and address.width == width:
+            return address
+        return next((a for a in self.local_addresses if a.width == width), None)
+
     def _icmp_source(self, packet: Packet):
-        """A local address for an ICMP error: prefer the address of the
-        interface the packet arrived on (what traceroute displays)."""
-        if packet.iif is not None:
-            address = self.interface_addresses.get(packet.iif)
-            if address is not None and address.width == packet.src.width:
-                return address
-        for address in self.local_addresses:
-            if address.width == packet.src.width:
-                return address
-        return None
+        """An ICMP error's source: preferably the arrival interface (what traceroute shows)."""
+        return self.source_address(packet.src.width, packet.iif)
 
     def _send_icmp(self, error: Optional[Packet], now: float) -> None:
         if error is None or not self.send_icmp_errors:

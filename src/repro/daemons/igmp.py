@@ -11,13 +11,13 @@ forwarding half lives in :mod:`repro.core.multicast`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.router import Router
 from ..net.addresses import IPAddress
 from ..net.packet import Packet
+from .common import decode, expired
 
 #: Protocol number 2 is IGMP.
 PROTO_IGMP = 2
@@ -52,11 +52,11 @@ class IGMPDaemon:
     # Wire handling
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet, router: Router, now: float) -> None:
+        message = decode(packet) or {}
         try:
-            message = json.loads(bytes(packet.payload).decode("utf-8"))
             op = message["op"]
             group = IPAddress.parse(message["group"])
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        except (ValueError, KeyError, TypeError):
             self.malformed += 1
             return
         if not group.is_multicast:
@@ -102,15 +102,8 @@ class IGMPDaemon:
 
     def expire(self, now: float) -> int:
         """Age out interfaces whose last report is too old."""
-        stale = [
-            key for key, m in self._members.items()
-            if now - m.reported_at > self.timeout
-        ]
-        groups = set()
-        for key in stale:
-            groups.add(key[0])
-            del self._members[key]
-        for group in groups:
+        stale = expired(self._members, now, self.timeout, "reported_at")
+        for group in {member.group for member in stale}:
             self._sync_route(group)
         return len(stale)
 

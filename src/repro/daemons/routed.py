@@ -9,14 +9,14 @@ multi-router topologies for the daemon and VPN experiments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.router import Router
 from ..net.addresses import IPAddress
 from ..net.headers import PROTO_UDP
 from ..net.packet import Packet
+from .common import decode, expired, send
 
 RIP_PORT = 520
 INFINITY_METRIC = 16
@@ -71,18 +71,8 @@ class RouteDaemon:
         sent = 0
         for iface, neighbor in self.neighbors.items():
             message = {"op": "update", "routes": self._vector_for(iface)}
-            source = self.router.interface_addresses.get(iface) or self._address_like(
-                neighbor
-            )
-            packet = Packet(
-                src=source,
-                dst=neighbor,
-                protocol=PROTO_UDP,
-                src_port=RIP_PORT,
-                dst_port=RIP_PORT,
-                payload=json.dumps(message).encode("utf-8"),
-            )
-            self.router.originate(packet, now)
+            send(self.router, neighbor, message, PROTO_UDP, now, iface=iface,
+                 src_port=RIP_PORT, dst_port=RIP_PORT)
             sent += 1
             self.updates_sent += 1
         return sent
@@ -104,11 +94,13 @@ class RouteDaemon:
         if packet.dst_port != RIP_PORT:
             return  # not for us
         self.updates_received += 1
+        message = decode(packet)
         try:
-            message = json.loads(bytes(packet.payload).decode("utf-8"))
+            if message is None:
+                raise ValueError("not a JSON object")
             routes = message["routes"] if message.get("op") == "update" else []
             entries = [(e["prefix"], int(e["metric"])) for e in routes]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        except (ValueError, KeyError, TypeError):
             self.malformed += 1
             return
         neighbor = str(packet.src)
@@ -149,17 +141,7 @@ class RouteDaemon:
     # ------------------------------------------------------------------
     def expire(self, now: float) -> int:
         """Drop learned routes that have not been refreshed."""
-        stale = [
-            p for p, r in self.learned.items()
-            if now - r.refreshed_at > self.expire_after
-        ]
-        for prefix in stale:
-            self.router.routing_table.remove(prefix)
-            del self.learned[prefix]
+        stale = expired(self.learned, now, self.expire_after, "refreshed_at")
+        for route in stale:
+            self.router.routing_table.remove(route.prefix)
         return len(stale)
-
-    def _address_like(self, peer: IPAddress) -> IPAddress:
-        for address in self.router.local_addresses:
-            if address.width == peer.width:
-                return address
-        return peer

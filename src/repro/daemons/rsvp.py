@@ -14,16 +14,14 @@ Receiver-oriented, per RFC 2205's shape:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.gates import GATE_PACKET_SCHEDULING
 from ..core.router import Router
 from ..net.addresses import IPAddress
 from ..net.headers import PROTO_RSVP
 from ..net.packet import Packet
-from ..sched.drr import DrrInstance
+from .common import decode, expired, reserve, send
 
 DEFAULT_HOLD = 90.0
 
@@ -91,12 +89,8 @@ class RSVPDaemon:
     # Wire handling
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet, router: Router, now: float) -> None:
-        try:
-            message = json.loads(bytes(packet.payload).decode("utf-8"))
-            op = message["op"]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            self.malformed += 1
-            return
+        message = decode(packet) or {}
+        op = message.get("op")
         try:
             if op == "path":
                 self._handle_path(message, in_iface=packet.iif, now=now)
@@ -132,10 +126,10 @@ class RSVPDaemon:
         neighbor = self.neighbors.get(route.interface)
         if neighbor is None:
             return  # we are the egress; the receiver reserves from here
-        my_address = self._address_on(route.interface, neighbor)
+        my_address = self.router.source_address(neighbor.width, route.interface) or neighbor
         onward = dict(message)
         onward["prev_hop"] = str(my_address)
-        self._send(neighbor, onward, now)
+        send(self.router, neighbor, onward, PROTO_RSVP, now)
 
     # ------------------------------------------------------------------
     # RESV upstream
@@ -147,7 +141,13 @@ class RSVPDaemon:
             raise RSVPError(f"{self.router.name}: RESV for unknown session {session!r}")
         state = self.resv_state.get(session)
         if state is None:
-            record = self._install(message, path)
+            route = self.router.routing_table.lookup(path.dst)
+            if route is None:
+                raise RSVPError(f"{self.router.name}: no route for session {session!r}")
+            record = reserve(
+                self.router, route.interface, message["flowspec"], message["rate_bps"],
+                RSVPError,
+            )
             state = ResvState(
                 session=session,
                 flowspec=message["flowspec"],
@@ -157,63 +157,14 @@ class RSVPDaemon:
             self.resv_state[session] = state
         state.refreshed_at = now
         if path.prev_hop is not None:
-            self._send(IPAddress.parse(path.prev_hop), message, now)
-
-    def _install(self, message: dict, path: PathState):
-        route = self.router.routing_table.lookup(path.dst)
-        if route is None:
-            raise RSVPError(f"{self.router.name}: no route for session {path.session!r}")
-        scheduler = self.router.scheduler(route.interface)
-        if not isinstance(scheduler, DrrInstance):
-            raise RSVPError(
-                f"{self.router.name}/{route.interface} has no DRR scheduler"
-            )
-        record = self.router.aiu.create_filter(
-            GATE_PACKET_SCHEDULING, message["flowspec"], instance=scheduler
-        )
-        scheduler.reserve(record, message["rate_bps"])
-        return record
-
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
-    def _address_on(self, iface: Optional[str], fallback: IPAddress) -> IPAddress:
-        if iface is not None:
-            address = self.router.interface_addresses.get(iface)
-            if address is not None and address.width == fallback.width:
-                return address
-        for address in self.router.local_addresses:
-            if address.width == fallback.width:
-                return address
-        return fallback
-
-    def _send(self, dst: IPAddress, message: dict, now: float) -> None:
-        source = self._address_on(None, dst)
-        packet = Packet(
-            src=source,
-            dst=dst,
-            protocol=PROTO_RSVP,
-            payload=json.dumps(message).encode("utf-8"),
-        )
-        self.router.originate(packet, now)
+            send(self.router, IPAddress.parse(path.prev_hop), message, PROTO_RSVP, now)
 
     # ------------------------------------------------------------------
     # Soft state
     # ------------------------------------------------------------------
     def sweep(self, now: float) -> int:
-        """Expire path and reservation state past the hold time."""
-        removed = 0
-        for session in [
-            s for s, st in self.resv_state.items()
-            if now - st.refreshed_at > self.hold_time
-        ]:
-            state = self.resv_state.pop(session)
-            self.router.aiu.remove_filter(state.filter_record)
-            removed += 1
-        for session in [
-            s for s, st in self.path_state.items()
-            if now - st.refreshed_at > self.hold_time
-        ]:
-            del self.path_state[session]
-            removed += 1
-        return removed
+        """Expire path and reservation state past the hold time; the
+        expired reservations' filters go in one AIU removal."""
+        resv = expired(self.resv_state, now, self.hold_time, "refreshed_at")
+        self.router.aiu.remove_filters([state.filter_record for state in resv])
+        return len(resv) + len(expired(self.path_state, now, self.hold_time, "refreshed_at"))

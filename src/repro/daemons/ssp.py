@@ -15,16 +15,15 @@ unspecified; the daemon logic is what matters architecturally).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.gates import GATE_PACKET_SCHEDULING
 from ..core.router import Router
 from ..net.addresses import IPAddress
 from ..net.headers import PROTO_SSP
 from ..net.packet import Packet
 from ..sched.drr import DrrInstance
+from .common import decode, expired, reserve, send
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -89,32 +88,17 @@ class SSPDaemon:
     def refresh(self, flow_id: str, now: float) -> None:
         """Re-send the SETUP to keep soft state alive along the path."""
         reservation = self.reservations.get(flow_id)
-        if reservation is None:
-            return
-        self._handle(
-            {
-                "op": "setup",
-                "flow_id": flow_id,
-                "flowspec": reservation.flowspec,
-                "rate_bps": reservation.rate_bps,
-                "dst": reservation.extra["dst"],
-            },
-            now,
-        )
+        if reservation is not None:
+            self.request(flow_id, reservation.flowspec, reservation.rate_bps,
+                         reservation.extra["dst"], now)
 
     # ------------------------------------------------------------------
     # Wire handling
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet, router: Router, now: float) -> None:
         self.messages_seen += 1
-        try:
-            message = json.loads(bytes(packet.payload).decode("utf-8"))
-            if not isinstance(message, dict) or "op" not in message:
-                raise ValueError("not an SSP message")
-        except (ValueError, UnicodeDecodeError):
-            # Garbage on the control port must not take the daemon down.
-            self.malformed += 1
-            return
+        # Garbage on the control port must not take the daemon down.
+        message = decode(packet) or {}
         try:
             self._handle(message, now)
         except (KeyError, SSPError):
@@ -131,14 +115,6 @@ class SSPDaemon:
     # ------------------------------------------------------------------
     # State installation
     # ------------------------------------------------------------------
-    def _scheduler_for(self, oif: str) -> DrrInstance:
-        scheduler = self.router.scheduler(oif)
-        if not isinstance(scheduler, DrrInstance):
-            raise SSPError(
-                f"{self.router.name}/{oif} has no DRR scheduler for reservations"
-            )
-        return scheduler
-
     def _setup(self, message: dict, now: float) -> None:
         route = self.router.routing_table.lookup(message["dst"])
         if route is None:
@@ -148,17 +124,16 @@ class SSPDaemon:
         if existing is not None:
             existing.refreshed_at = now
         else:
-            scheduler = self._scheduler_for(route.interface)
-            record = self.router.aiu.create_filter(
-                GATE_PACKET_SCHEDULING, message["flowspec"], instance=scheduler
+            record = reserve(
+                self.router, route.interface, message["flowspec"], message["rate_bps"],
+                SSPError,
             )
-            scheduler.reserve(record, message["rate_bps"])
             self.reservations[flow_id] = Reservation(
                 flow_id=flow_id,
                 flowspec=message["flowspec"],
                 rate_bps=message["rate_bps"],
                 filter_record=record,
-                scheduler=scheduler,
+                scheduler=record.instance,
                 refreshed_at=now,
                 extra={"dst": message["dst"]},
             )
@@ -175,33 +150,15 @@ class SSPDaemon:
     def _forward(self, message: dict, oif: str, now: float) -> None:
         """Send the message to the next SSP hop, if one exists."""
         neighbor = self.neighbors.get(oif)
-        if neighbor is None:
-            return  # destination side: path ends here
-        source = self.router.interface_addresses.get(oif)
-        if source is None or source.width != neighbor.width:
-            source = next(
-                (a for a in self.router.local_addresses if a.width == neighbor.width),
-                neighbor,
-            )
-        packet = Packet(
-            src=source,
-            dst=neighbor,
-            protocol=PROTO_SSP,
-            payload=json.dumps(message).encode("utf-8"),
-        )
-        self.router.originate(packet, now)
+        if neighbor is not None:        # else destination side: path ends here
+            send(self.router, neighbor, message, PROTO_SSP, now, iface=oif)
 
     # ------------------------------------------------------------------
     # Soft state
     # ------------------------------------------------------------------
     def expire(self, now: float) -> int:
-        """Drop reservations not refreshed within the timeout."""
-        stale = [
-            flow_id
-            for flow_id, r in self.reservations.items()
-            if now - r.refreshed_at > self.timeout
-        ]
-        for flow_id in stale:
-            reservation = self.reservations.pop(flow_id)
-            self.router.aiu.remove_filter(reservation.filter_record)
+        """Drop reservations not refreshed within the timeout; their
+        filters go in one AIU removal."""
+        stale = expired(self.reservations, now, self.timeout, "refreshed_at")
+        self.router.aiu.remove_filters([r.filter_record for r in stale])
         return len(stale)

@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional
 from ..core.errors import ConfigurationError
 from ..core.plugin import PluginContext
 from ..net.packet import Packet
-from .base import DEFAULT_QUEUE_LIMIT, PacketQueue, SchedulerInstance, SchedulerPlugin
+from .base import DEFAULT_QUEUE_LIMIT, ClassSchedulerInstance, PacketQueue, SchedulerPlugin
 
 DEFAULT_BURST_BYTES = 2 * 1500
 
@@ -89,7 +89,7 @@ class CbqClass:
         )
 
 
-class CbqInstance(SchedulerInstance):
+class CbqInstance(ClassSchedulerInstance):
     """CBQ-lite over a class tree; flows map to classes via filter
     records, like the H-FSC instance."""
 
@@ -98,7 +98,6 @@ class CbqInstance(SchedulerInstance):
         self.root = CbqClass("root", None, rate_bps=link_bps)
         self.default_class: Optional[CbqClass] = None
         self._classes: Dict[str, CbqClass] = {"root": self.root}
-        self._filter_classes: Dict[object, CbqClass] = {}
         # Per-priority round-robin rotations over leaves.
         self._rotations: Dict[int, Deque[CbqClass]] = {}
         self._backlog = 0
@@ -130,25 +129,9 @@ class CbqInstance(SchedulerInstance):
             self.default_class = cls
         return cls
 
-    def get_class(self, name: str) -> CbqClass:
-        try:
-            return self._classes[name]
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown CBQ class {name!r}") from exc
-
-    def attach_filter(self, filter_record, class_name: str) -> None:
-        cls = self.get_class(class_name)
-        if not cls.is_leaf:
-            raise ConfigurationError(f"{class_name!r} is not a leaf class")
-        self._filter_classes[filter_record] = cls
-        filter_record.private = cls
-
     # ------------------------------------------------------------------
     # Flow plumbing (same shape as H-FSC)
     # ------------------------------------------------------------------
-    def on_flow_created(self, flow, slot) -> None:
-        slot.private = self._filter_classes.get(slot.filter_record, self.default_class)
-
     def _class_for(self, packet: Packet, ctx: PluginContext) -> Optional[CbqClass]:
         if ctx.slot is not None:
             if not isinstance(ctx.slot.private, CbqClass):

@@ -13,11 +13,11 @@ direct ``set_scheduler`` use) fall back to an internal five-tuple map.
 Weights:
 
 * best-effort flows share a fixed default weight;
-* reservations attach a weight to a *filter record* (hard state, §5.1.1);
-  every flow derived from that filter inherits it.  Weights are expressed
-  in rate units (Mbit/s) so DRR's share ∝ weight gives the reserved flow
-  its configured fraction ("dynamically recalculated for reserved
-  flows", §6.1).
+* reservations attach a weight to a *filter record* (hard state, §5.1.1:
+  its ``private`` pointer); every flow derived from that filter inherits
+  it.  Weights are expressed in rate units (Mbit/s) so DRR's share ∝
+  weight gives the reserved flow its configured fraction ("dynamically
+  recalculated for reserved flows", §6.1).
 """
 
 from __future__ import annotations
@@ -26,13 +26,17 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.messages import Message
 from ..core.plugin import PluginContext
 from ..net.packet import Packet
-from .base import DEFAULT_QUEUE_LIMIT, PacketQueue, SchedulerInstance, SchedulerPlugin
+from .base import (
+    DEFAULT_QUEUE_LIMIT,
+    DEFAULT_WEIGHT,
+    PacketQueue,
+    WeightedSchedulerInstance,
+    WeightedSchedulerPlugin,
+)
 
 DEFAULT_QUANTUM = 1500          # bytes per weight unit per round
-DEFAULT_WEIGHT = 1.0
 
 
 class DrrFlowQueue:
@@ -53,49 +57,18 @@ class DrrFlowQueue:
         return f"DrrFlowQueue({self.label}, w={self.weight}, {len(self.queue)} pkts)"
 
 
-class DrrInstance(SchedulerInstance):
+class DrrInstance(WeightedSchedulerInstance):
     """Weighted DRR over per-flow queues."""
 
     def __init__(self, plugin, **config):
         super().__init__(plugin, **config)
         self.quantum = config.get("quantum", DEFAULT_QUANTUM)
-        self.default_weight = config.get("default_weight", DEFAULT_WEIGHT)
-        self.queue_limit = config.get("limit", DEFAULT_QUEUE_LIMIT)
         if self.quantum <= 0:
             raise ConfigurationError("DRR quantum must be positive")
         self._active: Deque[DrrFlowQueue] = deque()
-        # Reservations: filter record -> weight (rate units).
-        self._filter_weights: Dict[object, float] = {}
         # Fallback per-flow map for packets without a flow-table context.
         self._anonymous: Dict[Tuple, DrrFlowQueue] = {}
         self._backlog = 0
-
-    # ------------------------------------------------------------------
-    # Weight management (control path)
-    # ------------------------------------------------------------------
-    def set_weight(self, filter_record, weight: float) -> None:
-        """Attach a weight to all flows derived from a filter record."""
-        if weight <= 0:
-            raise ConfigurationError("weight must be positive")
-        self._filter_weights[filter_record] = float(weight)
-        filter_record.private = float(weight)
-
-    def reserve(self, filter_record, rate_bps: float) -> None:
-        """Reserve bandwidth: weight in Mbit/s units (share ∝ weight).
-
-        The unit keeps quantum × weight at packet scale — per round a
-        1 Mbit/s reservation earns one quantum — so DRR rounds keep
-        cycling and a large reservation cannot monopolize the link
-        between rounds.
-        """
-        if rate_bps <= 0:
-            raise ConfigurationError("reserved rate must be positive")
-        self.set_weight(filter_record, rate_bps / 1_000_000.0)
-
-    def weight_for(self, filter_record) -> float:
-        if filter_record is not None and filter_record in self._filter_weights:
-            return self._filter_weights[filter_record]
-        return self.default_weight
 
     # ------------------------------------------------------------------
     # Flow-state plumbing
@@ -220,19 +193,8 @@ class DrrInstance(SchedulerInstance):
         ]
 
 
-class DrrPlugin(SchedulerPlugin):
+class DrrPlugin(WeightedSchedulerPlugin):
     """The weighted DRR loadable module ("less than 600 lines of C")."""
 
     name = "drr"
     instance_class = DrrInstance
-
-    def handle_custom(self, message: Message):
-        if message.type == "set_weight":
-            instance: DrrInstance = message.args["instance"]
-            instance.set_weight(message.args["record"], message.args["weight"])
-            return True
-        if message.type == "reserve":
-            instance = message.args["instance"]
-            instance.reserve(message.args["record"], message.args["rate_bps"])
-            return True
-        return super().handle_custom(message)

@@ -32,7 +32,7 @@ from ..core.errors import ConfigurationError
 from ..core.messages import Message
 from ..core.plugin import PluginContext
 from ..net.packet import Packet
-from .base import DEFAULT_QUEUE_LIMIT, PacketQueue, SchedulerInstance, SchedulerPlugin
+from .base import DEFAULT_QUEUE_LIMIT, ClassSchedulerInstance, PacketQueue, SchedulerPlugin
 from .curves import INFINITY, RuntimeCurve, ServiceCurve
 
 
@@ -83,7 +83,7 @@ class HfscClass:
         return f"HfscClass({self.name!r}, vt={self.vt:.3f}, backlog={len(self.queue)})"
 
 
-class HfscInstance(SchedulerInstance):
+class HfscInstance(ClassSchedulerInstance):
     """An H-FSC scheduler instance for one interface."""
 
     def __init__(self, plugin, **config):
@@ -91,7 +91,6 @@ class HfscInstance(SchedulerInstance):
         self.root = HfscClass("root", None)
         self.default_class: Optional[HfscClass] = None
         self._classes: Dict[str, HfscClass] = {"root": self.root}
-        self._filter_classes: Dict[object, HfscClass] = {}
         self._rt_leaves: List[HfscClass] = []
         self._backlog = 0
 
@@ -122,26 +121,9 @@ class HfscInstance(SchedulerInstance):
             self.default_class = cls
         return cls
 
-    def get_class(self, name: str) -> HfscClass:
-        try:
-            return self._classes[name]
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown H-FSC class {name!r}") from exc
-
-    def attach_filter(self, filter_record, class_name: str) -> None:
-        """Route flows derived from ``filter_record`` to a leaf class."""
-        cls = self.get_class(class_name)
-        if not cls.is_leaf:
-            raise ConfigurationError(f"{class_name!r} is not a leaf class")
-        self._filter_classes[filter_record] = cls
-        filter_record.private = cls
-
     # ------------------------------------------------------------------
     # Flow plumbing
     # ------------------------------------------------------------------
-    def on_flow_created(self, flow, slot) -> None:
-        slot.private = self._filter_classes.get(slot.filter_record, self.default_class)
-
     def _class_for(self, packet: Packet, ctx: PluginContext) -> Optional[HfscClass]:
         if ctx.slot is not None:
             if ctx.slot.private is None:

@@ -20,13 +20,9 @@ import heapq
 import itertools
 from typing import Dict, Optional, Tuple
 
-from ..core.errors import ConfigurationError
-from ..core.messages import Message
 from ..core.plugin import PluginContext
 from ..net.packet import Packet
-from .base import DEFAULT_QUEUE_LIMIT, SchedulerInstance, SchedulerPlugin
-
-DEFAULT_WEIGHT = 1.0
+from .base import DEFAULT_WEIGHT, WeightedSchedulerInstance, WeightedSchedulerPlugin
 
 
 class ScfqFlowState:
@@ -44,38 +40,16 @@ class ScfqFlowState:
         return f"ScfqFlowState({self.label}, w={self.weight}, queued={self.queued})"
 
 
-class ScfqInstance(SchedulerInstance):
+class ScfqInstance(WeightedSchedulerInstance):
     """SCFQ over per-flow finish tags, served from a heap."""
 
     def __init__(self, plugin, **config):
         super().__init__(plugin, **config)
-        self.default_weight = config.get("default_weight", DEFAULT_WEIGHT)
-        self.queue_limit = config.get("limit", DEFAULT_QUEUE_LIMIT)
         self._heap: list = []               # (finish_tag, seq, packet, state)
         self._seq = itertools.count()
         self._virtual_time = 0.0            # tag of the packet in service
-        self._filter_weights: Dict[object, float] = {}
         self._anonymous: Dict[Tuple, ScfqFlowState] = {}
         self._backlog = 0
-
-    # ------------------------------------------------------------------
-    # Weight management (same interface as DRR)
-    # ------------------------------------------------------------------
-    def set_weight(self, filter_record, weight: float) -> None:
-        if weight <= 0:
-            raise ConfigurationError("weight must be positive")
-        self._filter_weights[filter_record] = float(weight)
-        filter_record.private = float(weight)
-
-    def reserve(self, filter_record, rate_bps: float) -> None:
-        if rate_bps <= 0:
-            raise ConfigurationError("reserved rate must be positive")
-        self.set_weight(filter_record, rate_bps / 1_000_000.0)
-
-    def weight_for(self, filter_record) -> float:
-        if filter_record is not None and filter_record in self._filter_weights:
-            return self._filter_weights[filter_record]
-        return self.default_weight
 
     # ------------------------------------------------------------------
     # Flow state plumbing
@@ -137,20 +111,8 @@ class ScfqInstance(SchedulerInstance):
         return self._backlog
 
 
-class ScfqPlugin(SchedulerPlugin):
+class ScfqPlugin(WeightedSchedulerPlugin):
     """The SCFQ loadable module."""
 
     name = "scfq"
     instance_class = ScfqInstance
-
-    def handle_custom(self, message: Message):
-        if message.type == "set_weight":
-            instance: ScfqInstance = message.args["instance"]
-            instance.set_weight(message.args["record"], message.args["weight"])
-            return True
-        if message.type == "reserve":
-            message.args["instance"].reserve(
-                message.args["record"], message.args["rate_bps"]
-            )
-            return True
-        return super().handle_custom(message)

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from repro.aiu.aiu import _claimed_by
 from repro.aiu.filters import Filter, PortSpec, flow_key_of
 from repro.aiu.flow_table import FlowTable
-from repro.core import GATE_IP_SECURITY, Plugin, PluginInstance, Router, TYPE_IP_SECURITY
+from repro.core import (
+    GATE_IP_OPTIONS, GATE_IP_SECURITY, Plugin, PluginInstance, Router, TYPE_IP_SECURITY,
+)
 from repro.net.addresses import IPV4_WIDTH, IPV6_WIDTH, IPAddress, Prefix
 from repro.net.packet import Packet, make_udp
 
@@ -140,3 +142,42 @@ def test_instance_verbs_walk_the_flow_table_once(verb, monkeypatch):
     for flow in router.aiu.flow_table:
         assert all(slot is None or slot.instance is not instance for slot in flow.slots)
     assert len(router.aiu.flow_table) == 16 - 8 - 1
+
+
+# ----------------------------------------------------------------------
+# remove_filters: k filter records at several gates, one flow pass
+# ----------------------------------------------------------------------
+def test_remove_filters_across_two_gates_drops_exactly_their_flows(monkeypatch):
+    router = Router(flow_buckets=256)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    aiu = router.aiu
+    instance = _Instance(_Plugin())
+    records = {
+        (gate, i): aiu.create_filter(gate, f"10.0.0.{i}, *, UDP", instance=instance)
+        for gate in (GATE_IP_OPTIONS, GATE_IP_SECURITY) for i in range(8)
+    }
+    for i in range(12):                  # 8 flows bound at both gates, 4 at neither
+        router.receive(make_udp(f"10.0.0.{i}", "20.0.0.1", 5000, 9000, iif="atm0"))
+    doomed = [records[GATE_IP_OPTIONS, 1], records[GATE_IP_OPTIONS, 2],
+              records[GATE_IP_SECURITY, 2], records[GATE_IP_SECURITY, 5]]
+    before = {flow.key for flow in aiu.flow_table}
+    derived = {
+        flow.key for flow in aiu.flow_table
+        if any(slot is not None and slot.filter_record in doomed for slot in flow.slots)
+    }
+    assert len(derived) == 3
+
+    passes = []
+    real_purge = FlowTable.purge
+
+    def counting_purge(table, stale):
+        passes.append(table)
+        return real_purge(table, stale)
+
+    monkeypatch.setattr(FlowTable, "purge", counting_purge)
+    assert aiu.remove_filters(doomed + doomed[:1]) == 4
+    assert len(passes) == 1
+    assert {flow.key for flow in aiu.flow_table} == before - derived
+    assert set(aiu.filters()) == set(records.values()) - set(doomed)
+    assert aiu.remove_filters(doomed) == 0 and len(passes) == 1
