@@ -4,14 +4,15 @@
 Modes:
 
     scripts/analyze.py --self-lint
-        Lint every built-in plugin and verify compiled/interpreted
-        equivalence for the DAG classifier and all BMP engines on a
+        Lint every built-in plugin and the shard/batch layers, audit
+        both generated loop layouts on scratch routers, and audit the
+        compiled shapes of the DAG classifier and every BMP engine on a
         seeded filter set.  This is the CI gate.
 
     scripts/analyze.py <pmgr-script> [more scripts...]
         Run each pmgr configuration script on a scratch router and
         analyze the state it builds (shadowed/redundant filters,
-        conflicting bindings, plugin lint, equivalence).
+        conflicting bindings, plugin lint, codegen audit).
 
 Options:
 
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("scripts", nargs="*", help="pmgr configuration scripts")
     parser.add_argument("--self-lint", action="store_true",
-                        help="lint built-in plugins + verify engine equivalence")
+                        help="lint built-in plugins + audit generated code and shapes")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings as well")

@@ -11,9 +11,9 @@
 # The static-analysis gate lints every built-in plugin and the
 # shard/batch layers themselves (one pass: hot-path RP2xx and
 # shard-safety RP4xx rules), warms and audits both generated loop
-# layouts (RP5xx), and verifies compiled/interpreted equivalence for the
-# classifier DAG and all BMP engines (scripts/analyze.py --self-lint),
-# plus ruff/mypy over the linted subsystems when those tools are
+# layouts (RP5xx), and audits the compiled shapes of the classifier DAG
+# and every BMP engine (RP505; scripts/analyze.py --self-lint), plus
+# ruff/mypy over the linted subsystems when those tools are
 # installed.  pyproject.toml's addopts deselects only the ``paper``
 # marker, so the tier-1 run already includes the cost-model goldens, the
 # paper's rows (tests/perf/test_paper.py), the recompile ratio, the
@@ -30,7 +30,7 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + plugins + drr/scfq + daemons) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + routing + plugins + drr/scfq + daemons) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
@@ -39,7 +39,7 @@ if command -v ruff >/dev/null 2>&1; then
         src/repro/core/routing_plugin.py src/repro/options/plugins.py \
         src/repro/stats/plugin.py src/repro/stats/tcp_monitor.py \
         src/repro/security/firewall.py \
-        src/repro/core/batch.py src/repro/net/packet.py \
+        src/repro/core/batch.py src/repro/net/packet.py src/repro/net/routing.py \
         src/repro/net/headers.py src/repro/net/checksum.py \
         src/repro/security/sa.py src/repro/security/esp.py \
         src/repro/security/ah.py src/repro/security/hw_offload.py \

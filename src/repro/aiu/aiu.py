@@ -239,11 +239,14 @@ class AIU:
     def _drop_flows(self, stale: Callable[[FlowRecord], bool]) -> int:
         """A verb's one ``FlowTable.purge``, *then* the removal hook from
         the counts the verb left: an instance that just lost its last
-        filter still hears the flows this pass drops."""
+        filter still hears the flows this pass drops.  The purge unlinks
+        every stale flow before it calls a hook, so a hook that raises
+        escapes a table that is already consistent."""
         table = self.flow_table
-        removed = table.purge(stale)
-        table.on_remove = self._notify_flow_removed if self._removal_hooks else None
-        return removed
+        try:
+            return table.purge(stale)
+        finally:
+            table.on_remove = self._notify_flow_removed if self._removal_hooks else None
 
     def _derived_from(self, record: FilterRecord) -> Callable[[FlowRecord], bool]:
         """The cached flows whose binding at the record's gate came from it."""

@@ -72,7 +72,7 @@ class FlowTable:
         # cost class as ``active`` above, so they are kept unconditionally).
         self.births = 0
         self.evictions = 0
-        #: Called with (record) just before a record is evicted/removed,
+        #: Called with (record) just after a record is evicted/removed,
         #: so plugins can tear down per-flow soft state (§4: "functions
         #: which are called by the AIU on removal of an entry").
         self.on_remove: Optional[Callable[[FlowRecord], None]] = None
@@ -114,8 +114,8 @@ class FlowTable:
             # evicted record goes back through the free list — every
             # record the table ever retires is pool-reused, whether it
             # died here, via invalidate(), or via expire_idle().
-            self._reclaim()
             self.recycled += 1
+            self._reclaim()
             record = self._free.pop()
         record.reinit(key, self.gate_count, now)
         return record
@@ -125,8 +125,7 @@ class FlowTable:
         record = self._lru_tail
         if record is None:
             raise RuntimeError("flow table cap smaller than a single flow")
-        self._evict(record)
-        self._free.append(record)
+        self.invalidate(record)
 
     # ------------------------------------------------------------------
     # LRU maintenance
@@ -172,7 +171,8 @@ class FlowTable:
         cycles.charge(Costs.FLOW_HASH, "flow_hash")
         return packet.flow_fold32() & self._mask
 
-    def lookup(self, packet: Packet, meter=NULL_METER, cycles=NULL_METER, now: float = 0.0) -> Optional[FlowRecord]:
+    def lookup(self, packet: Packet, meter=NULL_METER, cycles=NULL_METER,
+               now: float = 0.0) -> Optional[FlowRecord]:
         """Find the cached flow record for a packet (the fast path).
 
         The ``is NULL_METER`` guards skip no-op meter calls on the
@@ -242,9 +242,9 @@ class FlowTable:
     # ------------------------------------------------------------------
     # Removal / eviction
     # ------------------------------------------------------------------
-    def _evict(self, record: FlowRecord) -> None:
-        if self.on_remove is not None:
-            self.on_remove(record)
+    def _release(self, record: FlowRecord) -> None:
+        """Unlink one record from its chain and the recency list into the
+        free list; no hook runs, so nothing here can raise."""
         # O(1) intrusive unlink (previously an O(chain) list.remove).
         prev, nxt = record.hash_prev, record.hash_next
         if prev is not None:
@@ -257,38 +257,50 @@ class FlowTable:
         self._lru_unlink(record)
         self.active -= 1
         self.evictions += 1
+        self._free.append(record)
+
+    def _notify(self, records: List[FlowRecord]) -> int:
+        """The removal hook for records already released: the table is
+        whole before a plugin runs, so a hook that raises leaves no
+        cached flow and no pool record behind."""
+        on_remove = self.on_remove
+        if on_remove is not None:
+            for record in records:
+                on_remove(record)
+        return len(records)
 
     def invalidate(self, record: FlowRecord) -> None:
         """Explicitly drop one flow record (e.g. filter removed)."""
-        self._evict(record)
-        self._free.append(record)
+        self._release(record)
+        if self.on_remove is not None:
+            self.on_remove(record)
 
     def purge(self, stale: Callable[[FlowRecord], bool]) -> int:
         """Drop every flow ``stale`` accepts in one walk of the recency
         list, most recent first; returns how many went.  The control
         path's one way to drop flows: a verb pays one pass, however many
         filter records it removed."""
-        removed = 0
+        gone = []
         record = self._lru_head
         while record is not None:
             following = record.lru_next
             if stale(record):
-                self.invalidate(record)
-                removed += 1
+                self._release(record)
+                gone.append(record)
             record = following
-        return removed
+        return self._notify(gone)
 
     def expire_idle(self, now: float, max_idle: float) -> int:
         """Drop flows idle longer than ``max_idle`` (§3.2: idle cached
         entries 'may be removed').  Returns the number removed."""
-        removed = 0
+        gone = []
         record = self._lru_tail
         while record is not None and now - record.last_used > max_idle:
             previous = record.lru_prev
-            self.invalidate(record)
-            removed += 1
+            self._release(record)
+            gone.append(record)
             record = previous
-        return removed
+        return self._notify(gone)
 
     # ------------------------------------------------------------------
     # Introspection

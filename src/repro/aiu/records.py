@@ -110,7 +110,6 @@ class FlowRecord:
     __slots__ = (
         "key",
         "slots",
-        "created",
         "last_used",
         "packets",
         "bytes",
@@ -126,7 +125,6 @@ class FlowRecord:
     def __init__(self, key: FlowKey, gate_count: int, now: float = 0.0):
         self.key = key
         self.slots: List[GateSlot] = [GateSlot() for _ in range(gate_count)]
-        self.created = now
         self.last_used = now
         self.packets = 0
         self.bytes = 0
@@ -164,7 +162,6 @@ class FlowRecord:
                     slot.filter_record = None
         else:
             self.slots = [None] * gate_count
-        self.created = now
         self.last_used = now
         self.packets = 0
         self.bytes = 0

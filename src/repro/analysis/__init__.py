@@ -1,6 +1,9 @@
-"""Static analysis for the plugin router (filter semantics, the plugin
-lint — hot-path and shard-safety rules in one pass — exec-codegen audit,
-compiled/interpreted equivalence).
+"""Static analysis for the plugin router: filter semantics, the plugin
+lint (hot-path and shard-safety rules in one pass) and the exec-codegen
+audit, which also checks the shapes of the compiled lookup structures.
+Whether a compiled lookup returns what the metered walk returns is not
+probed here: the classifier's property tests and the oracle
+(``tests/oracle/``) send packets at every filter and route boundary.
 
 Public API::
 
@@ -9,7 +12,6 @@ Public API::
         analyze_filterset, analyze_table, analyze_records,
         lint_plugin, lint_plugins, lint_builtin_plugins,
         audit_router_codegen, audit_query_mergeability,
-        verify_table, verify_engine, verify_aiu,
         analyze_router, analyze_sharded, analyze_script, self_lint,
     )
 
@@ -40,7 +42,6 @@ from .diagnostics import (
     title_of,
     unknown_suppressed_codes,
 )
-from .equivalence import verify_aiu, verify_engine, verify_table
 from .filterset import analyze_filterset, analyze_records, analyze_table
 from .hotpath import (
     builtin_plugin_classes,
@@ -75,9 +76,6 @@ __all__ = [
     "lint_builtin_plugins",
     "lint_plugin",
     "lint_plugins",
-    "verify_aiu",
-    "verify_engine",
-    "verify_table",
     "analyze_router",
     "analyze_script",
     "analyze_sharded",

@@ -42,7 +42,6 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from .diagnostics import Diagnostic
-from .equivalence import routing_engines
 from .hotpath import bound_names
 
 #: Builtins the loop emitter is allowed to reference freely.
@@ -470,6 +469,8 @@ def audit_router_codegen(
                     subject=f"{subject_prefix}{gate}/{width}-bit table",
                 )
             )
-    for subject, engine in routing_engines(router, subject_prefix):
-        diagnostics.extend(audit_engine(engine, subject=subject))
+    for width, engine in sorted(router.routing_table._engines.items()):
+        if hasattr(engine, "lookup_entry_fast"):        # a BMP engine
+            diagnostics.extend(audit_engine(
+                engine, subject=f"{subject_prefix}routing/{width}-bit engine"))
     return diagnostics

@@ -2,7 +2,7 @@
 
 Every finding any analyzer produces is a :class:`Diagnostic` carrying a
 stable code (``RP1xx`` filter-set semantics, ``RP2xx`` plugin hot-path
-lint, ``RP3xx`` compiled/interpreted equivalence), a severity derived
+lint, ``RP4xx`` shard safety, ``RP5xx`` exec-codegen audit), a severity derived
 from the code registry, the subject it is about (a filter, a plugin
 method, a table), an optional source location, and a fix hint.  Codes
 are API: tests and CI pin them, and suppression comments name them
@@ -42,9 +42,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP209": (ERROR, "process-seeded builtin hash() on packet/flow state"),
     "RP210": (WARNING, "suppression names an unknown diagnostic code"),
     "RP211": (WARNING, "zero-argument super() on a plugin's per-packet path"),
-    # RP3xx — compiled/interpreted equivalence (repro.analysis.equivalence).
-    "RP301": (ERROR, "compiled DAG walk diverges from interpreted matchers"),
-    "RP302": (ERROR, "compiled BMP lookup diverges from engine lookup"),
     # RP4xx — shard-safety / concurrency (repro.analysis.concurrency).
     "RP401": (ERROR, "module-global mutable state written from a data-path hook"),
     "RP402": (ERROR, "class-attribute state shared across instances mutated on the data path"),

@@ -3,32 +3,21 @@
 ``analyze_router`` is what ``pmgr analyze`` and ``scripts/analyze.py``
 call: the filter-set semantic analysis over the AIU, the plugin lint
 (hot-path and shard-safety rules, one pass) over every loaded plugin,
-the compiled/interpreted equivalence verification over every filter
-table and BMP-backed routing engine, and the exec-codegen audit over
-every compiled loop.
+and the exec-codegen audit over every compiled loop, filter table and
+BMP-backed routing engine.
 ``analyze_sharded`` sweeps all shards of a ``ShardedRouter``.  Everything
 runs from the control path and charges zero modelled cost.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from .codegen_audit import audit_router_codegen
+from .codegen_audit import audit_dag_table, audit_engine, audit_router_codegen
 from .concurrency import audit_query_mergeability
 from .diagnostics import AnalysisReport, Diagnostic
-from .equivalence import routing_engines, verify_aiu, verify_engine
 from .filterset import analyze_filterset
 from .hotpath import builtin_plugin_classes, lint_plugins, swept_modules
-
-
-def _verify_compiled(router, prefix: str = "") -> Iterator[Diagnostic]:
-    """Equivalence verification and codegen audit of everything one
-    router has compiled (RP3xx + RP5xx)."""
-    yield from verify_aiu(router.aiu)
-    for subject, engine in routing_engines(router, prefix):
-        yield from verify_engine(engine, subject=subject)
-    yield from audit_router_codegen(router, subject_prefix=prefix)
 
 
 def analyze_router(router, include_plugins: bool = True) -> AnalysisReport:
@@ -37,7 +26,7 @@ def analyze_router(router, include_plugins: bool = True) -> AnalysisReport:
     report.extend(analyze_filterset(router.aiu))
     if include_plugins:
         report.extend(lint_plugins(router.pcu.plugins()))
-    report.extend(_verify_compiled(router))
+    report.extend(audit_router_codegen(router))
     return report
 
 
@@ -46,8 +35,8 @@ def analyze_sharded(
 ) -> AnalysisReport:
     """Sweep every shard of a ``ShardedRouter``: plugin lints once (the
     fanout keeps shard configuration identical), filter-set semantics on
-    shard 0, then per-shard equivalence and codegen audits (per-shard
-    state *can* diverge — that is the point), plus the RP404 query
+    shard 0, then per-shard codegen audits (per-shard state *can*
+    diverge — that is the point), plus the RP404 query
     mergeability audit when the per-shard libraries are available."""
     from ..core.errors import ConfigurationError
 
@@ -62,7 +51,7 @@ def analyze_sharded(
     if include_plugins:
         report.extend(lint_plugins(shard0.pcu.plugins()))
     for index, shard in enumerate(sharded.shards):
-        report.extend(_verify_compiled(shard, prefix=f"shard{index}: "))
+        report.extend(audit_router_codegen(shard, subject_prefix=f"shard{index}: "))
     if libraries:
         report.extend(audit_query_mergeability(libraries[0].query))
     return report
@@ -133,15 +122,14 @@ def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
     """The CI self-check: lint every built-in plugin and the shard/batch
     layers themselves (one pass, hot-path and shard-safety rules), warm
     and audit both generated loop layouts, then build a small seeded
-    filter table per BMP engine and verify compiled/interpreted
-    equivalence for the DAG and the engines."""
+    filter table and engine per BMP engine and audit their compiled
+    shapes (RP505)."""
     from ..aiu.dag import DagFilterTable
     from ..aiu.matchers import AmbiguousFilterError
     from ..aiu.records import FilterRecord
     from ..bmp import ENGINES, make_engine
     from ..net.addresses import IPV4_WIDTH
     from ..workloads.filtersets import random_filters
-    from .equivalence import verify_table
 
     report = AnalysisReport()
     report.extend(lint_plugins(builtin_plugin_classes(), modules=swept_modules()))
@@ -155,12 +143,10 @@ def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
                 table.install(FilterRecord(flt, gate="check"))
             except AmbiguousFilterError:
                 continue
-        report.extend(
-            verify_table(table, IPV4_WIDTH, subject=f"self-lint DAG ({name})")
-        )
+        report.extend(audit_dag_table(table, subject=f"self-lint DAG ({name})"))
         engine = make_engine(name, IPV4_WIDTH)
         for index, flt in enumerate(filters):
             if not flt.src.is_wildcard:
                 engine.insert(flt.src, index)
-        report.extend(verify_engine(engine, subject=f"self-lint {name}"))
+        report.extend(audit_engine(engine, subject=f"self-lint {name}"))
     return report

@@ -381,7 +381,6 @@ def _emit_classify(blk, plan, depth):
         else:
             record.slots = [None] * {plan['gate_count']}
         record.key = fkey
-        record.created = now
         record.last_used = now
         record.packets = 0
         record.bytes = 0
@@ -465,9 +464,6 @@ def _emit_allocate(blk, plan, depth):
             victim = table._lru_tail
             if victim is None:
                 table._reclaim()    # raises: cap below one flow
-            on_remove = table.on_remove
-            if on_remove is not None:
-                on_remove(victim)
             prevv = victim.hash_prev
             nxtv = victim.hash_next
             if prevv is not None:
@@ -486,12 +482,19 @@ def _emit_allocate(blk, plan, depth):
             victim.lru_prev = None
             table.active -= 1
             table.evictions += 1
+            table.recycled += 1
             # Recycle in place: the scalar path appends the victim to the
             # free list and immediately pops it back (LIFO), so handing the
             # victim straight to the installer is state-identical and skips
-            # the list round trip.
-            table.recycled += 1
+            # the list round trip — unless a removal hook runs, which it
+            # does on a victim already in the free list, so a hook that
+            # raises leaks no pool record.
             record = victim
+            on_remove = table.on_remove
+            if on_remove is not None:
+                free.append(victim)
+                on_remove(victim)
+                record = free.pop()
     """)
 
 

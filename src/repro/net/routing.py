@@ -98,9 +98,6 @@ class RoutingTable:
         #: fast path) revalidate against it, so no stale route survives
         #: a table change.
         self.version = 0
-        # width -> bound fast-lookup callable; engines are created once
-        # per width and never replaced, so this never goes stale.
-        self._fast_lookups: Dict[int, object] = {}
         # Destination-value -> Route memos, one per family so the raw
         # int value can key the dict without a (width, value) tuple per
         # lookup.  Cleared on any add/remove (alongside the version
@@ -189,13 +186,12 @@ class RoutingTable:
 
     def lookup_fast(self, dst) -> Optional[Route]:
         """Compiled-path longest-prefix match: no meter, no modelled
-        cost.  BMP engines expose a compiled ``lookup_fast``; any other
-        engine falls back to its plain ``lookup``.  The bound callable is
-        resolved once per width, not per packet, and results are memoized
-        per destination value until the next add/remove — under flow
-        churn the per-flow route memo dies with the evicted record, so
-        this is what keeps a repeated destination from re-walking the
-        BMP trie on every flow rebirth."""
+        cost.  Every engine has a ``lookup_fast`` (a BMP engine's compiled
+        per-length tables; ``LinearLPM``'s scan under that name).  Results
+        are memoized per destination value until the next add/remove —
+        under flow churn the per-flow route memo dies with the evicted
+        record, so this is what keeps a repeated destination from
+        re-walking the BMP trie on every flow rebirth."""
         if isinstance(dst, str):
             dst = IPAddress.parse(dst)
         memo = self._memo4 if dst.width == 32 else self._memo6
@@ -203,14 +199,10 @@ class RoutingTable:
         route = memo.get(value, _MEMO_MISS)
         if route is not _MEMO_MISS:
             return route
-        fast = self._fast_lookups.get(dst.width)
-        if fast is None:
-            engine = self._engines.get(dst.width)
-            if engine is None:
-                return None
-            fast = getattr(engine, "lookup_fast", None) or engine.lookup
-            self._fast_lookups[dst.width] = fast
-        route = fast(value)
+        engine = self._engines.get(dst.width)
+        if engine is None:
+            return None
+        route = engine.lookup_fast(value)
         if len(memo) >= _MEMO_CAP:
             memo.clear()
         memo[value] = route

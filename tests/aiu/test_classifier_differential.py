@@ -15,7 +15,6 @@ verb the memoised compile must equal a table rebuilt from scratch.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,9 +26,10 @@ from repro.aiu.matchers import AmbiguousFilterError
 from repro.aiu.records import FilterRecord
 from repro.net.addresses import IPV4_WIDTH, IPV6_WIDTH, IPAddress
 from repro.analysis import audit_dag_table
-from repro.analysis.equivalence import _record_probes
 from repro.net.packet import Packet
 from repro.workloads.filtersets import matching_probe, random_filters
+
+from tests.oracle.edges import filter_probes
 
 SEEDS = (1, 7, 23, 99)
 
@@ -191,7 +191,7 @@ def _rebuilt(table):
 
 
 def _assert_memos_agree(aiu):
-    """At RP301's probe points of every pool filter of the table's
+    """At the boundary probes of every pool filter of the table's
     family (so a removed filter's boundaries stay probed): memoised
     ``lookup_fast`` == rebuilt-from-scratch ``lookup_fast`` == metered
     ``lookup``; and every clean memo equals a fresh compile (RP505)."""
@@ -202,7 +202,7 @@ def _assert_memos_agree(aiu):
         for flt in POOL:
             if flt.family not in (None, family):
                 continue
-            for packet in _record_probes(SimpleNamespace(filter=flt), width, 64):
+            for packet in filter_probes(flt, width, 64):
                 memoised = table.lookup_fast(packet)
                 assert memoised is table.lookup(packet), packet
                 assert memoised is original[fresh.lookup_fast(packet)], packet

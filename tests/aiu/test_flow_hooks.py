@@ -10,7 +10,7 @@ from repro.core.plugin import PluginInstance
 from repro.core.router import Router
 from repro.net.packet import make_udp
 from repro.sched.drr import DrrPlugin
-from repro.security.firewall import FirewallPlugin
+from repro.security.firewall import FirewallInstance, FirewallPlugin
 from repro.sim.events import EventLoop
 
 
@@ -24,6 +24,31 @@ def _router(**kwargs):
 def _flows(count, first=0):
     return [make_udp(f"10.0.{i // 250}.{i % 250 + 1}", "20.0.0.1", 5000 + i % 7, 9000,
                      iif="atm0") for i in range(first, first + count)]
+
+
+def _send(router, packets, batched):
+    if batched:
+        return router.receive_batch(packets)
+    return [router.receive(packet) for packet in packets]
+
+
+class FaultyRemoval(FirewallInstance):
+    """A firewall whose removal hook raises on its ``fail_at``-th call."""
+
+    def __init__(self, plugin, fail_at=1, **config):
+        super().__init__(plugin, **config)
+        self.fail_at = fail_at
+        self.removals = 0
+
+    def on_flow_removed(self, flow, slot):
+        self.removals += 1
+        if self.removals == self.fail_at:
+            raise RuntimeError("removal hook fault")
+
+
+def _pool_is_whole(table):
+    """Every pool record is either cached or on the free list."""
+    return table.active + len(table._free) == table.allocated
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
@@ -50,6 +75,41 @@ def test_a_firewall_only_churn_calls_no_hook(batched, monkeypatch):
     table = router.aiu.flow_table
     assert table.births == 64 and table.evictions == 48
     assert calls == []
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
+def test_a_raising_removal_hook_leaves_no_flow_bound_to_the_removed_filter(batched):
+    """``remove_filter`` unlinks every flow derived from the filter before
+    it calls a hook: the third call raises out of the verb, but once an
+    unrelated filter re-activates the gate, no packet meets the removed
+    deny filter again."""
+    router = _router()
+    plugin = FirewallPlugin()
+    router.pcu.load(plugin)
+    deny = FaultyRemoval(plugin, fail_at=3, action="deny")
+    record = plugin.register_instance(deny, "*, *, UDP", gate="ip_security")
+    assert _send(router, _flows(10), batched) == ["dropped_by_plugin"] * 10
+    with pytest.raises(RuntimeError, match="removal hook fault"):
+        router.aiu.remove_filter(record)
+    table = router.aiu.flow_table
+    assert (len(table), deny.removals, _pool_is_whole(table)) == (0, 3, True)
+    plugin.register_instance(plugin.create_instance(action="allow"), "11.0.0.0/8, *, *",
+                             gate="ip_security")
+    assert _send(router, _flows(10), batched) == ["forwarded"] * 10
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
+def test_a_raising_removal_hook_on_a_bounded_victim_leaks_no_pool_record(batched):
+    router = _router(max_flows=4)
+    plugin = FirewallPlugin()
+    router.pcu.load(plugin)
+    plugin.register_instance(FaultyRemoval(plugin, action="allow"), "*, *, UDP",
+                             gate="ip_security")
+    _send(router, _flows(4), batched)
+    with pytest.raises(RuntimeError, match="removal hook fault"):
+        _send(router, _flows(1, first=4), batched)
+    table = router.aiu.flow_table
+    assert (len(table), table.evictions, _pool_is_whole(table)) == (3, 1, True)
 
 
 def test_on_remove_is_set_exactly_while_a_removal_hook_is_bound():

@@ -215,6 +215,17 @@ def hooks_hold(router):
             router.name, hooks.name, hooks.created, hooks.removed, held[hooks])
 
 
+def flows_bind_live_filters(router):
+    """No cached flow's slot holds a filter record that is no longer
+    installed: a verb unlinks the flows derived from a filter before any
+    removal hook can raise."""
+    stale = [(flow.key, slot.filter_record.filter) for flow in router.aiu.flow_table
+             for slot in flow.slots
+             if slot is not None and slot.filter_record is not None
+             and not slot.filter_record.active]
+    assert not stale, (router.name, stale[:3])
+
+
 def router_view(router):
     """Everything one router lets the spec and a twin be compared on."""
     _settled(router)
@@ -462,10 +473,12 @@ class World:
         return self
 
     def check(self):
-        """Hold :func:`hooks_hold` on every router, then compare every
-        front with the spec; park a front whose difference an exemption
-        predicate explains, fail otherwise."""
+        """Hold :func:`hooks_hold` and :func:`flows_bind_live_filters` on
+        every router, then compare every front with the spec; park a
+        front whose difference an exemption predicate explains, fail
+        otherwise."""
         self.each_router(hooks_hold)
+        self.each_router(flows_bind_live_filters)
         spec = self.spec
         want = router_view(spec.routers[0])
         want_config = configuration(spec.library)

@@ -6,9 +6,11 @@ The rules come from two places.  Every row of
 drawn from :data:`VERB_ARGS` (a row without a strategy fails
 :func:`test_every_verb_has_an_argument_strategy`), applied through each
 front's library.  The traffic rules send bursts — cached flows, misses,
-churn on a bounded table, IPv6 with hop options, fragments, wire-born or
-constructor-born — and named histories: a chaos-wrapped faulting
-plugin, a flood that trips the overload governor, and ROADMAP's four
+churn on a bounded table, IPv6 with hop options, fragments, and
+``edges``: the boundary probes (:mod:`tests.oracle.edges`) of every
+filter a rule can bind, installed or not, and of every route prefix;
+wire-born or constructor-born — and named histories: a chaos-wrapped
+faulting plugin, a flood that trips the overload governor, and ROADMAP's four
 first customers (a gate's first filter installed by a plugin mid-batch
 and, traced, between the sampled and unsampled runs of one batch; equal
 writes before a patched ``serialize``; a table mutated between
@@ -16,8 +18,8 @@ compiles) — and two for the per-flow hooks: a plugin that plants the
 first instance with them mid-batch, and one that loses its last filter
 while holding cached flows.  After every step the invariant runs
 :meth:`tests.oracle.harness.World.check`, which also holds the AIU's
-hook bookkeeping (:func:`tests.oracle.harness.hooks_hold`) on every
-router.
+hook bookkeeping (:func:`tests.oracle.harness.hooks_hold`) and
+:func:`tests.oracle.harness.flows_bind_live_filters` on every router.
 
 CI runs one derandomized, bounded profile.  When it fails, Hypothesis
 prints the step program: paste it below as a plain test (see
@@ -25,17 +27,21 @@ prints the step program: paste it below as a plain test (see
 """
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.aiu.filters import Filter
 from repro.mgr import library as library_module
 from repro.mgr.fanout import VERBS
+from repro.net.addresses import IPV4_WIDTH, IPV6_WIDTH, IPAddress, Prefix
 from repro.net.fragment import fragment_v4
-from repro.net.headers import OptionTLV
+from repro.net.headers import OptionTLV, PROTO_TCP, PROTO_UDP
 from repro.net.packet import make_udp
 
-from .harness import PLUGINS, TRIGGER_PORT, World, _hooks
+from .edges import filter_probes, route_probes
+from .harness import PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, World, _hooks
 
 MAX_FLOWS = 16
 
@@ -50,11 +56,15 @@ _config = {
     "chaos": st.builds(lambda seed: {"fault_rate": 0.2, "corrupt_rate": 0.1, "seed": seed},
                        st.integers(0, 9)),
 }
-_filter = st.sampled_from((
+#: What ``bind`` draws from.
+FILTERS = (
     "*, *, UDP", "10.0.0.0/8, *, UDP", "*, 20.0.1.0/24, UDP", "*, *, UDP, *, 9000",
     "*, *, UDP, 5000-5005, *", "*, 20.*, UDP, *, 7777", "10.0.2.0/24, *, *",
     "2001:db8::/32, *, UDP", "*, *, TCP",
-))
+)
+#: What ``add_route`` installs, beside the ports' and harness.V6_ROUTES.
+ROUTES = ("40.0.0.0/8", "20.0.9.0/24", "2001:db8:1::/48")
+_filter = st.sampled_from(FILTERS)
 _gate = st.sampled_from((None, "ip_options", "ip_security", "packet_scheduling"))
 _kwargs = st.fixed_dictionaries
 _none = st.just(((), {}))
@@ -73,7 +83,7 @@ VERB_ARGS = {
     "bind": _call(_instance, _filter, gate=_gate, priority=st.integers(0, 2)),
     "unbind": _call(_instance),
     "set_scheduler": _call(st.sampled_from(("atm1", "atm2")), _instance),
-    "add_route": _call(st.sampled_from(("40.0.0.0/8", "20.0.9.0/24", "2001:db8:1::/48")),
+    "add_route": _call(st.sampled_from(ROUTES),
                        st.sampled_from(("atm1", "atm2"))),
     "add_mroute": _call(st.just("232.1.1.1"), st.just(["atm1", "atm2"]),
                         source=st.just("10.0.0.0/8")),
@@ -163,8 +173,46 @@ def _flood(rng, serial):
             for i, h in enumerate(hosts)]
 
 
+#: Every filter a rule can bind: ``bind``'s pool, then what the scripts
+#: and the named histories below bind.
+POOL = tuple(Filter.parse(spec) for spec in FILTERS + (
+    "10.*, *, UDP", "*, 20.0.1.0/24, UDP, *, 7777",
+    "10.0.0.0/8, 20.0.1.0/24, UDP, 5000-5005, *"))
+#: Every route prefix a router can hold, per width.
+ROUTE_PREFIXES = {
+    width: [p for p in map(Prefix.parse, [prefix for _, prefix, _ in PORTS]
+                           + [prefix for prefix, _ in V6_ROUTES] + list(ROUTES))
+            if p.width == width]
+    for width in (IPV4_WIDTH, IPV6_WIDTH)
+}
+_SOURCE = {IPV4_WIDTH: "10.0.0.1", IPV6_WIDTH: "2001:db8::1"}
+
+
+def _edge_probes():
+    """The boundary probes of every pool filter, installed or not (a stale
+    memo answers for a removed one), and of every route prefix; a
+    protocol without ports carries none, as on the wire."""
+    probes = [packet for flt in POOL for width in (IPV4_WIDTH, IPV6_WIDTH)
+              if flt.family in (None, 4 if width == IPV4_WIDTH else 6)
+              for packet in filter_probes(flt, width)]
+    probes += [make_udp(_SOURCE[width], str(IPAddress(dst, width)), 5000, 9000, iif="atm0")
+               for width, prefixes in ROUTE_PREFIXES.items()
+               for dst in route_probes(prefixes, width)]
+    for packet in probes:
+        if packet.protocol not in (PROTO_TCP, PROTO_UDP):
+            packet.src_port = packet.dst_port = 0
+    return probes
+
+
+EDGES = _edge_probes()
+
+
+def _edges(rng, serial):
+    return [packet.copy for packet in rng.sample(EDGES, len(EDGES))]
+
+
 TRAFFIC = {"cached": _cached, "miss": _miss, "churn": _churn, "v6": _v6,
-           "fragments": _fragments, "flood": _flood}
+           "fragments": _fragments, "flood": _flood, "edges": _edges}
 
 
 class Oracle(RuleBasedStateMachine):
@@ -404,3 +452,25 @@ def test_hooks_planted_mid_batch_are_heard_at_once_under_packet():
             "sharded": "per_shard_state"}
         (hooks,) = _hooks(state.world.router("spec"))
         assert hooks.created > 0 and (hooks.removed > 0) == bounded
+
+
+def test_edge_traffic_straddles_port_ends_and_a_removed_covering_filter():
+    """The ``edges`` burst's own customers: a deny filter's port range,
+    probed one past each end, and a covering deny filter unbound beside
+    the wildcard-source one replicated under it, whose compiled subtree
+    must not keep answering for it.  Every front stays, and the probes
+    do reach both filters."""
+    state = Oracle()
+    state.build(bounded=False)
+    state.verb_modload(call=(("firewall",), {}))
+    for name, spec in (("i0", "*, *, UDP, 5000-5005, *"), ("i1", "10.0.0.0/8, *, UDP")):
+        state.verb_create_instance(call=(("firewall", name), {"action": "deny"}))
+        state.verb_bind(call=((name, spec), {"gate": "ip_security", "priority": 0}))
+    before = Counter(state.burst("edges"))
+    state.fronts_agree()
+    state.verb_unbind(call=(("i1",), {}))
+    after = Counter(state.burst("edges"))
+    state.fronts_agree()
+    state.teardown()
+    assert state.world.parked == {}
+    assert before["dropped_by_plugin"] > after["dropped_by_plugin"] > 0
