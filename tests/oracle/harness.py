@@ -15,6 +15,14 @@ metered, whose modelled cycles must be the spec's.  Every port is a
 :class:`Tap` that serializes what it carries, so emitted bytes are
 compared on every front.
 
+One more front spans hops: ``chain`` (:data:`CHAIN_FRONTS`) is three
+routers linked r1 -> r2 -> r3 in a :class:`~repro.Topology`, driven
+un-metered packet by packet, and its spec is not the single-router
+``spec`` but :class:`HopByHop` — three twin routers driven through the
+metered walk, whose wire crossings the twin makes itself.  Each node is
+compared with its twin; so are the final dispositions and every tapped
+port's bytes.
+
 The only tolerated differences are the predicates in
 :data:`EXEMPTIONS` (docs/PERFORMANCE.md "Documented divergences"): a
 front that differs from the spec where one holds is parked — dropped
@@ -24,7 +32,7 @@ fails the step.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 from repro import PluginManager, ShardedRouter, Topology
 from repro.core.router import Router
@@ -35,11 +43,18 @@ from repro.sim import ChaosPlugin
 from repro.sim.cost import CycleMeter
 
 FRONTS = ("spec", "receive", "batch1", "batch7", "batch256", "wire", "sharded", "topology")
+#: The oracle's fronts: every single-router front, and the 3-node chain.
+CHAIN_FRONTS = FRONTS + ("chain",)
 
 #: (name, connected prefix, MTU): ``atm2``'s MTU fragments big datagrams.
 PORTS = (("atm0", "10.0.0.0/8", 9180), ("atm1", "20.0.0.0/8", 9180),
          ("atm2", "30.0.0.0/8", 1500))
 V6_ROUTES = (("2001:db8::/32", "atm0"), ("2001:db9::/32", "atm1"))
+#: The chain's nodes, and its links (near node, port, far node, port):
+#: each hop forwards 20/8 out ``atm1`` into the next hop's ``atm2``, so a
+#: transit packet arrives on a port the entry hop never saw.
+CHAIN_NODES = ("r1", "r2", "r3")
+CHAIN_LINKS = (("r1", "atm1", "r2", "atm2"), ("r2", "atm1", "r3", "atm2"))
 
 
 class Tap:
@@ -237,6 +252,7 @@ def router_view(router):
         "filter_lookups": router.aiu.filter_lookups,
         "tx": {name: (i.tx_packets, i.tx_bytes, i.next_free)
                for name, i in router.interfaces.items()},
+        "rx": {name: (i.rx_packets, i.rx_bytes) for name, i in router.interfaces.items()},
         "emitted": {name: list(i.link.emitted) for name, i in router.interfaces.items()
                     if isinstance(i.link, Tap)},
         "health": health,
@@ -356,12 +372,13 @@ class Front:
     """One executor under test: its entry object, the plain routers
     behind it, the library its verbs go through, and what it returned."""
 
-    def __init__(self, name, entry, routers, chunk=None, meter=None):
+    def __init__(self, name, entry, routers, chunk=None, meter=None, twin=None):
         self.name = name
         self.entry = entry
         self.routers = routers
         self.chunk = chunk                  # packets per call; None = per packet
         self.meter = meter
+        self.twin = twin                    # its own spec; None = the world's
         self.library = PluginManager(entry, output=lambda line: None).library
         self.dispositions = []
         self.epoch_moved_mid_call = False
@@ -391,6 +408,69 @@ def _wire(packets):
     return [Packet.parse(p.serialize(), p.iif) for p in packets]
 
 
+def _chain_topology(make):
+    """The ``chain`` front: three routers from ``make``, linked as
+    :data:`CHAIN_LINKS`."""
+    topo = Topology(name="chain")
+    routers = [topo.add_node(name, router=make(f"chain/{name}")) for name in CHAIN_NODES]
+    for near, port, far, far_port in CHAIN_LINKS:
+        topo.link(near, port, far, far_port)
+    return Front("chain", topo, routers, twin=HopByHop(make))
+
+
+class _Wire:
+    """Duck-types ``repro.net.interfaces.Link`` for one twin port: what
+    it carries waits in the twin's transit queue for the far port."""
+
+    def __init__(self, transit, router, port):
+        self.transit, self.router, self.port = transit, router, port
+
+    def carry(self, sender, packet, departure):
+        self.transit.append((self.router, self.port, packet, departure))
+
+
+class HopByHop:
+    """The ``chain`` front's spec: the chain's three routers again, wired
+    as :data:`CHAIN_LINKS` by :class:`_Wire` taps and driven hop by hop
+    through the metered walk.  The twin crosses the wire itself — the
+    arrival interface, the arrival time, a fresh FIX and the RX
+    accounting — so a fault in the topology's pump cannot hide on both
+    sides.  An unlinked :class:`~repro.Topology` over the same routers
+    only fans the verbs out, as the chain's library does."""
+
+    def __init__(self, make):
+        fan = Topology(name="twin")
+        self.routers = [fan.add_node(name, router=make(f"chain/{name}"))
+                        for name in CHAIN_NODES]
+        self.library = PluginManager(fan, output=lambda line: None).library
+        self.meter = CycleMeter()
+        self.dispositions = []
+        self._transit = deque()
+        node = dict(zip(CHAIN_NODES, self.routers))
+        for near, port, far, far_port in CHAIN_LINKS:
+            node[near].interfaces[port].link = _Wire(self._transit, node[far], far_port)
+            node[far].interfaces[far_port].link = _Wire(self._transit, node[near], port)
+
+    def deliver(self, packets, now):
+        return [self._receive(packet, now) for packet in packets]
+
+    def _receive(self, packet, now):
+        """Each packet's last disposition, transit drained first in,
+        first out — the order the topology's pump keeps."""
+        final = {packet.packet_id: self.routers[0].receive(packet, now=now,
+                                                           cycles=self.meter)}
+        while self._transit:
+            router, port, hop, at = self._transit.popleft()
+            hop.iif = port
+            hop.arrival_time = at
+            hop.fix = None
+            iface = router.interfaces[port]
+            iface.rx_packets += 1
+            iface.rx_bytes += hop.length
+            final[hop.packet_id] = router.receive(hop, now=at, cycles=self.meter)
+        return final[packet.packet_id]
+
+
 class World:
     """Every front of :data:`FRONTS` (or the named subset) over routers
     from ``make(name)``; ``spec`` always."""
@@ -414,6 +494,8 @@ class World:
             sharded = ShardedRouter(nshards=int(name[7:] or 2),
                                     factory=lambda i: make(f"{name}/{i}"))
             return Front(name, sharded, sharded.shards, chunk=256)
+        if name == "chain":
+            return _chain_topology(make)
         if name == "topology":
             topo = Topology(name="single")
             node = topo.add_node("only", router=make("topology"))
@@ -433,37 +515,47 @@ class World:
         return self.fronts[front].routers[0]
 
     def each_router(self, fn):
-        """Apply ``fn`` to every plain router of every front."""
+        """Apply ``fn`` to every plain router of every front (and of its
+        twin)."""
         for front in self.live():
-            for router in front.routers:
+            for router in front.routers + (front.twin.routers if front.twin else []):
                 fn(router)
 
     def verb(self, verb, *args, **kwargs):
-        """One typed library call on every front; all must agree on
-        whether it raised, and with what.  Returns the spec's outcome."""
+        """One typed library call on every front (and twin); all must
+        agree on whether it raised, and with what.  Returns the spec's
+        outcome."""
         outcomes = {}
-        for front in self.live():
+        for name, library in self._libraries():
             try:
-                getattr(front.library, verb)(*args, **kwargs)
-                outcomes[front.name] = None
+                getattr(library, verb)(*args, **kwargs)
+                outcomes[name] = None
             except Exception as exc:                # compared across fronts
-                outcomes[front.name] = type(exc).__name__
+                outcomes[name] = type(exc).__name__
         want = outcomes["spec"]
         assert all(o == want for o in outcomes.values()), (verb, args, kwargs, outcomes)
         if verb == "enable_overload" and want is None:
             self.governed = True
         return want
 
+    def _libraries(self):
+        for front in self.live():
+            yield front.name, front.library
+            if front.twin is not None:
+                yield f"{front.name}/twin", front.twin.library
+
     def send(self, make_packets, wire=False, advance=0.01):
-        """One burst, built fresh per front by ``make_packets()``, on one
-        clock; wire-born when ``wire`` (always on the ``wire`` front)."""
+        """One burst, built fresh per front (and twin) by
+        ``make_packets()``, on one clock; wire-born when ``wire`` (always
+        on the ``wire`` front)."""
         now = self.now
         self.now += advance
         for front in self.live():
-            packets = make_packets()
-            if wire or front.name == "wire":
-                packets = _wire(packets)
-            front.dispositions.append(front.deliver(packets, now))
+            for side in (front, front.twin) if front.twin else (front,):
+                packets = make_packets()
+                if wire or front.name == "wire":
+                    packets = _wire(packets)
+                side.dispositions.append(side.deliver(packets, now))
         return self.spec.dispositions[-1]
 
     def run(self, make_packets, **kwargs):
@@ -484,23 +576,30 @@ class World:
         want_config = configuration(spec.library)
         shard_want = None
         for front in self.live()[1:]:
+            against = spec if front.twin is None else front.twin
             if front.name.startswith("sharded"):
                 shard_want = shard_want or shard_view(spec.routers, self.bounded)
                 got, expected = shard_view(front.routers, self.bounded), shard_want
+            elif front.twin is not None:
+                got, expected = ({r.name: router_view(r) for r in routers}
+                                 for routers in (front.routers, front.twin.routers))
             else:
                 got, expected = router_view(front.routers[0]), want
             diff = [k for k in {**expected, **got} if got.get(k) != expected.get(k)]
-            if front.dispositions != spec.dispositions:
+            if front.dispositions != against.dispositions:
                 diff.insert(0, "dispositions")
             if front.meter is not None and front.meter.total != spec.meter.total:
                 diff.append("cycles")
             if diff:
                 reasons = [p.__name__ for p in EXEMPTIONS if p(self, front)]
-                assert reasons, (front.name, diff, _first_difference(front, spec, got, expected))
+                assert reasons, (front.name, diff,
+                                 _first_difference(front, against, got, expected))
                 self.parked[front.name] = reasons[0]
                 del self.fronts[front.name]
                 continue
-            assert configuration(front.library) == want_config, front.name
+            assert configuration(front.library) == (
+                want_config if front.twin is None else configuration(front.twin.library)
+            ), front.name
 
 
 def _first_difference(front, spec, got, expected):

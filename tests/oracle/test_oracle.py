@@ -41,7 +41,7 @@ from repro.net.headers import OptionTLV, PROTO_TCP, PROTO_UDP
 from repro.net.packet import make_udp
 
 from .edges import filter_probes, route_probes
-from .harness import PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, World, _hooks
+from .harness import CHAIN_FRONTS, PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, World, _hooks
 
 MAX_FLOWS = 16
 
@@ -60,7 +60,7 @@ _config = {
 FILTERS = (
     "*, *, UDP", "10.0.0.0/8, *, UDP", "*, 20.0.1.0/24, UDP", "*, *, UDP, *, 9000",
     "*, *, UDP, 5000-5005, *", "*, 20.*, UDP, *, 7777", "10.0.2.0/24, *, *",
-    "2001:db8::/32, *, UDP", "*, *, TCP",
+    "2001:db8::/32, *, UDP", "*, *, TCP", "*, *, UDP, *, *, atm2",
 )
 #: What ``add_route`` installs, beside the ports' and harness.V6_ROUTES.
 ROUTES = ("40.0.0.0/8", "20.0.9.0/24", "2001:db8:1::/48")
@@ -231,7 +231,7 @@ class Oracle(RuleBasedStateMachine):
 
     @initialize(bounded=st.booleans())
     def build(self, bounded):
-        self.world = World(max_flows=MAX_FLOWS if bounded else None)
+        self.world = World(fronts=CHAIN_FRONTS, max_flows=MAX_FLOWS if bounded else None)
 
     def burst(self, kind, seed=0, wire=False):
         self.serial += 1
@@ -414,7 +414,7 @@ def test_a_batch_that_forwards_nothing_adds_no_forwarded_counter():
     state.fronts_agree()
     state.teardown()
     assert "forwarded" not in state.world.router("batch7").counters
-    assert len(state.world.fronts) == 8
+    assert len(state.world.fronts) == len(CHAIN_FRONTS)
 
 
 def test_a_plugin_filter_at_an_active_gate_waits_for_the_batch_only_under_lanes():
