@@ -232,8 +232,6 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
             bad(field, f"plan sets {field} but {marker!r} never appears")
         elif not plan.get(field) and present:
             bad(field, f"plan clears {field} but {marker!r} appears")
-    if "on_fault" not in source:
-        bad("layout", "every layout classifies tail faults via on_fault")
     if (plan.get("layout") == "lanes") != ("_resume(" in source):
         bad("layout", "lanes sweeps, and only they, resume via _resume")
     for gate_entry in plan.get("pre") or ():

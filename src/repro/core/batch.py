@@ -45,7 +45,9 @@ a plugin mid-batch* takes effect at the next batch boundary.
 
 from __future__ import annotations
 
+import re
 import textwrap
+from operator import attrgetter
 from typing import Callable
 
 from ..aiu.filters import FlowKey
@@ -61,6 +63,33 @@ from .router import Disposition
 
 PACKET = "packet"
 LANES = "lanes"
+
+#: Router-lifetime objects a loop binds once, when it is compiled, as
+#: keyword-only defaults (parameter -> attribute path from the router):
+#: none is rebound after ``Router.__init__``, so the loop reads them as
+#: fast locals without reloading them per call.  What a verb can swap
+#: (``_tm_*``, ``loop``, ``_lifecycle``, ``_batch_hooks``, ``_ctx_pool``)
+#: is still read per call.
+BOUND = {
+    "aiu": "aiu",
+    "table": "aiu.flow_table",
+    "buckets": "aiu.flow_table._buckets",
+    "mask": "aiu.flow_table._mask",
+    "free": "aiu.flow_table._free",
+    "classify": "aiu.classify",
+    "counters": "counters",
+    "rtable": "routing_table",
+    "rlookup": "routing_table.lookup_fast",
+    "rmemo4": "routing_table._memo4",
+    "rmemo6": "routing_table._memo6",
+    "ifget": "interfaces.get",
+    "local_addrs": "local_addresses",
+    "qmap": "_quarantined",
+    "qget": "_quarantined.get",
+    "on_fault": "faults.on_fault",
+    "probe_ok": "faults.probe_succeeded",
+    "schedulers": "_schedulers",
+}
 
 
 def loop_for(router) -> Callable:
@@ -171,6 +200,8 @@ def _compile(router, layout: str) -> Callable:
     }
     exec(compile(source, "<repro.core.batch>", "exec"), namespace)
     fn = namespace["_batch_loop"]
+    fn.__kwdefaults__ = {name: attrgetter(path)(router) for name, path in BOUND.items()
+                         if name in fn.__code__.co_varnames}
     fn._source = source          # introspection for tests/debugging
     fn._plan = plan
     return fn
@@ -206,43 +237,27 @@ def _emit(plan) -> str:
                 counters["tx_scheduled"] += txs
         """)
     blk(1, "return out")
-    return "\n".join(lines) + "\n"
+    body = "\n".join(lines) + "\n"
+    used = set(re.findall(r"\w+", body))
+    bound = ", ".join(name for name in BOUND if name in used)
+    return f"def _batch_loop(router, packets, now, start=-1, *, {bound}):\n" + body
 
 
 def _emit_prologue(blk, plan):
-    """Per-call binds.  ``start`` is the plan position a ``_resume``
-    re-entry begins at; -1 is a fresh batch (count it, run the hooks)."""
-    blk(0, """
-        def _batch_loop(router, packets, now, start=-1):
-            aiu = router.aiu
-            table = aiu.flow_table
-            classify = aiu.classify
-            counters = router.counters
-            rtable = router.routing_table
-            rlookup = rtable.lookup_fast
-            rmemo4 = rtable._memo4
-            rmemo6 = rtable._memo6
-            ifget = router.interfaces.get
-            local_addrs = router.local_addresses
-            qmap = router._quarantined
-            qget = qmap.get
-            on_fault = router.faults.on_fault
-            probe_ok = router.faults.probe_succeeded
-            n = len(packets)
-            out = [FWDD] * n
-            fwd = 0
-            hits = 0
-            if start < 0:
-                counters["rx"] += n
-                for hook in router._batch_hooks:
-                    hook(now, n)
+    """Per-call binds (the ``def`` line, with the :data:`BOUND` names the
+    body reads, is prepended by ``_emit``).  ``start`` is the plan
+    position a ``_resume`` re-entry begins at; -1 is a fresh batch (count
+    it, run the hooks)."""
+    blk(1, """
+        n = len(packets)
+        out = [FWDD] * n
+        fwd = 0
+        hits = 0
+        if start < 0:
+            counters["rx"] += n
+            if router._batch_hooks:
+                router._batch_start(now, n)
     """)
-    if plan["probe"]:
-        blk(1, """
-            buckets = table._buckets
-            mask = table._mask
-            free = table._free
-        """)
     if plan["tm"]:
         blk(1, "cells = router._tm_gate_cells")
         if plan["probe"]:
@@ -268,7 +283,6 @@ def _emit_prologue(blk, plan):
     if plan["has_sched"]:
         gates.append((GATE_PACKET_SCHEDULING, "ctx_sched"))
         blk(1, """
-            schedulers = router._schedulers
             evloop = router.loop
             lifecycle = router._lifecycle
             txs = 0

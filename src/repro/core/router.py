@@ -272,7 +272,8 @@ class Router:
         lifecycle = self._lifecycle
         if lifecycle is not None and lifecycle.wants(packet):
             return lifecycle.walk(self._receive, packet, now)
-        self._refresh_plan()
+        if self.aiu.plan_epoch != self._plan_epoch:
+            self._refresh_plan()
         loop = self._loops.get("packet")
         if loop is None:
             from .batch import compiled_loop
@@ -354,6 +355,16 @@ class Router:
                 hooks.append(hook)
         self._batch_hooks = tuple(hooks)
         self._plan_epoch = epoch
+
+    def _batch_start(self, now: float, size: int) -> None:
+        """Run the batch-start hooks, each inside its plugin's fault
+        domain: a raising hook is charged to its instance, and the later
+        hooks and the batch still run."""
+        for hook in self._batch_hooks:
+            try:
+                hook(now, size)
+            except Exception as exc:
+                self.faults.on_fault(hook.__self__, BATCH_START_HOOK, exc, None, now)
 
     def _select_loops(self) -> None:
         """Point ``_loops`` at the loops compiled for the current plan

@@ -105,13 +105,19 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet, at_time: float) -> None:
-        """Called by the link when a packet arrives at this interface."""
+    def arrive(self, packet: Packet, at_time: float) -> None:
+        """The wire crossing: the packet arrived here at ``at_time`` (a
+        fresh mbuf: flow indices never cross the wire), counted on RX."""
         packet.iif = self.name
         packet.arrival_time = at_time
-        packet.fix = None  # a fresh mbuf: flow indices never cross the wire
+        packet.fix = None
         self.rx_packets += 1
         self.rx_bytes += packet.length
+
+    def deliver(self, packet: Packet, at_time: float) -> None:
+        """Called by the link when a packet arrives at this interface:
+        :meth:`arrive`, then the delivery callback or the RX queue."""
+        self.arrive(packet, at_time)
         if self.on_deliver is not None:
             self.on_deliver(at_time, packet)
         else:

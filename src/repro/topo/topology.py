@@ -4,14 +4,18 @@ A :class:`Topology` names :class:`~repro.core.router.Router` (or inline
 :class:`~repro.shard.sharded.ShardedRouter`) instances as *nodes* and
 binds their interfaces together with point-to-point *links*.  A packet
 injected at the entry node is forwarded hop by hop: whatever a node
-emits on a linked interface is re-injected into the far end's input
-interface, with the incoming-interface / arrival-time / flow-index
-reset a real wire implies (``NetworkInterface.deliver``).  Forwarding
-is run-to-completion — one transit queue drained until the network is
+emits on a linked interface crosses the wire into the far end's input
+interface — the incoming-interface / arrival-time / flow-index reset and
+RX accounting a real wire implies (``NetworkInterface.arrive``) — and is
+handed straight to the far router's ``receive``.  Forwarding is
+run-to-completion — one transit queue drained until the network is
 quiet — so a topology is driven exactly like a single router
 (``receive`` / ``receive_batch``) and the existing harnesses
 (:func:`repro.workloads.adversarial.run_scenario`, ``pmgr``) work
-unmodified.
+unmodified.  Transit never passes through an interface's RX queue or
+delivery callback: a router with an event loop attached is not a
+topology node, and a packet ``inject`` puts into a node's interface
+stays in its RX queue for the node's own ``poll``.
 
 Key semantics:
 
@@ -46,7 +50,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.aggregate import AggregateFlowTable, AggregateGovernor, fold_health
 from ..core.errors import ConfigurationError
-from ..core.router import Router
+from ..core.router import Disposition, Router
 from ..net.interfaces import DEFAULT_MTU, DEFAULT_RATE_BPS, NetworkInterface
 from ..sim.cost import NULL_METER
 
@@ -108,19 +112,23 @@ class Link:
 class _EdgeTap:
     """Duck-types :class:`repro.net.interfaces.Link` for one interface:
     ``carry`` hands the emitted packet to the topology transit queue
-    toward the edge's far end instead of a peer interface."""
+    toward the edge's far end instead of a peer interface.  The far
+    router and its receiving interface are resolved when the edge is
+    bound; a sharded far end (``router`` None) is left to the pump,
+    which picks the shard by the packet's fold."""
 
-    __slots__ = ("topology", "edge")
+    __slots__ = ("transit", "edge", "node", "router", "iface")
 
     def __init__(self, topology: "Topology", edge: Edge):
-        self.topology = topology
+        self.transit = topology._transit
         self.edge = edge
+        self.node = topology.nodes[edge.dst_node]
+        sharded = hasattr(self.node, "nshards")
+        self.router = None if sharded else self.node
+        self.iface = None if sharded else self.node.interfaces[edge.dst_iface]
 
     def carry(self, sender, packet, departure: float) -> None:
-        edge = self.edge
-        self.topology._transit.append(
-            (edge.dst_node, edge.dst_iface, packet, departure + edge.delay)
-        )
+        self.transit.append((self, packet, departure + self.edge.delay))
 
 
 class _BundleTap:
@@ -131,23 +139,20 @@ class _BundleTap:
 
     __slots__ = ("topology", "members")
 
-    def __init__(self, topology: "Topology", members: List[Edge]):
+    def __init__(self, topology: "Topology", members: List[_EdgeTap]):
         self.topology = topology
         self.members = members
 
     def carry(self, sender, packet, departure: float) -> None:
         topo = self.topology
         eligible = [
-            e for e in self.members if not topo._node_impaired(e.dst_node)
+            t for t in self.members if not topo._node_impaired(t.edge.dst_node)
         ]
         if not eligible:
             # Nowhere healthy to go: spread over all members anyway and
             # let the far end account the loss.
             eligible = self.members
-        edge = eligible[packet.flow_fold32() % len(eligible)]
-        topo._transit.append(
-            (edge.dst_node, edge.dst_iface, packet, departure + edge.delay)
-        )
+        eligible[packet.flow_fold32() % len(eligible)].carry(sender, packet, departure)
 
 
 class _TopoAIU:
@@ -168,16 +173,17 @@ class Topology:
         #: name -> Router | ShardedRouter (insertion-ordered).
         self.nodes: Dict[str, object] = {}
         self.links: List[Link] = []
-        #: (node, iface) -> outbound Edge; one link per interface.
-        self._edges: Dict[Tuple[str, str], Edge] = {}
+        #: (node, iface) -> the tap of its outbound Edge; one link per
+        #: interface.
+        self._taps: Dict[Tuple[str, str], _EdgeTap] = {}
         self._ecmp: List[dict] = []
         self._down: set = set()
         self._entry: Optional[str] = None
         #: Topology-own counters (``dropped_loop``); node counters are
         #: aggregated on top by the :attr:`counters` property.
         self._local_counters: Counter = Counter()
-        #: In-flight deliveries: (node, iface, packet, arrival_time).
-        self._transit: Deque[Tuple[str, str, object, float]] = deque()
+        #: In-flight deliveries: (edge tap, packet, arrival_time).
+        self._transit: Deque[Tuple[_EdgeTap, object, float]] = deque()
         self.aiu = _TopoAIU(self)
         self._overload = AggregateGovernor(self.nodes.values)
 
@@ -261,12 +267,11 @@ class Topology:
 
     def _bind_edge(self, edge: Edge) -> None:
         key = (edge.src_node, edge.src_iface)
-        if key in self._edges:
+        if key in self._taps:
             raise ConfigurationError(
                 f"{edge.src_node}:{edge.src_iface} is already linked"
             )
-        self._edges[key] = edge
-        tap = _EdgeTap(self, edge)
+        tap = self._taps[key] = _EdgeTap(self, edge)
         for r in self._node_routers(self.node(edge.src_node)):
             r.interfaces[edge.src_iface].link = tap
 
@@ -283,14 +288,14 @@ class Topology:
         interface whose tap folds each flow's five-tuple over the
         healthy member edges."""
         node = self.node(node_name)
-        members: List[Edge] = []
+        members: List[_EdgeTap] = []
         for member in interfaces:
-            edge = self._edges.get((node_name, member))
-            if edge is None:
+            tap = self._taps.get((node_name, member))
+            if tap is None:
                 raise ConfigurationError(
                     f"ECMP member {member!r} on {node_name!r} is not linked"
                 )
-            members.append(edge)
+            members.append(tap)
         first = self._node_routers(node)[0]
         mtu = min(first.interfaces[m].mtu for m in interfaces)
         rate = max(first.interfaces[m].rate_bps for m in interfaces)
@@ -364,7 +369,7 @@ class Topology:
         if _observer is not None:
             _observer.before_hop(entry_name, entry, packet, now)
         mark = len(self._transit)
-        if hasattr(entry, "nshards") or cycles is NULL_METER:
+        if cycles is NULL_METER or hasattr(entry, "nshards"):
             disposition = entry.receive(packet, now=now)
         else:
             disposition = entry.receive(packet, now=now, cycles=cycles)
@@ -374,7 +379,8 @@ class Topology:
                 list(self._transit)[mark:],
             )
         final[packet.packet_id] = disposition
-        self._adopt(packet, disposition, mark, hops, adoptions)
+        if disposition == Disposition.CONSUMED:
+            self._adopt(packet, mark, hops, adoptions)
         self._drain(hops, final, adoptions, _observer)
         return self._final_for(packet.packet_id, final, adoptions)
 
@@ -400,68 +406,64 @@ class Topology:
 
     def _drain(self, hops: Dict[int, int], final: Dict[int, str],
                adoptions: Dict[int, int], observer) -> None:
-        """Run-to-completion transit pump: deliver each in-flight packet
-        into its target node and process it, until the network is quiet."""
+        """Run-to-completion transit pump: each in-flight packet crosses
+        the wire into its far interface (``arrive``) and goes straight
+        into that router's ``receive``, until the network is quiet."""
         transit = self._transit
         while transit:
-            node_name, iface_name, pkt, at = transit.popleft()
-            count = hops.get(pkt.packet_id, 0) + 1
-            hops[pkt.packet_id] = count
+            tap, pkt, at = transit.popleft()
+            pid = pkt.packet_id
+            count = hops.get(pid, 0) + 1
+            hops[pid] = count
             if count > self.max_hops:
                 self._local_counters[DROPPED_LOOP] += 1
-                final[pkt.packet_id] = DROPPED_LOOP
+                final[pid] = DROPPED_LOOP
                 continue
-            node = self.nodes[node_name]
-            target, iface = self._rx_target(node, iface_name, pkt)
-            # The real wire-crossing: iif / arrival-time / flow-index
-            # reset plus RX accounting, then straight into the data path.
-            iface.deliver(pkt, at)
-            for arrived in iface.poll():
-                if observer is not None:
-                    observer.before_hop(node_name, node, arrived, at)
-                mark = len(transit)
-                disposition = target.receive(arrived, now=at)
-                if observer is not None:
-                    observer.after_hop(
-                        node_name, node, arrived, disposition, at,
-                        list(transit)[mark:],
-                    )
-                final[arrived.packet_id] = disposition
-                self._adopt(arrived, disposition, mark, hops, adoptions)
+            router = tap.router
+            if router is None:
+                # A sharded far end: the shard the RSS fold dispatches
+                # the flow to (same rule as ``ShardedRouter.receive``).
+                node = tap.node
+                router = node.shards[pkt.flow_fold32() % node.nshards]
+                router.interfaces[tap.edge.dst_iface].arrive(pkt, at)
+            else:
+                tap.iface.arrive(pkt, at)
+            if observer is not None:
+                observer.before_hop(tap.edge.dst_node, tap.node, pkt, at)
+            mark = len(transit)
+            disposition = router.receive(pkt, now=at)
+            if observer is not None:
+                observer.after_hop(
+                    tap.edge.dst_node, tap.node, pkt, disposition, at,
+                    list(transit)[mark:],
+                )
+            final[pid] = disposition
+            if disposition == Disposition.CONSUMED:
+                self._adopt(pkt, mark, hops, adoptions)
 
-    def _rx_target(self, node, iface_name: str, pkt):
-        """The router that will process this delivery and its receiving
-        interface — for sharded nodes, the shard the RSS fold dispatches
-        the flow to (same rule as ``ShardedRouter.receive``)."""
-        if hasattr(node, "nshards"):
-            shard = node.shards[pkt.flow_fold32() % node.nshards]
-            return shard, shard.interfaces[iface_name]
-        return node, node.interfaces[iface_name]
-
-    def _adopt(self, packet, disposition: str, mark: int,
-               hops: Dict[int, int], adoptions: Dict[int, int]) -> None:
+    def _adopt(self, packet, mark: int, hops: Dict[int, int],
+               adoptions: Dict[int, int]) -> None:
         """Tunnel adoption: a CONSUMED packet that re-injected exactly
         one new packet (ESP decapsulation) continues the journey as that
         inner packet — hop count inherited, end-to-end disposition
         follows it."""
-        if disposition != "consumed":
-            return
         fresh = [
             item for item in list(self._transit)[mark:]
-            if item[2].packet_id not in hops
+            if item[1].packet_id not in hops
         ]
         if len(fresh) == 1:
-            inner = fresh[0][2]
+            inner = fresh[0][1]
             hops[inner.packet_id] = hops.get(packet.packet_id, 1)
             adoptions[packet.packet_id] = inner.packet_id
 
     @staticmethod
     def _final_for(packet_id: int, final: Dict[int, str],
                    adoptions: Dict[int, int]) -> str:
-        seen = set()
-        while packet_id in adoptions and packet_id not in seen:
-            seen.add(packet_id)
-            packet_id = adoptions[packet_id]
+        if packet_id in adoptions:
+            seen = set()
+            while packet_id in adoptions and packet_id not in seen:
+                seen.add(packet_id)
+                packet_id = adoptions[packet_id]
         return final[packet_id]
 
     # ------------------------------------------------------------------

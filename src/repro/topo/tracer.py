@@ -129,8 +129,8 @@ class _HopRecorder:
             "cycles": 0,
             "stages": [],
             "next": [
-                f"{dst_node}:{dst_iface}"
-                for dst_node, dst_iface, _pkt, _t in emitted
+                f"{tap.edge.dst_node}:{tap.edge.dst_iface}"
+                for tap, _pkt, _t in emitted
             ],
             "decapsulated": False,
         }
@@ -142,7 +142,7 @@ class _HopRecorder:
             # tracer): fold its walk into this hop so the trace shows
             # what the node did end to end.
             inner_ids = {
-                p.packet_id for _n, _i, p, _t in emitted
+                p.packet_id for _tap, p, _t in emitted
                 if p.packet_id != packet.packet_id
             }
             if len(inner_ids) == 1:

@@ -167,12 +167,16 @@ def test_rp504_marker_without_plan_field():
 
 
 def test_rp504_fused_without_on_fault():
-    """Every layout's tail classifies faults inline through on_fault;
-    only a lanes plan may (and must) resume through _resume."""
-    source = CLEAN_SOURCE.replace("on_fault(exc)", "raise")
-    findings = audit_loop_source(source, NAMESPACE, plan={"layout": "lanes"})
-    assert _codes(findings) == ["RP504"]
-    assert "on_fault" in findings[0].message
+    """A tail that does not classify its faults through on_fault is
+    RP503's finding when its handler swallows them and none when it
+    re-raises; RP504 keeps no on_fault marker (docs/STATIC_ANALYSIS.md,
+    "Retired codes").  Only a lanes plan may (and must) resume through
+    _resume."""
+    swallowed = CLEAN_SOURCE.replace("on_fault(exc)", "pass")
+    findings = audit_loop_source(swallowed, NAMESPACE, plan={"layout": "lanes"})
+    assert _codes(findings) == ["RP503"]
+    reraised = CLEAN_SOURCE.replace("on_fault(exc)", "raise")
+    assert audit_loop_source(reraised, NAMESPACE, plan={"layout": "lanes"}) == []
     findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan={"layout": "packet"})
     assert _codes(findings) == ["RP504"]
     assert "_resume" in findings[0].message

@@ -816,6 +816,45 @@ def test_on_batch_start_must_not_change_behavior():
     assert len(world.router("batch7")._batch_hooks) == 1
 
 
+class _FaultyHook(_HookedFilter):
+    """Its batch-start hook raises on its first call only."""
+
+    def on_batch_start(self, now, batch_size):
+        _HookedFilter.on_batch_start(self, now, batch_size)
+        if len(self.batch_calls) == 1:
+            raise RuntimeError("batch-start hook fault")
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
+def test_a_raising_batch_start_hook_is_a_fault_of_its_plugin(batched):
+    """A raising ``on_batch_start`` is charged to its plugin's fault
+    domain at the ``on_batch_start`` gate: the fault is in the ring and
+    counted, the hook after it still runs, and the batch runs, with the
+    dispositions and counters of a twin whose plugins have no hook."""
+    hooked, hookless = build_router("hooked"), build_router("hookless")
+    faulty = _bind(hooked, _plugin("faulty", _FaultyHook))
+    later = _bind(hooked, _HookedPlugin, gate=GATE_IP_OPTIONS)
+    _bind(hookless, _plugin("faulty", PluginInstance))
+    _bind(hookless, _plugin("hooked", PluginInstance), gate=GATE_IP_OPTIONS)
+    results = []
+    for router in (hooked, hookless):
+        packets = _mixed_workload(count=40)
+        if batched:
+            results.append(router.receive_batch(packets, now=1.0))
+        else:
+            results.append([router.receive(p, now=1.0) for p in packets])
+    assert results[0] == results[1]
+    (record,) = hooked.faults.records()
+    assert (record.plugin, record.gate, record.error_type) == (
+        "faulty", "on_batch_start", "RuntimeError")
+    assert hooked.counters["plugin_faults"] == 1
+    counters = dict(hooked.counters)
+    del counters["plugin_faults"]
+    assert counters == dict(hookless.counters)
+    calls = 1 if batched else len(packets)
+    assert len(faulty.batch_calls) == len(later.batch_calls) == calls
+
+
 def test_warmed_pipeline_passes_codegen_audit():
     """After real traffic warms both layouts (lanes, and packet with and
     without the inlined probe) plus the compiled filter tables and
