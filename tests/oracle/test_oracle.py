@@ -474,3 +474,24 @@ def test_edge_traffic_straddles_port_ends_and_a_removed_covering_filter():
     state.teardown()
     assert state.world.parked == {}
     assert before["dropped_by_plugin"] > after["dropped_by_plugin"] > 0
+
+
+def test_transit_arrives_on_the_port_its_link_names():
+    """The chain's later hops receive transit on ``atm2``, the far end of
+    each link: a deny filter naming that port drops there, on the chain
+    and on its hop-by-hop twin alike, and never on a single router,
+    whose traffic arrives on ``atm0``."""
+    state = Oracle()
+    state.build(bounded=False)
+    state.verb_modload(call=(("firewall",), {}))
+    state.verb_create_instance(call=(("firewall", "i0"), {"action": "deny"}))
+    state.verb_bind(call=(("i0", "*, *, UDP, *, *, atm2"),
+                          {"gate": "ip_security", "priority": 0}))
+    state.traffic(kind="cached", seed=0, wire=False)
+    state.fronts_agree()
+    state.teardown()
+    assert state.world.parked == {}
+    r1, r2, r3 = (router.counters for router in state.world.fronts["chain"].routers)
+    assert "dropped_by_plugin" not in r1
+    assert r2["dropped_by_plugin"] == r2["rx"] > 0 and not r3["rx"]
+    assert "dropped_by_plugin" not in state.world.spec.dispositions[-1]

@@ -855,6 +855,21 @@ def test_a_raising_batch_start_hook_is_a_fault_of_its_plugin(batched):
     assert len(faulty.batch_calls) == len(later.batch_calls) == calls
 
 
+def test_a_hook_fault_that_trips_quarantine_holds_for_the_batch_it_starts():
+    """A batch-start fault can trip its plugin's breaker before any packet
+    runs: the batch it starts then intercepts the plugin, as ``receive``
+    per packet does, instead of sweeping it in the ``lanes`` layout."""
+    batched, single = build_router("batched"), build_router("single")
+    instances = []
+    for router in (batched, single):
+        instances.append(_bind(router, _plugin("faulty", _FaultyHook)))
+        router.faults.set_policy("faulty", FaultPolicy(threshold=1))
+    out = batched.receive_batch(_mixed_workload(count=40), now=1.0)
+    assert out == [single.receive(p, now=1.0) for p in _mixed_workload(count=40)]
+    assert set(out) == {"dropped_by_plugin"} and set(batched._loops) == {"lanes", "packet"}
+    assert [i.packets_processed for i in instances] == [0, 0]
+
+
 def test_warmed_pipeline_passes_codegen_audit():
     """After real traffic warms both layouts (lanes, and packet with and
     without the inlined probe) plus the compiled filter tables and

@@ -43,7 +43,7 @@ def _same(bound, live):
     """``is``; for a bound method, the same function of the same object
     (each attribute load builds a fresh method object)."""
     owner = getattr(live, "__self__", None)
-    if owner is not None and not isinstance(live, type):
+    if owner is not None:
         return bound.__self__ is owner and bound == live
     return bound is live
 
