@@ -63,12 +63,10 @@ from .router import Disposition
 PACKET = "packet"
 LANES = "lanes"
 
-#: Router-lifetime objects a loop binds once, when it is compiled, as
-#: keyword-only defaults (parameter -> attribute path from the router):
-#: none is rebound after ``Router.__init__``, so the loop reads them as
-#: fast locals without reloading them per call.  What a verb can swap
-#: (``_tm_*``, ``loop``, ``_lifecycle``, ``_batch_hooks``, ``_ctx_pool``)
-#: is still read per call.
+#: Router-lifetime objects a loop binds as keyword-only defaults when it
+#: is compiled (parameter -> attribute path): nothing rebinds them after
+#: ``Router.__init__``.  What a verb can swap (``_tm_*``, ``loop``,
+#: ``_lifecycle``, ``_batch_hooks``, ``_ctx_pool``) is read per call.
 BOUND = {
     "aiu": "aiu",
     "table": "aiu.flow_table",
@@ -239,8 +237,7 @@ def _emit(plan) -> str:
         """)
     blk(1, "return out")
     body = "\n".join(lines) + "\n"
-    # A substring test, not a word scan (a sixth of a compile): a name
-    # that only occurs inside another binds one unused default.
+    # A substring test (a word scan cost a sixth of a compile).
     bound = ", ".join(name for name in BOUND if name in body)
     return f"def _batch_loop(router, packets, now, start=-1, *, {bound}):\n" + body
 
