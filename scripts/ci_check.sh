@@ -1,8 +1,8 @@
 #!/bin/sh
 # The one CI entry point: static-analysis gate, the --json topic gate,
-# the tier-1 suite (once), the paper rows too slow for tier-1, then the
-# benchmark's self-tests.  Everything here repeats exactly — there is no
-# wall-clock floor or ceiling
+# the tier-1 suite (once), the mutant catalogue, the paper rows too slow
+# for tier-1, then the benchmark's self-tests.  Everything here repeats
+# exactly — there is no wall-clock floor or ceiling
 # (docs/PERFORMANCE.md "Running the benchmark": speed is judged by
 # paired runs of benchmarks/e2e/run.py).
 #
@@ -10,17 +10,19 @@
 #
 # The static-analysis gate lints every built-in plugin and the
 # shard/batch layers themselves (one pass: hot-path RP2xx and
-# shard-safety RP4xx rules), warms and audits both generated loop
-# layouts (RP5xx), and audits the compiled shapes of the classifier DAG
-# and every BMP engine (RP505; scripts/analyze.py --self-lint), plus
-# ruff/mypy over the linted subsystems when those tools are
-# installed.  pyproject.toml's addopts deselects only the ``paper``
-# marker, so the tier-1 run already includes the cost-model goldens, the
-# paper's rows (tests/perf/test_paper.py), the recompile ratio, the
+# shard-safety RP4xx rules), warms both generated loop layouts and
+# audits their free names (RP501), and audits the compiled shapes of the
+# classifier DAG and every BMP engine (RP505; scripts/analyze.py
+# --self-lint), plus ruff/mypy over the linted subsystems when those
+# tools are installed.  pyproject.toml's addopts deselects the ``paper``
+# and ``mutants`` markers, so the tier-1 run already includes the
+# cost-model goldens, the paper's rows (tests/perf/test_paper.py), the
+# recompile ratio, the
 # oracle (tests/oracle/), the chaos soak and fault-containment suites
 # (scripts/chaos_check.sh runs those alone), the attack soaks, and the
-# shard and topo suites; the slow
-# ``paper`` rows run right after it.  Exits non-zero if any gate fails.
+# shard and topo suites; the mutant catalogue (each row planted in a copy
+# of src/ and its named tests run against it) and the slow ``paper`` rows
+# run right after it.  Exits non-zero if any gate fails.
 
 set -eu
 
@@ -104,6 +106,11 @@ echo "ok: all show topics emit valid JSON (single router and 2-shard front)"
 
 echo "==== tier-1 tests (every test under tests/ but the slow paper rows, once) ===="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "==== mutant catalogue (pytest -m mutants: every row's named tests fail on it) ===="
+start=$(date +%s)
+PYTHONPATH=src python -m pytest -q -m mutants tests/mutants
+echo "mutant catalogue: $(( $(date +%s) - start )) s"
 
 echo "==== the paper's slow rows (pytest -m paper: 50k-filter Table 2, the big DAGs, ...) ===="
 PYTHONPATH=src python -m pytest -q -m paper tests/perf/test_paper.py

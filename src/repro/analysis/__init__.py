@@ -24,7 +24,6 @@ documented in ``docs/STATIC_ANALYSIS.md``.
 from .codegen_audit import (
     audit_dag_table,
     audit_engine,
-    audit_loop,
     audit_loop_source,
     audit_router_codegen,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "analyze_table",
     "audit_dag_table",
     "audit_engine",
-    "audit_loop",
     "audit_loop_source",
     "audit_query_mergeability",
     "audit_router_codegen",

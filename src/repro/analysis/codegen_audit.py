@@ -3,43 +3,32 @@
 The hottest code in the repo is *generated*: :mod:`repro.core.batch`
 emits the un-metered executor per plan, in two layouts, and ``exec``\\ s
 it against an allowlisted namespace, and the DAG classifier and BMP
-engines flatten themselves into compiled lookup structures.  Nothing at
-runtime re-checks any of it — a codegen regression surfaces as a
-heisenbug three layers away.  This auditor re-parses every compiled
-loop (both layouts: ``packet``, ``lanes``) and walks the compiled lookup
-structures, turning structural invariants into ordinary diagnostics:
+engines flatten themselves into compiled lookup structures.  This
+auditor re-parses every compiled loop a router holds and walks the
+compiled lookup structures, reporting the defects only it can see —
+ones that cost time without changing a result:
 
 * RP501 — a free name in the generated source that resolves neither to
   the compile-time namespace (the allowlisted closure) nor to the small
-  set of safe builtins the emitter is permitted to use.
-* RP502 — nondeterministic builtins in generated code: ``hash()`` (the
-  RP209 hazard, fatal in generated code), ``time``/``random``/
-  ``datetime``/``uuid``/``os`` references.
-* RP503 — an emitted plugin call (``.process(`` / ``.dequeue(``) outside
-  any ``try``, or a fault handler that neither resumes through the
-  ``_resume`` helper (a ``lanes`` sweep) nor classifies through
-  ``on_fault`` (every other plugin call) nor re-raises: plugin faults
-  would escape the per-plugin fault domain.
-* RP504 — the plan's fields are not reflected in the emitted source (a
-  ``tm`` plan without telemetry cells, a ``bounded`` plan that never
-  consults ``MAXR``, ...), or a loop is cached under a plan it was not
-  compiled for, or the active loops are not the current plan's: the
-  router would run a loop compiled for a different configuration.
+  set of safe builtins the emitter is permitted to use (``getattr``,
+  ``hash`` and ``time`` included: a by-name lookup per packet, or a
+  nondeterministic one, is a finding).
 * RP505 — a compiled lookup structure violating its shape invariants:
   stale compile epochs, a clean DAG node whose memo differs from a fresh
   compile of its subtree, per-length prefix tables not probed
   longest-first, unsorted range boundaries, or entry counts that do not
   match the interpreted structure.
 
-RP5xx findings are never suppressible in spirit (they indicate a
-compiler bug, not a style choice), but the standard ``# rp: ignore``
-grammar still applies to AST-anchored ones for emergencies.
+What a loop *does* — its fault handling, its plan, the loop a router
+selects — is held by the tests (docs/STATIC_ANALYSIS.md "Retired
+codes", tests/mutants/).  RP5xx findings indicate a compiler bug, not a
+style choice, and are never to be suppressed.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from .diagnostics import Diagnostic
 from .hotpath import bound_names
@@ -50,32 +39,6 @@ _SAFE_BUILTINS = {
     "next", "min", "max", "abs", "id", "True", "False", "None",
     "Exception", "StopIteration", "AttributeError", "KeyError",
 }
-
-#: Free names that make generated data-path code nondeterministic.
-_FORBIDDEN_FREE = {
-    "hash", "time", "random", "datetime", "uuid", "os", "secrets",
-    "urandom", "globals", "locals", "eval", "exec", "compile",
-    "__import__",
-}
-
-#: (plan field, source marker) — RP504: the marker appears in the
-#: source exactly when the field is set.
-_PLAN_MARKERS: Tuple[Tuple[str, str], ...] = (
-    ("tm", "_tm_gate_cells"),
-    ("probe", "buckets[fold & mask]"),
-    # The emitted scheduler drain: present iff the tail can queue.
-    ("has_sched", "sched.dequeue"),
-)
-#: The same, for the field only the inlined probe (``plan["probe"]``) reads.
-_PROBE_MARKERS: Tuple[Tuple[str, str], ...] = (("bounded", "MAXR"),)
-
-
-def _function_node(source: str) -> Optional[ast.FunctionDef]:
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            return node
-    return None
 
 
 def _free_names(fn_node: ast.FunctionDef) -> Dict[str, int]:
@@ -96,193 +59,26 @@ def _free_names(fn_node: ast.FunctionDef) -> Dict[str, int]:
 def audit_loop_source(
     source: str,
     namespace: Dict[str, object],
-    plan: Optional[dict] = None,
     subject: str = "compiled batch loop",
 ) -> List[Diagnostic]:
-    """RP501/502/503/504 over one generated loop's source text."""
-    diagnostics: List[Diagnostic] = []
-    fn_node = _function_node(source)
-    if fn_node is None:
-        diagnostics.append(
-            Diagnostic(
-                "RP504",
-                "generated source contains no function definition",
-                subject=subject,
-                hint="the emitter must produce exactly one _batch_loop def",
-            )
+    """RP501 over one generated loop's source text."""
+    fn_node = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef))
+    return [
+        Diagnostic(
+            "RP501",
+            f"free name {name!r} resolves neither to the compile "
+            "namespace nor to a safe builtin; at run time it is a "
+            "NameError, a shadowed builtin or a per-packet lookup",
+            subject=subject,
+            file="<repro.core.batch>",
+            line=line,
+            hint="add the object to the _compile namespace "
+            "allowlist or stop emitting the reference",
         )
-        return diagnostics
-
-    # RP501 / RP502 — free-name discipline.
-    for name, line in sorted(_free_names(fn_node).items()):
-        if name in _FORBIDDEN_FREE:
-            diagnostics.append(
-                Diagnostic(
-                    "RP502",
-                    f"generated code references {name!r}: nondeterministic "
-                    "or environment-dependent in a compiled data-path loop",
-                    subject=subject,
-                    file="<repro.core.batch>",
-                    line=line,
-                    hint="the emitter must derive everything from the "
-                    "router state captured in the namespace",
-                )
-            )
-        elif name not in namespace and name not in _SAFE_BUILTINS:
-            diagnostics.append(
-                Diagnostic(
-                    "RP501",
-                    f"free name {name!r} resolves neither to the compile "
-                    "namespace nor to a safe builtin; at run time it is a "
-                    "NameError (or worse, a shadowed builtin)",
-                    subject=subject,
-                    file="<repro.core.batch>",
-                    line=line,
-                    hint="add the object to the _compile namespace "
-                    "allowlist or stop emitting the reference",
-                )
-            )
-
-    # RP503 — every plugin call is guarded, every handler resumes or
-    # classifies.  A loop with no plugin call has nothing to guard.
-    tries = [node for node in ast.walk(fn_node) if isinstance(node, ast.Try)]
-    guarded = {
-        id(node)
-        for block in tries if block.handlers
-        for stmt in block.body
-        for node in ast.walk(stmt)
-    }
-    for node in ast.walk(fn_node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("process", "dequeue")
-            and id(node) not in guarded
-        ):
-            diagnostics.append(
-                Diagnostic(
-                    "RP503",
-                    f"generated .{node.func.attr}() call has no fault handler; "
-                    "a plugin exception would unwind the whole batch instead "
-                    "of being charged to the faulting plugin's domain",
-                    subject=subject,
-                    file="<repro.core.batch>",
-                    line=node.lineno,
-                    hint="every emitted plugin call must sit inside a "
-                    "try/except that splits or classifies the fault",
-                )
-            )
-    for handler in ast.walk(fn_node):
-        if isinstance(handler, ast.ExceptHandler) and not _handler_resumes(handler):
-            diagnostics.append(
-                Diagnostic(
-                    "RP503",
-                    "generated fault handler neither resumes via the "
-                    "_resume helper nor classifies via on_fault nor "
-                    "re-raises",
-                    subject=subject,
-                    file="<repro.core.batch>",
-                    line=handler.lineno,
-                    hint="a sweep fault must re-enter the packet layout "
-                    "with the batch's residue (the _resume contract)",
-                )
-            )
-
-    # RP504 — plan/source coherence.
-    if plan is not None:
-        diagnostics.extend(_audit_plan_markers(source, plan, subject))
-    return diagnostics
-
-
-def _handler_resumes(handler: ast.ExceptHandler) -> bool:
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in ("_resume", "on_fault"):
-                return True
-    return False
-
-
-def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-
-    def bad(field: str, detail: str) -> None:
-        diagnostics.append(
-            Diagnostic(
-                "RP504",
-                f"plan field {field!r} is not reflected in the generated "
-                f"source: {detail}",
-                subject=subject,
-                hint="the plan and the emitter disagree; the router would "
-                "run a loop compiled for a different configuration",
-            )
-        )
-
-    markers = _PLAN_MARKERS + (_PROBE_MARKERS if plan.get("probe") else ())
-    for field, marker in markers:
-        present = marker in source
-        if plan.get(field) and not present:
-            bad(field, f"plan sets {field} but {marker!r} never appears")
-        elif not plan.get(field) and present:
-            bad(field, f"plan clears {field} but {marker!r} appears")
-    if (plan.get("layout") == "lanes") != ("_resume(" in source):
-        bad("layout", "lanes sweeps, and only they, resume via _resume")
-    for gate_entry in plan.get("pre") or ():
-        gate_name = gate_entry[0] if isinstance(gate_entry, tuple) else gate_entry
-        if f"'{gate_name}'" not in source and f'"{gate_name}"' not in source:
-            bad("pre", f"active pre gate {gate_name!r} never referenced")
-    return diagnostics
-
-
-def audit_loop(
-    fn, subject: str = "compiled batch loop", filed: Optional[tuple] = None
-) -> List[Diagnostic]:
-    """Audit one cached compiled loop via its introspection attributes;
-    ``filed`` is the ``(plan, telemetry, layout)`` its router keeps it
-    under (``Router._loop_cache``)."""
-    source = getattr(fn, "_source", None)
-    plan = getattr(fn, "_plan", None)
-    if source is None:
-        return [
-            Diagnostic(
-                "RP504",
-                "compiled loop carries no _source introspection attribute; "
-                "it cannot be audited",
-                subject=subject,
-                hint="_compile must attach fn._source and fn._plan",
-            )
-        ]
-    diagnostics = audit_loop_source(
-        source, fn.__globals__, plan=plan, subject=subject
-    )
-    if filed is not None and plan is not None:
-        compiled_for = (
-            (plan["pre"], plan["routing_active"], plan["sched_active"],
-             plan["has_sched"]),
-            plan["tm"], plan["layout"],
-        )
-        if compiled_for != filed:
-            diagnostics.append(_misfiled(
-                subject, f"filed under {filed!r}, compiled for {compiled_for!r}"
-            ))
-    return diagnostics
-
-
-def _misfiled(subject: str, detail: str) -> Diagnostic:
-    return Diagnostic(
-        "RP504",
-        f"loop cache incoherent: {detail}",
-        subject=subject,
-        hint="Router._select_loops must file loops under the plan and "
-        "telemetry state they are compiled for, and select the current one",
-    )
+        for name, line in sorted(_free_names(fn_node).items())
+        if name not in namespace and name not in _SAFE_BUILTINS
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -434,28 +230,24 @@ def audit_engine(engine, subject: str = "bmp engine") -> List[Diagnostic]:
 def audit_router_codegen(
     router, warm: bool = True, subject_prefix: str = ""
 ) -> List[Diagnostic]:
-    """Audit every compiled loop a router holds — each under the plan
-    it is cached for — plus its compiled lookup structures.  With
-    ``warm=True`` the current plan's batch loop is compiled first, so a
-    freshly configured router is never vacuously clean."""
+    """Audit every compiled loop a router holds — the active ones and
+    those cached for earlier plans — plus its compiled lookup
+    structures.  With ``warm=True`` the current plan's batch loop is
+    compiled first, so a freshly configured router is never vacuously
+    clean."""
     from ..core.batch import loop_for
 
     diagnostics: List[Diagnostic] = []
     if warm:
         loop_for(router)
-    current = (router._plan, router._tm_gate_cells is not None)
-    if router._loops is not router._loop_cache.get(current):
-        diagnostics.append(_misfiled(
-            f"{subject_prefix}batch loops",
-            f"the active loops are not the entry of the current plan {current!r}",
-        ))
-    for key, loops in router._loop_cache.items():
+    for loops in router._loop_cache.values():
         cached = "" if loops is router._loops else "cached "
         for layout, fn in sorted(loops.items()):
-            diagnostics.extend(audit_loop(
-                fn, subject=f"{subject_prefix}{cached}batch loop ({layout})",
-                filed=(*key, layout),
-            ))
+            # The source it was compiled from against the namespace it
+            # was exec'd in.
+            diagnostics.extend(audit_loop_source(
+                fn._source, fn.__globals__,
+                subject=f"{subject_prefix}{cached}batch loop ({layout})"))
     for (gate, width), table in sorted(
         getattr(router.aiu, "_tables", {}).items(),
         key=lambda item: (item[0][0], item[0][1]),

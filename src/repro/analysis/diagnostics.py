@@ -49,9 +49,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP405": (WARNING, "control-command effect depends on shard-local traffic state"),
     # RP5xx — exec-codegen audit (repro.analysis.codegen_audit).
     "RP501": (ERROR, "compiled loop references a name outside its allowlisted closure"),
-    "RP502": (ERROR, "nondeterministic builtin in generated data-path code"),
-    "RP503": (ERROR, "generated fault handler lacks a split/resume path"),
-    "RP504": (ERROR, "compiled loop source does not reflect its specialization key"),
     "RP505": (ERROR, "compiled lookup structure violates its shape invariants"),
 }
 

@@ -107,10 +107,13 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     def arrive(self, packet: Packet, at_time: float) -> None:
         """The wire crossing: the packet arrived here at ``at_time`` (a
-        fresh mbuf: flow indices never cross the wire), counted on RX."""
+        fresh mbuf: flow indices never cross the wire, and the flow key
+        holds the iif), counted on RX.  Nothing on a wire changes the
+        five-tuple, so its fold, the label fold and the length stay."""
         packet.iif = self.name
         packet.arrival_time = at_time
-        packet.fix = None
+        packet._fix = None
+        packet._flow_key = None
         self.rx_packets += 1
         self.rx_bytes += packet.length
 

@@ -1,7 +1,21 @@
-"""Exec-codegen audit unit tests: each RP5xx code fires on a planted
-corruption of generated source / exec namespace / plan key / compiled
-lookup structure, and a genuinely warmed router audits clean (so the
-codes can gate CI without false positives)."""
+"""Exec-codegen audit tests, and the behaviour of the codes it retired.
+
+RP501 fires on a planted free name and RP505 on each planted
+corruption of a compiled lookup structure, and a genuinely warmed
+router audits clean (so the codes can gate CI without false
+positives).
+
+RP502-RP504 audited what a generated loop does — reads time only from
+its ``now``, charges every plugin fault to the plugin's domain, runs
+the loop compiled for the router's current plan — by reading its
+source.  They are retired (docs/STATIC_ANALYSIS.md, "Retired codes"):
+their tests keep their names and now pin that behaviour on real
+routers, through the metered walk (the spec), ``receive`` (the packet
+layout) and ``receive_batch`` in chunks of 7 and 256 (the lanes layout
+where the plan allows it), compared by the oracle's ``World.check``.
+Each is a must-fail id of the catalogue row (tests/mutants/) that
+plants the defect its code stood for.
+"""
 
 import pytest
 
@@ -12,21 +26,35 @@ from repro.analysis import (
     analyze_router,
     audit_dag_table,
     audit_engine,
-    audit_loop,
     audit_loop_source,
     audit_router_codegen,
 )
 from repro.bmp import make_engine
-from repro.core.gates import DEFAULT_GATES, GATE_IP_SECURITY
+from repro.core import FaultPolicy, PluginInstance, Verdict
+from repro.core.gates import (
+    DEFAULT_GATES,
+    GATE_IP_OPTIONS,
+    GATE_IP_SECURITY,
+    GATE_PACKET_SCHEDULING,
+)
 from repro.core.router import Router
 from repro.mgr.library import RouterPluginLibrary
 from repro.net.addresses import IPV4_WIDTH
 from repro.net.packet import make_udp
 from repro.workloads.filtersets import random_filters
+from tests.oracle.harness import World, build_router
+from tests.perf.test_batch_pipeline import (
+    _bind,
+    _drr,
+    _FlakyDequeuePlugin,
+    _mixed_workload,
+    _plugin,
+    _PortFaultyPlugin,
+    _PortFilterPlugin,
+)
 
-# A minimal well-formed "generated" lanes loop: free names resolved by
-# the namespace, a sweep fault handler that resumes through the _resume
-# helper, a tail fault handler that classifies through on_fault.
+# A minimal well-formed "generated" loop: every free name resolved by
+# the namespace.
 CLEAN_SOURCE = '''\
 def _batch_loop(packets, now):
     out = []
@@ -56,7 +84,7 @@ def _codes(diagnostics):
 
 
 # ----------------------------------------------------------------------
-# RP501 / RP502 — free-name discipline
+# RP501 — free-name discipline
 # ----------------------------------------------------------------------
 def test_clean_source_audits_clean():
     assert audit_loop_source(CLEAN_SOURCE, NAMESPACE) == []
@@ -80,171 +108,324 @@ def test_rp501_a_per_packet_getattr_is_not_a_safe_builtin():
     assert "'getattr'" in findings[0].message
 
 
+# ----------------------------------------------------------------------
+# Retired codes: what they guarded, on real routers
+# ----------------------------------------------------------------------
+FRONTS = ("spec", "receive", "batch7", "batch256")
+
+
+def _world(configure=None, **kwargs):
+    return World(lambda name: build_router(name, configure, **kwargs), fronts=FRONTS)
+
+
+def _run(world, workload=_mixed_workload):
+    """One burst through every front; any difference from the spec fails."""
+    world.run(workload)
+    assert not world.parked, world.parked
+    return world
+
+
+def _both_layouts(world):
+    assert "packet" in world.router("receive")._loops
+    assert "lanes" in world.router("batch256")._loops
+
+
+class _Clock(PluginInstance):
+    """Records the ``ctx.now`` of every call, per gate."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.seen = []
+
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        self.seen.append((ctx.gate, ctx.now))
+        return Verdict.CONTINUE
+
+
+class _TwoPerTick(PluginInstance):
+    """Passes two packets per clock tick and drops the rest: a decision
+    that reads ``ctx.now``."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.tick, self.passed = None, 0
+
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        if ctx.now != self.tick:
+            self.tick, self.passed = ctx.now, 0
+        self.passed += 1
+        return Verdict.CONTINUE if self.passed <= 2 else Verdict.DROP
+
+
+class _AlwaysFaults(PluginInstance):
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        raise RuntimeError("fault on every call")
+
+
 def test_rp502_nondeterministic_builtin():
-    source = CLEAN_SOURCE.replace(
-        "out.append(classify(packet, now))",
-        "out.append(classify(packet, now) or hash(packet))",
-    )
-    findings = audit_loop_source(source, NAMESPACE)
-    assert "RP502" in _codes(findings)
-    assert any("'hash'" in d.message for d in findings)
+    """A loop reads time only from its ``now``: every context a plugin
+    is handed — pre-routing gate, scheduling gate — carries the time the
+    burst was received at, in both layouts."""
+    clocks = {}
+
+    def configure(router):
+        clock = clocks[router.name] = _bind(router, _plugin("clock", _Clock))
+        clock.plugin.register_instance(clock, "*, *, UDP", gate=GATE_PACKET_SCHEDULING)
+
+    world = _world(configure)
+    for _ in range(2):
+        _run(world)
+    _both_layouts(world)
+    spec = clocks.pop("spec").seen
+    assert {gate for gate, _ in spec} == {GATE_IP_SECURITY, GATE_PACKET_SCHEDULING}
+    assert {now for _, now in spec} == {0.0, 0.01}
+    for name, clock in clocks.items():
+        assert sorted(clock.seen) == sorted(spec), name
 
 
 def test_rp502_wins_over_rp501_for_forbidden_names():
-    source = CLEAN_SOURCE.replace(
-        "classify(packet, now)", "classify(packet, time())"
-    )
-    findings = audit_loop_source(source, NAMESPACE)
-    assert _codes(findings) == ["RP502"]
+    """A plugin whose verdict depends on ``ctx.now`` decides the same on
+    every front: the generated loops hand it the burst's time, never a
+    clock of their own."""
+    def configure(router):
+        _bind(router, _plugin("two-per-tick", _TwoPerTick))
+
+    world = _world(configure)
+    for _ in range(2):
+        _run(world)
+    _both_layouts(world)
+    assert world.router("spec").counters["dropped_by_plugin"] > 0
 
 
-# ----------------------------------------------------------------------
-# RP503 — fault split/resume
-# ----------------------------------------------------------------------
 def test_rp503_no_handler_at_all():
-    source = '''\
-def _batch_loop(packets, now):
-    inst, ctx = classify(packets[0], now)
-    return [inst.process(p, ctx) for p in packets]
-'''
-    findings = audit_loop_source(source, NAMESPACE)
-    assert _codes(findings) == ["RP503"]
-    assert "no fault handler" in findings[0].message
+    """A plugin that raises does not unwind the batch: the faulting
+    packets are dropped and charged to its domain, the rest forwarded,
+    in both layouts."""
+    world = _run(_world(lambda router: _bind(router, _PortFaultyPlugin)))
+    _both_layouts(world)
+    spec = world.router("spec")
+    assert spec.counters["plugin_faults"] > 0 and spec.counters["forwarded"] > 0
 
 
 def test_rp503_one_guarded_call_does_not_excuse_another():
-    source = CLEAN_SOURCE.replace(
-        "    return out\n", "    sched.dequeue(now)\n    return out\n"
-    ).replace("emit(packet)", "sched.process(packet, now)")
-    findings = audit_loop_source(source, {**NAMESPACE, "sched": object()})
-    assert _codes(findings) == ["RP503"]
-    assert ".dequeue()" in findings[0].message and findings[0].line == 13
+    """Every plugin call of a loop is guarded, not only the gate calls:
+    a scheduler whose ``dequeue`` raises mid-drain is charged for it
+    while the gate plugin before it runs clean, in both layouts."""
+    def configure(router):
+        _bind(router, _PortFilterPlugin)
+        plugin = _FlakyDequeuePlugin()
+        router.pcu.load(plugin)
+        router.set_scheduler("atm1", plugin.create_instance(interface="atm1"))
+        router.faults.set_policy(plugin.name, FaultPolicy(threshold=100))
+
+    world = _run(_world(configure))
+    _both_layouts(world)
+    records = world.router("spec").faults.records()
+    assert records and {(r.gate, r.plugin) for r in records} == {
+        (GATE_PACKET_SCHEDULING, "flaky-dequeue")}
 
 
 def test_rp503_swallowing_handler():
-    source = CLEAN_SOURCE.replace(
-        "return _resume(packets, out, exc)", "out.append(None)"
-    )
-    findings = audit_loop_source(source, NAMESPACE)
-    assert "RP503" in _codes(findings)
-    assert any("neither resumes" in d.message for d in findings)
+    """A fault is never swallowed: each one is in the plugin's fault ring
+    and counted, and its packet is dropped, on every front alike."""
+    world = _run(_world(lambda router: _bind(router, _PortFaultyPlugin)))
+    _both_layouts(world)
+    spec = world.router("spec")
+    faults = spec.counters["plugin_faults"]
+    assert faults and len(spec.faults.records()) == faults
+    assert spec.faults.domain("port-faulty").total == faults
 
 
 def test_rp503_reraise_is_accepted():
-    source = CLEAN_SOURCE.replace(
-        "return _resume(packets, out, exc)", "raise"
-    )
-    assert audit_loop_source(source, NAMESPACE) == []
+    """Nothing a plugin raises leaves the router: a plugin that faults on
+    every call trips its breaker, and the rest of the batch bypasses it
+    — ``receive`` and ``receive_batch`` return a disposition each."""
+    def configure(router):
+        _bind(router, _plugin("always-faults", _AlwaysFaults))
+        router.faults.set_policy(
+            "always-faults", FaultPolicy(threshold=3, window=5.0, action="bypass", cooldown=10.0))
+
+    world = _run(_world(configure))
+    spec = world.router("spec")
+    assert spec.counters["plugin_faults"] == 3
+    assert spec.faults.domain("always-faults").quarantine_count == 1
+    assert spec.counters["forwarded"] > 0
 
 
 def test_rp503_on_fault_is_accepted():
-    source = CLEAN_SOURCE.replace(
-        "return _resume(packets, out, exc)",
-        "out.append(on_fault(exc))",
-    )
-    assert audit_loop_source(source, NAMESPACE) == []
+    """Faults go through the fault policy: the breaker counts them and
+    trips mid-batch, and every later packet the plugin would see is
+    dropped without a call, in both layouts."""
+    def configure(router):
+        _bind(router, _PortFaultyPlugin)
+        router.faults.set_policy(
+            "port-faulty", FaultPolicy(threshold=2, window=5.0, action="drop", cooldown=10.0))
 
-
-# ----------------------------------------------------------------------
-# RP504 — plan/source coherence
-# ----------------------------------------------------------------------
-def test_rp504_plan_field_missing_marker():
-    plan = {"tm": True, "layout": "lanes"}
-    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
-    assert _codes(findings) == ["RP504"]
-    assert "_tm_gate_cells" in findings[0].message
-
-
-def test_rp504_marker_without_plan_field():
-    source = CLEAN_SOURCE.replace(
-        "out = []", "out = []\n    cells = _tm_gate_cells"
-    )
-    namespace = dict(NAMESPACE, _tm_gate_cells=())
-    plan = {"layout": "lanes"}
-    findings = audit_loop_source(source, namespace, plan=plan)
-    assert _codes(findings) == ["RP504"]
-    assert "clears" in findings[0].message
-
-
-def test_rp504_fused_without_on_fault():
-    """A tail that does not classify its faults through on_fault is
-    RP503's finding when its handler swallows them and none when it
-    re-raises; RP504 keeps no on_fault marker (docs/STATIC_ANALYSIS.md,
-    "Retired codes").  Only a lanes plan may (and must) resume through
-    _resume."""
-    swallowed = CLEAN_SOURCE.replace("on_fault(exc)", "pass")
-    findings = audit_loop_source(swallowed, NAMESPACE, plan={"layout": "lanes"})
-    assert _codes(findings) == ["RP503"]
-    reraised = CLEAN_SOURCE.replace("on_fault(exc)", "raise")
-    assert audit_loop_source(reraised, NAMESPACE, plan={"layout": "lanes"}) == []
-    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan={"layout": "packet"})
-    assert _codes(findings) == ["RP504"]
-    assert "_resume" in findings[0].message
-
-
-def test_rp504_unreferenced_pre_gate():
-    plan = {"layout": "lanes", "pre": [("ip_security", None)]}
-    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
-    assert _codes(findings) == ["RP504"]
-    assert "ip_security" in findings[0].message
-
-
-def _drr_router(gates=DEFAULT_GATES, scheduler=True, at_gate=False):
-    router = Router(name="audit-drr", gates=gates)
-    router.add_interface("atm0", prefix="10.0.0.0/8")
-    router.add_interface("atm1", prefix="20.0.0.0/8")
-    library = RouterPluginLibrary(router)
-    library.modload("firewall")
-    library.create_instance("firewall", "fw0")
-    library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
-    if scheduler:
-        library.modload("drr")
-        library.create_instance("drr", "dr")
-        library.set_scheduler("atm1", "dr")
-        if at_gate:
-            library.bind("dr", "*, *, UDP", gate="packet_scheduling")
-    router.receive(make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0"))
-    router.receive_batch(
-        [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")]
-    )
-    assert set(router._loops) == {"packet", "lanes"}
-    return router
-
-
-def test_rp504_scheduler_drain_follows_has_sched():
-    """A plan that can queue must carry the emitted drain; one that
-    cannot (no scheduling gate, no bound scheduler) must not."""
-    queues = _drr_router()
-    bound_only = _drr_router(gates=(GATE_IP_SECURITY,))
-    bare = _drr_router(gates=(GATE_IP_SECURITY,), scheduler=False)
-    for router, has_sched in ((queues, True), (bound_only, True), (bare, False)):
-        assert audit_router_codegen(router) == []
-        for loop in router._loops.values():
-            assert loop._plan["has_sched"] is has_sched
-            assert ("sched.dequeue" in loop._source) is has_sched
-            loop._plan["has_sched"] = not has_sched     # lie about the plan
-            findings = audit_loop(loop)
-            assert _codes(findings) == ["RP504"]
-            assert "has_sched" in findings[0].message
+    world = _run(_world(configure))
+    domain = world.router("spec").faults.domain("port-faulty")
+    assert domain.total == 2 and domain.quarantine_count == 1
+    assert "packet" in world.router("batch256")._loops      # the sweep resumed
 
 
 def test_rp503_sees_the_drain_classify_through_on_fault():
-    loop = _drr_router(at_gate=True)._loops["packet"]
-    classify = "on_fault(sched, SGATE, exc, None, at)"
-    assert loop._source.count(classify) == 2            # both CONSUMED sites
-    assert audit_loop(loop) == []
-    swallowed = loop._source.replace(classify, "pass")
-    findings = audit_loop_source(swallowed, loop.__globals__, plan=loop._plan)
-    assert _codes(findings) == ["RP503", "RP503"]
+    """Both sites that take a packet for a port — the scheduling gate's
+    instance and the port's bound scheduler — drain it, and a faulting
+    ``dequeue`` there is charged with no packet, in both layouts."""
+    def configure(router):
+        _bind(router, _PortFilterPlugin)
+        plugin = _FlakyDequeuePlugin()
+        router.pcu.load(plugin)
+        instance = plugin.create_instance(interface="atm1")
+        plugin.register_instance(instance, "*, *, UDP, *, 9000", gate=GATE_PACKET_SCHEDULING)
+        router.set_scheduler("atm1", instance)
+        router.faults.set_policy(plugin.name, FaultPolicy(threshold=100))
+
+    world = _run(_world(configure))
+    _both_layouts(world)
+    spec = world.router("spec")
+    assert spec.counters["queued"] and spec.counters["tx_scheduled"]
+    assert spec.faults.records() and all(
+        r.gate == GATE_PACKET_SCHEDULING for r in spec.faults.records())
+
+
+def test_rp504_plan_field_missing_marker():
+    """With telemetry on, each gate dispatch is counted in its cell by
+    every layout, exactly as the metered walk counts it."""
+    def configure(router):
+        _bind(router, _PortFilterPlugin)
+        router.attach_telemetry()
+
+    world = _run(_world(configure))
+    _both_layouts(world)
+    spec = world.router("spec")
+    assert spec._tm_gate_cells[spec.aiu.gate_index(GATE_IP_SECURITY)] > 0
+
+
+def test_rp504_marker_without_plan_field():
+    """Telemetry on and off between bursts: the loops counting gate cells
+    are exactly those of the bursts telemetry was on for."""
+    world = _world(lambda router: _bind(router, _PortFilterPlugin))
+    _run(world)
+    world.each_router(Router.attach_telemetry)
+    _run(world)
+    cells = list(world.router("spec")._tm_gate_cells)
+    assert any(cells)
+    world.each_router(Router.detach_telemetry)
+    _run(world)
+    world.each_router(Router.attach_telemetry)
+    _run(world)
+    _both_layouts(world)
+
+
+def test_rp504_fused_without_on_fault():
+    """Only a lanes sweep resumes: a fault there hands the batch to the
+    packet layout, so the quarantine it trips holds for every later
+    packet of that batch, which the metered walk drops uncalled."""
+    instances = {}
+
+    def configure(router):
+        instances[router.name] = _bind(router, _PortFaultyPlugin)
+        router.faults.set_policy(
+            "port-faulty", FaultPolicy(threshold=1, window=5.0, action="drop", cooldown=10.0))
+
+    world = _run(_world(configure))
+    assert set(world.router("batch256")._loops) == {"lanes", "packet"}
+    calls = {name: instance.packets_processed for name, instance in instances.items()}
+    assert set(calls.values()) == {calls["spec"]} and calls["spec"] < 80
+
+
+def test_rp504_unreferenced_pre_gate():
+    """Every active pre-routing gate runs, the first one too: a drop at
+    ``ip_options`` is a drop, and the ``ip_security`` plugin behind it
+    sees only what passed, in both layouts."""
+    clocks = {}
+
+    def configure(router):
+        _bind(router, _PortFilterPlugin, gate=GATE_IP_OPTIONS)
+        clocks[router.name] = _bind(router, _plugin("clock", _Clock))
+
+    world = _run(_world(configure))
+    _both_layouts(world)
+    spec = world.router("spec")
+    assert spec.counters["dropped_by_plugin"] > 0
+    assert {len(clock.seen) for clock in clocks.values()} == {len(clocks["spec"].seen)}
+
+
+def test_rp504_scheduler_drain_follows_has_sched():
+    """A port with a bound scheduler is drained by the call that queued
+    to it: what was queued is transmitted in the same burst, in both
+    layouts; a router that cannot queue compiles no drain at all."""
+    def configure(router):
+        _bind(router, _PortFilterPlugin)
+        _drr(router)
+
+    world = _run(_world(configure))
+    _both_layouts(world)
+    spec = world.router("spec")
+    assert spec.counters["queued"] == spec.counters["tx_scheduled"] > 0
+    bare = _run(_world(lambda router: _bind(router, _PortFilterPlugin),
+                       gates=(GATE_IP_OPTIONS, GATE_IP_SECURITY)))
+    assert all("dequeue" not in fn._source
+               for name in FRONTS[1:] for fn in bare.router(name)._loops.values())
 
 
 def test_rp504_loop_without_source_attribute():
-    def not_generated(packets, now):
-        return []
+    """A bounded flow table stays bounded under the generated loops (the
+    packet layout: a bounded table never runs lanes): the table evicts
+    exactly as the metered walk does and never holds more than its cap."""
+    world = _run(_world(lambda router: _bind(router, _PortFilterPlugin), max_flows=8))
+    for name in FRONTS:
+        table = world.router(name).aiu.flow_table
+        assert table.active <= table.allocated <= 8 and table.evictions > 0, name
+    assert set(world.router("batch256")._loops) == {"packet"}
 
-    findings = audit_loop(not_generated)
-    assert _codes(findings) == ["RP504"]
-    assert "_source" in findings[0].message
+
+def _flap(world, records):
+    """Bind a port filter on every router, or remove the one bound."""
+    def flap(router):
+        if router.name in records:
+            router.aiu.remove_filter(records.pop(router.name))
+            return
+        if not router.pcu.is_loaded("port-filter"):
+            router.pcu.load(_PortFilterPlugin())
+        plugin = router.pcu.get("port-filter")
+        records[router.name] = plugin.register_instance(
+            plugin.create_instance(), "*, *, UDP", gate=GATE_IP_SECURITY)
+    world.each_router(flap)
+
+
+def test_rp504_loop_filed_under_the_wrong_plan():
+    """A bind or an unbind between bursts changes the plan, and the next
+    burst runs the new plan's loop: the filter drops from its first
+    packet on, and stops when it is gone."""
+    world, records = _world(), {}
+    _run(world)
+    _flap(world, records)
+    _run(world)
+    assert world.router("spec").counters["dropped_by_plugin"] > 0
+    _both_layouts(world)
+    _flap(world, records)
+    _run(world)
+    for name in FRONTS[1:]:
+        assert set(world.router(name)._loops) == {"packet"}, name
+
+
+def test_rp504_audits_cached_loops_of_other_plans():
+    """A plan that comes back runs the loops compiled for it before,
+    without compiling them again."""
+    world, records = _world(), {}
+    _run(world)
+    first = {name: dict(world.router(name)._loops) for name in FRONTS[1:]}
+    for _ in range(2):
+        _flap(world, records)
+        _run(world)
+    for name, loops in first.items():
+        router = world.router(name)
+        assert router.loop_reuses == 1, name
+        assert all(router._loops[layout] is fn for layout, fn in loops.items()), name
 
 
 # ----------------------------------------------------------------------
@@ -410,44 +591,14 @@ def test_warm_router_audits_clean(max_flows, with_plugin, shape):
 
 def test_analyze_router_surfaces_codegen_findings():
     router = _warm_router("audit-wired", with_plugin=True)
-    router._loops["lanes"]._plan["tm"] = True  # lie about the plan
+    del router._loops["lanes"].__globals__["TEXC"]  # a name the emitter uses
     report = analyze_router(router)
-    assert any(d.code == "RP504" for d in report)
-
-
-def test_rp504_loop_filed_under_the_wrong_plan():
-    router = _warm_router("audit-misfiled", with_plugin=True)
-    key = (router._plan, False)
-    assert router._loop_cache[key] is router._loops
-    filterless = (((), False, False, True), False)
-    router._loop_cache[filterless] = router._loop_cache.pop(key)
-    findings = audit_router_codegen(router)
-    assert _codes(findings) == ["RP504", "RP504"]
-    assert "not the entry of the current plan" in findings[0].message
-    assert "filed under" in findings[1].message
-    assert findings[1].subject == "batch loop (lanes)"
-
-
-def test_rp504_audits_cached_loops_of_other_plans():
-    """A loop waiting in the cache for its plan to come back is audited
-    like the active ones, against the plan it waits under."""
-    router = _warm_router("audit-cached", with_plugin=True)
-    waiting = router._loops["lanes"]
-    record = router.aiu.create_filter("ip_options", "*, *, UDP")
-    assert audit_router_codegen(router) == []       # warms the new plan
-    assert "lanes" in router._loops and router._loops["lanes"] is not waiting
-    waiting._plan["tm"] = True                      # lie about the plan
-    findings = audit_router_codegen(router)
-    assert findings and all(d.code == "RP504" for d in findings)
-    assert {d.subject for d in findings} == {"cached batch loop (lanes)"}
-    router.aiu.remove_filter(record)
-    findings = audit_router_codegen(router)         # it is served again
-    assert {d.subject for d in findings} == {"batch loop (lanes)"}
+    assert [d.code for d in report] == ["RP501"]
 
 
 def test_subject_prefix_labels_findings():
     router = _warm_router("audit-prefix")
-    router._loops["packet"]._plan["tm"] = True
+    del router._loops["packet"].__globals__["TEXC"]
     findings = audit_router_codegen(router, subject_prefix="shard3: ")
-    assert findings
-    assert all(d.subject == "shard3: batch loop (packet)" for d in findings)
+    assert _codes(findings) == ["RP501"]
+    assert findings[0].subject == "shard3: batch loop (packet)"

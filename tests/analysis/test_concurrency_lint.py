@@ -5,7 +5,7 @@ RP210, and the strict load refuses RP4xx errors like RP2xx ones."""
 
 import pytest
 
-from repro.analysis import audit_query_mergeability, lint_plugin
+from repro.analysis import audit_query_mergeability, lint_plugin, unknown_suppressed_codes
 from repro.core.errors import PluginError
 from repro.core.plugin import (
     Plugin,
@@ -216,6 +216,12 @@ def test_unknown_suppression_code_warns_rp210():
     assert "RP210" in codes
     (rp210,) = [d for d in report if d.code == "RP210"]
     assert "RP9999" in rp210.message
+
+
+def test_a_retired_code_in_a_suppression_is_rp210():
+    """Retired codes (docs/STATIC_ANALYSIS.md) suppress nothing."""
+    line = "x = 1  # rp: ignore[RP503, RP301, RP205]"
+    assert unknown_suppressed_codes(line) == {"RP503", "RP301"}
 
 
 def test_valid_suppression_does_not_warn_rp210():

@@ -40,8 +40,8 @@ def test_analyze_command_reports_findings():
 
 def test_analyze_is_quiet_on_a_loop_with_no_plugin_call_to_guard():
     """No scheduling gate and no active filter: the generated loop calls
-    no plugin, so it rightly holds no fault handler and RP503 must stay
-    silent."""
+    no plugin and holds no fault handler, and ``analyze`` reports
+    nothing on it."""
     router = Router(name="no-sched", gates=("ip_options", "ip_security"))
     router.add_interface("atm0", prefix="10.0.0.0/8")
     router.add_interface("atm1", prefix="20.0.0.0/8")

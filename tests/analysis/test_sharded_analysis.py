@@ -110,14 +110,14 @@ def test_sharded_sweep_is_clean_on_warm_router():
 def test_analyze_sharded_covers_every_shard():
     sharded, library = _sharded(nshards=3)
     _warm(sharded, count=16)
-    # Tamper shard 2's cached loop plan: the sweep must catch it even
+    # Tamper shard 2's loop namespace: the sweep must catch it even
     # though shard 0 is clean.
     victim = sharded.shards[2]
     assert victim._loops
     fn = next(iter(victim._loops.values()))
-    fn._plan["tm"] = True
+    del fn.__globals__["TEXC"]
     report = analyze_sharded(sharded, libraries=library.libraries)
-    findings = [d for d in report if d.code == "RP504"]
+    findings = [d for d in report if d.code == "RP501"]
     assert findings
     assert all(d.subject.startswith("shard2: ") for d in findings)
 

@@ -63,7 +63,7 @@ FILTERS = (
     "2001:db8::/32, *, UDP", "*, *, TCP", "*, *, UDP, *, *, atm2",
 )
 #: What ``add_route`` installs, beside the ports' and harness.V6_ROUTES.
-ROUTES = ("40.0.0.0/8", "20.0.9.0/24", "2001:db8:1::/48")
+ROUTES = ("40.0.0.0/8", "20.0.9.0/24", "2001:db8:1::/48", "0.0.0.0/0", "::/0")
 _filter = st.sampled_from(FILTERS)
 _gate = st.sampled_from((None, "ip_options", "ip_security", "packet_scheduling"))
 _kwargs = st.fixed_dictionaries

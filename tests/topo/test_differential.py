@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro import Router, Topology
-from repro.net.packet import make_udp
+from repro.net.packet import PARSE_STATS, make_udp
 from repro.topo import DROPPED_LOOP
 from repro.workloads import run_scenario, scenario
 from tests.oracle.harness import World
@@ -56,23 +56,20 @@ def _clone(packet):
     return fresh
 
 
-def _chain(shards_mid=0):
-    """3-hop chain r1 -> r2 -> r3; returns the topology."""
+def _chain(shards_mid=0, length=3):
+    """A chain r1 -> r2 -> ... -> r<length>; returns the topology."""
     topo = Topology("chain", max_hops=8)
-    topo.add_node("r1")
-    topo.add_node("r2", shards=shards_mid)
-    topo.add_node("r3")
+    names = [f"r{i}" for i in range(1, length + 1)]
+    for name in names:
+        topo.add_node(name, shards=shards_mid if name == "r2" else 0)
     topo.add_interface("r1", "lan0", prefix="10.7.0.0/16")
-    topo.add_interface("r1", "up0")
-    topo.add_interface("r2", "dn0")
-    topo.add_interface("r2", "up0")
-    topo.add_interface("r3", "dn0")
-    topo.add_interface("r3", "lan0", prefix="20.7.0.0/16")
-    topo.link("r1", "up0", "r2", "dn0")
-    topo.link("r2", "up0", "r3", "dn0")
-    for name in ("r1", "r2"):
-        topo.add_route(name, "20.7.0.0/16", "up0")
-    topo.add_route("r3", "20.7.0.0/16", "lan0")
+    for near, far in zip(names, names[1:]):
+        topo.add_interface(near, "up0")
+        topo.add_interface(far, "dn0")
+        topo.link(near, "up0", far, "dn0")
+        topo.add_route(near, "20.7.0.0/16", "up0")
+    topo.add_interface(names[-1], "lan0", prefix="20.7.0.0/16")
+    topo.add_route(names[-1], "20.7.0.0/16", "lan0")
     return topo
 
 
@@ -194,6 +191,17 @@ class TestChainDifferential:
                 assert getattr(node.aiu.flow_table, attr) == getattr(
                     solo.aiu.flow_table, attr
                 ), (name, attr)
+
+    def test_a_journey_folds_its_five_tuple_once(self):
+        """Nothing on a wire changes the five-tuple, so the wire crossing
+        keeps the packet's fold: through a 4-node line each datagram
+        derives it once, at the entry hop."""
+        topo = _chain(length=4)
+        packets = _stream(200)
+        before = PARSE_STATS.tuple_derivations
+        assert [topo.receive(p) for p in packets] == ["forwarded"] * 200
+        assert topo.node("r4").interface("lan0").tx_packets == 200
+        assert PARSE_STATS.tuple_derivations - before == 200
 
     def test_chain_with_sharded_middle_hop(self):
         """The middle hop sharded 3-ways forwards identically — same
