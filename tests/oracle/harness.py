@@ -40,6 +40,7 @@ from repro.core.plugin import Plugin, PluginInstance, TYPE_IP_SECURITY, Verdict
 from repro.core.gates import GATE_IP_OPTIONS
 from repro.net.packet import Packet
 from repro.sim import ChaosPlugin
+from repro.sched.base import SchedulerInstance
 from repro.sim.cost import CycleMeter
 
 FRONTS = ("spec", "receive", "batch1", "batch7", "batch256", "wire", "sharded", "topology")
@@ -205,8 +206,12 @@ def _settled(router):
     return router
 
 
+def _instances(router):
+    return [i for p in router.pcu.plugins() for i in p.instances]
+
+
 def _hooks(router):
-    return [i for p in router.pcu.plugins() for i in p.instances if isinstance(i, Hooks)]
+    return [i for i in _instances(router) if isinstance(i, Hooks)]
 
 
 def _removes(instance):
@@ -242,7 +247,10 @@ def flows_bind_live_filters(router):
 
 
 def router_view(router):
-    """Everything one router lets the spec and a twin be compared on."""
+    """Everything one router lets the spec and a twin be compared on,
+    down to every instance's ``packets_processed`` and every scheduler's
+    ``snapshot()`` (counts, ``bytes_sent``, backlog, and each queue's
+    depth, bytes, drops and deficit)."""
     _settled(router)
     health = router.health()
     del health["router"]
@@ -258,6 +266,10 @@ def router_view(router):
         "health": health,
         "faults": [r.signature() for r in router.faults.records()],
         "hooks": {h.name: (h.created, h.removed, h.uncached) for h in _hooks(router)},
+        "processed": {f"{i.plugin.name}/{i.name}": i.packets_processed
+                      for i in _instances(router)},
+        "schedulers": {f"{i.plugin.name}/{i.name}": i.snapshot()
+                       for i in _instances(router) if isinstance(i, SchedulerInstance)},
     }
     if router._tm_gate_cells is not None:
         view["gate_cells"] = list(router._tm_gate_cells)
