@@ -23,11 +23,13 @@ _record_seq = itertools.count(1)
 
 
 @functools.lru_cache(maxsize=None)
-def overrides(cls: type, hook: str) -> bool:
-    """Whether ``cls`` has a per-flow ``hook`` other than
-    ``PluginInstance``'s no-op; decided once per class."""
-    from ..core.plugin import PluginInstance    # core imports aiu, not the reverse
-    return getattr(cls, hook, None) not in (None, getattr(PluginInstance, hook))
+def overrides(cls: type, hook: str, base: Optional[type] = None) -> bool:
+    """Whether ``cls`` has a ``hook`` other than ``base``'s (by default
+    ``PluginInstance``'s no-op per-flow hooks); decided once per class."""
+    if base is None:
+        from ..core.plugin import PluginInstance    # core imports aiu, not the reverse
+        base = PluginInstance
+    return getattr(cls, hook, None) not in (None, getattr(base, hook))
 
 
 class FilterRecord:

@@ -62,6 +62,7 @@ from .router import Disposition
 
 PACKET = "packet"
 LANES = "lanes"
+PASSED = object()      # the verdict of a packet pass_through took; no plugin returns it
 
 #: Router-lifetime objects a loop binds as keyword-only defaults when it
 #: is compiled (parameter -> attribute path): nothing rebinds them after
@@ -188,6 +189,7 @@ def _compile(router, layout: str) -> Callable:
         "DNR": Disposition.DROPPED_NO_ROUTE,
         "DTTL": Disposition.DROPPED_TTL,
         "QUED": Disposition.QUEUED,
+        "PASSED": PASSED,
         "CONSD": Disposition.CONSUMED,
         "RGATE": GATE_ROUTING,
         "SGATE": GATE_PACKET_SCHEDULING,
@@ -572,13 +574,22 @@ def _emit_call(blk, d, gate, ctx, slot, flow, sweep_fault=None):
         {ctx}.slot = {slot}
         {ctx}.flow = {flow}
     """)
+    call = f"verdict = ginst.process(packet, {ctx})"
     if gate == GATE_PACKET_SCHEDULING:
         blk(d, f"{ctx}.out_interface = oif")
-    blk(d, f"""
-        try:
-            verdict = ginst.process(packet, {ctx})
-        except Exception as exc:
-    """)
+        # The instance the drain would run on may hand it straight back.
+        call = f"""
+            passes = ginst.pass_through
+            if (passes is not None and evloop is None
+                    and schedulers.get(oif, ginst) is ginst
+                    and passes(packet, {ctx})):
+                verdict = PASSED
+            else:
+                {call}
+        """
+    blk(d, "try:")
+    blk(d + 1, call)
+    blk(d, "except Exception as exc:")
     if sweep_fault is not None:
         blk(d + 1, sweep_fault)
     else:
@@ -606,15 +617,46 @@ def _emit_wire(blk, depth, packet, size, start):
     """)
 
 
+def _emit_tx(blk, depth):
+    """The drain's transmit of ``sent`` (``ssize`` bytes) at ``at``."""
+    blk(depth, "if plain and ssize <= iface.mtu:")
+    _emit_wire(blk, depth + 1, "sent", "ssize", "at")
+    blk(depth, """
+        else:
+            iface.output(sent, at)
+        txs += 1
+        if lifecycle is not None:
+            lifecycle.on_emit(sent, at)
+    """)
+
+
 def _emit_sched_call(blk, depth, idx, slot, flow):
     """``ginst`` takes the packet for ``oif`` — the scheduling gate's
     instance (slot and flow from the FIX) or the port's bound scheduler
     (neither) — and, when it queued it, the port's scheduler is drained:
     ``Router._kick`` without meters.  Each transmit is at ``max(now,
     next_free)``; a faulting ``dequeue`` is charged to its domain and
-    ends the drain.  An event loop drains for itself (``_tx_one``)."""
+    ends the drain.  An event loop drains for itself (``_tx_one``).  A
+    packet ``pass_through`` took is transmitted as the drain would."""
+    queued = f"""
+        counters[QUED] += 1
+        out[{idx}] = QUED
+        continue
+    """
     blk(depth, "gdrop = False")
     d = _emit_call(blk, depth, GATE_PACKET_SCHEDULING, "ctx_sched", slot, flow)
+    blk(d, """
+        if verdict is PASSED:
+            schedulers.setdefault(oif, ginst)
+            plain = iface.__class__ is PLAIN
+            at = iface._next_free if plain else iface.next_free
+            if now >= at:
+                at = now
+            sent = packet
+            ssize = size
+    """)
+    _emit_tx(blk, d + 1)
+    blk(d + 1, queued)
     blk(d, """
         if verdict == DROPV:
             gdrop = True
@@ -624,14 +666,13 @@ def _emit_sched_call(blk, depth, idx, slot, flow):
             if evloop is not None:
                 router._kick(oif, now)
             elif sched is not None:
-                dequeue = sched.dequeue
                 plain = iface.__class__ is PLAIN
                 while True:
                     at = iface._next_free if plain else iface.next_free
                     if now >= at:
                         at = now
                     try:
-                        sent = dequeue(at)
+                        sent = sched.dequeue(at)
                     except Exception as exc:
                         on_fault(sched, SGATE, exc, None, at)
                         break
@@ -640,21 +681,9 @@ def _emit_sched_call(blk, depth, idx, slot, flow):
                     ssize = sent._length
                     if ssize < 0:
                         ssize = sent.length
-                    if plain and ssize <= iface.mtu:
     """)
-    _emit_wire(blk, d + 4, "sent", "ssize", "at")
-    blk(d + 3, """
-        else:
-            iface.output(sent, at)
-        txs += 1
-        if lifecycle is not None:
-            lifecycle.on_emit(sent, at)
-    """)
-    blk(d + 1, f"""
-        counters[QUED] += 1
-        out[{idx}] = QUED
-        continue
-    """)
+    _emit_tx(blk, d + 3)
+    blk(d + 1, queued)
     blk(depth, f"""
         if gdrop:
             counters[DBP] += 1

@@ -106,6 +106,8 @@ class PluginContext:
 class PluginInstance:
     """One configured run-time instance of a plugin, bindable to flows."""
 
+    pass_through = None     # any plugin can sit at the scheduling gate (sched/base.py)
+
     def __init__(self, plugin: "Plugin", name: Optional[str] = None, **config):
         self.plugin = plugin
         self.name = name or f"{plugin.name}#{len(plugin.instances)}"

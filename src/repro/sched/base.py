@@ -7,6 +7,16 @@ weights) lives in the flow table's per-gate soft-state slot, exactly as
 §5.2 describes for the DRR plugin; per-filter state (a reservation's
 weight, a class binding) lives in the filter record's opaque pointer,
 ``FilterRecord.private`` (§5.1.1), so it goes when the filter goes.
+
+``pass_through(packet, ctx)`` (``None`` on every plugin instance; DRR
+has one) is called by the generated loops, in ``process``'s fault
+domain, instead of ``process`` when the router has no event loop and the
+instance is the one the port's drain would run on.  It returns True only
+if the instance is empty and ``dequeue`` would hand this packet straight
+back (no backlog, no tail drop due), having made exactly the state
+changes of both; the loop then transmits it as the drain would.  The
+metered walk never calls it.  A ``DrrInstance`` subclass overriding
+``process``, ``enqueue`` or ``dequeue`` gets ``None`` at class creation.
 """
 
 from __future__ import annotations

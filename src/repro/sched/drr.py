@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
+from ..aiu.records import overrides
 from ..core.errors import ConfigurationError
 from ..core.plugin import PluginContext
 from ..net.packet import Packet
@@ -59,6 +60,12 @@ class DrrFlowQueue:
 
 class DrrInstance(WeightedSchedulerInstance):
     """Weighted DRR over per-flow queues."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # pass_through stands for DRR's own process + dequeue.
+        if any(overrides(cls, name, DrrInstance) for name in ("process", "enqueue", "dequeue")):
+            cls.pass_through = None
 
     def __init__(self, plugin, **config):
         super().__init__(plugin, **config)
@@ -131,6 +138,27 @@ class DrrInstance(WeightedSchedulerInstance):
             queue.deficit = 0.0
             queue.needs_quantum = True
             self._active.append(queue)
+        return True
+
+    def pass_through(self, packet: Packet, ctx: PluginContext) -> bool:
+        """``process`` + ``dequeue`` of a packet that finds this DRR
+        empty (sched/base.py): the flow's queue is left as an emptied
+        one is (inactive, deficit 0, a quantum owed)."""
+        if self._backlog:
+            return False
+        slot = ctx.slot
+        queue = slot.private if slot is not None else None
+        if queue is None:
+            queue = self._queue_for(packet, ctx)
+        if queue.queue.limit < 1:
+            return False
+        size = packet._length
+        if size < 0:
+            size = packet.length
+        self.packets_processed += 1
+        self.packets_queued += 1
+        self.packets_sent += 1
+        self.bytes_sent += size
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

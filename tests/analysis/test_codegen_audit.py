@@ -41,11 +41,11 @@ from repro.core.router import Router
 from repro.mgr.library import RouterPluginLibrary
 from repro.net.addresses import IPV4_WIDTH
 from repro.net.packet import make_udp
+from repro.sched.fifo import FifoPlugin
 from repro.workloads.filtersets import random_filters
 from tests.oracle.harness import World, build_router
 from tests.perf.test_batch_pipeline import (
     _bind,
-    _drr,
     _FlakyDequeuePlugin,
     _mixed_workload,
     _plugin,
@@ -357,10 +357,14 @@ def test_rp504_unreferenced_pre_gate():
 def test_rp504_scheduler_drain_follows_has_sched():
     """A port with a bound scheduler is drained by the call that queued
     to it: what was queued is transmitted in the same burst, in both
-    layouts; a router that cannot queue compiles no drain at all."""
+    layouts; a router that cannot queue compiles no drain at all.  The
+    scheduler is a FIFO: an empty DRR hands its packets straight back
+    (``pass_through``) and never reaches the drain."""
     def configure(router):
         _bind(router, _PortFilterPlugin)
-        _drr(router)
+        fifo = FifoPlugin()
+        router.pcu.load(fifo)
+        router.set_scheduler("atm1", fifo.create_instance(interface="atm1"))
 
     world = _run(_world(configure))
     _both_layouts(world)

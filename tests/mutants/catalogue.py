@@ -35,6 +35,7 @@ PIPELINE = "tests/perf/test_batch_pipeline.py::"
 BATCH = "repro/core/batch.py"
 DAG = "repro/aiu/dag.py"
 BMP = "repro/bmp/base.py"
+DRR = "repro/sched/drr.py"
 
 MUTANTS = (
     # -- seeds: mutations earlier changes planted by hand ----------------
@@ -132,7 +133,7 @@ MUTANTS = (
         "M12-ctx-now-from-the-clock", BATCH,
         "            {ctx}.now = now\n",
         "            {ctx}.now = __import__('time').monotonic()\n",
-        (PIPELINE + "test_reentrant_plugin_sees_its_own_context[lanes]",
+        (ORACLE, PIPELINE + "test_reentrant_plugin_sees_its_own_context[lanes]",
          PIPELINE + "test_reentrant_plugin_sees_its_own_context[packet]",
          AUDIT + "test_rp502_nondeterministic_builtin",
          AUDIT + "test_rp502_wins_over_rp501_for_forbidden_names"),
@@ -147,23 +148,21 @@ MUTANTS = (
     ),
     Mutant(
         "M10-process-outside-try", BATCH,
-        "        try:\n            verdict = ginst.process(packet, {ctx})\n"
-        "        except Exception as exc:\n",
-        "        if True:\n            verdict = ginst.process(packet, {ctx})\n"
-        "        if False:\n",
+        '    blk(d, "try:")\n    blk(d + 1, call)\n    blk(d, "except Exception as exc:")\n',
+        '    blk(d, "if True:")\n    blk(d + 1, call)\n    blk(d, "if False:")\n',
         (ORACLE, AUDIT + "test_rp503_no_handler_at_all",
          AUDIT + "test_rp503_reraise_is_accepted"),
     ),
     Mutant(
         "M11-dequeue-outside-try", BATCH,
-        "                    try:\n                        sent = dequeue(at)\n"
+        "                    try:\n                        sent = sched.dequeue(at)\n"
         "                    except Exception as exc:\n"
         "                        on_fault(sched, SGATE, exc, None, at)\n"
         "                        break\n",
-        "                    sent = dequeue(at)\n",
+        "                    sent = sched.dequeue(at)\n",
         tuple(PIPELINE + f"test_dequeue_faults_mid_batch_until_quarantine_trips[{g}-{a}]"
               for g in ("packet", "lanes") for a in ("drop", "bypass"))
-        + (AUDIT + "test_rp503_one_guarded_call_does_not_excuse_another",
+        + (ORACLE, AUDIT + "test_rp503_one_guarded_call_does_not_excuse_another",
            AUDIT + "test_rp503_sees_the_drain_classify_through_on_fault"),
     ),
     # -- RP504 (retired): the loop is the one for the router's plan -------
@@ -210,6 +209,36 @@ MUTANTS = (
         "            self._plan = plan\n",
         (ORACLE, AUDIT + "test_rp504_loop_filed_under_the_wrong_plan",
          AUDIT + "test_rp504_audits_cached_loops_of_other_plans"),
+    ),
+    # -- the scheduling gate's pass-through -------------------------------
+    Mutant(
+        # Reached through set_scheduler: an instance that queued while the
+        # port drained another one becomes the port's scheduler.
+        "pass-through-ignores-backlog", DRR,
+        "        if self._backlog:\n            return False\n",
+        "",
+        ("tests/oracle/test_oracle.py::"
+         "test_a_gate_scheduler_drains_its_backlog_once_it_is_the_port_s",),
+    ),
+    Mutant(
+        "pass-through-drops-bytes-sent", DRR,
+        "        self.bytes_sent += size\n        return True\n",
+        "        return True\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "pass-through-not-the-port-s-scheduler", BATCH,
+        "                    and schedulers.get(oif, ginst) is ginst\n",
+        "",
+        ("tests/oracle/test_oracle.py::"
+         "test_a_gate_scheduler_drains_its_backlog_once_it_is_the_port_s",),
+    ),
+    Mutant(
+        "pass-through-kept-by-an-overriding-subclass", DRR,
+        "            cls.pass_through = None\n",
+        "            pass\n",
+        (ORACLE, "tests/oracle/test_oracle.py::"
+         "test_a_faulting_dequeue_is_charged_on_every_front"),
     ),
     # -- RP505: compiled lookup structures -------------------------------
     Mutant(

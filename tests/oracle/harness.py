@@ -32,6 +32,7 @@ fails the step.
 
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 
 from repro import PluginManager, ShardedRouter, Topology
@@ -41,6 +42,7 @@ from repro.core.gates import GATE_IP_OPTIONS
 from repro.net.packet import Packet
 from repro.sim import ChaosPlugin
 from repro.sched.base import SchedulerInstance
+from repro.sched.drr import DrrInstance, DrrPlugin
 from repro.sim.cost import CycleMeter
 
 FRONTS = ("spec", "receive", "batch1", "batch7", "batch256", "wire", "sharded", "topology")
@@ -188,13 +190,57 @@ class WriterPlugin(Plugin):
     instance_class = Writer
 
 
+class Flaky(DrrInstance):
+    """A DRR whose ``dequeue`` raises on a seeded schedule: the drain's
+    fault domain.  Overriding ``dequeue`` leaves it no ``pass_through``,
+    so every packet it takes goes through the drain."""
+
+    def __init__(self, plugin, seed=0, **config):
+        super().__init__(plugin, **config)
+        self.rng = random.Random(seed)
+
+    def dequeue(self, now):
+        if self.rng.random() < 0.25:
+            raise RuntimeError(f"{self.name}: dequeue fault")
+        return super().dequeue(now)
+
+
+class FlakyPlugin(DrrPlugin):
+    name = "flaky"
+    instance_class = Flaky
+
+
+class Ticker(PluginInstance):
+    """Passes two packets per clock tick and drops the rest: a verdict
+    that reads ``ctx.now``, the burst's time on every front."""
+
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.tick, self.passed = None, 0
+
+    def process(self, packet, ctx):
+        self.packets_processed += 1
+        if ctx.now != self.tick:
+            self.tick, self.passed = ctx.now, 0
+        self.passed += 1
+        return Verdict.CONTINUE if self.passed <= 2 else Verdict.DROP
+
+
+class TickerPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "ticker"
+    instance_class = Ticker
+
+
 #: Registry names the oracle's rules modload, beside PLUGIN_REGISTRY's.
 PLUGINS = {"installer": InstallerPlugin, "planter": PlanterPlugin, "writer": WriterPlugin,
-           "hooks": HooksPlugin, "chaos": ChaosPlugin}
+           "hooks": HooksPlugin, "chaos": ChaosPlugin, "flaky": FlakyPlugin,
+           "ticker": TickerPlugin}
 
-#: Plugins whose instances keep per-call state (an RNG, an arming flag):
-#: each shard holds its own, so the sharded front cannot match them.
-PER_INSTANCE_STATE = frozenset(("chaos", "installer", "planter"))
+#: Plugins whose instances keep per-call state (an RNG, an arming flag,
+#: a tick count): each shard holds its own, so the sharded front cannot
+#: match them.
+PER_INSTANCE_STATE = frozenset(("chaos", "installer", "planter", "flaky", "ticker"))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,10 @@ churn on a bounded table, IPv6 with hop options, fragments, and
 ``edges``: the boundary probes (:mod:`tests.oracle.edges`) of every
 filter a rule can bind, installed or not, and of every route prefix;
 wire-born or constructor-born — and named histories: a chaos-wrapped
-faulting plugin, a flood that trips the overload governor, and ROADMAP's four
+faulting plugin, a DRR bound as a port's scheduler (plain, so it passes
+packets straight through, or ``flaky``, whose ``dequeue`` raises), a
+plugin that paces by ``ctx.now``, a flood that trips the overload
+governor, and ROADMAP's four
 first customers (a gate's first filter installed by a plugin mid-batch
 and, traced, between the sampled and unsampled runs of one batch; equal
 writes before a patched ``serialize``; a table mutated between
@@ -41,7 +44,8 @@ from repro.net.headers import OptionTLV, PROTO_TCP, PROTO_UDP
 from repro.net.packet import make_udp
 
 from .edges import filter_probes, route_probes
-from .harness import CHAIN_FRONTS, PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, World, _hooks
+from .harness import (CHAIN_FRONTS, PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, Flaky, World,
+                      _hooks)
 
 MAX_FLOWS = 16
 
@@ -253,6 +257,46 @@ class Oracle(RuleBasedStateMachine):
              cooldown=0.02)
         self.burst("cached", seed)
 
+    @rule(seed=st.integers(0, 9), plugin=st.sampled_from(("flaky", "drr")),
+          action=st.sampled_from(("drop", "bypass")))
+    def drr_at_the_gate(self, seed, plugin, action):
+        """A DRR at the scheduling gate and bound as ``atm1``'s
+        scheduler: a plain one hands each packet it takes straight back
+        (``pass_through``); ``flaky`` raises from ``dequeue``
+        mid-drain, under a fault policy.  Cached flows reach it through
+        the gate's filter; the misses that go out ``atm1`` reach it as the
+        bound scheduler, without a flow slot.  The governor is off, so the
+        bursts are not shed before they reach the port; once compared,
+        the instance is freed, so it queues or drops nothing of later
+        steps."""
+        verb = self.world.verb
+        verb("disable_overload")
+        name = f"{plugin}{seed}"
+        verb("modload", plugin)
+        verb("create_instance", plugin, name, seed=seed)
+        verb("bind", name, "*, 20.0.1.0/24, UDP", gate="packet_scheduling")
+        verb("set_scheduler", "atm1", name)
+        if plugin == "flaky":
+            verb("set_fault_policy", plugin, threshold=3, window=0.05, action=action,
+                 cooldown=0.02)
+        self.burst("cached", seed)
+        self.burst("miss", seed)
+        self.world.check()
+        verb("free_instance", name)
+
+    @rule(seed=st.integers(0, 3))
+    def ticker_paces(self, seed):
+        """A plugin that passes two packets per ``ctx.now``; freed once
+        compared."""
+        verb = self.world.verb
+        verb("modload", "ticker")
+        verb("create_instance", "ticker", "ticker")
+        verb("bind", "ticker", "*, *, UDP", gate="ip_security")
+        self.burst("cached", seed)
+        self.burst("cached", seed + 1)
+        self.world.check()
+        verb("free_instance", "ticker")
+
     @rule(seed=st.integers(0, 3))
     def governor_flood(self, seed):
         self.world.verb("enable_overload", sample_interval=16, escalate_after=1,
@@ -273,6 +317,9 @@ class Oracle(RuleBasedStateMachine):
         verb("create_instance", "installer", "inst")
         verb("bind", "inst", "*, *, UDP", gate="ip_security")
         self.burst("cached", 1)
+        # Its planted drop of all UDP would mask every later burst.
+        self.world.check()
+        verb("unbind", "inst")
 
     @rule()
     def hooks_planted_at_an_active_gate(self):
@@ -338,8 +385,8 @@ for _verb in VERBS:
     setattr(Oracle, _apply.__name__, rule(call=VERB_ARGS[_verb])(_apply))
 
 Oracle.TestCase.settings = settings(
-    derandomize=True, database=None, deadline=None, max_examples=40,
-    stateful_step_count=25, suppress_health_check=list(HealthCheck),
+    derandomize=True, database=None, deadline=None, max_examples=60,
+    stateful_step_count=30, suppress_health_check=list(HealthCheck),
 )
 TestOracle = Oracle.TestCase
 
@@ -495,3 +542,42 @@ def test_transit_arrives_on_the_port_its_link_names():
     assert "dropped_by_plugin" not in r1
     assert r2["dropped_by_plugin"] == r2["rx"] > 0 and not r3["rx"]
     assert "dropped_by_plugin" not in state.world.spec.dispositions[-1]
+
+
+def test_a_faulting_dequeue_is_charged_on_every_front():
+    """A scheduling-gate DRR whose ``dequeue`` raises: every front
+    charges the same faults to it and leaves the same backlog.  It
+    overrides ``dequeue``, so it has no ``pass_through`` to skip it."""
+    assert Flaky.pass_through is None
+    state = Oracle()
+    state.build(bounded=False)
+    state.drr_at_the_gate(seed=1, plugin="flaky", action="drop")
+    state.fronts_agree()
+    state.teardown()
+    assert state.world.parked == {"sharded": "per_shard_state"}
+    assert state.world.router("spec").faults.total_faults() > 0
+
+
+def test_a_gate_scheduler_drains_its_backlog_once_it_is_the_port_s():
+    """``i0`` takes packets at the scheduling gate while the port drains
+    ``i1``, so they wait in ``i0``; once ``set_scheduler`` makes ``i0``
+    the port's scheduler, the next packet finds it backlogged and must
+    go out behind them, not past them."""
+    state = Oracle()
+    state.build(bounded=False)
+    state.verb_modload(call=(("drr",), {}))
+    for name in ("i0", "i1"):
+        state.verb_create_instance(call=(("drr", name), {"interface": "atm1", "quantum": 1500}))
+    state.verb_set_scheduler(call=(("atm1", "i1"), {}))
+    state.verb_bind(call=(("i0", "*, *, UDP"), {"gate": "packet_scheduling", "priority": 0}))
+    state.traffic(kind="cached", seed=0, wire=False)
+    state.fronts_agree()
+    spec = state.world.router("spec")
+    assert spec.interfaces["atm1"].tx_packets == 0
+    state.verb_set_scheduler(call=(("atm1", "i0"), {}))
+    state.traffic(kind="cached", seed=0, wire=False)
+    state.fronts_agree()
+    state.teardown()
+    assert state.world.parked == {}
+    assert spec.interfaces["atm1"].tx_packets == spec.counters["queued"] > 0
+    assert spec.scheduler("atm1").backlog() == 0

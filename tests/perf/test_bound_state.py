@@ -86,6 +86,8 @@ def test_loop_defaults_stay_the_live_router_state_after_every_verb(data):
             ("create_instance", ("drr", "d"), {"interface": "atm1", "quantum": 1500}),
             ("set_scheduler", ("atm1", "d"), {}),
             ("enable_overload", (), {}),
+            # A drawn policy may say "unload"; the quarantine below must hold.
+            ("set_fault_policy", ("firewall",), {"action": "drop"}),
             ("quarantine", ("firewall",), {}),
         )
         for verb, args, kwargs in steps:
