@@ -22,6 +22,7 @@ from repro.core import (
     FaultPolicy,
     GATE_IP_OPTIONS,
     GATE_IP_SECURITY,
+    GATES_WITH_L4_ROUTING,
     Plugin,
     PluginInstance,
     Router,
@@ -30,6 +31,7 @@ from repro.core import (
 )
 from repro.core.batch import loop_for
 from repro.core.gates import GATE_PACKET_SCHEDULING, GATE_ROUTING
+from repro.core.routing_plugin import L4RoutingPlugin
 from repro.net.interfaces import NetworkInterface
 from repro.net.packet import make_udp
 from repro.sched import CbqPlugin, SchedulerInstance, SchedulerPlugin
@@ -298,6 +300,32 @@ def test_scalar_fallback_configs_still_match():
             assert not loop_for(world.router(name))._plan["probe"]
     with pytest.raises(ValueError):
         Router(gates=())
+
+
+@pytest.mark.parametrize("pre_gate", [False, True], ids=["packet", "lanes"])
+def test_l4_switching_at_the_routing_gate_matches_scalar(pre_gate):
+    """Filters on the routing gate (§8's L4 switching): one instance
+    forwards flows chosen by source port out ``atm2`` — some of them to
+    a destination the table has no route for — and one blackholes a
+    source net; every front agrees with the metered walk."""
+    def configure(router):
+        if pre_gate:
+            _filtered(router)
+        plugin = L4RoutingPlugin()
+        router.pcu.load(plugin)
+        switch = plugin.create_instance(action="forward", interface="atm2")
+        plugin.register_instance(switch, "*, 20.0.1.0/24, UDP, 5000-5009, *", gate=GATE_ROUTING)
+        plugin.register_instance(switch, "*, *, UDP, 7100-7105, *", gate=GATE_ROUTING)
+        hole = plugin.create_instance(action="blackhole")
+        plugin.register_instance(hole, "10.0.2.0/24, *, UDP", gate=GATE_ROUTING)
+
+    world = _run(configure, gates=GATES_WITH_L4_ROUTING)
+    spec = world.router("spec")
+    assert spec.interfaces["atm2"].tx_packets > 0
+    assert spec.counters["dropped_no_route"] > len(_mixed_workload()) // 8
+    assert all(loop_for(world.router(name))._plan["routing_active"]
+               for name in ("receive", "batch7", "batch256", "wire"))
+    assert set(world.router("batch256")._loops) == {"lanes" if pre_gate else "packet"}
 
 
 # ----------------------------------------------------------------------
