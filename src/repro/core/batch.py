@@ -14,7 +14,7 @@ Two layouts are generated:
 ``packet``  — one run-to-completion pass per packet in arrival order:
               classify, each active pre-routing gate, then the
               route/emit tail, with quarantine interception (one
-              ``if qmap:`` per plugin call) and fault mapping inlined.
+              ``if qmap:`` per gate call) and fault mapping inlined.
               Preserves the metered walk's order exactly, so it is the
               only layout used when order is observable: a bounded flow
               table (evictions interleave with lookups), a live
@@ -24,6 +24,12 @@ Two layouts are generated:
               with a pooled context, then the same per-packet tail.
               Selected for unbounded tables with no live quarantine; it
               pays rent (docs/PERFORMANCE.md has the numbers).
+
+The tail inlines what a workload pays for — plain forwarding, and a
+DRR that hands the packet straight back (``pass_through``) — and calls
+the metered walk with ``NULL_METER`` for every other case: the routing
+gate's L4 switching (``Router._route``) and any other scheduler work,
+enqueue, drain, quarantine and dequeue faults (``Router._output``).
 
 Both are *behaviorally identical* to the metered walk (``Router._receive``,
 the specification) — dispositions, counters, flow-table and telemetry
@@ -62,12 +68,11 @@ from .router import Disposition
 
 PACKET = "packet"
 LANES = "lanes"
-PASSED = object()      # the verdict of a packet pass_through took; no plugin returns it
 
 #: Router-lifetime objects a loop binds as keyword-only defaults when it
 #: is compiled (parameter -> attribute path): nothing rebinds them after
 #: ``Router.__init__``.  What a verb can swap (``_tm_*``, ``loop``,
-#: ``_lifecycle``, ``_batch_hooks``, ``_ctx_pool``) is read per call.
+#: ``_batch_hooks``, ``_ctx_pool``) is read per call.
 BOUND = {
     "aiu": "aiu",
     "table": "aiu.flow_table",
@@ -166,7 +171,6 @@ def _compile(router, layout: str) -> Callable:
         "gate_count": len(router.gates),
         "has_routing": router._has_routing_gate,
         "routing_active": routing_active,
-        "routing_gi": router._gate_indices.get(GATE_ROUTING),
         "has_sched": has_sched,     # a scheduling gate or a bound scheduler
         "sched_active": sched_active,
         "sched_gi": router._gate_indices.get(GATE_PACKET_SCHEDULING),
@@ -189,7 +193,6 @@ def _compile(router, layout: str) -> Callable:
         "DNR": Disposition.DROPPED_NO_ROUTE,
         "DTTL": Disposition.DROPPED_TTL,
         "QUED": Disposition.QUEUED,
-        "PASSED": PASSED,
         "CONSD": Disposition.CONSUMED,
         "RGATE": GATE_ROUTING,
         "SGATE": GATE_PACKET_SCHEDULING,
@@ -286,13 +289,10 @@ def _emit_prologue(blk, plan):
             pool = {}
     """)
     gates = [(gate, f"ctx_{gi}") for gate, gi in plan["pre"]]
-    if plan["routing_active"]:
-        gates.append((GATE_ROUTING, f"ctx_{plan['routing_gi']}"))
     if plan["has_sched"]:
         gates.append((GATE_PACKET_SCHEDULING, "ctx_sched"))
         blk(1, """
             evloop = router.loop
-            lifecycle = router._lifecycle
             txs = 0
         """)
     for gate, ctx in gates:
@@ -522,7 +522,7 @@ def _emit_allocate(blk, plan, depth):
 
 def _emit_fetch(blk, depth, gate, gi):
     """The gate macro's FIX fetch (AIU call if the FIX was cleared
-    mid-walk), opening ``if ginst is not None:``."""
+    mid-walk): ``ginst``, ``gslot`` and ``record``."""
     blk(depth, f"""
         record = packet._fix
         if record is None:
@@ -531,26 +531,21 @@ def _emit_fetch(blk, depth, gate, gi):
         else:
             gslot = record.slots[{gi}]
             ginst = gslot.instance if gslot is not None else None
-        if ginst is not None:
     """)
 
 
 def _emit_gate_call(blk, depth, gate, gi, sweep_fault=None):
-    """One gate's plugin invocation for one packet — the gate macro
-    (``Router._run_gate``) without meters.  Returns the depth at which
-    the caller emits its verdict handling (skipped when no call
-    happened)."""
+    """One pre-routing gate's plugin invocation for one packet — the
+    gate macro (``Router._run_gate``) without meters: FIX fetch,
+    quarantine interception, ``ginst.process`` under the gate's pooled
+    context, fault mapping.  A lanes sweep passes ``sweep_fault``, its
+    except body, and gets no interception: it only runs with no
+    quarantine live and leaves through ``_resume`` on the first fault.
+    Returns the depth at which the caller emits its verdict handling
+    (skipped when no call happened)."""
     _emit_fetch(blk, depth, gate, gi)
-    return _emit_call(blk, depth + 1, gate, f"ctx_{gi}", "gslot", "record",
-                      sweep_fault)
-
-
-def _emit_call(blk, d, gate, ctx, slot, flow, sweep_fault=None):
-    """``ginst.process`` under the pooled context ``ctx``: quarantine
-    interception, indirect call, fault mapping.  A lanes sweep passes
-    ``sweep_fault``, its except body, and gets no interception: it only
-    runs with no quarantine live and leaves through ``_resume`` on the
-    first fault.  Returns the depth of the verdict handling."""
+    blk(depth, "if ginst is not None:")
+    d = depth + 1
     if sweep_fault is None:
         blk(d, """
             probe = False
@@ -571,25 +566,12 @@ def _emit_call(blk, d, gate, ctx, slot, flow, sweep_fault=None):
         """)
         d += 1
     blk(d, f"""
-        {ctx}.slot = {slot}
-        {ctx}.flow = {flow}
+        ctx_{gi}.slot = gslot
+        ctx_{gi}.flow = record
+        try:
+            verdict = ginst.process(packet, ctx_{gi})
+        except Exception as exc:
     """)
-    call = f"verdict = ginst.process(packet, {ctx})"
-    if gate == GATE_PACKET_SCHEDULING:
-        blk(d, f"{ctx}.out_interface = oif")
-        # The instance the drain would run on may hand it straight back.
-        call = f"""
-            passes = ginst.pass_through
-            if (passes is not None and evloop is None
-                    and schedulers.get(oif, ginst) is ginst
-                    and passes(packet, {ctx})):
-                verdict = PASSED
-            else:
-                {call}
-        """
-    blk(d, "try:")
-    blk(d + 1, call)
-    blk(d, "except Exception as exc:")
     if sweep_fault is not None:
         blk(d + 1, sweep_fault)
     else:
@@ -617,86 +599,91 @@ def _emit_wire(blk, depth, packet, size, start):
     """)
 
 
-def _emit_tx(blk, depth):
-    """The drain's transmit of ``sent`` (``ssize`` bytes) at ``at``."""
-    blk(depth, "if plain and ssize <= iface.mtu:")
-    _emit_wire(blk, depth + 1, "sent", "ssize", "at")
-    blk(depth, """
-        else:
-            iface.output(sent, at)
-        txs += 1
-        if lifecycle is not None:
-            lifecycle.on_emit(sent, at)
+def _emit_sched(blk, plan, depth, idx):
+    """The scheduling stage: find ``ginst`` as ``Router._output`` does —
+    the scheduling gate's instance, else the port's bound scheduler.
+    None forwards inline (the caller's emit).  An instance whose
+    ``pass_through`` takes the packet transmits it as ``Router._kick``
+    would; every other case — no ``pass_through``, a live quarantine,
+    an event loop, an instance that is not the port's scheduler, a
+    ``pass_through`` that declines — is handed to ``Router._output``
+    with the null meter, which runs the gate, enqueues and drains.  The
+    telemetry cell is counted here on every outcome but a hand-off,
+    where ``_run_gate`` counts it."""
+    sgi = plan["sched_gi"]
+    count = f"cells[{sgi}] += 1" if plan["tm"] and plan["sched_active"] else ""
+    if plan["sched_active"]:
+        _emit_fetch(blk, depth, GATE_PACKET_SCHEDULING, sgi)
+        blk(depth, """
+            if ginst is None and schedulers:
+                ginst = schedulers.get(oif)
+                gslot = record = None
+            if ginst is not None:
+        """)
+        d = depth + 1
+    else:
+        if sgi is not None:
+            # A filterless sched gate still classifies a packet whose
+            # FIX was cleared mid-walk (a transform), as the spec does.
+            blk(depth, """
+                if packet._fix is None:
+                    classify(packet, SGATE, now=now)
+            """)
+        blk(depth, """
+            if schedulers:
+                ginst = schedulers.get(oif)
+                if ginst is not None:
+                    gslot = record = None
+        """)
+        d = depth + 2
+    blk(d, f"""
+        passes = ginst.pass_through
+        if (passes is not None and not qmap and evloop is None
+                and schedulers.get(oif, ginst) is ginst):
+            ctx_sched.slot = gslot
+            ctx_sched.flow = record
+            ctx_sched.out_interface = oif
+            try:
+                passed = passes(packet, ctx_sched)
+            except Exception as exc:
+                on_fault(ginst, SGATE, exc, packet, now)
+                {count}
+                counters[DBP] += 1
+                out[{idx}] = DBP
+                continue
+            if passed:
+                {count}
+                schedulers.setdefault(oif, ginst)
+                if iface.__class__ is PLAIN:
+                    at = iface._next_free
+                    if at < now:
+                        at = now
     """)
-
-
-def _emit_sched_call(blk, depth, idx, slot, flow):
-    """``ginst`` takes the packet for ``oif`` — the scheduling gate's
-    instance (slot and flow from the FIX) or the port's bound scheduler
-    (neither) — and, when it queued it, the port's scheduler is drained:
-    ``Router._kick`` without meters.  Each transmit is at ``max(now,
-    next_free)``; a faulting ``dequeue`` is charged to its domain and
-    ends the drain.  An event loop drains for itself (``_tx_one``).  A
-    packet ``pass_through`` took is transmitted as the drain would."""
-    queued = f"""
+    _emit_wire(blk, d + 3, "packet", "size", "at")
+    blk(d + 2, f"""
+        else:
+            at = iface.next_free
+            iface.output(packet, at if at > now else now)
+        txs += 1
         counters[QUED] += 1
         out[{idx}] = QUED
         continue
-    """
-    blk(depth, "gdrop = False")
-    d = _emit_call(blk, depth, GATE_PACKET_SCHEDULING, "ctx_sched", slot, flow)
-    blk(d, """
-        if verdict is PASSED:
-            schedulers.setdefault(oif, ginst)
-            plain = iface.__class__ is PLAIN
-            at = iface._next_free if plain else iface.next_free
-            if now >= at:
-                at = now
-            sent = packet
-            ssize = size
     """)
-    _emit_tx(blk, d + 1)
-    blk(d + 1, queued)
-    blk(d, """
-        if verdict == DROPV:
-            gdrop = True
-        elif verdict == CONSV:
-            # A consuming gate instance is the port's scheduler if none is bound.
-            sched = schedulers.setdefault(oif, ginst)
-            if evloop is not None:
-                router._kick(oif, now)
-            elif sched is not None:
-                plain = iface.__class__ is PLAIN
-                while True:
-                    at = iface._next_free if plain else iface.next_free
-                    if now >= at:
-                        at = now
-                    try:
-                        sent = sched.dequeue(at)
-                    except Exception as exc:
-                        on_fault(sched, SGATE, exc, None, at)
-                        break
-                    if sent is None:
-                        break
-                    ssize = sent._length
-                    if ssize < 0:
-                        ssize = sent.length
+    blk(d, f"""
+        # Hand-off: the spec's gate, enqueue and drain.
+        out[{idx}] = router._output(packet, oif, now, NULL)
+        continue
     """)
-    _emit_tx(blk, d + 3)
-    blk(d + 1, queued)
-    blk(depth, f"""
-        if gdrop:
-            counters[DBP] += 1
-            out[{idx}] = DBP
-            continue
-    """)
+    if count:
+        blk(depth, count)
 
 
 def _emit_tail(blk, plan, depth, idx):
     """The per-packet tail, the same in both layouts: multicast/local/
-    TTL demux, route (L4-switching gate, then the per-flow route memo —
-    exact, because the destination is part of the flow key — or the
-    longest-prefix match), scheduling gate / bound scheduler, emit."""
+    TTL demux, route (``Router._route`` when the L4-switching gate has
+    filters, else the per-flow route memo — exact, because the
+    destination is part of the flow key — or the longest-prefix match),
+    scheduling stage, emit."""
     # -- demux ---------------------------------------------------------
     blk(depth, f"""
         dst_a = packet.dst
@@ -729,29 +716,7 @@ def _emit_tail(blk, plan, depth, idx):
                 record.route_version = rv
     """
     if plan["routing_active"]:
-        rgi = plan["routing_gi"]
-        if plan["tm"]:
-            blk(depth, f"cells[{rgi}] += 1")
-        blk(depth, "gdrop = False")
-        d = _emit_gate_call(blk, depth, GATE_ROUTING, rgi)
-        blk(d, """
-            if verdict == DROPV:
-                gdrop = True
-        """)
-        blk(depth, """
-            if gdrop:
-                route = None
-            else:
-                route = packet.annotations.get("route")
-                if route is None:
-                    record = packet._fix
-                    if record is not None:
-        """)
-        blk(depth + 3, memo)
-        blk(depth + 2, """
-            else:
-                route = rlookup(packet.dst)
-        """)
+        blk(depth, "route = router._route(packet, now, NULL)")
     elif plan["has_routing"]:
         blk(depth, """
             record = packet._fix
@@ -794,28 +759,7 @@ def _emit_tail(blk, plan, depth, idx):
     """)
     # -- scheduling gate / bound scheduler -----------------------------
     if plan["has_sched"]:
-        sgi = plan["sched_gi"]
-        if plan["sched_active"]:
-            if plan["tm"]:
-                blk(depth, f"cells[{sgi}] += 1")
-            _emit_fetch(blk, depth, GATE_PACKET_SCHEDULING, sgi)
-            _emit_sched_call(blk, depth + 1, idx, "gslot", "record")
-        else:
-            blk(depth, "ginst = None")
-            if sgi is not None:
-                # A filterless sched gate still classifies a packet whose
-                # FIX was cleared mid-walk (a transform), as the spec
-                # does; with no filter there it has no instance to call.
-                blk(depth, """
-                    if packet._fix is None:
-                        classify(packet, SGATE, now=now)
-                """)
-        blk(depth, """
-            if ginst is None and schedulers:
-                ginst = schedulers.get(oif)
-                if ginst is not None:
-        """)
-        _emit_sched_call(blk, depth + 2, idx, "None", "None")
+        _emit_sched(blk, plan, depth, idx)
     # -- emit ----------------------------------------------------------
     blk(depth, """
         if iface.__class__ is PLAIN:

@@ -622,10 +622,9 @@ class Router:
         self, scheduler, packet: Packet, oif: str, now: float, cycles
     ) -> Optional[str]:
         """Run a bound per-interface scheduler's ``process`` under fault
-        containment (the metered walk's; the generated loops emit the
-        same, ``batch._emit_sched_call``).  Returns the verdict, or
-        ``None`` when quarantine bypass says to skip the scheduler and
-        output the packet directly."""
+        containment (the generated loops reach it through ``_output``).
+        Returns the verdict, or ``None`` when quarantine bypass says to
+        skip the scheduler and output the packet directly."""
         probe = False
         if self._quarantined:
             action, probe = self._intercept(scheduler, now)
@@ -668,10 +667,8 @@ class Router:
     def _kick(self, oif: str, now: float, cycles=NULL_METER) -> None:
         """Drain the interface's scheduler — the bound instance, or the
         last consuming gate instance that registered itself — respecting
-        link pacing.  Without an event loop this is the metered walk's
-        drain; the generated loops emit the same
-        (``batch._emit_sched_call``) and only come here to start a
-        loop's ``_tx_one`` chain."""
+        link pacing; with an event loop, start its ``_tx_one`` chain.
+        The generated loops reach it through ``_output``."""
         iface = self.interfaces[oif]
         scheduler = self._schedulers.get(oif)
         if scheduler is None:

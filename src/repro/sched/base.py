@@ -10,12 +10,14 @@ weight, a class binding) lives in the filter record's opaque pointer,
 
 ``pass_through(packet, ctx)`` (``None`` on every plugin instance; DRR
 has one) is called by the generated loops, in ``process``'s fault
-domain, instead of ``process`` when the router has no event loop and the
-instance is the one the port's drain would run on.  It returns True only
-if the instance is empty and ``dequeue`` would hand this packet straight
-back (no backlog, no tail drop due), having made exactly the state
-changes of both; the loop then transmits it as the drain would.  The
-metered walk never calls it.  A ``DrrInstance`` subclass overriding
+domain, instead of ``process`` when the router has no event loop, no
+plugin is quarantined and the instance is the one the port's drain
+would run on.  It returns True only if the instance is empty and
+``dequeue`` would hand this packet straight back (no backlog, no tail
+drop due), having made exactly the state changes of both; the loop then
+transmits it as the drain would.  False leaves no state change that
+``process`` would not make first: the loop hands the packet to
+``Router._output``.  The metered walk never calls it.  A ``DrrInstance`` subclass overriding
 ``process``, ``enqueue`` or ``dequeue`` gets ``None`` at class creation.
 """
 

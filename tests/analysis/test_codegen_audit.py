@@ -357,9 +357,10 @@ def test_rp504_unreferenced_pre_gate():
 def test_rp504_scheduler_drain_follows_has_sched():
     """A port with a bound scheduler is drained by the call that queued
     to it: what was queued is transmitted in the same burst, in both
-    layouts; a router that cannot queue compiles no drain at all.  The
-    scheduler is a FIFO: an empty DRR hands its packets straight back
-    (``pass_through``) and never reaches the drain."""
+    layouts; a router that cannot queue compiles no scheduling stage at
+    all.  The scheduler is a FIFO, which has no ``pass_through``: the
+    loops hand each of its packets to ``Router._output``, which
+    enqueues and drains."""
     def configure(router):
         _bind(router, _PortFilterPlugin)
         fifo = FifoPlugin()
@@ -372,8 +373,9 @@ def test_rp504_scheduler_drain_follows_has_sched():
     assert spec.counters["queued"] == spec.counters["tx_scheduled"] > 0
     bare = _run(_world(lambda router: _bind(router, _PortFilterPlugin),
                        gates=(GATE_IP_OPTIONS, GATE_IP_SECURITY)))
-    assert all("dequeue" not in fn._source
-               for name in FRONTS[1:] for fn in bare.router(name)._loops.values())
+    loops = [fn for name in FRONTS[1:] for fn in bare.router(name)._loops.values()]
+    assert loops and not any(fn._plan["has_sched"] or "schedulers" in fn._source
+                             for fn in loops)
 
 
 def test_rp504_loop_without_source_attribute():

@@ -36,6 +36,7 @@ BATCH = "repro/core/batch.py"
 DAG = "repro/aiu/dag.py"
 BMP = "repro/bmp/base.py"
 DRR = "repro/sched/drr.py"
+ROUTER = "repro/core/router.py"
 
 MUTANTS = (
     # -- seeds: mutations earlier changes planted by hand ----------------
@@ -67,7 +68,8 @@ MUTANTS = (
         "    if not any(r.on_flow_created for t in aiu._tables.values()\n"
         "               for r in t.records()):\n"
         "        source = source.replace('fcreated(record, fslot)', 'pass')\n",
-        (ORACLE,),
+        ("tests/oracle/test_oracle.py::"
+         "test_hooks_planted_mid_batch_are_heard_at_once_under_packet",),
     ),
     Mutant(
         "removal-hook-before-unlink", "repro/aiu/flow_table.py",
@@ -148,18 +150,20 @@ MUTANTS = (
     ),
     Mutant(
         "M10-process-outside-try", BATCH,
-        '    blk(d, "try:")\n    blk(d + 1, call)\n    blk(d, "except Exception as exc:")\n',
-        '    blk(d, "if True:")\n    blk(d + 1, call)\n    blk(d, "if False:")\n',
+        "        try:\n            verdict = ginst.process(packet, ctx_{gi})\n"
+        "        except Exception as exc:\n",
+        "        if True:\n            verdict = ginst.process(packet, ctx_{gi})\n"
+        "        if False:\n",
         (ORACLE, AUDIT + "test_rp503_no_handler_at_all",
          AUDIT + "test_rp503_reraise_is_accepted"),
     ),
     Mutant(
-        "M11-dequeue-outside-try", BATCH,
-        "                    try:\n                        sent = sched.dequeue(at)\n"
-        "                    except Exception as exc:\n"
-        "                        on_fault(sched, SGATE, exc, None, at)\n"
-        "                        break\n",
-        "                    sent = sched.dequeue(at)\n",
+        "M11-dequeue-outside-try", ROUTER,
+        "        try:\n            return scheduler.dequeue(at)\n"
+        "        except Exception as exc:\n"
+        "            self.faults.on_fault(scheduler, GATE_PACKET_SCHEDULING, exc, None, at)\n"
+        "            return None\n",
+        "        return scheduler.dequeue(at)\n",
         tuple(PIPELINE + f"test_dequeue_faults_mid_batch_until_quarantine_trips[{g}-{a}]"
               for g in ("packet", "lanes") for a in ("drop", "bypass"))
         + (ORACLE, AUDIT + "test_rp503_one_guarded_call_does_not_excuse_another",
@@ -167,9 +171,11 @@ MUTANTS = (
     ),
     # -- RP504 (retired): the loop is the one for the router's plan -------
     Mutant(
-        "M2-drain-never-runs", BATCH,
-        "            elif sched is not None:\n",
-        "            elif False:\n",
+        # The scheduler stage's hand-off falls through to the forward emit.
+        "M2-hand-off-forwards", BATCH,
+        "        # Hand-off: the spec's gate, enqueue and drain.\n"
+        "        out[{idx}] = router._output(packet, oif, now, NULL)\n        continue\n",
+        "        # Hand-off: the spec's gate, enqueue and drain.\n",
         (ORACLE, AUDIT + "test_rp504_scheduler_drain_follows_has_sched"),
     ),
     Mutant(
@@ -191,7 +197,7 @@ MUTANTS = (
         (ORACLE, AUDIT + "test_rp504_plan_field_missing_marker"),
     ),
     Mutant(
-        "M6-loops-keyed-without-telemetry", "repro/core/router.py",
+        "M6-loops-keyed-without-telemetry", ROUTER,
         "        key = (self._plan, self._tm_gate_cells is not None)\n",
         "        key = (self._plan, False)\n",
         (ORACLE, AUDIT + "test_rp504_marker_without_plan_field"),
@@ -204,7 +210,7 @@ MUTANTS = (
         (ORACLE, AUDIT + "test_rp504_fused_without_on_fault"),
     ),
     Mutant(
-        "M14-plan-change-keeps-the-loops", "repro/core/router.py",
+        "M14-plan-change-keeps-the-loops", ROUTER,
         "            self._plan = plan\n            self._select_loops()\n",
         "            self._plan = plan\n",
         (ORACLE, AUDIT + "test_rp504_loop_filed_under_the_wrong_plan",
@@ -228,10 +234,22 @@ MUTANTS = (
     ),
     Mutant(
         "pass-through-not-the-port-s-scheduler", BATCH,
-        "                    and schedulers.get(oif, ginst) is ginst\n",
-        "",
+        "                and schedulers.get(oif, ginst) is ginst):\n",
+        "                ):\n",
         ("tests/oracle/test_oracle.py::"
          "test_a_gate_scheduler_drains_its_backlog_once_it_is_the_port_s",),
+    ),
+    Mutant(
+        "pass-through-under-quarantine", BATCH,
+        " and not qmap and ",
+        " and ",
+        ("tests/oracle/test_oracle.py::test_a_quarantined_drr_is_intercepted_on_every_front",),
+    ),
+    Mutant(
+        "pass-through-under-an-event-loop", BATCH,
+        " and evloop is None\n",
+        "\n",
+        (PIPELINE + "test_event_loop_owns_the_drain",),
     ),
     Mutant(
         "pass-through-kept-by-an-overriding-subclass", DRR,
@@ -239,6 +257,14 @@ MUTANTS = (
         "            pass\n",
         (ORACLE, "tests/oracle/test_oracle.py::"
          "test_a_faulting_dequeue_is_charged_on_every_front"),
+    ),
+    # -- the routing gate: L4 switching runs the spec's _route ---------
+    Mutant(
+        "routing-gate-skipped", BATCH,
+        '        blk(depth, "route = router._route(packet, now, NULL)")\n',
+        '        blk(depth, "route = rlookup(packet.dst)")\n',
+        tuple(PIPELINE + f"test_l4_switching_at_the_routing_gate_matches_scalar[{g}]"
+              for g in ("packet", "lanes")),
     ),
     # -- RP505: compiled lookup structures -------------------------------
     Mutant(

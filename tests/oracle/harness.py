@@ -173,6 +173,12 @@ class PlanterPlugin(InstallerPlugin):
     instance_class = Planter
 
 
+def unplant(router):
+    """Unbind what a :class:`Planter` planted (no library names it)."""
+    for planted in [i for i in _instances(router) if isinstance(i, Planted)]:
+        planted.plugin.deregister_instance(planted)
+
+
 class Writer(PluginInstance):
     """Writes every packed field back — equal values, the addresses as
     equal but distinct objects — and marks a third of the flows."""

@@ -45,7 +45,7 @@ from repro.net.packet import make_udp
 
 from .edges import filter_probes, route_probes
 from .harness import (CHAIN_FRONTS, PLUGINS, PORTS, TRIGGER_PORT, V6_ROUTES, Flaky, World,
-                      _hooks)
+                      _hooks, unplant)
 
 MAX_FLOWS = 16
 
@@ -335,6 +335,9 @@ class Oracle(RuleBasedStateMachine):
         verb("create_instance", "planter", "planter")
         verb("bind", "planter", "*, *, UDP", gate="ip_security")
         self.burst("cached", 1)
+        # Its planted drop of all UDP would mask every later burst.
+        self.world.check()
+        self.world.each_router(unplant)
 
     @rule(seed=st.integers(0, 3))
     def hooks_outlive_their_filters(self, seed):
@@ -387,6 +390,7 @@ for _verb in VERBS:
 Oracle.TestCase.settings = settings(
     derandomize=True, database=None, deadline=None, max_examples=60,
     stateful_step_count=30, suppress_health_check=list(HealthCheck),
+    report_multiple_bugs=False,
 )
 TestOracle = Oracle.TestCase
 
@@ -485,7 +489,8 @@ def test_a_plugin_filter_at_an_active_gate_waits_for_the_batch_only_under_lanes(
 def test_hooks_planted_mid_batch_are_heard_at_once_under_packet():
     """Hooks are decided per filter record, not per compiled plan: the
     loop compiled before the plant calls the planted instance's
-    ``on_flow_created`` for every flow it classifies after."""
+    ``on_flow_created`` for every flow it classifies after, and unbinding
+    it removes each of them; the churn after runs with the drop gone."""
     for bounded, parked in ((False, {"batch7", "batch256", "wire"}), (True, set())):
         state = Oracle()
         state.build(bounded=bounded)
@@ -498,7 +503,7 @@ def test_hooks_planted_mid_batch_are_heard_at_once_under_packet():
             parked, "filter_change_mid_batch_lands_at_batch_boundary") | {
             "sharded": "per_shard_state"}
         (hooks,) = _hooks(state.world.router("spec"))
-        assert hooks.created > 0 and (hooks.removed > 0) == bounded
+        assert hooks.created == hooks.removed > 0
 
 
 def test_edge_traffic_straddles_port_ends_and_a_removed_covering_filter():
@@ -556,6 +561,28 @@ def test_a_faulting_dequeue_is_charged_on_every_front():
     state.teardown()
     assert state.world.parked == {"sharded": "per_shard_state"}
     assert state.world.router("spec").faults.total_faults() > 0
+
+
+def test_a_quarantined_drr_is_intercepted_on_every_front():
+    """An empty DRR that is the port's scheduler, quarantined by the
+    verb: every front intercepts it at the scheduling gate — drops the
+    packet under ``drop``, sends it straight out under ``bypass`` — and
+    none hands it a packet."""
+    for action, disposition in (("drop", "dropped_by_plugin"), ("bypass", "forwarded")):
+        state = Oracle()
+        state.build(bounded=False)
+        state.verb_modload(call=(("drr",), {}))
+        state.verb_create_instance(call=(("drr", "i0"), {"interface": "atm1", "quantum": 1500}))
+        state.verb_bind(call=(("i0", "*, *, UDP"), {"gate": "packet_scheduling", "priority": 0}))
+        state.verb_set_scheduler(call=(("atm1", "i0"), {}))
+        state.verb_quarantine(call=(("drr",), {"action": action}))
+        state.traffic(kind="cached", seed=0, wire=False)
+        state.fronts_agree()
+        state.teardown()
+        assert state.world.parked == {}
+        spec = state.world.router("spec")
+        assert spec.scheduler("atm1").packets_processed == spec.counters["queued"] == 0
+        assert spec.counters[disposition] > 0, action
 
 
 def test_a_gate_scheduler_drains_its_backlog_once_it_is_the_port_s():

@@ -546,7 +546,7 @@ def test_scheduler_fault_quarantine_is_seen_by_later_gate_calls_in_the_batch():
 
 
 # ----------------------------------------------------------------------
-# Scheduler path: the enqueue -> drain choreography emitted into the tail
+# Scheduler path: an empty DRR's pass-through, the spec's stage otherwise
 # ----------------------------------------------------------------------
 def _drr(router, gate_spec=None, bound=True, **config):
     """A DRR instance on ``atm1``: filter-bound at the scheduling gate
@@ -583,20 +583,16 @@ def _assert_drained_by_the_loop(world):
 
 @pytest.fixture
 def no_spec_entry(monkeypatch):
-    """The generated loops own the loop-less drain: ``Router._kick`` and
-    ``_scheduler_process`` may only be reached from the metered walk."""
-    kick, process = Router._kick, Router._scheduler_process
+    """An empty DRR that is the port's scheduler takes the packet in the
+    generated loop (``pass_through``): no loop hands one to
+    ``Router._output``, the metered walk's scheduling stage."""
+    output = Router._output
 
-    def metered_kick(self, oif, now, cycles=NULL_METER):
-        assert cycles is not NULL_METER, "_kick from a generated loop"
-        return kick(self, oif, now, cycles)
+    def metered_output(self, packet, oif, now, cycles):
+        assert cycles is not NULL_METER, "_output from a generated loop"
+        return output(self, packet, oif, now, cycles)
 
-    def metered_process(self, scheduler, packet, oif, now, cycles):
-        assert cycles is not NULL_METER, "_scheduler_process from a generated loop"
-        return process(self, scheduler, packet, oif, now, cycles)
-
-    monkeypatch.setattr(Router, "_kick", metered_kick)
-    monkeypatch.setattr(Router, "_scheduler_process", metered_process)
+    monkeypatch.setattr(Router, "_output", metered_output)
 
 
 def test_drr_scheduler_queued_dispositions_match_scalar():
@@ -646,7 +642,7 @@ def test_tx_scheduled_conserves_transmits(scheduler, bounded, no_spec_entry):
         {"packet"} if bounded else {"lanes", "packet"})
 
 
-def test_gate_instance_consumes_into_another_bound_scheduler(no_spec_entry):
+def test_gate_instance_consumes_into_another_bound_scheduler():
     """The drain serves the interface's scheduler, not the instance that
     consumed: flows queued by a gate-bound instance wait (forever, here)
     while the bound one drains."""
@@ -660,8 +656,8 @@ def test_gate_instance_consumes_into_another_bound_scheduler(no_spec_entry):
 
 def test_bound_scheduler_without_a_scheduling_gate(no_spec_entry):
     """``has_sched`` is the router's ability to queue, not the gate: a
-    scheduler bound on a router built without the scheduling gate is
-    drained by the same emitted code, and binding it recompiles."""
+    scheduler bound on a router built without the scheduling gate takes
+    its packets in the same emitted stage, and binding it recompiles."""
     def configure(router):
         assert router.receive(_mixed_workload()[0]) == "forwarded"
         assert not router._loops["packet"]._plan["has_sched"]
@@ -700,11 +696,11 @@ class _FlakyDequeuePlugin(SchedulerPlugin):
 
 @pytest.mark.parametrize("action", ["drop", DEGRADE_BYPASS])
 @pytest.mark.parametrize("pre_gate", [False, True], ids=["packet", "lanes"])
-def test_dequeue_faults_mid_batch_until_quarantine_trips(action, pre_gate, no_spec_entry):
+def test_dequeue_faults_mid_batch_until_quarantine_trips(action, pre_gate):
     """A faulting ``dequeue`` is charged to the scheduler's domain with
     no packet, ends that drain (the backlog waits for the next kick),
     and — once the threshold trips — the bound scheduler's ``process``
-    is intercepted inline: dropped, or bypassed to a direct emit."""
+    is intercepted: dropped, or bypassed to a direct emit."""
     instances = {}
 
     def configure(router):
@@ -755,8 +751,9 @@ def test_drain_calls_output_on_an_interface_subclass(no_spec_entry):
 
 
 def test_event_loop_owns_the_drain(monkeypatch):
-    """With an event loop the tail only kicks: transmissions are the
-    loop's ``_tx_one`` events, paced by the link, in every front."""
+    """With an event loop the tail hands the packet to the spec, which
+    only kicks: transmissions are the loop's ``_tx_one`` events, paced by
+    the link, in every front."""
     kicks = []
     kick = Router._kick
     monkeypatch.setattr(
@@ -776,7 +773,7 @@ def test_event_loop_owns_the_drain(monkeypatch):
         assert router.loop.now == router.interfaces["atm1"].next_free > 0, name
 
 
-def test_non_work_conserving_scheduler_leaves_backlog_across_batches(no_spec_entry):
+def test_non_work_conserving_scheduler_leaves_backlog_across_batches():
     """A bounded CBQ class out of tokens returns ``None`` with packets
     queued: the drain stops, the backlog carries over into the next
     batch's kicks, and a full class tail-drops.  (Not sharded: each
