@@ -172,7 +172,7 @@ MUTANTS = (
     # -- RP504 (retired): the loop is the one for the router's plan -------
     Mutant(
         # The scheduler stage's hand-off falls through to the forward emit.
-        "M2-hand-off-forwards", BATCH,
+        "M2-drain-never-runs", BATCH,
         "        # Hand-off: the spec's gate, enqueue and drain.\n"
         "        out[{idx}] = router._output(packet, oif, now, NULL)\n        continue\n",
         "        # Hand-off: the spec's gate, enqueue and drain.\n",
