@@ -111,7 +111,7 @@ def atleast(v):
 def filter_table(filters, width=IPV4_WIDTH, engine="bspl", linear=False, collapse=False):
     """The one filter-table builder every classifier row uses."""
     table = LinearFilterTable(width=width) if linear else DagFilterTable(
-        width=width, bmp_engine=engine, check_ambiguity=False, collapse_wildcards=collapse)
+        width=width, bmp_engine=engine, collapse_wildcards=collapse)
     for flt in filters:
         table.install(FilterRecord(flt, gate="paper"))
     return table
@@ -591,9 +591,7 @@ def classification_us(width):
     aiu = AIU(DEFAULT_GATES, bmp_engine="bspl", flow_buckets=32768)
     gates = list(DEFAULT_GATES)
     for i, flt in enumerate(random_filters(512, width=width, seed=width, host_fraction=0.8)):
-        table = aiu._table(gates[i % 3], width)
-        table.check_ambiguity = False
-        table.install(FilterRecord(flt, gate=gates[i % 3]))
+        aiu._table(gates[i % 3], width).install(FilterRecord(flt, gate=gates[i % 3]))
     flows = synthetic_flows(64, seed=13, ipv6=width == IPV6_WIDTH)
     packets = [flow.packet() for flow in flows]
 

@@ -30,6 +30,11 @@ from .records import FilterRecord, FlowRecord, overrides
 TABLE_KINDS = {"dag": DagFilterTable, "linear": LinearFilterTable}
 
 
+def _raise_hook_fault(instance, gate, exc, packet, now):
+    """A bare AIU's hook-fault sink: no fault domain, so it propagates."""
+    raise exc
+
+
 def _claimed_by(flt: Filter) -> Callable[[FlowRecord], bool]:
     """``Filter.matches`` over a cached flow's key, with the filter's
     family, masks, protocol, port bounds and iif read once: the flows a
@@ -113,15 +118,18 @@ class AIU:
         # n-gate filter classification (ablation A1, benchmarks/paper.py).
         self.use_flow_cache = use_flow_cache
         # Fast-path plan support: how many filters are installed at each
-        # gate and how many are bound to each instance, and an epoch
+        # gate, the live records bound to each instance, and an epoch
         # counter bumped on any filter add/remove/re-bind so the router
         # can cache its active-gate plan and hooks (see Router).
         self._gate_filter_counts: Dict[str, int] = {g: 0 for g in self.gates}
-        self._instance_filter_counts: Dict[object, int] = {}
+        self._instance_records: Dict[object, Dict[FilterRecord, None]] = {}
         # §4's per-flow callbacks are optional and cost only where a
         # class overrides them: eviction notifies (``flow_table.on_remove``)
         # only while this many bound instances override ``on_flow_removed``.
         self._removal_hooks = 0
+        # Where a raising flow hook is charged, as (instance, gate, exc,
+        # packet, now); the router points it at FaultManager.on_fault.
+        self.on_hook_fault = _raise_hook_fault
         self.plan_epoch = 0
         # Per-gate classification counters: [lookups, compiled, matches].
         # ``lookups`` counts slow-path filter-table lookups at the gate,
@@ -216,7 +224,7 @@ class AIU:
                 table.remove(record)
             raise
         self._gate_filter_counts[gate] += 1
-        self._count_binding(instance, 1)
+        self._index_binding(record, instance, True)
         self.plan_epoch += 1
         # Live reconfiguration: cached flows the new filter could claim
         # must re-classify, or they would keep their old bindings until
@@ -224,17 +232,21 @@ class AIU:
         self._drop_flows(_claimed_by(flt))
         return record
 
-    def _count_binding(self, instance: object, delta: int) -> None:
-        """``delta`` more filters are bound to ``instance``; only
-        instances with a bound filter stay keys."""
-        if instance is not None:
-            counts = self._instance_filter_counts
-            before = counts.get(instance, 0)
-            counts[instance] = count = before + delta
-            if not count:
-                del counts[instance]
-            if (not before or not count) and overrides(type(instance), "on_flow_removed"):
-                self._removal_hooks += 1 if count else -1
+    def _index_binding(self, record: FilterRecord, instance: object, bound: bool) -> None:
+        """Enter (``bound``) or drop ``record`` under ``instance``; an
+        instance is a key of the index while it has a record."""
+        if instance is None:
+            return
+        records = self._instance_records.setdefault(instance, {})
+        if bound:
+            records[record] = None
+        else:
+            del records[record]
+        if len(records) == bound:       # its first record came, or its last went
+            if not records:
+                del self._instance_records[instance]
+            if overrides(type(instance), "on_flow_removed"):
+                self._removal_hooks += 1 if records else -1
 
     def _drop_flows(self, stale: Callable[[FlowRecord], bool]) -> int:
         """A verb's one ``FlowTable.purge``, *then* the removal hook from
@@ -266,8 +278,8 @@ class AIU:
         so the router re-derives its batch-start hooks.
         """
         if record.active:
-            self._count_binding(record.instance, -1)
-            self._count_binding(instance, 1)
+            self._index_binding(record, record.instance, False)
+            self._index_binding(record, instance, True)
             self.plan_epoch += 1
         record.attach(instance)
         self._drop_flows(self._derived_from(record))
@@ -294,7 +306,7 @@ class AIU:
         if removed:
             record.active = False
             self._gate_filter_counts[record.gate] -= 1
-            self._count_binding(record.instance, -1)
+            self._index_binding(record, record.instance, False)
             self.plan_epoch += 1
         return removed
 
@@ -311,11 +323,10 @@ class AIU:
         the flow cache nor a packet mid-walk whose FIX still points at
         the record can resurrect the instance.
         """
-        records: List[FilterRecord] = []
-        if any(owned(instance) for instance in self._instance_filter_counts):
-            records = [r for r in self.filters() if owned(r.instance)]
-            for record in records:
-                self._unlink(record)
+        records = [record for instance, bound in self._instance_records.items()
+                   if owned(instance) for record in bound]
+        for record in records:
+            self._unlink(record)
 
         def stale(flow: FlowRecord) -> bool:
             hit = False
@@ -403,7 +414,8 @@ class AIU:
         # never routes metered/traced packets here with NULL_METER, see
         # Router._run_gate), so zero modelled cost is unobservable.
         fast = meter is NULL_METER
-        for _gate_name, index, stats, table in self._width_plans.get(width, ()):
+        faults = None
+        for gate, index, stats, table in self._width_plans.get(width, ()):
             self.filter_lookups += 1
             stats[0] += 1
             if fast:
@@ -419,7 +431,14 @@ class AIU:
             slot.filter_record = filter_record
             created = filter_record.on_flow_created
             if created is not None:
-                created(record, slot)
+                try:
+                    created(record, slot)
+                except Exception as exc:
+                    faults = (faults or []) + [(filter_record.instance, gate, exc)]
+        # Charged once every gate's slot is set: a fault that unloads its
+        # plugin then purges a whole flow, never a half-built one.
+        for instance, gate, exc in faults or ():
+            self.on_hook_fault(instance, gate, exc, packet, now)
         return record
 
     def ensure_compiled(self) -> None:
@@ -464,11 +483,17 @@ class AIU:
     # Flow-removal notification plumbing (§4 optional callbacks)
     # ------------------------------------------------------------------
     def _notify_flow_removed(self, record: FlowRecord) -> None:
+        """Each bound instance's removal hook; one that raises is charged
+        (at the flow's last packet time) and the others still run."""
         for slot in record.slots:
             if slot is not None and slot.instance is not None:
                 callback = getattr(slot.instance, "on_flow_removed", None)
                 if callback is not None:
-                    callback(record, slot)
+                    try:
+                        callback(record, slot)
+                    except Exception as exc:
+                        self.on_hook_fault(slot.instance, "on_flow_removed", exc, None,
+                                           record.last_used)
 
     def stats(self) -> dict:
         data = self.flow_table.stats()

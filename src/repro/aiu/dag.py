@@ -112,15 +112,10 @@ class DagFilterTable:
         self,
         width: int = 32,
         bmp_engine: str = "patricia",
-        check_ambiguity: bool = True,
         collapse_wildcards: bool = False,
     ):
         self.width = width
         self.bmp_engine = bmp_engine
-        # The pairwise ambiguity pre-flight is O(installed filters) per
-        # insert; callers installing sets that are laminar by
-        # construction (e.g. repro.workloads.filtersets) may disable it.
-        self.check_ambiguity = check_ambiguity
         # §5.1.2 optimization: "collapse multiple nodes into a single
         # node ... when multiple wildcarded edges succeed each other
         # without any branching".  Implemented as a lookup-time skip: a
@@ -137,7 +132,9 @@ class DagFilterTable:
             WILDCARD,
         )
         self._root = _Node(0, self._make_matcher(0), self)
-        self._records: List[FilterRecord] = []
+        # Insertion-ordered, so ``records()`` keeps install order and
+        # ``remove`` is O(1).
+        self._records: Dict[FilterRecord, None] = {}
         #: Bumped on every install/remove; lookup_fast recompiles lazily
         #: when it diverges from the compiled epoch.
         self.epoch = 0
@@ -194,32 +191,55 @@ class DagFilterTable:
     def install(self, record: FilterRecord) -> None:
         """Insert a filter record, maintaining the set-pruning invariant.
 
-        Raises :class:`AmbiguousFilterError` (leaving the table's matches
-        unchanged) if a port field partially overlaps an installed one —
-        or a label a removed one left behind, which only the insert
-        itself finds, part-way down.
+        Raises :class:`AmbiguousFilterError`, having written nothing, if
+        a port field partially overlaps a label (a live filter's, or one
+        a removed filter left) on a node the insert would reach.  The
+        pre-flight walks the insert's own path: O(that path), not
+        O(installed filters).
         """
         labels = self._labels_for(record.filter)
-        if self.check_ambiguity:
-            for existing in self._records:
-                self._check_ambiguity(record.filter, existing.filter)
         try:
-            self._insert(self._root, 0, record, labels)
+            self._preflight(self._root, 0, record.filter, labels)
         except AmbiguousFilterError:
-            self._unlink(record)
+            record.active = False
             raise
-        self._records.append(record)
+        self._insert(self._root, 0, record, labels)
+        self._records[record] = None
         self.epoch += 1
+
+    def _preflight(
+        self, node: _Node, level: int, flt: Filter, labels: Sequence[object]
+    ) -> None:
+        """:meth:`_insert`'s walk, writing nothing: raise where it would.
+        It follows existing edges as the insert does, making
+        :meth:`RangeMatcher.add`'s check where it would add a label.  A
+        new edge's subtree holds the filter and the records copied down
+        into it, so :meth:`_check_ambiguity` against those decides."""
+        if LEVELS[level] == "iif":      # no port label from here down
+            return
+        label = labels[level]
+        matcher = node.matcher
+        child = node.edges.get(label)
+        if child is None:
+            matcher.check_insertable(label, node.edges)
+            for other_label in matcher.covering(label):
+                for other in node.via[other_label]:
+                    self._check_ambiguity(flt, other.filter)
+        else:
+            self._preflight(child, level + 1, flt, labels)
+        for sibling in matcher.covered(label):
+            self._preflight(node.edges[sibling], level + 1, flt, labels)
 
     @staticmethod
     def _check_ambiguity(new: Filter, old: Filter) -> None:
-        """Pre-flight so a failed install leaves the table unchanged.
+        """Raise if ``new`` and ``old`` would meet at a port-level node
+        with partially overlapping port specs.
 
         Two filters can share a port-level DAG node exactly when all their
         earlier fields pairwise overlap (prefixes overlap iff one covers
         the other, so replication forces a shared node).  A partial port
         overlap at such a node breaks the laminar-range requirement of
-        :class:`RangeMatcher`, so we reject it here.
+        :class:`RangeMatcher`.
         """
         if not (_prefixes_overlap(new.src, old.src) and _prefixes_overlap(new.dst, old.dst)):
             return
@@ -298,7 +318,7 @@ class DagFilterTable:
         """
         if record not in self._records:
             return False
-        self._records.remove(record)
+        del self._records[record]
         self._unlink(record)
         self.epoch += 1
         return True

@@ -55,10 +55,6 @@ class LevelMatcher(ABC):
         """Most specific label matching a packet field value, or None."""
 
     @abstractmethod
-    def covers(self, a, b) -> bool:
-        """True if label ``a`` matches every value label ``b`` matches."""
-
-    @abstractmethod
     def covering(self, label) -> Iterable:
         """Installed labels that strictly cover ``label``.
 
@@ -88,13 +84,18 @@ class PrefixMatcher(LevelMatcher):
         self._engine = make_engine(engine, width)
         self._labels: set = set()
         self._by_length: Dict[int, List[int]] = {}
+        self._lengths: List[int] = []      # of _by_length, longest first
 
     def add(self, label: Prefix) -> None:
         if label in self._labels:
             return
         self._engine.insert(label, label)
         self._labels.add(label)
-        bisect.insort(self._by_length.setdefault(label.length, []), label.value)
+        values = self._by_length.get(label.length)
+        if values is None:
+            values = self._by_length[label.length] = []
+            self._lengths = sorted(self._by_length, reverse=True)
+        bisect.insort(values, label.value)
 
     def remove(self, label: Prefix) -> None:
         if label not in self._labels:
@@ -110,13 +111,13 @@ class PrefixMatcher(LevelMatcher):
     def best_match(self, value: int, meter=NULL_METER) -> Optional[Prefix]:
         return self._engine.lookup(value, meter)
 
-    def covers(self, a: Prefix, b: Prefix) -> bool:
-        return a.covers(b)
-
     def covering(self, label: Prefix):
-        for parent in label.enumerate_parents():
-            if parent in self._labels:
-                yield parent
+        # Longest first, probing only the lengths some label has.
+        for length in self._lengths:
+            if length < label.length:
+                parent = Prefix(label.value, length, self.width)
+                if parent in self._labels:
+                    yield parent
 
     def covered(self, label: Prefix):
         low, high = prefix_range(label)
@@ -171,9 +172,6 @@ class RangeMatcher(LevelMatcher):
                 return label
         return None
 
-    def covers(self, a: PortSpec, b: PortSpec) -> bool:
-        return a.covers(b)
-
     def covering(self, label: PortSpec):
         return [l for l in self._labels if l != label and l.covers(label)]
 
@@ -206,9 +204,6 @@ class ExactMatcher(LevelMatcher):
         if WILDCARD in self._labels:
             return WILDCARD
         return None
-
-    def covers(self, a, b) -> bool:
-        return a == WILDCARD and b != WILDCARD
 
     def covering(self, label):
         if label != WILDCARD and WILDCARD in self._labels:

@@ -156,7 +156,7 @@ def _shadow_dag(
     Install order follows the original ``seq`` so exact-tie behavior
     (latest installed wins) is reproduced by the mirrors' fresh seqs.
     """
-    shadow = DagFilterTable(width=width, check_ambiguity=True)
+    shadow = DagFilterTable(width=width)
     mapping: Dict[int, FilterRecord] = {}
     for record in sorted(records, key=lambda r: r.seq):
         mirror = FilterRecord(

@@ -41,7 +41,9 @@ A plugin fault in the packet layout is classified inline.  A fault
 during a lanes sweep cannot be: the metered walk would have finished
 every earlier packet *before* the fault and shown any quarantine it
 trips to every later plugin call.  The sweep therefore returns through
-``_resume``, which re-enters the packet layout at a plan position.
+``_resume``, which re-enters the packet layout at a plan position; a
+creation hook that raises in the lanes classify pass, through
+``_resume_hooks``.
 
 Documented divergences (docs/PERFORMANCE.md; each pinned by a test of
 the same name in tests/perf/test_batch_pipeline.py): the lanes layout
@@ -150,6 +152,20 @@ def _resume(router, exc, instance, gate, pos, lane_p, lane_i, live, j, now, out)
     return out
 
 
+def _resume_hooks(router, faults, i, packets, now, out):
+    """Creation hooks raised as the lanes classify pass set up packet
+    ``i``'s flow.  The metered walk finishes the earlier packets first:
+    they run through the packet layout from the first gate (classified,
+    they skip classify), then the faults are charged, then packet ``i``
+    and the rest of the batch run."""
+    loop = compiled_loop(router, PACKET)
+    out[:i] = loop(router, packets[:i], now, 0)
+    for instance, gate, exc in faults:
+        router.faults.on_fault(instance, gate, exc, packets[i], now)
+    out[i:] = loop(router, packets[i:], now, 0)
+    return out
+
+
 def _compile(router, layout: str) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
@@ -166,6 +182,8 @@ def _compile(router, layout: str) -> Callable:
             and first is not None
         ),
         "bounded": table.max_records is not None,
+        # Some gate has a filter: a miss may meet a creation hook.
+        "filters": bool(pre or routing_active or sched_active),
         "first_gate": first,
         "first_gi": router._gate_indices.get(first),
         "gate_count": len(router.gates),
@@ -199,6 +217,7 @@ def _compile(router, layout: str) -> Callable:
         "PLAIN": NetworkInterface,
         "MAXR": table.max_records,
         "_resume": _resume,
+        "_resume_hooks": _resume_hooks,
         "compiled_loop": compiled_loop,
         "PACKET": PACKET,
     }
@@ -269,6 +288,8 @@ def _emit_prologue(blk, plan):
             if qmap:
                 return compiled_loop(router, PACKET)(router, packets, now, 0)
         """)
+    if plan["filters"] and plan["probe"]:
+        blk(1, "hookf = None")      # creation-hook faults of the miss in hand
     if plan["tm"]:
         blk(1, "cells = router._tm_gate_cells")
         if plan["probe"]:
@@ -455,15 +476,36 @@ def _emit_classify(blk, plan, depth):
                 fslot = record.slots[_gi] = GateSlot()
             fslot.instance = frec.instance
             fslot.filter_record = frec
-            fcreated = frec.on_flow_created
-            if fcreated is not None:
-                fcreated(record, fslot)
     """)
-    blk(depth + 1, f"""
+    fix = f"""
         packet._fix = record
         if record.slots[{plan['first_gi']}] is None:
             record.slots[{plan['first_gi']}] = GateSlot()
-    """)
+    """
+    if plan["filters"]:
+        # A raising creation hook is charged once the flow is whole, as
+        # AIU._classify_uncached charges it.  The lanes pass has not run
+        # the earlier packets' gates, which the metered walk runs first:
+        # _resume_hooks does, then charges.
+        blk(depth + 3, """
+            fcreated = frec.on_flow_created
+            if fcreated is not None:
+                try:
+                    fcreated(record, fslot)
+                except Exception as exc:
+                    hookf = (hookf or []) + [(frec.instance, _gname, exc)]
+        """)
+        blk(depth + 2, "if hookf is not None:")
+        if plan["layout"] == LANES:
+            blk(depth + 3, fix)
+            blk(depth + 3, "return _resume_hooks(router, hookf, i, packets, now, out)")
+        else:
+            blk(depth + 3, """
+                for finst, fgate, fexc in hookf:
+                    on_fault(finst, fgate, fexc, packet, now)
+                hookf = None
+            """)
+    blk(depth + 1, fix)
 
 
 def _emit_allocate(blk, plan, depth):

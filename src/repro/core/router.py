@@ -121,6 +121,7 @@ class Router:
         # the healthy path pays one truthiness test per plugin call.
         self._quarantined: Dict[object, object] = {}
         self.faults = FaultManager(self)
+        self.aiu.on_hook_fault = self.faults.on_fault
         self.send_icmp_errors = send_icmp_errors
         self._icmp_limiter = IcmpRateLimiter()
         # --- Telemetry (docs/OBSERVABILITY.md) ----------------------
@@ -349,7 +350,7 @@ class Router:
             self._plan = plan
             self._select_loops()
         hooks = []
-        for instance in (*self.aiu._instance_filter_counts, *self._schedulers.values()):
+        for instance in (*self.aiu._instance_records, *self._schedulers.values()):
             hook = getattr(instance, BATCH_START_HOOK, None)
             if hook is not None and hook not in hooks:
                 hooks.append(hook)

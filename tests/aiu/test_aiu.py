@@ -163,21 +163,25 @@ class TestInvalidation:
         """The router derives its batch-start hooks from these counts, so
         every way a binding changes must move them and the epoch."""
         a, b = _FakeInstance("a"), _FakeInstance("b")
-        counts = aiu._instance_filter_counts
+        index = aiu._instance_records
+
+        def counts():
+            return {instance: len(records) for instance, records in index.items()}
+
         first = aiu.create_filter("security", "10.*, *, UDP", instance=a)
-        aiu.create_filter("security", "11.*, *, UDP", instance=a)
+        second = aiu.create_filter("security", "11.*, *, UDP", instance=a)
         unbound = aiu.create_filter("security", "12.*, *, UDP")
-        assert counts == {a: 2}
+        assert counts() == {a: 2} and list(index[a]) == [first, second]
         epoch = aiu.plan_epoch
         aiu.bind(first, b)
         aiu.bind(unbound, b)
-        assert counts == {a: 1, b: 2} and aiu.plan_epoch == epoch + 2
+        assert counts() == {a: 1, b: 2} and aiu.plan_epoch == epoch + 2
         aiu.remove_filter(first)
         aiu.bind(first, a)          # a removed record counts for nobody
-        assert counts == {a: 1, b: 1}
+        assert counts() == {a: 1, b: 1}
         aiu.purge_instance(a)
         aiu.purge_instance(b)
-        assert counts == {} and aiu.filter_count() == 0
+        assert counts() == {} and aiu.filter_count() == 0
 
     def test_flow_removal_notifies_instances(self, aiu):
         inst = _FakeInstance("x")

@@ -287,3 +287,99 @@ def test_compiled_walk_is_the_metered_walk_on_random_packets(packet):
             pass
     table = aiu._tables[("g", packet.src.width)]
     assert table.lookup_fast(packet) is table.lookup(packet)
+
+
+# ----------------------------------------------------------------------
+# The install pre-flight against the pairwise check it replaced
+# ----------------------------------------------------------------------
+def _pairwise_refuses(flt, installed):
+    """The pre-flight ``DagFilterTable.install`` used to run, kept as the
+    oracle: ``_check_ambiguity`` against every installed filter."""
+    try:
+        for record in installed:
+            DagFilterTable._check_ambiguity(flt, record.filter)
+    except AmbiguousFilterError:
+        return True
+    return False
+
+
+_PORT_CUTS = (0, 10, 20, 30, 40, 65535)
+_port_spec = st.sampled_from(("*", *map(str, _PORT_CUTS[1:-1]), *(
+    f"{low}-{high}" for low in _PORT_CUTS for high in _PORT_CUTS if low < high)))
+#: Nested and disjoint prefixes and few protocols, so filters meet at
+#: shared port nodes often and partially overlap there often.
+_random_filter = st.builds(
+    lambda src, dst, proto, sport, dport: Filter.parse(f"{src}, {dst}, {proto}, {sport}, {dport}"),
+    st.sampled_from(("*", "10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.2.0.0/16",
+                     "11.0.0.0/8")),
+    st.sampled_from(("*", "20.0.0.0/8", "20.1.0.0/16")),
+    st.sampled_from(("*", "UDP", "TCP")),
+    _port_spec,
+    _port_spec,
+)
+
+#: The two halves of the pre-flight, each the only check that refuses.
+_COPIED_DOWN = ["10.0.0.0/8, *, UDP, 10-20, *", "10.1.0.0/16, *, UDP, 15-30, *"]
+_COVERED_SIBLING = _COPIED_DOWN[::-1]
+
+
+def _refused(table, record):
+    """Install ``record``; True if refused, and then the table's nodes
+    and records are as they were."""
+    nodes, records = table.node_count(), table.records()
+    try:
+        table.install(record)
+    except AmbiguousFilterError:
+        assert (table.node_count(), table.records()) == (nodes, records)
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_random_filter, min_size=8, max_size=24))
+@example([Filter.parse(spec) for spec in _COPIED_DOWN])
+@example([Filter.parse(spec) for spec in _COVERED_SIBLING])
+def test_preflight_decides_as_the_pairwise_check_on_removal_free_histories(filters):
+    table = DagFilterTable(width=IPV4_WIDTH)
+    for flt in filters:
+        refuse = _pairwise_refuses(flt, table.records())
+        assert _refused(table, FilterRecord(flt, gate="g")) == refuse, flt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _random_filter, st.integers(0, 23)),
+                min_size=8, max_size=30))
+@example([(True, Filter.parse(spec), 0) for spec in _COPIED_DOWN])
+@example([(True, Filter.parse(spec), 0) for spec in _COVERED_SIBLING])
+def test_a_refusal_after_removals_writes_nothing(history):
+    """Removed filters leave labels behind, so the pairwise check is no
+    oracle here; but a refusal still writes nothing, and every accepted
+    install leaves the compiled walk the metered walk."""
+    table = DagFilterTable(width=IPV4_WIDTH)
+    for install, flt, pick in history:
+        live = table.records()
+        if not install:
+            if live:
+                assert table.remove(live[pick % len(live)])
+            continue
+        if _refused(table, FilterRecord(flt, gate="g")):
+            continue
+        for record in table.records():
+            for packet in filter_probes(record.filter, IPV4_WIDTH, 16):
+                assert table.lookup_fast(packet) is table.lookup(packet), packet
+
+
+def test_a_disjoint_install_checks_no_pair(monkeypatch):
+    """The pre-flight walks the insert's path: one more disjoint /24
+    beside 2 000 meets no record to copy down, so it makes no pairwise
+    check at all (the replaced pre-flight made 2 000)."""
+    table = DagFilterTable(width=IPV4_WIDTH)
+    for i in range(2000):
+        flt = Filter.parse(f"10.{i % 250}.{i // 250}.0/24, 20.*, UDP")
+        table.install(FilterRecord(flt, gate="g"))
+    calls = []
+    check = DagFilterTable._check_ambiguity
+    monkeypatch.setattr(DagFilterTable, "_check_ambiguity",
+                        staticmethod(lambda new, old: calls.append(old) or check(new, old)))
+    table.install(FilterRecord(Filter.parse("10.0.200.0/24, 20.*, UDP"), gate="g"))
+    assert (len(table), calls) == (2001, [])

@@ -179,6 +179,20 @@ class TestAmbiguity:
         assert not ghost.leaves and not ghost.via and not ghost.active
         assert len(table) == 1
 
+    def test_a_refused_install_writes_nothing(self):
+        """The pre-flight refuses before the insert writes: no edge, node
+        or port label of the refused filter stays to refuse a later,
+        legal one."""
+        table = DagFilterTable(width=32)
+        table.remove(_install(table, "11.0.0.0/16, 10.0.0.0/16, UDP, 30-40, 30"))
+        nodes = table.node_count()
+        with pytest.raises(AmbiguousFilterError):
+            _install(table, "*, *, *, 15-35, 30-40")
+        assert (table.node_count(), len(table)) == (nodes, 0)
+        legal = _install(table, "11.0.0.0/8, 10.0.0.0/8, *, 10-20, 30")
+        pkt = make_udp("11.1.1.1", "10.1.1.1", 15, 30)
+        assert table.lookup(pkt) is table.lookup_fast(pkt) is legal
+
     def test_nested_port_ranges_allowed(self):
         table = DagFilterTable(width=32)
         _install(table, "*, *, TCP, 0-1023, *")

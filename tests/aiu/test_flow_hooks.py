@@ -1,16 +1,20 @@
 """§4's per-flow callbacks are optional, and a flow pays only for the ones
 its plugins have: a filter record carries its binding's creation hook,
 and eviction calls nothing unless a bound class overrides
-``on_flow_removed``."""
+``on_flow_removed``.  A hook that raises runs inside its plugin's fault
+domain, like ``process``: the fault is charged, and the batch or verb
+goes on."""
 
 import pytest
 
 from repro.aiu.aiu import AIU
+from repro.aiu.flow_table import FlowTable
 from repro.core.plugin import PluginInstance
 from repro.core.router import Router
 from repro.net.packet import make_udp
 from repro.sched.drr import DrrPlugin
 from repro.security.firewall import FirewallInstance, FirewallPlugin
+from repro.sim.cost import CycleMeter
 from repro.sim.events import EventLoop
 
 
@@ -44,6 +48,21 @@ class FaultyRemoval(FirewallInstance):
         self.removals += 1
         if self.removals == self.fail_at:
             raise RuntimeError("removal hook fault")
+
+
+class FaultyCreation(FirewallInstance):
+    """A firewall whose creation hook raises for the flows in ``fail``
+    (indices into the order it is called in)."""
+
+    def __init__(self, plugin, fail=(), **config):
+        super().__init__(plugin, **config)
+        self.fail = set(fail)
+        self.created = 0
+
+    def on_flow_created(self, flow, slot):
+        self.created += 1
+        if self.created - 1 in self.fail:
+            raise RuntimeError("creation hook fault")
 
 
 def _pool_is_whole(table):
@@ -80,19 +99,20 @@ def test_a_firewall_only_churn_calls_no_hook(batched, monkeypatch):
 @pytest.mark.parametrize("batched", [False, True], ids=["receive", "receive_batch"])
 def test_a_raising_removal_hook_leaves_no_flow_bound_to_the_removed_filter(batched):
     """``remove_filter`` unlinks every flow derived from the filter before
-    it calls a hook: the third call raises out of the verb, but once an
-    unrelated filter re-activates the gate, no packet meets the removed
-    deny filter again."""
+    it calls a hook: the third call raises, is charged, and the verb
+    hears the other seven; once an unrelated filter re-activates the
+    gate, no packet meets the removed deny filter again."""
     router = _router()
     plugin = FirewallPlugin()
     router.pcu.load(plugin)
     deny = FaultyRemoval(plugin, fail_at=3, action="deny")
     record = plugin.register_instance(deny, "*, *, UDP", gate="ip_security")
     assert _send(router, _flows(10), batched) == ["dropped_by_plugin"] * 10
-    with pytest.raises(RuntimeError, match="removal hook fault"):
-        router.aiu.remove_filter(record)
+    assert router.aiu.remove_filter(record)
     table = router.aiu.flow_table
-    assert (len(table), deny.removals, _pool_is_whole(table)) == (0, 3, True)
+    assert (len(table), deny.removals, _pool_is_whole(table)) == (0, 10, True)
+    assert [(f.gate, f.error) for f in router.faults.records()] == [
+        ("on_flow_removed", "removal hook fault")]
     plugin.register_instance(plugin.create_instance(action="allow"), "11.0.0.0/8, *, *",
                              gate="ip_security")
     assert _send(router, _flows(10), batched) == ["forwarded"] * 10
@@ -106,10 +126,11 @@ def test_a_raising_removal_hook_on_a_bounded_victim_leaks_no_pool_record(batched
     plugin.register_instance(FaultyRemoval(plugin, action="allow"), "*, *, UDP",
                              gate="ip_security")
     _send(router, _flows(4), batched)
-    with pytest.raises(RuntimeError, match="removal hook fault"):
-        _send(router, _flows(1, first=4), batched)
+    assert _send(router, _flows(1, first=4), batched) == ["forwarded"]
     table = router.aiu.flow_table
-    assert (len(table), table.evictions, _pool_is_whole(table)) == (3, 1, True)
+    assert (len(table), table.evictions, _pool_is_whole(table)) == (4, 1, True)
+    assert router.counters["plugin_faults"] == 1
+    assert router.faults.records()[0].gate == "on_flow_removed"
 
 
 def test_on_remove_is_set_exactly_while_a_removal_hook_is_bound():
@@ -189,3 +210,57 @@ def test_hooks_are_decided_by_the_class_when_a_filter_is_bound():
     router.receive_batch(_flows(3))
     router.receive(_flows(1, first=3)[0])
     assert counting.created == duck.created == 4
+
+
+def test_a_purge_releases_every_flow_before_a_raising_on_remove():
+    """The flow table's own contract, for any ``on_remove``: a purge
+    releases every stale flow before it calls back, so a callback that
+    raises escapes a table with no stale flow and no lost pool record."""
+    table = FlowTable(gate_count=1)
+    for packet in _flows(5):
+        table.install(packet, 0.0)
+
+    def raising(flow):
+        raise RuntimeError("on_remove fault")
+
+    table.on_remove = raising
+    with pytest.raises(RuntimeError, match="on_remove fault"):
+        table.purge(lambda flow: True)
+    assert (len(table), _pool_is_whole(table)) == (0, True)
+
+
+def _creation_run(front, fail):
+    """Twelve new flows through one front, with the creation hook of the
+    firewall bound at ip_security raising on the flows in ``fail``."""
+    router = _router()
+    plugin = FirewallPlugin()
+    router.pcu.load(plugin)
+    plugin.instance_class = FaultyCreation      # a tracked instance can be quarantined
+    plugin.register_instance(plugin.create_instance(fail=fail, action="allow"),
+                             "*, *, UDP", gate="ip_security")
+    packets = _flows(12)
+    if front == "metered":
+        out = [router.receive(packet, cycles=CycleMeter()) for packet in packets]
+    else:
+        out = _send(router, packets, front == "receive_batch")
+    faults = [f.signature() for f in router.faults.records()]
+    return out, dict(router.counters), faults, len(router.aiu.flow_table)
+
+
+@pytest.mark.parametrize("front", ["receive", "receive_batch"])
+@pytest.mark.parametrize("fail", [(0,), (1, 4), tuple(range(12))],
+                         ids=["first", "mid-batch", "trips-quarantine"])
+def test_a_raising_creation_hook_is_a_fault_at_its_gate(front, fail):
+    """The creation hook raises: the fault is charged at the hook's gate
+    once the flow is set up, the batch completes, and every front agrees
+    with the metered walk on dispositions, counters, the fault ring and
+    the flow table — also when the third fault trips the breaker."""
+    out, counters, faults, flows = _creation_run(front, fail)
+    assert (out, counters, faults, flows) == _creation_run("metered", fail)
+    assert [f[4] for f in faults] == ["ip_security"] * len(fail)
+    assert counters["plugin_faults"] == len(fail) and flows == 12
+    if len(fail) < 3:
+        assert out == ["forwarded"] * 12
+    else:                   # the third fault quarantines: later packets drop
+        assert counters["plugin_quarantines"] == 1
+        assert out == ["forwarded"] * 2 + ["dropped_by_plugin"] * 10

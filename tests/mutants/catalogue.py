@@ -32,6 +32,7 @@ class Mutant(NamedTuple):
 ORACLE = "tests/oracle/test_oracle.py::TestOracle::runTest"
 AUDIT = "tests/analysis/test_codegen_audit.py::"
 PIPELINE = "tests/perf/test_batch_pipeline.py::"
+PREFLIGHT = "tests/aiu/test_classifier_differential.py::"
 BATCH = "repro/core/batch.py"
 DAG = "repro/aiu/dag.py"
 BMP = "repro/bmp/base.py"
@@ -78,9 +79,8 @@ MUTANTS = (
         "                self._notify([record])\n                self._release(record)\n"
         "                gone.append(record)\n            record = following\n"
         "        return len(gone)\n",
-        tuple(f"tests/aiu/test_flow_hooks.py::"
-              f"test_a_raising_removal_hook_leaves_no_flow_bound_to_the_removed_filter[{e}]"
-              for e in ("receive", "receive_batch")),
+        ("tests/aiu/test_flow_hooks.py::"
+         "test_a_purge_releases_every_flow_before_a_raising_on_remove",),
     ),
     Mutant(
         "esp-in-counts-below-early-return", "repro/security/esp.py",
@@ -304,6 +304,22 @@ MUTANTS = (
         "        self._fast_epoch = self.mutation_epoch\n",
         "",
         (AUDIT + "test_rp505_engine_clean_when_untampered",),
+    ),
+    # -- the install pre-flight: each half is the only check that refuses
+    Mutant(
+        "preflight-skips-copied-records", DAG,
+        "                    self._check_ambiguity(flt, other.filter)\n",
+        "                    pass\n",
+        (PREFLIGHT + "test_preflight_decides_as_the_pairwise_check_on_removal_free_histories",
+         PREFLIGHT + "test_a_refusal_after_removals_writes_nothing"),
+    ),
+    Mutant(
+        "preflight-skips-covered-siblings", DAG,
+        "        for sibling in matcher.covered(label):\n"
+        "            self._preflight(node.edges[sibling], level + 1, flt, labels)\n",
+        "",
+        (PREFLIGHT + "test_preflight_decides_as_the_pairwise_check_on_removal_free_histories",
+         PREFLIGHT + "test_a_refusal_after_removals_writes_nothing"),
     ),
     Mutant(
         "R8-dst-level-compiled-as-exact", DAG,
