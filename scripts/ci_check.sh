@@ -9,12 +9,12 @@
 # Usage: scripts/ci_check.sh
 #
 # The static-analysis gate lints every built-in plugin and the
-# shard/batch layers themselves (one pass: hot-path RP2xx and
-# shard-safety RP4xx rules), warms both generated loop layouts and
-# audits their free names (RP501), and audits the compiled shapes of the
-# classifier DAG and every BMP engine (RP505; scripts/analyze.py
-# --self-lint), plus ruff/mypy over the linted subsystems when those
-# tools are installed.  pyproject.toml's addopts deselects the ``paper``
+# shard/batch layers themselves (one pass: the hot-path rules RP201-RP203,
+# RP205, RP209-RP211 and the shard-safety rules RP401/RP402), warms both
+# generated loop layouts and audits their free names (RP501), and audits
+# the compiled shapes of the classifier DAG and every BMP engine (RP505;
+# scripts/analyze.py --self-lint), plus ruff/mypy over the linted
+# subsystems when those tools are installed.  pyproject.toml's addopts deselects the ``paper``
 # and ``mutants`` markers, so the tier-1 run already includes the
 # cost-model goldens, the paper's rows (tests/perf/test_paper.py), the
 # recompile ratio, the

@@ -11,7 +11,7 @@ Public API::
         AnalysisReport, Diagnostic, CODES,
         analyze_filterset, analyze_table, analyze_records,
         lint_plugin, lint_plugins, lint_builtin_plugins,
-        audit_router_codegen, audit_query_mergeability,
+        audit_router_codegen,
         analyze_router, analyze_sharded, analyze_script, self_lint,
     )
 
@@ -27,7 +27,6 @@ from .codegen_audit import (
     audit_loop_source,
     audit_router_codegen,
 )
-from .concurrency import audit_query_mergeability
 from .diagnostics import (
     CODES,
     ERROR,
@@ -68,7 +67,6 @@ __all__ = [
     "audit_dag_table",
     "audit_engine",
     "audit_loop_source",
-    "audit_query_mergeability",
     "audit_router_codegen",
     "builtin_plugin_classes",
     "lint_builtin_plugins",

@@ -8,7 +8,7 @@ Plugin state that lives anywhere other than the instance itself silently
 diverges per shard today and becomes a data race the moment a
 shared-memory backend lands.  The rules here are generators over the
 parsed-function records of :mod:`repro.analysis.hotpath`, which lists
-them in its rule tables and runs them over the same closures as the
+them in its rule table and runs them over the same closures as the
 RP2xx rules:
 
 * RP401 — module-level mutable globals written from a data-path hook
@@ -19,16 +19,6 @@ RP2xx rules:
 * RP402 — class-attribute state shared across instances mutated on the
   data path (``type(self).x``/``ClassName.x`` writes, or mutation of a
   mutable class attribute never shadowed by an ``__init__`` assignment).
-* RP404 — query-topic payloads the one cross-child aggregation,
-  :meth:`repro.mgr.fanout.Fanout.query`, cannot merge: the sum-merge
-  rule understands numeric/bool/str leaves and nested dicts; anything
-  else (lists, arbitrary objects) silently takes shard 0's value and
-  drops the rest.  (Not a source rule: it audits live payloads.)
-* RP405 — control commands (``handle_custom`` and its closure) whose
-  configuration effect is guarded by shard-local traffic state (flow
-  table contents, hit counters).  A verb of
-  :data:`repro.mgr.fanout.VERBS` must act identically on every child the
-  fanout applies it to; deciding from local traffic makes shards diverge.
 
 Findings are suppressible with ``# rp: ignore[RP4xx]`` on the flagged
 line, exactly like the RP2xx ones.  Everything here runs on source text
@@ -41,9 +31,6 @@ import ast
 import collections.abc
 import inspect
 from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
-
-from ..mgr.fanout import VERBS
-from .diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - hotpath imports this module
     from .hotpath import Finding, FunctionSource, LintRun
@@ -61,20 +48,6 @@ _MUTATORS = {
     "append", "appendleft", "add", "update", "pop", "popleft", "popitem",
     "extend", "extendleft", "insert", "remove", "discard", "clear",
     "setdefault", "sort", "reverse", "rotate",
-}
-
-#: Attribute names that read as shard-local traffic state (RP405).
-_LOCAL_STATE_ATTRS = {
-    "flow_table", "flow_cache", "flows", "active", "hits", "misses",
-    "evictions", "births", "packets_processed", "counters", "occupancy",
-}
-
-#: Calls that change configuration (RP405): the fanout's verb table plus
-#: the AIU/plugin-level calls underneath it.  If any shard skips one of
-#: these based on local state, the shards diverge.
-_CONFIG_CALLS = set(VERBS) | {
-    "create_filter", "remove_filter", "register_instance",
-    "deregister_instance",
 }
 
 _STATE_HINT = (
@@ -247,86 +220,3 @@ def shared_state_writes(source: FunctionSource) -> Iterator[Finding]:
                     "each mutate their own copy and diverge",
                     _STATE_HINT,
                 )
-
-
-# ----------------------------------------------------------------------
-# RP405 — control commands guarded by shard-local state
-# ----------------------------------------------------------------------
-def _config_call_in(body: List[ast.stmt]) -> Optional[str]:
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Call):
-                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                if name in _CONFIG_CALLS:
-                    return name
-    return None
-
-
-def local_state_guards(source: FunctionSource) -> Iterator[Finding]:
-    """RP405 over a control-path handler (``handle_custom``)."""
-    for node in source.nodes:
-        if not isinstance(node, ast.If) or not any(
-            isinstance(sub, ast.Attribute) and sub.attr in _LOCAL_STATE_ATTRS
-            for sub in ast.walk(node.test)
-        ):
-            continue
-        call = _config_call_in(node.body + node.orelse)
-        if call is not None:
-            yield (
-                "RP405", node,
-                f"control command calls {call}() only when shard-local "
-                "traffic state says so; each shard will decide "
-                "differently and the fanout diverges",
-                "decide on the control plane from the aggregated "
-                "query() view, then fan out unconditionally",
-            )
-
-
-# ----------------------------------------------------------------------
-# Query mergeability (RP404)
-# ----------------------------------------------------------------------
-def _audit_payload(
-    topic: str, value, path: str, diagnostics: List[Diagnostic]
-) -> None:
-    if isinstance(value, dict):
-        for key, child in value.items():
-            child_path = f"{path}.{key}" if path else str(key)
-            _audit_payload(topic, child, child_path, diagnostics)
-        return
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return
-    diagnostics.append(
-        Diagnostic(
-            "RP404",
-            f"query topic {topic!r} carries a {type(value).__name__} at "
-            f"{path or '<root>'}; the cross-shard sum-merge only understands "
-            "numeric/bool/str leaves and nested dicts, so shards 1..N-1 "
-            "would be silently dropped",
-            subject=f"query({topic!r})",
-            hint="flatten the payload to mergeable leaves or register "
-            "the topic with a non-sum merge strategy",
-        )
-    )
-
-
-def audit_query_mergeability(query, topics=None) -> List[Diagnostic]:
-    """RP404: validate each sum-merged query topic's payload shape
-    against the aggregation rules the topic registry declares.
-    ``query`` is a ``query(topic, **filters) -> dict`` callable (a
-    library's).  Only topics registered with the ``"sum"`` merge
-    strategy are audited — every other strategy (bucketwise,
-    worst-wins, shard0, frontend, or a bespoke callable) owns its own
-    payload shape."""
-    from ..mgr.format import get_topic, strip_schema, topic_names
-
-    diagnostics: List[Diagnostic] = []
-    for topic in topics if topics is not None else topic_names():
-        try:
-            spec = get_topic(topic)
-        except KeyError:
-            continue
-        if spec.merge != "sum":
-            continue
-        payload = strip_schema(query(topic))
-        _audit_payload(topic, payload, "", diagnostics)
-    return diagnostics

@@ -35,18 +35,13 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP201": (ERROR, "blocking I/O on the data path"),
     "RP202": (ERROR, "nondeterministic time/random source on the data path"),
     "RP203": (ERROR, "bare except swallows data-path faults"),
-    "RP204": (ERROR, "attribute created outside __init__ on a __slots__ class"),
     "RP205": (ERROR, "packet-bytes touch without a cost-model charge"),
-    "RP206": (WARNING, "over-broad except Exception on the data path"),
-    "RP207": (WARNING, "metric emission bypasses the telemetry registry"),
     "RP209": (ERROR, "process-seeded builtin hash() on packet/flow state"),
     "RP210": (WARNING, "suppression names an unknown diagnostic code"),
     "RP211": (WARNING, "zero-argument super() on a plugin's per-packet path"),
     # RP4xx — shard-safety / concurrency (repro.analysis.concurrency).
     "RP401": (ERROR, "module-global mutable state written from a data-path hook"),
     "RP402": (ERROR, "class-attribute state shared across instances mutated on the data path"),
-    "RP404": (WARNING, "query payload not mergeable by cross-shard aggregation"),
-    "RP405": (WARNING, "control-command effect depends on shard-local traffic state"),
     # RP5xx — exec-codegen audit (repro.analysis.codegen_audit).
     "RP501": (ERROR, "compiled loop references a name outside its allowlisted closure"),
     "RP505": (ERROR, "compiled lookup structure violates its shape invariants"),

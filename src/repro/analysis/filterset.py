@@ -207,10 +207,14 @@ def analyze_table(
     return diagnostics, result, mapping
 
 
-def _conflict_groups(records: Sequence[FilterRecord]) -> List[Diagnostic]:
+def _conflicts(records: Sequence[FilterRecord]) -> Tuple[List[Diagnostic], Set[int]]:
     """RP103: identical six-tuples at one gate, equal priority, bound to
-    different instances — installation order silently picks the winner."""
+    different instances — installation order silently picks the winner.
+    Also returns the ids of every record such a group shadows: a
+    reported conflict explains its losers, while a priority-resolved
+    duplicate is not a conflict, so its loser still gets its own RP101."""
     diagnostics: List[Diagnostic] = []
+    losers: Set[int] = set()
     groups: Dict[Tuple, List[FilterRecord]] = {}
     for record in records:
         flt = record.filter
@@ -228,6 +232,7 @@ def _conflict_groups(records: Sequence[FilterRecord]) -> List[Diagnostic]:
             i.name if hasattr(i, "name") else repr(i) for i in instances.values()
         )
         winner = max(contenders, key=lambda r: r.seq)
+        losers.update(id(r) for r in group if r is not winner)
         diagnostics.append(
             Diagnostic(
                 "RP103",
@@ -240,31 +245,7 @@ def _conflict_groups(records: Sequence[FilterRecord]) -> List[Diagnostic]:
                 "the duplicates",
             )
         )
-    return diagnostics
-
-
-def _conflict_losers(records: Sequence[FilterRecord]) -> Set[int]:
-    """Records whose shadowing is already explained by an RP103 group."""
-    losers: Set[int] = set()
-    groups: Dict[Tuple, List[FilterRecord]] = {}
-    for record in records:
-        flt = record.filter
-        key = (record.gate, flt.src, flt.dst, flt.protocol, flt.sport, flt.dport, flt.iif)
-        groups.setdefault(key, []).append(record)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        # Mirror the RP103 condition exactly: only a *reported* conflict
-        # explains the shadowing.  A priority-resolved duplicate is not
-        # a conflict, so its loser still deserves its own RP101.
-        top_priority = max(r.priority for r in group)
-        contenders = [r for r in group if r.priority == top_priority]
-        instances = {id(r.instance) for r in contenders if r.instance is not None}
-        if len(instances) < 2:
-            continue
-        winner = max(contenders, key=lambda r: r.seq)
-        losers.update(id(r) for r in group if r is not winner)
-    return losers
+    return diagnostics, losers
 
 
 def analyze_filterset(aiu: object) -> AnalysisReport:
@@ -302,7 +283,7 @@ def analyze_filterset(aiu: object) -> AnalysisReport:
     all_records: Dict[int, FilterRecord] = {}
     for records in gate_records.values():
         all_records.update(records)
-    losers = _conflict_losers(list(all_records.values()))
+    conflicts, losers = _conflicts(list(all_records.values()))
 
     for gate in sorted(gate_records):
         records = gate_records[gate]
@@ -355,7 +336,7 @@ def analyze_filterset(aiu: object) -> AnalysisReport:
                     )
                 )
 
-    report.extend(_conflict_groups(list(all_records.values())))
+    report.extend(conflicts)
 
     # RP105: one instance bound at several gates.
     by_instance: Dict[int, Tuple[object, Set[str]]] = {}
@@ -389,7 +370,7 @@ def analyze_records(records: Sequence[FilterRecord], width: int = 32) -> Analysi
     report.extend(diagnostics)
     result = _walk_dag(shadow)
     winners = {id(mapping[mid]) for mid in result.wins if mid in mapping}
-    losers = _conflict_losers(records)
+    conflicts, losers = _conflicts(records)
     for record in sorted(mapping.values(), key=lambda r: r.seq):
         if id(record) not in winners and id(record) not in losers:
             report.add(
@@ -402,5 +383,5 @@ def analyze_records(records: Sequence[FilterRecord], width: int = 32) -> Analysi
                     "the filters covering it",
                 )
             )
-    report.extend(_conflict_groups(records))
+    report.extend(conflicts)
     return report

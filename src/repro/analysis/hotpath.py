@@ -12,7 +12,7 @@ calls and same-package helper functions.  Every ``(function, owner)`` pair in th
 closure is parsed once per run into a :class:`FunctionSource`, and every
 rule — the RP2xx ones below and the RP4xx ones of
 :mod:`repro.analysis.concurrency` — is a generator over that record,
-listed in one table per root kind (:data:`RULES`).  This module's rules:
+listed in :data:`RULES`.  This module's rules:
 
 * RP201 — blocking I/O (``open``/``input``, ``socket``/``subprocess``/
   ``requests``/``urllib``, ``time.sleep``, ``os.system`` & co).
@@ -20,18 +20,9 @@ listed in one table per root kind (:data:`RULES`).  This module's rules:
   ``time.*``, ``datetime.now``, ``os.urandom``).  A *seeded* private RNG
   (``self._rng``) is fine and not flagged.
 * RP203 — bare ``except``.
-* RP204 — attribute creation outside ``__init__`` on a class whose MRO
-  declares ``__slots__``.
 * RP205 — packet-byte touches (``.payload`` access, ``.serialize()``)
   with no ``charge``/``charge_memory``/``access`` call anywhere in the
   root's closure (the one closure-level rule).
-* RP206 — ``except Exception`` (warning; the fault domains already
-  contain plugin exceptions, catching them hides real bugs).
-* RP207 — metric emission that bypasses the telemetry registry: a
-  subscript store into a metric-named ``self`` dict (``self.stats[...]``,
-  ``self.counters[...] += 1``, …) on the data path.  Plugin-local metrics
-  belong in registry handles grabbed at bind time (docs/OBSERVABILITY.md)
-  so exporters and ``pmgr show telemetry`` can see them.
 * RP209 — builtin ``hash()`` on a non-constant argument: process-seeded,
   so the same packet hashes differently in different workers.
 * RP210 — a ``# rp: ignore[...]`` comment naming a code that does not
@@ -100,11 +91,6 @@ _MODULE_ALIASES = {"posix": "os", "nt": "os"}
 _CHARGE_NAMES = {"charge", "charge_memory", "access"}
 _TOUCH_ATTRS = {"payload"}
 _TOUCH_CALLS = {"serialize"}
-#: self-attribute names that read as ad-hoc metric stores (RP207).
-_METRIC_ATTRS = {
-    "stats", "metrics", "counters", "counts", "histograms", "gauges",
-    "telemetry", "meters",
-}
 
 #: What a rule yields: ``(code, node, message, hint)``.
 Finding = Tuple[str, ast.AST, str, str]
@@ -309,88 +295,23 @@ def forbidden_calls(source: FunctionSource) -> Iterator[Finding]:
                 break
 
 
-def except_hygiene(source: FunctionSource) -> Iterator[Finding]:
-    """RP203 / RP206: handlers that hide faults from the fault domain."""
+def bare_excepts(source: FunctionSource) -> Iterator[Finding]:
+    """RP203: a bare ``except`` hides faults from the fault domain."""
     for node in source.nodes:
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        if node.type is None:
+        if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield (
                 "RP203", node,
                 "bare except swallows every fault, including the ones the "
                 "circuit breaker must count",
                 "catch the specific exceptions the operation can raise",
             )
-        elif isinstance(node.type, ast.Name) and node.type.id in ("Exception", "BaseException"):
-            yield (
-                "RP206", node,
-                f"except {node.type.id} hides real bugs; the per-plugin fault "
-                "domain already contains uncaught exceptions",
-                "catch the specific exceptions the operation can raise",
-            )
 
 
-def _slot_union(cls: type) -> Optional[Set[str]]:
-    """Union of declared slots and class attributes across the MRO, or
-    ``None`` when no class in the MRO uses ``__slots__`` (plain classes
-    may create attributes anywhere; that is idiomatic Python)."""
-    has_slots = False
-    allowed: Set[str] = set()
-    for base in cls.__mro__:
-        if base is object:
-            continue
-        slots = base.__dict__.get("__slots__")
-        if slots is not None:
-            has_slots = True
-            if isinstance(slots, str):
-                allowed.add(slots)
-            else:
-                allowed.update(slots)
-        allowed.update(base.__dict__.keys())
-    return allowed if has_slots else None
-
-
-def slot_stores(source: FunctionSource) -> Iterator[Finding]:
-    """RP204: an attribute created outside ``__init__`` on a class whose
-    MRO declares ``__slots__``."""
-    slots = _slot_union(source.owner) if source.owner is not None else None
-    if slots is None:
-        return
-    for stmt, target in source.stores():
-        attr = source.self_attr(target)
-        if attr is not None and attr not in slots:
-            yield (
-                "RP204", stmt,
-                f"assignment to self.{attr} outside __init__ on a __slots__ class",
-                f"declare {attr!r} in __slots__ (or assign it in __init__)",
-            )
-
-
-def metric_stores(source: FunctionSource) -> Iterator[Finding]:
-    """RP207: ``self.stats[...] = / += ...`` style ad-hoc metric stores
-    on the data path, invisible to exporters."""
-    for stmt, target in source.stores():
-        attr = source.self_attr(target.value) if isinstance(target, ast.Subscript) else None
-        if attr in _METRIC_ATTRS:
-            yield (
-                "RP207", stmt,
-                f"metric emission into self.{attr}[...] bypasses the telemetry registry",
-                "grab a Counter/Histogram handle from router.telemetry at "
-                "bind time instead (docs/OBSERVABILITY.md)",
-            )
-
-
-#: The rule tables, one per root kind: every function in the closure of a
-#: data-path root (or of a swept module) gets ``"data"``, every function
-#: in the closure of ``handle_custom`` gets ``"control"``.  A new rule is
-#: one generator appended to one of these.
-RULES: Dict[str, Tuple[Rule, ...]] = {
-    "data": (
-        forbidden_calls, except_hygiene, slot_stores, metric_stores,
-        concurrency.shared_state_writes,
-    ),
-    "control": (concurrency.local_state_guards,),
-}
+#: The rules every function in the closure of a data-path root (or of a
+#: swept module) is held to.  A new rule is one generator appended here.
+RULES: Tuple[Rule, ...] = (
+    forbidden_calls, bare_excepts, concurrency.shared_state_writes,
+)
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +326,7 @@ class LintRun:
         self.diagnostics: List[Diagnostic] = []
         self._sources: Dict[Tuple[int, int], Optional[FunctionSource]] = {}
         self._seen: Set[Tuple[str, Optional[str], int]] = set()
-        self._ruled: Set[Tuple[int, str]] = set()
+        self._ruled: Set[int] = set()
 
     def get(self, fn, owner: Optional[type]) -> Optional[FunctionSource]:
         """The record for ``fn`` as a member of ``owner``, or None when
@@ -447,18 +368,16 @@ class LintRun:
                 work.extend(source.callees)
         return sources
 
-    def lint(
-        self, root, owner: Optional[type], kind: str, charged_as: Optional[str] = None
-    ) -> None:
-        """Apply the ``kind`` rule table to every function in the root's
-        closure (once per function per run), then — for a plugin's
-        data-path root, named by ``charged_as`` — RP205 over the closure
-        as a whole."""
+    def lint(self, root, owner: Optional[type], charged_as: Optional[str] = None) -> None:
+        """Apply :data:`RULES` to every function in the root's closure
+        (once per function per run), then — for a plugin's data-path
+        root, named by ``charged_as`` — RP205 over the closure as a
+        whole."""
         sources = self.closure(root, owner)
         for source in sources:
-            if (id(source), kind) in self._ruled:
+            if id(source) in self._ruled:
                 continue
-            self._ruled.add((id(source), kind))
+            self._ruled.add(id(source))
             for offset, line in enumerate(source.lines):
                 unknown = sorted(unknown_suppressed_codes(line))
                 if unknown:
@@ -469,7 +388,7 @@ class LintRun:
                         "valid codes are listed in docs/STATIC_ANALYSIS.md; "
                         "fix the typo or drop the comment",
                     )
-            for rule in RULES[kind]:
+            for rule in RULES:
                 for code, node, message, hint in rule(source):
                     self.emit(source, code, getattr(node, "lineno", 1), message, hint)
         if charged_as is None or any(source.charges for source in sources):
@@ -520,33 +439,28 @@ def _instance_classes(plugin_cls: type) -> List[type]:
 def lint_plugins(
     plugins: Iterable[object] = (), modules: Iterable[object] = ()
 ) -> AnalysisReport:
-    """One lint run over one parse cache: every data-path root and
-    ``handle_custom`` of each plugin (class or instance), and every
-    function and method defined in each of ``modules`` held to the
-    data-path rules (RP205, the plugin cost contract, excepted)."""
+    """One lint run over one parse cache: every data-path root of each
+    plugin (class or instance), and every function and method defined in
+    each of ``modules`` held to the same rules (RP205, the plugin cost
+    contract, excepted)."""
     run = LintRun()
     for plugin in plugins:
         plugin_cls = plugin if isinstance(plugin, type) else type(plugin)
-        instance_classes = _instance_classes(plugin_cls)
-        for cls in instance_classes:
+        for cls in _instance_classes(plugin_cls):
             for name in ROOT_METHODS:
                 root = getattr(cls, name, None)
                 if callable(root):
-                    run.lint(root, cls, "data", charged_as=f"{cls.__name__}.{name}")
-        for cls in (plugin_cls, *instance_classes):
-            handler = cls.__dict__.get("handle_custom")
-            if inspect.isfunction(handler):
-                run.lint(handler, cls, "control")
+                    run.lint(root, cls, charged_as=f"{cls.__name__}.{name}")
     for module in modules:
         for _, obj in sorted(vars(module).items()):
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj):
-                run.lint(obj, None, "data")
+                run.lint(obj, None)
             elif isinstance(obj, type):
                 for _, member in sorted(vars(obj).items()):
                     if inspect.isfunction(member):
-                        run.lint(member, obj, "data")
+                        run.lint(member, obj)
     return AnalysisReport(run.diagnostics)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .codegen_audit import audit_dag_table, audit_engine, audit_router_codegen
-from .concurrency import audit_query_mergeability
 from .diagnostics import AnalysisReport, Diagnostic
 from .filterset import analyze_filterset
 from .hotpath import builtin_plugin_classes, lint_plugins, swept_modules
@@ -30,14 +29,11 @@ def analyze_router(router, include_plugins: bool = True) -> AnalysisReport:
     return report
 
 
-def analyze_sharded(
-    sharded, libraries=None, include_plugins: bool = True
-) -> AnalysisReport:
+def analyze_sharded(sharded, include_plugins: bool = True) -> AnalysisReport:
     """Sweep every shard of a ``ShardedRouter``: plugin lints once (the
     fanout keeps shard configuration identical), filter-set semantics on
     shard 0, then per-shard codegen audits (per-shard state *can*
-    diverge — that is the point), plus the RP404 query
-    mergeability audit when the per-shard libraries are available."""
+    diverge — that is the point)."""
     from ..core.errors import ConfigurationError
 
     if getattr(sharded, "_pool", None) is not None:
@@ -52,8 +48,6 @@ def analyze_sharded(
         report.extend(lint_plugins(shard0.pcu.plugins()))
     for index, shard in enumerate(sharded.shards):
         report.extend(audit_router_codegen(shard, subject_prefix=f"shard{index}: "))
-    if libraries:
-        report.extend(audit_query_mergeability(libraries[0].query))
     return report
 
 
@@ -86,10 +80,11 @@ def _script_diagnostic(error) -> Diagnostic:
 
 
 def _self_codegen_audit() -> List:
-    """Warm both generated layouts (``packet``, ``lanes``), with the
-    inlined flow-table probe and with the ``AIU.classify`` call, on
-    scratch routers and audit them, so the self-lint gate exercises the
-    RP5xx checks against real emitter output on every CI run."""
+    """Warm both generated layouts (``packet``, ``lanes``) with the
+    inlined flow-table probe, and ``packet`` with the ``AIU.classify``
+    call, on scratch routers and audit them, so the self-lint gate
+    exercises the RP5xx checks against real emitter output on every CI
+    run."""
     from ..core.gates import DEFAULT_GATES, GATE_IP_SECURITY
     from ..core.router import Router
     from ..mgr.library import RouterPluginLibrary
@@ -109,7 +104,7 @@ def _self_codegen_audit() -> List:
         library.create_instance("firewall", "fw0")
         library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
         # receive() compiles the packet layout, receive_batch() lanes
-        # (on the unbounded routers).
+        # (on the unbounded router with the inlined probe).
         for entry in (router.receive, lambda packet: router.receive_batch([packet])):
             entry(make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0"))
         diagnostics.extend(

@@ -18,12 +18,15 @@ Two layouts are generated:
               Preserves the metered walk's order exactly, so it is the
               only layout used when order is observable: a bounded flow
               table (evictions interleave with lookups), a live
-              quarantine, or no active pre-routing gate to sweep.
+              quarantine, no active pre-routing gate to sweep, or no
+              inlined flow-table probe (``AIU.classify`` would charge a
+              raising creation hook before earlier packets' gates ran).
 ``lanes``   — a classify pass over the whole batch, then each active
               pre-routing gate's plugin swept over the surviving lane
               with a pooled context, then the same per-packet tail.
-              Selected for unbounded tables with no live quarantine; it
-              pays rent (docs/PERFORMANCE.md has the numbers).
+              Selected for unbounded tables with the inlined probe and
+              no live quarantine; it pays rent (docs/PERFORMANCE.md has
+              the numbers).
 
 The tail inlines what a workload pays for — plain forwarding, and a
 DRR that hands the packet straight back (``pass_through``) — and calls
@@ -101,14 +104,29 @@ def loop_for(router) -> Callable:
     """The compiled loop ``receive_batch`` runs under the router's
     current plan: ``lanes`` when sweeping gates over the batch cannot be
     observed (active pre-routing gates, unbounded table, no live
-    quarantine), else ``packet``."""
+    quarantine, the flow-table probe inlined), else ``packet``.  Without
+    the inlined probe the classify pass would call ``AIU.classify``,
+    which charges a raising creation hook before the earlier packets'
+    gates have run."""
     router._refresh_plan()
     lanes = (
         router._plan[0]
         and not router._quarantined
         and router.aiu.flow_table.max_records is None
+        and _inlines_probe(router)
     )
     return compiled_loop(router, LANES if lanes else PACKET)
+
+
+def _inlines_probe(router) -> bool:
+    """Whether the loops inline the flow-table probe and miss walk, or
+    call ``AIU.classify`` (cache off, IPv6 flow-label hashing, no
+    pre-routing gate)."""
+    aiu = router.aiu
+    return (
+        aiu.use_flow_cache and not aiu.flow_table.use_flow_label
+        and router._first_pre_gate is not None
+    )
 
 
 def compiled_loop(router, layout: str) -> Callable:
@@ -175,12 +193,7 @@ def _compile(router, layout: str) -> Callable:
         "layout": layout,
         "pre": pre,
         "tm": router._tm_gate_cells is not None,
-        # Inline the flow-table probe and miss walk, or call AIU.classify
-        # (cache off, IPv6 flow-label hashing, no pre-routing gate).
-        "probe": (
-            aiu.use_flow_cache and not table.use_flow_label
-            and first is not None
-        ),
+        "probe": _inlines_probe(router),
         "bounded": table.max_records is not None,
         # Some gate has a filter: a miss may meet a creation hook.
         "filters": bool(pre or routing_active or sched_active),

@@ -38,11 +38,12 @@ class PluginControlUnit:
         """Register a plugin's callback; returns its 32-bit plugin code.
 
         With ``strict=True`` the plugin's data-path methods are run
-        through the plugin lint (:mod:`repro.analysis.hotpath`: the
-        hot-path and shard-safety rules, one pass) first, and any
-        error-severity finding refuses the load *before* the
-        PCU tables are touched — a misbehaving module never becomes
-        reachable from the fast path or replicated into a shard.
+        through the plugin lint (:mod:`repro.analysis.hotpath`) first,
+        and any error-severity finding refuses the load *before* the
+        PCU tables are touched.  The errors are the failures no fault
+        domain records: a stall (RP201), nondeterminism (RP202), a
+        swallowed fault (RP203), an uncharged modelled cost (RP205) and
+        state that diverges across shards (RP209, RP401, RP402).
         """
         if plugin.name in self._by_name:
             raise PluginError(f"plugin {plugin.name!r} is already loaded")

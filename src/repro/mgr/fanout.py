@@ -8,9 +8,8 @@ table and applies the typed call ``(verb, args, kwargs)`` to every child
 (children may be fanouts themselves — a topology of sharded routers is
 nested fanout), and ``query()`` merges the children's answers per the
 strategy each topic declares in :mod:`repro.mgr.format`.  The mp worker
-loop (:mod:`repro.shard.mp`) and the RP405 lint
-(:mod:`repro.analysis.concurrency`) read the same table, so a new verb
-is one ``RouterPluginLibrary`` method plus one row here.
+loop (:mod:`repro.shard.mp`) reads the same table, so a new verb is one
+``RouterPluginLibrary`` method plus one row here.
 """
 
 from __future__ import annotations

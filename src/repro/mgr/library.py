@@ -408,10 +408,9 @@ class RouterPluginLibrary:
         — and so fanout configuration ops that never touch a filter
         (modload/create through a Fanout) still invalidate
         it."""
-        from ..analysis import analyze_router, audit_query_mergeability
+        from ..analysis import analyze_router
 
         report = analyze_router(self.router, include_plugins=include_plugins)
-        report.extend(audit_query_mergeability(self.query))
         self._analysis_cache = (
             self.router.aiu.plan_epoch,
             self._config_revision,

@@ -47,9 +47,9 @@ class ShardedPluginLibrary(Fanout):
 
     def analyze(self, include_plugins: bool = True):
         """Full sharded sweep: plugin lints once (fanout keeps shards
-        identically configured), per-shard equivalence + codegen audits,
-        and the RP404 query-mergeability audit.  Inline backend only —
-        worker processes cannot ship live analysis objects back."""
+        identically configured), filter-set semantics, and per-shard
+        codegen audits.  Inline backend only — worker processes cannot
+        ship live analysis objects back."""
         if not self.libraries or self.sharded._pool is not None:
             raise ConfigurationError(
                 "analyze needs the inline backend (worker processes "
@@ -57,11 +57,7 @@ class ShardedPluginLibrary(Fanout):
             )
         from ..analysis import analyze_sharded
 
-        report = analyze_sharded(
-            self.sharded,
-            libraries=self.libraries,
-            include_plugins=include_plugins,
-        )
+        report = analyze_sharded(self.sharded, include_plugins=include_plugins)
         # Seed every shard's freshness cache — the sweep audited each
         # shard, so each shard's ``show aiu`` reports it instead of
         # "never"/"stale".

@@ -84,7 +84,7 @@ def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: boo
                 # Handles (plugins, instances, governors) stay in the
                 # worker; only the read's payload crosses the pipe.
                 result_w.send(("ok", None if verb in VERBS else value))
-            except Exception as exc:  # noqa: BLE001  # rp: ignore[RP206]
+            except Exception as exc:  # noqa: BLE001 — a verb's error goes back to the parent
                 result_w.send(("err", f"{type(exc).__name__}: {exc}"))
         elif tag == "health":
             result_w.send(("ok", router.health()))
@@ -229,5 +229,5 @@ class ShardWorkerPool:
     def __del__(self):  # pragma: no cover — belt and braces
         try:
             self.close()
-        except Exception:  # rp: ignore[RP206] — a finalizer must never raise
+        except Exception:  # a finalizer must never raise
             pass

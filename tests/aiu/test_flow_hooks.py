@@ -229,10 +229,10 @@ def test_a_purge_releases_every_flow_before_a_raising_on_remove():
     assert (len(table), _pool_is_whole(table)) == (0, True)
 
 
-def _creation_run(front, fail):
+def _creation_run(front, fail, use_flow_cache=True):
     """Twelve new flows through one front, with the creation hook of the
     firewall bound at ip_security raising on the flows in ``fail``."""
-    router = _router()
+    router = _router(use_flow_cache=use_flow_cache)
     plugin = FirewallPlugin()
     router.pcu.load(plugin)
     plugin.instance_class = FaultyCreation      # a tracked instance can be quarantined
@@ -247,18 +247,21 @@ def _creation_run(front, fail):
     return out, dict(router.counters), faults, len(router.aiu.flow_table)
 
 
-@pytest.mark.parametrize("front", ["receive", "receive_batch"])
+@pytest.mark.parametrize("front,use_flow_cache", [
+    ("receive", True), ("receive_batch", True), ("receive", False), ("receive_batch", False),
+], ids=["receive", "receive_batch", "receive-cache-off", "receive_batch-cache-off"])
 @pytest.mark.parametrize("fail", [(0,), (1, 4), tuple(range(12))],
                          ids=["first", "mid-batch", "trips-quarantine"])
-def test_a_raising_creation_hook_is_a_fault_at_its_gate(front, fail):
+def test_a_raising_creation_hook_is_a_fault_at_its_gate(front, use_flow_cache, fail):
     """The creation hook raises: the fault is charged at the hook's gate
     once the flow is set up, the batch completes, and every front agrees
     with the metered walk on dispositions, counters, the fault ring and
-    the flow table — also when the third fault trips the breaker."""
-    out, counters, faults, flows = _creation_run(front, fail)
-    assert (out, counters, faults, flows) == _creation_run("metered", fail)
+    the flow table — also when the third fault trips the breaker, and
+    with the flow cache off (the loops call ``AIU.classify``)."""
+    out, counters, faults, flows = _creation_run(front, fail, use_flow_cache)
+    assert (out, counters, faults, flows) == _creation_run("metered", fail, use_flow_cache)
     assert [f[4] for f in faults] == ["ip_security"] * len(fail)
-    assert counters["plugin_faults"] == len(fail) and flows == 12
+    assert counters["plugin_faults"] == len(fail) and flows == (12 if use_flow_cache else 0)
     if len(fail) < 3:
         assert out == ["forwarded"] * 12
     else:                   # the third fault quarantines: later packets drop

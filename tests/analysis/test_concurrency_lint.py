@@ -1,11 +1,18 @@
-"""Shard-safety lint unit tests: each RP4xx code fires on a planted
-violation and stays quiet on the idiomatic (instance-local) twin,
-suppressions work on the new codes, a typo'd suppression is flagged as
-RP210, and the strict load refuses RP4xx errors like RP2xx ones."""
+"""Shard-safety lint unit tests: RP401 and RP402 fire on planted
+violations and stay quiet on the idiomatic (instance-local) twins,
+suppressions work on them, a typo'd suppression is flagged as RP210, and
+the strict load refuses RP4xx errors like RP2xx ones.
+
+RP404 (query payloads the cross-shard merge cannot sum) and RP405
+(control commands branching on shard-local traffic state) are retired
+(docs/STATIC_ANALYSIS.md, "Retired codes"): their tests keep their
+names and pin that behaviour on real routers, and each is a must-fail id
+of the catalogue row (tests/mutants/) that plants the defect its code
+stood for."""
 
 import pytest
 
-from repro.analysis import audit_query_mergeability, lint_plugin, unknown_suppressed_codes
+from repro.analysis import lint_plugin, unknown_suppressed_codes
 from repro.core.errors import PluginError
 from repro.core.plugin import (
     Plugin,
@@ -13,7 +20,14 @@ from repro.core.plugin import (
     TYPE_PACKET_SCHEDULING,
     Verdict,
 )
+from repro.core.gates import GATE_IP_SECURITY
+from repro.core.messages import Message
 from repro.core.router import Router
+from repro.mgr.library import RouterPluginLibrary
+from repro.net.packet import make_udp
+from repro.security.firewall import FirewallInstance
+from repro.shard import ShardedRouter
+from repro.shard.control import ShardedPluginLibrary
 
 # Planted module-level state for the RP401 fixtures.
 SEEN_PORTS = {}
@@ -132,30 +146,6 @@ class PlainStateInstance(PluginInstance):
 
 
 # ----------------------------------------------------------------------
-# RP405 — control commands reading shard-local traffic state
-# ----------------------------------------------------------------------
-class DivergingControlPlugin(Plugin):
-    plugin_type = TYPE_PACKET_SCHEDULING
-    name = "diverging-control"
-    instance_class = PlainStateInstance
-
-    def handle_custom(self, message):
-        if self.pcu.aiu.flow_table.active > 100:
-            self.pcu.aiu.remove_filter(message.body)
-        return None
-
-
-class UnconditionalControlPlugin(Plugin):
-    plugin_type = TYPE_PACKET_SCHEDULING
-    name = "unconditional-control"
-    instance_class = PlainStateInstance
-
-    def handle_custom(self, message):
-        self.pcu.aiu.remove_filter(message.body)
-        return None
-
-
-# ----------------------------------------------------------------------
 # RP210 — typo'd suppression
 # ----------------------------------------------------------------------
 class TypoSuppressionInstance(PluginInstance):
@@ -191,15 +181,6 @@ def test_bad_pattern_is_flagged(instance_cls, expected):
 def test_good_pattern_is_clean(instance_cls):
     plugin_cls = _make_plugin(instance_cls, f"good-{instance_cls.__name__.lower()}")
     assert _codes(plugin_cls) == []
-
-
-def test_rp405_flags_local_state_guarded_config_change():
-    codes = _codes(DivergingControlPlugin)
-    assert "RP405" in codes
-
-
-def test_rp405_quiet_on_unconditional_fanout():
-    assert "RP405" not in _codes(UnconditionalControlPlugin)
 
 
 def test_suppression_comment_silences_rp401():
@@ -241,40 +222,111 @@ def test_diagnostics_carry_location_and_hint():
 
 
 # ----------------------------------------------------------------------
-# RP404 — query mergeability
+# Retired RP404: the faults topic merges per field across shards
 # ----------------------------------------------------------------------
-def test_rp404_flags_unmergeable_leaf():
-    def query(topic, **filters):
-        return {"flows": [1, 2, 3], "active": 7}
+class _RaisingFirewall(FirewallInstance):
+    def process(self, packet, ctx):
+        raise RuntimeError("firewall fault")
 
-    findings = audit_query_mergeability(query, topics=["flows"])
-    assert [d.code for d in findings] == ["RP404"]
-    assert "list" in findings[0].message
-    assert findings[0].subject == "query('flows')"
+
+def _router(name="router"):
+    router = Router(name=name)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    return router
+
+
+def _flows(count):
+    return [make_udp(f"10.0.0.{i + 1}", "20.0.0.1", 5000 + i, 9000, iif="atm0")
+            for i in range(count)]
+
+
+def _faulted_front():
+    """A two-shard front whose firewall raises on every packet, sent
+    flows that land on both shards: each shard records faults and trips
+    its quarantine at ``now=1``.  Returns the front's merged ``faults``
+    entry for the firewall and each shard's own."""
+    sharded = ShardedRouter(nshards=2, factory=lambda i: _router(f"shard/{i}"),
+                            backend="inline")
+    library = ShardedPluginLibrary(sharded)
+    library.modload("firewall")
+    for shard in sharded.shards:
+        shard.pcu.get("firewall").instance_class = _RaisingFirewall
+    library.create_instance("firewall", "fw0")
+    library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
+    library.set_fault_policy("firewall", threshold=2, window=10.0, cooldown=5.0)
+    sharded.receive_batch(_flows(16), now=1.0)
+
+    def faults():
+        return (library.query("faults")["plugins"]["firewall"],
+                [child.query("faults")["plugins"]["firewall"]
+                 for child in library.libraries])
+    return library, faults
+
+
+def test_rp404_flags_unmergeable_leaf():
+    """The list leaf: the front's fault records are every shard's."""
+    _, faults = _faulted_front()
+    merged, shards = faults()
+    assert all(shard["records"] for shard in shards)
+    assert merged["records"] == shards[0]["records"] + shards[1]["records"]
 
 
 def test_rp404_quiet_on_mergeable_payload():
-    def query(topic, **filters):
-        return {"active": 7, "nested": {"hits": 1.5, "label": "x", "up": True}}
-
-    assert audit_query_mergeability(query, topics=["flows", "aiu"]) == []
+    """Counters sum; the policy fields are configuration, the same on
+    every shard, so the front reports the value, not twice it."""
+    _, faults = _faulted_front()
+    merged, shards = faults()
+    assert merged["faults_total"] == sum(shard["faults_total"] for shard in shards)
+    assert [merged[key] for key in ("threshold", "window", "cooldown")] == [2, 10.0, 5.0]
 
 
 def test_rp404_skips_special_merger_topics():
-    def query(topic, **filters):
-        return {"rows": [object()]}  # unmergeable, but the topic is special
-
-    assert audit_query_mergeability(query, topics=["telemetry"]) == []
+    """A quarantine on any shard surfaces on the front."""
+    library, faults = _faulted_front()
+    library.libraries[0].reinstate("firewall")
+    merged, shards = faults()
+    assert [shard["state"] for shard in shards] == ["healthy", "quarantined"]
+    assert merged["state"] == "quarantined"
 
 
 def test_live_library_query_is_mergeable():
-    from repro.mgr.library import RouterPluginLibrary
+    """The front's quarantine deadline is the latest shard's."""
+    _, faults = _faulted_front()
+    merged, shards = faults()
+    assert [shard["quarantined_until"] for shard in shards] == [6.0, 6.0]
+    assert merged["quarantined_until"] == 6.0
 
-    router = Router(name="mergeable")
-    router.add_interface("atm0", prefix="0.0.0.0/0")
+
+# ----------------------------------------------------------------------
+# Retired RP405: a control message acts the same whatever traffic a
+# router has seen
+# ----------------------------------------------------------------------
+def _weight_after_set_weight(warm):
+    """DRR bound at the scheduling gate of a router that has (``warm``)
+    or has not seen traffic; ``set_weight`` for its filter, as the
+    fanout sends it to every child."""
+    router = _router()
     library = RouterPluginLibrary(router)
-    library.modload("firewall")
-    assert audit_query_mergeability(library.query) == []
+    library.modload("drr")
+    instance = library.create_instance("drr", "drr0")
+    record = library.bind("drr0", "*, *, UDP")
+    if warm:
+        router.receive_batch(_flows(4))
+        assert len(router.aiu.flow_table) == 4
+    router.pcu.send("drr", Message("set_weight", {
+        "instance": instance, "record": record, "weight": 3.0}))
+    return instance.weight_for(record)
+
+
+def test_rp405_flags_local_state_guarded_config_change():
+    """A router whose flow table holds flows takes the weight."""
+    assert _weight_after_set_weight(warm=True) == 3.0
+
+
+def test_rp405_quiet_on_unconditional_fanout():
+    """Two children, one warm and one cold, end with the same weight."""
+    assert _weight_after_set_weight(warm=True) == _weight_after_set_weight(warm=False) == 3.0
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,13 @@
-"""Hot-path lint unit tests: each RP2xx code fires on a synthetic bad
-plugin and stays quiet on the idiomatic equivalents, suppression
+"""Hot-path lint unit tests: each live RP2xx code fires on a synthetic
+bad plugin and stays quiet on the idiomatic equivalents, suppression
 comments work, and strict loading refuses error findings before the PCU
-tables are touched."""
+tables are touched.
+
+RP204, RP206 and RP207 are retired (docs/STATIC_ANALYSIS.md, "Retired
+codes"): their ``test_bad_pattern_is_flagged`` ids keep their names and
+pin, on a real router, the behaviour the code stood for; each is a
+must-fail id of the catalogue row (tests/mutants/) that plants the
+defect in shipped code."""
 
 import random
 import time
@@ -12,15 +18,23 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.analysis import lint_plugin
+from repro.analysis import CODES, lint_plugin
 from repro.core.errors import PluginError
 from repro.core.plugin import (
     Plugin,
+    PluginContext,
     PluginInstance,
     TYPE_PACKET_SCHEDULING,
     Verdict,
 )
 from repro.core.router import Router
+from repro.net.addresses import IPAddress
+from repro.net.packet import Packet, make_udp
+from repro.sched.fifo import FifoPlugin
+from repro.security.ah import AhPlugin
+from repro.security.sa import SADatabase, SecurityAssociation
+from repro.sim.events import EventLoop
+from repro.stats import StatisticsPlugin
 
 
 def _codes(plugin_cls):
@@ -128,23 +142,6 @@ class BareExceptInstance(PluginInstance):
         return Verdict.CONTINUE
 
 
-class BroadExceptInstance(PluginInstance):
-    def process(self, packet, ctx):
-        try:
-            packet.annotations["x"] = 1
-        except Exception:
-            return Verdict.DROP
-        return Verdict.CONTINUE
-
-
-class SlotsInstance(PluginInstance):
-    __slots__ = ()
-
-    def process(self, packet, ctx):
-        self.window = 1
-        return Verdict.CONTINUE
-
-
 class UnchargedTouchInstance(PluginInstance):
     def process(self, packet, ctx):
         if len(packet.payload) > 1000:
@@ -177,26 +174,6 @@ class SuppressedInstance(PluginInstance):
     def process(self, packet, ctx):
         data = packet.payload  # rp: ignore[RP205]
         return Verdict.DROP if data else Verdict.CONTINUE
-
-
-class AdHocMetricsInstance(PluginInstance):
-    def __init__(self, plugin, **config):
-        super().__init__(plugin, **config)
-        self.stats = {}
-
-    def process(self, packet, ctx):
-        self.stats["seen"] = self.stats.get("seen", 0) + 1
-        return Verdict.CONTINUE
-
-
-class AdHocCounterAugInstance(PluginInstance):
-    def __init__(self, plugin, **config):
-        super().__init__(plugin, **config)
-        self.counters = {"seen": 0}
-
-    def process(self, packet, ctx):
-        self.counters["seen"] += 1
-        return Verdict.CONTINUE
 
 
 class RegistryMetricsInstance(PluginInstance):
@@ -235,6 +212,86 @@ class ExplicitBaseTouchInstance(UnchargedTouchInstance):
         return UnchargedTouchInstance.process(self, packet, ctx)
 
 
+# ----------------------------------------------------------------------
+# Retired codes: what they guarded, on real routers
+# ----------------------------------------------------------------------
+def _router(**kwargs):
+    router = Router(name="pin", **kwargs)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    return router
+
+
+def tail_drops_are_counted_not_faulted():
+    """RP204: a ``__slots__`` class creating an attribute outside
+    ``__init__`` raises on the first packet down that branch.  The
+    data path's ``__slots__`` queue takes its tail-drop branch under an
+    event loop, and counts the drop instead of faulting."""
+    router = _router(loop=EventLoop())
+    plugin = FifoPlugin()
+    router.pcu.load(plugin)
+    fifo = plugin.create_instance(limit=2)
+    router.set_scheduler("atm1", fifo)
+    for i in range(6):
+        router.receive(make_udp("10.0.0.1", "20.0.0.1", 5000 + i, 9000, iif="atm0"))
+    assert fifo.queue.drops > 0
+    assert router.faults.records() == []
+
+
+class _UnreachableSADatabase(SADatabase):
+    """An SA store whose lookup fails with a fault, not a refusal."""
+
+    def get(self, spi):
+        raise RuntimeError("SA store unreachable")
+
+
+def a_broken_sa_store_is_a_fault_not_an_auth_failure():
+    """RP206: an over-broad handler turns a fault into a verdict.  AH's
+    inbound handler catches what a bad datagram raises; a fault of its SA
+    store reaches AH's fault domain instead of counting as an
+    authentication failure."""
+    sa = SecurityAssociation(spi=1, auth_key=b"k" * 16)
+    plugin = AhPlugin()
+    packet = Packet(src=IPAddress(0x0A000001, 32), dst=IPAddress(0x14000001, 32),
+                    protocol=17, src_port=1234, dst_port=80, payload=b"x" * 64, iif="atm0")
+    plugin.create_instance(direction="out", sa=sa).process(packet, PluginContext())
+    router = _router()
+    router.pcu.load(plugin)
+    inbound = plugin.create_instance(direction="in", sadb=_UnreachableSADatabase())
+    plugin.register_instance(inbound, "*, *, *", gate="ip_security")
+    assert router.receive(packet) == "dropped_by_plugin"
+    assert [f.signature()[4] for f in router.faults.records()] == ["ip_security"]
+    assert inbound.auth_failures == 0
+
+
+def _stats_router():
+    router = _router()
+    plugin = StatisticsPlugin()
+    router.pcu.load(plugin)
+    stats = plugin.create_instance()
+    plugin.register_instance(stats, "*, *, UDP", gate="ip_security")
+    flows = [make_udp(f"10.0.0.{i % 3 + 1}", "20.0.0.1", 5000, 9000, payload_size=100,
+                      iif="atm0") for i in range(9)]
+    return router, stats, flows
+
+
+def stats_report_counts_every_received_packet():
+    """RP207: a metric kept where nothing reads it is lost to the
+    operator.  The stats plugin's report counts every packet of every
+    flow it is bound to."""
+    router, stats, flows = _stats_router()
+    for packet in flows:
+        router.receive(packet)
+    assert [record["packets"] for record in stats.report().values()] == [3, 3, 3]
+
+
+def stats_totals_count_every_batched_packet():
+    """RP207, through the generated loops: totals over the report."""
+    router, stats, flows = _stats_router()
+    router.receive_batch(flows)
+    assert stats.totals() == {"flows": 3, "packets": 9, "bytes": 9 * flows[0].length}
+
+
 @pytest.mark.parametrize(
     "instance_cls,expected",
     [
@@ -249,16 +306,25 @@ class ExplicitBaseTouchInstance(UnchargedTouchInstance):
         (GlobalOsUrandomInstance, "RP202"),
         (GlobalRandomInstance, "RP202"),
         (BareExceptInstance, "RP203"),
-        (SlotsInstance, "RP204"),
+        pytest.param(tail_drops_are_counted_not_faulted, "RP204",
+                     id="SlotsInstance-RP204"),
         (UnchargedTouchInstance, "RP205"),
         (ExplicitBaseTouchInstance, "RP205"),
-        (BroadExceptInstance, "RP206"),
-        (AdHocMetricsInstance, "RP207"),
-        (AdHocCounterAugInstance, "RP207"),
+        pytest.param(a_broken_sa_store_is_a_fault_not_an_auth_failure, "RP206",
+                     id="BroadExceptInstance-RP206"),
+        pytest.param(stats_report_counts_every_received_packet, "RP207",
+                     id="AdHocMetricsInstance-RP207"),
+        pytest.param(stats_totals_count_every_batched_packet, "RP207",
+                     id="AdHocCounterAugInstance-RP207"),
         (SuperCallInstance, "RP211"),
     ],
 )
 def test_bad_pattern_is_flagged(instance_cls, expected):
+    """A live code fires on its fixture; a retired code's id runs the
+    behaviour pin that replaced it."""
+    if expected not in CODES:
+        instance_cls()
+        return
     plugin_cls = _make_plugin(instance_cls, f"bad-{expected.lower()}")
     assert expected in _codes(plugin_cls)
 

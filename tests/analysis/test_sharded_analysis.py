@@ -116,7 +116,7 @@ def test_analyze_sharded_covers_every_shard():
     assert victim._loops
     fn = next(iter(victim._loops.values()))
     del fn.__globals__["TEXC"]
-    report = analyze_sharded(sharded, libraries=library.libraries)
+    report = analyze_sharded(sharded)
     findings = [d for d in report if d.code == "RP501"]
     assert findings
     assert all(d.subject.startswith("shard2: ") for d in findings)

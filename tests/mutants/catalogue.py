@@ -2,9 +2,10 @@
 ``src/`` and the tests that must fail on it.
 
 A row is ``Mutant(id, file, old, new, fails)``: ``file`` is relative to
-``src/``, ``old`` occurs exactly once in it and is replaced by ``new``,
-and every id in ``fails`` (pytest node ids, as ``-rf`` prints them)
-must then fail.  ``pytest -m mutants`` plants and runs each row
+``src/``, ``old`` occurs exactly once in it and is replaced by ``new``
+(or, when both are tuples, each ``old`` by its ``new``), and every id in
+``fails`` (pytest node ids, as ``-rf`` prints them) must then fail.
+``pytest -m mutants`` plants and runs each row
 (tests/mutants/test_catalogue.py); tier-1 only checks that every
 ``old`` is still found once.
 
@@ -12,25 +13,37 @@ The rows are the mutations this repository has used to show that a
 check is covered: the ones behind docs/STATIC_ANALYSIS.md "Retired
 codes", the ones earlier changes planted by hand, and one for each
 planted case of the codegen audit (RP5xx), written as a mutation of
-the emitter or compiler that produces it.  A row may name any test.
-Rows whose ``fails`` name only tests that call ``repro.analysis`` are
-the defects only the audit sees (M9: RP501, R7: RP505); they are why
-those codes stay.
+the emitter or compiler that produces it, and one for each plugin lint
+code (RP2xx, RP4xx), planting in shipped code the defect the code exists
+for.  A row names every tier-1 id that fails on it.  Rows whose
+``fails`` name only tests that call ``repro.analysis`` are the defects
+only the lint or the audit sees (M9: RP501, R7: RP505, and the RP202,
+RP203, RP211, RP401 and RP402 rows).
 """
 
-from typing import NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 
 class Mutant(NamedTuple):
     id: str
     file: str
-    old: str
-    new: str
+    old: Union[str, Tuple[str, ...]]
+    new: Union[str, Tuple[str, ...]]
     fails: Tuple[str, ...]
+
+    def edits(self) -> List[Tuple[str, str]]:
+        """The ``(old, new)`` replacements the row makes."""
+        if isinstance(self.old, str):
+            return [(self.old, self.new)]
+        return list(zip(self.old, self.new))
 
 
 ORACLE = "tests/oracle/test_oracle.py::TestOracle::runTest"
 AUDIT = "tests/analysis/test_codegen_audit.py::"
+SELF_LINT = ("tests/analysis/test_self_lint.py::test_builtin_plugins_lint_clean",
+             "tests/analysis/test_self_lint.py::test_full_self_lint_gate_is_clean")
+HOTPATH = "tests/analysis/test_hotpath_lint.py::test_bad_pattern_is_flagged"
+SHARDLINT = "tests/analysis/test_concurrency_lint.py::"
 PIPELINE = "tests/perf/test_batch_pipeline.py::"
 PREFLIGHT = "tests/aiu/test_classifier_differential.py::"
 BATCH = "repro/core/batch.py"
@@ -38,7 +51,7 @@ DAG = "repro/aiu/dag.py"
 BMP = "repro/bmp/base.py"
 DRR = "repro/sched/drr.py"
 ROUTER = "repro/core/router.py"
-
+STATS = "repro/stats/plugin.py"
 MUTANTS = (
     # -- seeds: mutations earlier changes planted by hand ----------------
     Mutant(
@@ -327,4 +340,172 @@ MUTANTS = (
         '        if name == "src":\n            # Per-length',
         (ORACLE,),
     ),
+    # -- the creation hook inside its fault domain ---------------------
+    Mutant(
+        "creation-hook-outside-try", BATCH,
+        "                try:\n                    fcreated(record, fslot)\n"
+        "                except Exception as exc:\n"
+        "                    hookf = (hookf or []) + [(frec.instance, _gname, exc)]\n",
+        "                fcreated(record, fslot)\n",
+        tuple("tests/aiu/test_flow_hooks.py::"
+              f"test_a_raising_creation_hook_is_a_fault_at_its_gate[{fail}-{front}]"
+              for fail in ("first", "mid-batch", "trips-quarantine")
+              for front in ("receive", "receive_batch")),
+    ),
+    # -- plugin lint (RP2xx, RP4xx): each code's defect in shipped code --
+    Mutant(
+        # A router alert written to a log file instead of punted to the
+        # control handler: every alerted packet blocks on the file.
+        "rp201-alert-logged-to-a-file", "repro/options/plugins.py",
+        "                if self.handler is not None:\n"
+        "                    self.handler(packet, ctx)\n",
+        "                with open(\"/dev/null\", \"a\") as log:\n"
+        "                    log.write(f\"router alert from {packet.src}\\n\")\n",
+        SELF_LINT + (
+            "tests/integration/test_full_system.py::TestIPv6OptionsThroughRouter::"
+            "test_router_alert_punts_to_control",
+            "tests/integration/test_ipv6_path.py::TestOptionsOnPath::"
+            "test_router_alert_reaches_handler_on_transit",
+            "tests/options/test_option_plugins.py::TestRouterAlert::test_alert_punted_to_handler"),
+    ),
+    Mutant(
+        "rp202-red-draws-from-the-module-random", "repro/sched/red.py",
+        "            if self._rng.random() < probability:\n",
+        "            if random.random() < probability:\n",
+        SELF_LINT,
+    ),
+    Mutant(
+        "rp203-esp-bare-except", "repro/security/esp.py",
+        "        except ValueError:\n",
+        "        except:  # noqa: E722\n",
+        SELF_LINT,
+    ),
+    Mutant(
+        # A typo'd attribute on the tail-drop branch of the data path's
+        # __slots__ queue: AttributeError on the first full queue.
+        "rp204-packet-queue-slot-typo", "repro/sched/base.py",
+        "            self.drops += 1\n            return False\n",
+        "            self.dropped = self.drops + 1\n            return False\n",
+        (HOTPATH + "[SlotsInstance-RP204]",
+         "tests/sched/test_base_queue.py::TestPacketQueue::test_tail_drop_counts",
+         "tests/sched/test_base_queue.py::TestSchedulerBase::test_full_queue_drops",
+         "tests/sched/test_fifo_red_altq.py::TestAltqWfq::test_drops_counted",
+         "tests/sched/test_fifo_red_altq.py::TestFifo::test_tail_drop",
+         "tests/sched/test_hfsc.py::TestRealTime::test_longrun_rt_throughput_tracks_m2_plus_share",
+         "tests/sched/test_hfsc.py::TestRealTime::"
+         "test_realtime_class_meets_deadline_despite_tiny_share"),
+    ),
+    Mutant(
+        "rp205-ah-outbound-uncharged", "repro/security/ah.py",
+        "        icv_input = _authenticated_bytes(packet, inner_proto, packet.payload)\n"
+        "        ctx.cycles.charge(len(icv_input) * Costs.SW_AUTH_PER_BYTE, \"sw_auth\")\n",
+        "        icv_input = _authenticated_bytes(packet, inner_proto, packet.payload)\n",
+        SELF_LINT + ("tests/analysis/test_self_lint.py::test_ah_charges_sw_auth_per_byte",),
+    ),
+    Mutant(
+        "rp206-ah-inbound-catches-exception", "repro/security/ah.py",
+        "        except (ValueError, SecurityError):\n",
+        "        except Exception:\n",
+        (HOTPATH + "[BroadExceptInstance-RP206]",),
+    ),
+    Mutant(
+        "rp207-stats-counts-into-self-stats", STATS,
+        ("        self._flows: Dict[Tuple, Dict] = {}\n",
+         "        self._collector(packet, record)\n"),
+        ("        self._flows: Dict[Tuple, Dict] = {}\n        self.stats: Dict[str, int] = {}\n",
+         "        self.stats[self.collector_name] = self.stats.get(self.collector_name, 0) + 1\n"),
+        (HOTPATH + "[AdHocMetricsInstance-RP207]", HOTPATH + "[AdHocCounterAugInstance-RP207]",
+         "tests/integration/test_deployment.py::TestDeployment::test_monitor_counts_branch_traffic",
+         "tests/integration/test_examples.py::test_example_runs[network_monitor.py]",
+         "tests/integration/test_full_system.py::TestAllPluginTypesTogether::"
+         "test_mixed_traffic_hits_the_right_plugins",
+         "tests/integration/test_full_system.py::TestAllPluginTypesTogether::"
+         "test_plugin_counts_survive_cache_hits",
+         *(f"tests/stats/test_flow_churn.py::test_reinstalled_flow_keeps_its_history[{front}]"
+           for front in ("metered", "receive", "receive_batch")),
+         *(f"tests/stats/test_stats.py::TestStatisticsPlugin::{test}"
+           for test in ("test_protocol_collector", "test_swappable_collector",
+                        "test_volume_collector"))),
+    ),
+    Mutant(
+        "rp209-dispatch-by-builtin-hash", "repro/shard/dispatch.py",
+        "        s = packet.flow_fold32() % nshards\n",
+        "        s = hash(packet.five_tuple()) % nshards\n",
+        ("tests/analysis/test_hash_lint.py::test_shard_dispatch_layer_self_lints_clean",
+         SELF_LINT[1],
+         "tests/shard/test_differential.py::test_flows_never_split_and_stay_ordered"),
+    ),
+    Mutant(
+        "rp211-hwesp-super-process", "repro/security/hw_offload.py",
+        "        verdict = EspOutboundInstance.process(self, packet, ctx)\n",
+        "        verdict = super().process(packet, ctx)\n",
+        SELF_LINT,
+    ),
+    Mutant(
+        # Every stats instance in the process shares one record dict.
+        "rp401-stats-flows-in-a-module-global", STATS,
+        ("    \"protocols\": collect_protocols,\n}\n",
+         "        self._flows: Dict[Tuple, Dict] = {}\n",
+         "        slot.private = self._flows.setdefault(\n",
+         "            record = self._flows.get(key) or self._flows.setdefault(key, {})\n"),
+        ("    \"protocols\": collect_protocols,\n}\nFLOWS: Dict[Tuple, Dict] = {}\n",
+         "        self._flows = FLOWS\n",
+         "        slot.private = FLOWS.setdefault(\n",
+         "            record = FLOWS.get(key) or FLOWS.setdefault(key, {})\n"),
+        SELF_LINT,
+    ),
+    Mutant(
+        # The same, one scope down: the record dict on the class.
+        "rp402-stats-flows-on-the-class", STATS,
+        ("    \"\"\"Counts traffic on bound flows with a swappable collector.\"\"\"\n",
+         "        self._flows: Dict[Tuple, Dict] = {}\n"),
+        ("    \"\"\"Counts traffic on bound flows with a swappable collector.\"\"\"\n\n"
+         "    _flows: Dict[Tuple, Dict] = {}\n",
+         ""),
+        SELF_LINT,
+    ),
+    Mutant(
+        # The faults topic (a list of records per plugin) sum-merged.
+        "rp404-faults-topic-sum-merged", "repro/mgr/format.py",
+        "merge=_merge_faults)\n",
+        "merge=\"sum\")\n",
+        tuple(SHARDLINT + test for test in (
+            "test_rp404_flags_unmergeable_leaf", "test_rp404_quiet_on_mergeable_payload",
+            "test_rp404_skips_special_merger_topics", "test_live_library_query_is_mergeable"))
+        + tuple(f"tests/mgr/test_fanout.py::{test}[{front}]"
+                for test in ("test_every_front_reports_the_single_router_configuration",
+                             "test_faults_policy_is_not_multiplied_by_the_front")
+                for front in ("inline", "mp", "topology", "topology_sharded_node"))
+        + (ORACLE, "tests/oracle/test_oracle.py::"
+           "test_a_quarantined_drr_is_intercepted_on_every_front"),
+    ),
+    Mutant(
+        # A plugin message that acts only on a shard whose flow table is
+        # empty: the children of one fanout end configured differently.
+        "rp405-set-weight-only-on-an-empty-flow-table", "repro/sched/base.py",
+        "            args[\"instance\"].set_weight(args[\"record\"], args[\"weight\"])\n",
+        "            if not self.pcu.aiu.flow_table.active:\n"
+        "                args[\"instance\"].set_weight(args[\"record\"], args[\"weight\"])\n",
+        (SHARDLINT + "test_rp405_flags_local_state_guarded_config_change",
+         SHARDLINT + "test_rp405_quiet_on_unconditional_fanout",
+         "tests/sched/test_drr.py::TestMessages::test_set_weight_message"),
+    ),
 )
+
+#: Each retired lint code: the rows planting the defect it stood for, and
+#: the ids it kept whose names do not carry the code.  Every test that
+#: kept one of its ids is a must-fail id of one of those rows
+#: (tests/mutants/test_catalogue.py; docs/STATIC_ANALYSIS.md "Retired codes").
+RETIRED: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "RP204": (("rp204-packet-queue-slot-typo",), ()),
+    "RP206": (("rp206-ah-inbound-catches-exception",), ()),
+    "RP207": (("rp207-stats-counts-into-self-stats",), ()),
+    "RP404": (("rp404-faults-topic-sum-merged",),
+              (SHARDLINT + "test_live_library_query_is_mergeable",)),
+    "RP405": (("rp405-set-weight-only-on-an-empty-flow-table",), ()),
+    "RP502": (("M12-ctx-now-from-the-clock",), ()),
+    "RP503": (("M7-handler-swallows", "M10-process-outside-try", "M11-dequeue-outside-try"), ()),
+    "RP504": (("M2-drain-never-runs", "M3b-bounded-plan-cleared", "M4-first-pre-gate-skipped",
+               "M5-packet-layout-drops-tm-cells", "M6-loops-keyed-without-telemetry",
+               "M8-sweep-fault-classified-in-place", "M14-plan-change-keeps-the-loops"), ()),
+}

@@ -9,12 +9,14 @@ holds only if pytest exits 1 and lists every named id as FAILED: exit 2,
 4 or 5 (interrupted, usage error, nothing collected) is a broken row,
 not a catch.
 
-The tier-1 guard checks, without running anything, that every row's old
-text still occurs exactly once in its file: a refactor that moves the
-code must move its row with it.
+The tier-1 guards check, without running anything, that every row's old
+text still occurs exactly once in its file (a refactor that moves the
+code must move its row with it), and that every test that kept the id of
+a retired code is a must-fail id of a row planting that code's defect.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.mutants.catalogue import MUTANTS
+from repro.analysis import CODES
+from tests.mutants.catalogue import MUTANTS, RETIRED
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -32,22 +35,46 @@ def test_every_row_plants_text_that_occurs_once():
     assert len({row.id for row in MUTANTS}) == len(MUTANTS)
     for row in MUTANTS:
         text = (SRC / row.file).read_text()
-        assert text.count(row.old) == 1, (row.id, row.file, text.count(row.old))
-        assert row.old != row.new and row.fails, row.id
+        for old, new in row.edits():
+            assert text.count(old) == 1, (row.id, row.file, text.count(old))
+            assert old != new, row.id
+        assert row.fails, row.id
+
+
+NAMED = re.compile(r'^def (test_rp(\d{3})\w*)\(|id="(\w+-(RP\d{3}))"', re.M)
+TEST_DEF = re.compile(r"^def (test_\w+)\(", re.M)
+
+
+def _kept_ids():
+    """``(code, test id)`` for every test under tests/ whose id names a
+    retired code: a function ``test_rpNNN_*``, or a parameter id ending
+    in ``-RPNNN`` (of the test function defined after it)."""
+    for path in sorted((ROOT / "tests").rglob("test_*.py")):
+        text = path.read_text()
+        name = path.relative_to(ROOT).as_posix()
+        for match in NAMED.finditer(text):
+            if match[1]:
+                code, test = f"RP{match[2]}", match[1]
+            else:
+                code = match[4]
+                test = f"{TEST_DEF.search(text, match.end())[1]}[{match[3]}]"
+            if code not in CODES:
+                yield code, f"{name}::{test}"
 
 
 def test_every_retired_code_test_is_a_must_fail_id():
-    """The tests that replaced RP502-RP504 each fail when the defect
-    they stand for is planted."""
-    source = (ROOT / "tests/analysis/test_codegen_audit.py").read_text()
-    retired = {
-        line[len("def "):line.index("(")]
-        for line in source.splitlines()
-        if line.startswith(("def test_rp502", "def test_rp503", "def test_rp504"))
-    }
-    assert len(retired) == 16
-    named = {test.split("::")[-1].split("[")[0] for row in MUTANTS for test in row.fails}
-    assert retired <= named, sorted(retired - named)
+    """Each test that kept the id of a retired code fails when a row
+    planting that code's defect is planted; the ids that do not name the
+    code are listed with its rows."""
+    rows = {row.id: row for row in MUTANTS}
+    kept = set(_kept_ids())
+    for code, (_, unnamed) in RETIRED.items():
+        assert code not in CODES, code
+        kept.update((code, test) for test in unnamed)
+    assert {code for code, _ in kept} == set(RETIRED)
+    for code, test in sorted(kept):
+        fails = {failing for row_id in RETIRED[code][0] for failing in rows[row_id].fails}
+        assert test in fails, (code, test)
 
 
 def _checkout(tmp_path, row):
@@ -60,8 +87,10 @@ def _checkout(tmp_path, row):
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     target = tmp_path / "src" / row.file
     text = target.read_text()
-    assert text.count(row.old) == 1, (row.id, text.count(row.old))
-    target.write_text(text.replace(row.old, row.new))
+    for old, new in row.edits():
+        assert text.count(old) == 1, (row.id, text.count(old))
+        text = text.replace(old, new)
+    target.write_text(text)
     return tmp_path
 
 
