@@ -8,8 +8,8 @@
 #
 # Usage: scripts/ci_check.sh
 #
-# The static-analysis gate lints every built-in plugin and the
-# shard/batch layers themselves (one pass: the hot-path rules RP201-RP203,
+# The static-analysis gate lints every built-in plugin (the registry and
+# the chaos wrapper) and the shard/batch layers themselves (one pass: the hot-path rules RP201-RP203,
 # RP205, RP209-RP211 and the shard-safety rules RP401/RP402), warms both
 # generated loop layouts and audits their free names (RP501), and audits
 # the compiled shapes of the classifier DAG and every BMP engine (RP505;
@@ -32,7 +32,7 @@ echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + routing + plugins + drr/scfq + daemons) =="
+    echo "== ruff (analysis + shard + topo + fanout + aiu + pcu + batch + wire codec + routing + plugins + drr/scfq + daemons + chaos) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
         src/repro/mgr/fanout.py src/repro/core/aggregate.py \
         src/repro/aiu/dag.py src/repro/aiu/aiu.py \
@@ -46,7 +46,7 @@ if command -v ruff >/dev/null 2>&1; then
         src/repro/security/sa.py src/repro/security/esp.py \
         src/repro/security/ah.py src/repro/security/hw_offload.py \
         src/repro/sched/base.py src/repro/sched/drr.py src/repro/sched/scfq.py \
-        src/repro/daemons scripts/analyze.py
+        src/repro/daemons src/repro/sim/chaos.py scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="
 fi

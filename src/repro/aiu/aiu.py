@@ -35,47 +35,6 @@ def _raise_hook_fault(instance, gate, exc, packet, now):
     raise exc
 
 
-def _claimed_by(flt: Filter) -> Callable[[FlowRecord], bool]:
-    """``Filter.matches`` over a cached flow's key, with the filter's
-    family, masks, protocol, port bounds and iif read once: the flows a
-    new filter could claim (a wildcard prefix has mask and value 0)."""
-    family = flt.family
-    width = None if family is None else (IPV6_WIDTH if family == 6 else IPV4_WIDTH)
-    smask, svalue = flt.src.mask, flt.src.value
-    dmask, dvalue = flt.dst.mask, flt.dst.value
-    protocol, iif = flt.protocol, flt.iif
-    slow, shigh = flt.sport.low, flt.sport.high
-    dlow, dhigh = flt.dport.low, flt.dport.high
-
-    def claimed(flow: FlowRecord) -> bool:
-        key = flow.key
-        return (
-            (width is None or key.src_width == width)
-            and key.src & smask == svalue
-            and key.dst & dmask == dvalue
-            and (protocol is None or key.protocol == protocol)
-            and slow <= key.sport <= shigh
-            and dlow <= key.dport <= dhigh
-            and (iif is None or key.iif == iif)
-        )
-
-    return claimed
-
-
-def _orphaned_at(index: int) -> Callable[[FlowRecord], bool]:
-    """The cached flows bound, at gate ``index``, through a filter record
-    that has since been removed."""
-
-    def orphaned(flow: FlowRecord) -> bool:
-        slot = flow.slots[index]
-        if slot is None:
-            return False
-        record = slot.filter_record
-        return record is not None and not record.active
-
-    return orphaned
-
-
 class GateError(KeyError):
     """Raised when a gate name is unknown to the AIU."""
 
@@ -228,9 +187,35 @@ class AIU:
         self.plan_epoch += 1
         # Live reconfiguration: cached flows the new filter could claim
         # must re-classify, or they would keep their old bindings until
-        # cache expiry.  One pass over the cached flows.
-        self._drop_flows(_claimed_by(flt))
+        # cache expiry.
+        self._drop_flows(self._claimed(flt))
         return record
+
+    def _claimed(self, flt: Filter) -> List[FlowRecord]:
+        """The cached flows ``flt`` matches, most recent first: the
+        control path's one walk of the flow table.  ``Filter.matches``
+        over each flow's key, inlined, with the filter's family, masks,
+        protocol, port bounds and iif read once (a wildcard prefix has
+        mask and value 0)."""
+        family = flt.family
+        width = None if family is None else (IPV6_WIDTH if family == 6 else IPV4_WIDTH)
+        smask, svalue = flt.src.mask, flt.src.value
+        dmask, dvalue = flt.dst.mask, flt.dst.value
+        protocol, iif = flt.protocol, flt.iif
+        slow, shigh = flt.sport.low, flt.sport.high
+        dlow, dhigh = flt.dport.low, flt.dport.high
+        claimed = []
+        for flow in self.flow_table:
+            key = flow.key
+            if ((width is None or key.src_width == width)
+                    and key.src & smask == svalue
+                    and key.dst & dmask == dvalue
+                    and (protocol is None or key.protocol == protocol)
+                    and slow <= key.sport <= shigh
+                    and dlow <= key.dport <= dhigh
+                    and (iif is None or key.iif == iif)):
+                claimed.append(flow)
+        return claimed
 
     def _index_binding(self, record: FilterRecord, instance: object, bound: bool) -> None:
         """Enter (``bound``) or drop ``record`` under ``instance``; an
@@ -248,27 +233,25 @@ class AIU:
             if overrides(type(instance), "on_flow_removed"):
                 self._removal_hooks += 1 if records else -1
 
-    def _drop_flows(self, stale: Callable[[FlowRecord], bool]) -> int:
+    def _drop_flows(self, flows: Iterable[FlowRecord]) -> int:
         """A verb's one ``FlowTable.purge``, *then* the removal hook from
         the counts the verb left: an instance that just lost its last
-        filter still hears the flows this pass drops.  The purge unlinks
-        every stale flow before it calls a hook, so a hook that raises
-        escapes a table that is already consistent."""
+        filter still hears the flows this purge drops.  The purge unlinks
+        every flow before it calls a hook, so a hook that raises escapes
+        a table that is already consistent."""
         table = self.flow_table
         try:
-            return table.purge(stale)
+            return table.purge(flows)
         finally:
             table.on_remove = self._notify_flow_removed if self._removal_hooks else None
 
-    def _derived_from(self, record: FilterRecord) -> Callable[[FlowRecord], bool]:
-        """The cached flows whose binding at the record's gate came from it."""
-        index = self._gate_index[record.gate]
-
-        def derived(flow: FlowRecord) -> bool:
-            slot = flow.slots[index]
-            return slot is not None and slot.filter_record is record
-
-        return derived
+    def _drop_bound(self, records: Iterable[FilterRecord]) -> int:
+        """Drop the cached flows bound through any of ``records``, each
+        once, read from the records' flow indexes: no flow-table walk."""
+        flows: Dict[FlowRecord, None] = {}
+        for record in records:
+            flows.update(record.flows)
+        return self._drop_flows(flows)
 
     def bind(self, record: FilterRecord, instance: object) -> None:
         """Bind (or rebind) a filter record to a plugin instance.
@@ -282,21 +265,19 @@ class AIU:
             self._index_binding(record, instance, True)
             self.plan_epoch += 1
         record.attach(instance)
-        self._drop_flows(self._derived_from(record))
+        self._drop_bound((record,))
 
     def remove_filter(self, record: FilterRecord) -> bool:
         """Remove a filter and purge flow-table entries derived from it."""
         return self.remove_filters((record,)) > 0
 
     def remove_filters(self, records: Iterable[FilterRecord]) -> int:
-        """Remove filters, then drop in one flow-table pass every cached
-        flow bound through any of them.  Returns the filters removed."""
-        gates = [self._gate_index[r.gate] for r in records if self._unlink(r)]
-        tests = [_orphaned_at(index) for index in set(gates)]
-        if tests:
-            self._drop_flows(tests[0] if len(tests) == 1
-                             else lambda flow: any(test(flow) for test in tests))
-        return len(gates)
+        """Remove filters, then drop every cached flow bound through any
+        of them in one purge.  Returns the filters removed."""
+        removed = [record for record in records if self._unlink(record)]
+        if removed:
+            self._drop_bound(removed)
+        return len(removed)
 
     def _unlink(self, record: FilterRecord) -> bool:
         """Take a record out of its tables and counts; no flow is touched."""
@@ -312,32 +293,21 @@ class AIU:
 
     def purge(self, owned: Callable[[object], bool]) -> Tuple[int, int]:
         """Remove *every* AIU reference to the instances ``owned``
-        accepts: unlink their filter records, then drop, in one pass over
-        the flow table, each cached flow with a slot holding one.
-        Returns (filters removed, flows invalidated).
+        accepts: unlink their filter records, then drop, in one purge,
+        each cached flow bound through one of them.  Returns (filters
+        removed, flows invalidated).
 
-        A slot bound through a filter record is left intact, so its
-        instance hears ``on_flow_removed`` as on any filter removal.  A
-        slot with no filter behind it (bound after the flow was cached,
-        or outside ``register_instance``) is cleared first, so neither
-        the flow cache nor a packet mid-walk whose FIX still points at
-        the record can resurrect the instance.
+        A slot's instance is always its filter record's (the AIU binds
+        slots only through records, and a rebind drops the record's
+        flows), so those records' indexes hold every cached flow that
+        could still reach the instances.  Each bound slot is left intact,
+        so its instance hears ``on_flow_removed`` as on any filter removal.
         """
         records = [record for instance, bound in self._instance_records.items()
                    if owned(instance) for record in bound]
         for record in records:
             self._unlink(record)
-
-        def stale(flow: FlowRecord) -> bool:
-            hit = False
-            for slot in flow.slots:
-                if slot is not None and slot.instance is not None and owned(slot.instance):
-                    hit = True
-                    if slot.filter_record is None:
-                        slot.instance = slot.private = None
-            return hit
-
-        return len(records), self._drop_flows(stale)
+        return len(records), self._drop_bound(records)
 
     def purge_instance(self, instance: object) -> int:
         """:meth:`purge` of one instance; returns the flows invalidated."""
@@ -429,6 +399,8 @@ class AIU:
             slot = record.slot(index)
             slot.instance = filter_record.instance
             slot.filter_record = filter_record
+            if install:
+                filter_record.flows[record] = None
             created = filter_record.on_flow_created
             if created is not None:
                 try:

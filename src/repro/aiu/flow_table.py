@@ -12,7 +12,8 @@ Faithful to the paper's implementation notes:
   recycled** (LRU);
 * each record stores the six-tuple, a pair of pointers per gate (plugin
   instance + per-flow soft state), and the filter record each binding
-  derives from.
+  derives from; releasing a record takes it out of those filter
+  records' flow indexes.
 
 Cost accounting: a lookup charges ``Costs.FLOW_HASH`` cycles for the
 hash, one memory access for the bucket head, and one per chain node
@@ -21,7 +22,7 @@ walked.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..net.packet import Packet
 from ..sim.cost import Costs, NULL_METER
@@ -243,8 +244,14 @@ class FlowTable:
     # Removal / eviction
     # ------------------------------------------------------------------
     def _release(self, record: FlowRecord) -> None:
-        """Unlink one record from its chain and the recency list into the
-        free list; no hook runs, so nothing here can raise."""
+        """Unlink one record from its chain, the recency list and its
+        filter records' flow indexes into the free list; no hook runs,
+        so nothing here can raise."""
+        for slot in record.slots:
+            if slot is not None:
+                bound = slot.filter_record
+                if bound is not None:
+                    del bound.flows[record]
         # O(1) intrusive unlink (previously an O(chain) list.remove).
         prev, nxt = record.hash_prev, record.hash_next
         if prev is not None:
@@ -275,19 +282,15 @@ class FlowTable:
         if self.on_remove is not None:
             self.on_remove(record)
 
-    def purge(self, stale: Callable[[FlowRecord], bool]) -> int:
-        """Drop every flow ``stale`` accepts in one walk of the recency
-        list, most recent first; returns how many went.  The control
-        path's one way to drop flows: a verb pays one pass, however many
-        filter records it removed."""
-        gone = []
-        record = self._lru_head
-        while record is not None:
-            following = record.lru_next
-            if stale(record):
-                self._release(record)
-                gone.append(record)
-            record = following
+    def purge(self, flows: Iterable[FlowRecord]) -> int:
+        """Drop the given cached flows, each listed once: release them all,
+        then call the removal hook on each in order; returns how many
+        went.  The control path's one way to drop flows — a verb names
+        its flows (from filter-record indexes, or ``create_filter``'s
+        claim walk), so this is O(flows dropped)."""
+        gone = list(flows)
+        for record in gone:
+            self._release(record)
         return self._notify(gone)
 
     def expire_idle(self, now: float, max_idle: float) -> int:

@@ -9,13 +9,19 @@ A :class:`FlowRecord` is one row of the flow table (§5.2): the six-tuple,
 a pair of pointers per gate (plugin instance + per-flow soft state), the
 filter record each binding was derived from, and the free-list/LRU
 linkage.
+
+The two index each other: a slot names the filter record it was bound
+through, and that record's ``flows`` holds every live cached flow with
+such a slot.  The AIU is the slots' only writer; a slot's instance is
+always its filter record's, so a control verb finds every flow it must
+drop in the records it touches.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .filters import Filter, FlowKey
 
@@ -46,6 +52,7 @@ class FilterRecord:
         "active",
         "leaves",
         "via",
+        "flows",
         "on_flow_created",
     )
 
@@ -71,6 +78,9 @@ class FilterRecord:
         # (node, label) via-list entries, for O(1) removal.
         self.leaves: List[object] = []
         self.via: List[Tuple[object, object]] = []
+        # The live cached flows bound through this record: entered where
+        # a miss binds a slot, left where the flow is released.
+        self.flows: Dict["FlowRecord", None] = {}
 
     def attach(self, instance: object) -> None:
         """Bind ``instance``; a miss calls ``on_flow_created`` only if its
@@ -152,7 +162,8 @@ class FlowRecord:
         access — a flow that never matches a filter allocates none.  A
         recycled record keeps its materialized GateSlots, scrubbed in
         place rather than reallocated — flow births are the hot part of
-        the miss path.
+        the miss path.  Its filter records forgot it when it was released
+        (``FlowTable._release``), so the scrub touches no index.
         """
         self.key = key
         slots = self.slots

@@ -54,11 +54,13 @@ from .diagnostics import (
     unknown_suppressed_codes,
 )
 
-#: Data-path root methods, per the plugin/scheduler contracts (the last
-#: is the batch hook ``repro.core.router.BATCH_START_HOOK``).
+#: Data-path root methods, per the plugin/scheduler contracts:
+#: ``on_batch_start`` is the batch hook ``repro.core.router.BATCH_START_HOOK``
+#: and ``pass_through`` the scheduling gate's empty-queue shortcut
+#: (``repro.sched.base``), which DRR runs per packet.
 ROOT_METHODS = (
     "process", "enqueue", "dequeue", "on_flow_created", "on_flow_removed",
-    "on_batch_start",
+    "on_batch_start", "pass_through",
 )
 
 _BLOCKING_OS = {"system", "popen", "read", "write", "open", "fork", "wait"}
@@ -479,11 +481,13 @@ def swept_modules() -> List[object]:
 
 
 def builtin_plugin_classes() -> List[type]:
-    """Every plugin class shipped in the registry, deduplicated."""
+    """Every plugin class shipped in the registry, deduplicated, and the
+    chaos wrapper, which loads like one (``repro.sim.chaos``)."""
     from ..mgr.library import PLUGIN_REGISTRY
+    from ..sim.chaos import ChaosPlugin
 
     unique: Dict[str, type] = {}
-    for cls in PLUGIN_REGISTRY.values():
+    for cls in (*PLUGIN_REGISTRY.values(), ChaosPlugin):
         unique.setdefault(f"{cls.__module__}.{cls.__qualname__}", cls)
     return [unique[name] for name in sorted(unique)]
 

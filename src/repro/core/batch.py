@@ -426,16 +426,7 @@ def _emit_classify(blk, plan, depth):
                 packet._flow_key = fkey
     """)
     _emit_allocate(blk, plan, depth + 2)
-    blk(depth + 2, f"""
-        vslots = record.slots
-        if len(vslots) == {plan['gate_count']}:
-            for vslot in vslots:
-                if vslot is not None:
-                    vslot.instance = None
-                    vslot.private = None
-                    vslot.filter_record = None
-        else:
-            record.slots = [None] * {plan['gate_count']}
+    blk(depth + 2, """
         record.key = fkey
         record.last_used = now
         record.packets = 0
@@ -489,6 +480,7 @@ def _emit_classify(blk, plan, depth):
                 fslot = record.slots[_gi] = GateSlot()
             fslot.instance = frec.instance
             fslot.filter_record = frec
+            frec.flows[record] = None
     """)
     fix = f"""
         packet._fix = record
@@ -521,22 +513,45 @@ def _emit_classify(blk, plan, depth):
     blk(depth + 1, fix)
 
 
+def _emit_scrub(blk, plan, depth):
+    """``FlowRecord.reinit``'s slot scrub of ``record``: a recycled
+    record keeps its GateSlots, a pool shell gets its slot list."""
+    blk(depth, f"""
+        vslots = record.slots
+        if len(vslots) == {plan['gate_count']}:
+            for vslot in vslots:
+                if vslot is not None:
+                    vslot.instance = None
+                    vslot.private = None
+                    vslot.filter_record = None
+        else:
+            record.slots = [None] * {plan['gate_count']}
+    """)
+
+
 def _emit_allocate(blk, plan, depth):
-    """Inline ``FlowTable._allocate`` minus ``reinit`` (emitted by the
-    caller): pool pop, growing or reclaiming exactly as the scalar table
-    would."""
+    """Inline ``FlowTable._allocate`` and the slot scrub of ``reinit``
+    (the rest of ``reinit`` is emitted by the caller): pool pop, growing
+    or reclaiming exactly as the scalar table would.  A reclaimed victim
+    leaves its filter records' flow indexes, as ``FlowTable._release``
+    takes a flow out; with no removal hook to run first, the scrub's own
+    loop does it."""
     if not plan["bounded"]:
         blk(depth, """
             if not free:
                 table._grow_pool()
             record = free.pop()
         """)
+        _emit_scrub(blk, plan, depth)
         return
     blk(depth, """
         if not free and table._allocated < MAXR:
             table._grow_pool()
         if free:
             record = free.pop()
+    """)
+    _emit_scrub(blk, plan, depth + 1)
+    blk(depth, """
         else:
             victim = table._lru_tail
             if victim is None:
@@ -564,15 +579,31 @@ def _emit_allocate(blk, plan, depth):
             # free list and immediately pops it back (LIFO), so handing the
             # victim straight to the installer is state-identical and skips
             # the list round trip — unless a removal hook runs, which it
-            # does on a victim already in the free list, so a hook that
-            # raises leaks no pool record.
+            # does on a victim already in the free list and out of every
+            # index, so a hook that raises leaks no pool record.  A live
+            # record's slot list is always full length.
             record = victim
             on_remove = table.on_remove
-            if on_remove is not None:
+            if on_remove is None:
+                for vslot in victim.slots:
+                    if vslot is not None:
+                        vbound = vslot.filter_record
+                        if vbound is not None:
+                            del vbound.flows[victim]
+                            vslot.filter_record = None
+                        vslot.instance = None
+                        vslot.private = None
+            else:
+                for vslot in victim.slots:
+                    if vslot is not None:
+                        vbound = vslot.filter_record
+                        if vbound is not None:
+                            del vbound.flows[victim]
                 free.append(victim)
                 on_remove(victim)
                 record = free.pop()
     """)
+    _emit_scrub(blk, plan, depth + 2)
 
 
 def _emit_fetch(blk, depth, gate, gi):

@@ -108,25 +108,20 @@ class TestInvalidation:
         assert table.lookup(_flow_packet(1)) is None
         assert len(table) == 0
 
-    def test_purge_drops_accepted_flows_in_one_recency_walk(self, table):
+    def test_purge_drops_exactly_the_named_flows(self, table):
         removed = []
         table.on_remove = removed.append
         records = [table.install(_flow_packet(i), now=float(i)) for i in range(6)]
         table.lookup(_flow_packet(0), now=9.0)      # flow 0 is now the most recent
-        seen = []
-
-        def stale(record):
-            seen.append(record)
-            return record.key.sport % 2 == 0        # flows 0, 2, 4
-
-        assert table.purge(stale) == 3
-        recency = [records[0]] + records[:0:-1]
-        assert seen == recency                      # each flow tested once, MRU first
-        assert removed == [r for r in recency if r.key.sport % 2 == 0]
+        named = [records[4], records[0], records[2]]
+        assert table.purge(iter(named)) == 3
+        assert removed == named                     # hooks in the order named, after all went
         assert [r.key.sport for r in table] == [1005, 1003, 1001]
         for i in (1, 3, 5):
             assert table.lookup(_flow_packet(i)) is records[i]
-        assert table.purge(stale) == 0
+        for i in (0, 2, 4):
+            assert table.lookup(_flow_packet(i)) is None
+        assert table.purge(()) == 0 and len(removed) == 3
 
     def test_expire_idle(self, table):
         table.install(_flow_packet(1), now=0.0)

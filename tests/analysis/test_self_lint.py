@@ -9,8 +9,13 @@ this suite keeps the registry at zero findings forever after.
 
 from pathlib import Path
 
-from repro.analysis import CODES, lint_builtin_plugins, self_lint
-from repro.analysis.hotpath import builtin_plugin_classes
+import time
+
+from repro.analysis import CODES, lint_builtin_plugins, lint_plugin, self_lint
+from repro.analysis.hotpath import ROOT_METHODS, builtin_plugin_classes
+from repro.core.plugin import Plugin
+from repro.sched.drr import DrrInstance, DrrPlugin
+from repro.sim.chaos import ChaosInstance, ChaosPlugin
 
 
 def test_builtin_plugins_lint_clean():
@@ -25,6 +30,28 @@ def test_builtin_registry_is_covered():
     assert len(classes) >= 15
     names = {cls.__name__ for cls in classes}
     assert {"AhPlugin", "EspPlugin", "DrrPlugin", "RedPlugin"} <= names
+    # The chaos wrapper loads like a registry plugin (repro.sim.chaos).
+    assert ChaosPlugin in classes and ChaosPlugin.instance_class is ChaosInstance
+
+
+class _ClockedPassThrough(DrrInstance):
+    def pass_through(self, packet, ctx):
+        self.passed_at = time.time()
+        return False
+
+
+class _ClockedPassThroughPlugin(Plugin):
+    name = "clocked"
+    instance_class = _ClockedPassThrough
+
+
+def test_every_data_path_root_is_linted():
+    """Each method the router calls per packet is a lint root, the
+    scheduling gate's ``pass_through`` (DRR runs it per packet) among them."""
+    assert {"process", "enqueue", "dequeue", "pass_through"} <= set(ROOT_METHODS)
+    assert callable(DrrPlugin.instance_class.pass_through)
+    found = [(d.code, d.subject) for d in lint_plugin(_ClockedPassThroughPlugin)]
+    assert ("RP202", "_ClockedPassThrough.pass_through") in found, found
 
 
 def test_full_self_lint_gate_is_clean():

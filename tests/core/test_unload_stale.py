@@ -126,16 +126,20 @@ class TestPurgeInstanceDirect:
         assert not router.aiu.filters()
         assert router.aiu.purge_instance(instance) == 0
 
-    def test_purge_counts_slots_unreachable_from_filters(self, router):
-        # A slot holding the instance with no filter record behind it is
-        # exactly what the sweep exists for: remove_filter cannot see it.
+    def test_purge_counts_a_flow_bound_by_a_late_bind(self, router):
+        # A flow cached before its filter was bound re-classifies onto the
+        # instance at its next packet, and the record's index holds it.
         plugin = CountingPlugin()
         router.pcu.load(plugin)
         instance = plugin.create_instance()
+        record = router.aiu.create_filter(GATE_IP_SECURITY, "*, *, UDP")
+        router.receive(_pkt())
+        router.aiu.bind(record, instance)
+        assert len(router.aiu.flow_table) == 0
         router.receive(_pkt())
         (flow,) = router.aiu.flow_table
-        slot = flow.slot(router.aiu.gate_index(GATE_IP_SECURITY))
-        slot.instance = instance
-        assert slot.filter_record is None
+        assert flow.slots[router.aiu.gate_index(GATE_IP_SECURITY)].instance is instance
+        assert instance.calls == 1
         assert router.aiu.purge_instance(instance) == 1
-        assert slot.instance is None and len(router.aiu.flow_table) == 0
+        assert len(router.aiu.flow_table) == 0 and not router.aiu.filters()
+        assert record.flows == {}

@@ -1,7 +1,7 @@
 """One reservation lifecycle: a scheduler's per-filter state lives on the
 filter record, so removing the filter leaves the scheduler holding
 nothing of it; a daemon's soft-state sweep removes every expired
-reservation in one pass over the flow table; and a control call with a
+reservation in one AIU removal that walks no flow table; and a control call with a
 stale ``now`` cannot schedule output before the loop's present."""
 
 from collections import deque
@@ -149,7 +149,7 @@ def test_removed_filter_leaves_no_record_in_its_scheduler(make, bind, applied):
 
 
 # ----------------------------------------------------------------------
-# A sweep is one AIU pass
+# A sweep walks no flow table: the records' indexes name its flows
 # ----------------------------------------------------------------------
 def _queue_traffic(topo, k):
     """Packets of every reserved flow and of 4 unreserved ones, left
@@ -161,27 +161,47 @@ def _queue_traffic(topo, k):
                            now=topo.loop.now)
 
 
-def _count_purges(monkeypatch):
-    passes = []
-    real_purge = FlowTable.purge
+def _count_walks(monkeypatch):
+    """Every walk of a flow table's recency list from here on."""
+    walks = []
+    real_iter = FlowTable.__iter__
 
-    def counting_purge(table, stale):
-        passes.append(table)
-        return real_purge(table, stale)
+    def counting_iter(table):
+        walks.append(table)
+        return real_iter(table)
 
-    monkeypatch.setattr(FlowTable, "purge", counting_purge)
-    return passes
+    monkeypatch.setattr(FlowTable, "__iter__", counting_iter)
+    return walks
+
+
+def _swept(router, doomed):
+    """(cached flow keys, the keys of those bound through ``doomed``)."""
+    flows = list(router.aiu.flow_table)
+    bound = {flow.key for flow in flows
+             if any(slot is not None and slot.filter_record in doomed for slot in flow.slots)}
+    return {flow.key for flow in flows}, bound
+
+
+def _assert_swept_without_a_walk(router, before, bound, walks):
+    assert walks == []
+    assert {flow.key for flow in router.aiu.flow_table} == before - bound
+    assert router.aiu.filter_count(GATE_PACKET_SCHEDULING) == 0
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
 def test_ssp_expire_walks_the_flow_table_once(k, monkeypatch):
+    """The sweep's one ``remove_filters`` drops exactly the reserved
+    flows, read from the records' indexes: zero recency walks."""
     topo, _, daemons = _ssp_chain(timeout=10.0)
     _reserve(topo, daemons, k)
     _queue_traffic(topo, k)
-    passes = _count_purges(monkeypatch)
+    router = topo.routers["b"]
+    doomed = {r.filter_record for r in daemons["b"].reservations.values()}
+    before, bound = _swept(router, doomed)
+    assert len(bound) == k and len(before) > k
+    walks = _count_walks(monkeypatch)
     assert daemons["b"].expire(now=topo.loop.now + 60.0) == k
-    assert len(passes) == 1
-    assert topo.routers["b"].aiu.filter_count(GATE_PACKET_SCHEDULING) == 0
+    _assert_swept_without_a_walk(router, before, bound, walks)
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
@@ -198,10 +218,13 @@ def test_rsvp_sweep_walks_the_flow_table_once(k, monkeypatch):
         daemons["c"].send_resv(f"s{i}", _flowspec(i), rate_bps=1e6, now=topo.loop.now)
         topo.run()
     _queue_traffic(topo, k)
-    passes = _count_purges(monkeypatch)
+    router = topo.routers["b"]
+    doomed = {state.filter_record for state in daemons["b"].resv_state.values()}
+    before, bound = _swept(router, doomed)
+    assert len(bound) == k and len(before) > k
+    walks = _count_walks(monkeypatch)
     assert daemons["b"].sweep(now=topo.loop.now + 100.0) == 2 * k
-    assert len(passes) == 1
-    assert topo.routers["b"].aiu.filter_count(GATE_PACKET_SCHEDULING) == 0
+    _assert_swept_without_a_walk(router, before, bound, walks)
 
 
 def _state(topo, schedulers):

@@ -46,6 +46,7 @@ HOTPATH = "tests/analysis/test_hotpath_lint.py::test_bad_pattern_is_flagged"
 SHARDLINT = "tests/analysis/test_concurrency_lint.py::"
 PIPELINE = "tests/perf/test_batch_pipeline.py::"
 PREFLIGHT = "tests/aiu/test_classifier_differential.py::"
+PURGE = "tests/aiu/test_purge.py::"
 BATCH = "repro/core/batch.py"
 DAG = "repro/aiu/dag.py"
 BMP = "repro/bmp/base.py"
@@ -87,11 +88,10 @@ MUTANTS = (
     ),
     Mutant(
         "removal-hook-before-unlink", "repro/aiu/flow_table.py",
-        "                self._release(record)\n                gone.append(record)\n"
-        "            record = following\n        return self._notify(gone)\n",
-        "                self._notify([record])\n                self._release(record)\n"
-        "                gone.append(record)\n            record = following\n"
-        "        return len(gone)\n",
+        "        for record in gone:\n            self._release(record)\n"
+        "        return self._notify(gone)\n",
+        "        for record in gone:\n            self._notify([record])\n"
+        "            self._release(record)\n        return len(gone)\n",
         ("tests/aiu/test_flow_hooks.py::"
          "test_a_purge_releases_every_flow_before_a_raising_on_remove",),
     ),
@@ -352,6 +352,48 @@ MUTANTS = (
               for fail in ("first", "mid-batch", "trips-quarantine")
               for front in ("receive", "receive_batch")),
     ),
+    # -- the flow index: each record holds exactly its bound cached flows --
+    Mutant(
+        # The generated miss branch binds a slot but does not index it:
+        # releasing such a flow raises KeyError, so about 130 tier-1 ids
+        # fail; the row names the index's own checks.
+        "index-miss-branch-skips-the-add", BATCH,
+        "            fslot.filter_record = frec\n            frec.flows[record] = None\n",
+        "            fslot.filter_record = frec\n",
+        (ORACLE, PURGE + "TestIndexUnbounded::runTest", PURGE + "TestIndexBounded::runTest",
+         PURGE + "test_create_filter_walks_the_flow_table_once",
+         PURGE + "test_remove_filters_across_two_gates_drops_exactly_their_flows",
+         *(PURGE + f"test_instance_verbs_walk_the_flow_table_once[{verb}]"
+           for verb in ("_deregister", "_purge_instance", "_unload"))),
+    ),
+    Mutant(
+        # A bounded table's hookless victim is recycled still indexed by
+        # its old filter record: removing that filter drops its new flow.
+        "index-victim-block-skips-the-delete", BATCH,
+        "                            del vbound.flows[victim]\n"
+        "                            vslot.filter_record = None\n",
+        "                            vslot.filter_record = None\n",
+        (ORACLE, PURGE + "TestIndexBounded::runTest"),
+    ),
+    Mutant(
+        # A released flow stays in its filter records' indexes: a later
+        # verb releases a pool record a second time.
+        "index-release-skips-the-delete", "repro/aiu/flow_table.py",
+        "                    del bound.flows[record]\n",
+        "                    pass\n",
+        (ORACLE, PURGE + "TestIndexUnbounded::runTest", PURGE + "TestIndexBounded::runTest",
+         PURGE + "test_remove_filters_across_two_gates_drops_exactly_their_flows",
+         *(f"tests/core/test_fault_domains.py::"
+           f"test_a_raising_removal_hook_is_a_fault_behind_each_verb[{verb}]"
+           for verb in ("_unbind", "_remove_filter", "_unload")),
+         "tests/core/test_unload_stale.py::TestPurgeInstanceDirect::"
+         "test_purge_counts_a_flow_bound_by_a_late_bind",
+         *("tests/oracle/test_oracle.py::" + test for test in (
+             "test_installer_fires_in_a_traced_batch",
+             "test_untraced_installer_parks_the_batching_fronts_by_name",
+             "test_a_plugin_filter_at_an_active_gate_waits_for_the_batch_only_under_lanes",
+             "test_hooks_planted_mid_batch_are_heard_at_once_under_packet"))),
+    ),
     # -- plugin lint (RP2xx, RP4xx): each code's defect in shipped code --
     Mutant(
         # A router alert written to a log file instead of punted to the
@@ -373,6 +415,19 @@ MUTANTS = (
         "            if self._rng.random() < probability:\n",
         "            if random.random() < probability:\n",
         SELF_LINT,
+    ),
+    Mutant(
+        # The scheduling gate's empty-queue shortcut reads the clock: a
+        # data-path root the lint walks since ROOT_METHODS holds it.
+        "rp202-drr-pass-through-reads-the-clock", DRR,
+        ("from collections import deque\n",
+         "one is (inactive, deficit 0, a quantum owed).\"\"\"\n"),
+        ("import time\nfrom collections import deque\n",
+         "one is (inactive, deficit 0, a quantum owed).\"\"\"\n"
+         "        self.passed_at = time.time()\n"),
+        SELF_LINT + tuple(f"tests/analysis/test_pmgr_analyze.py::{test}" for test in (
+            "test_analyze_command_reports_findings", "test_analyze_json_output",
+            "test_show_aiu_analyzed_line_never_fresh_stale")),
     ),
     Mutant(
         "rp203-esp-bare-except", "repro/security/esp.py",

@@ -288,14 +288,29 @@ def hooks_hold(router):
 
 
 def flows_bind_live_filters(router):
-    """No cached flow's slot holds a filter record that is no longer
-    installed: a verb unlinks the flows derived from a filter before any
-    removal hook can raise."""
-    stale = [(flow.key, slot.filter_record.filter) for flow in router.aiu.flow_table
-             for slot in flow.slots
-             if slot is not None and slot.filter_record is not None
-             and not slot.filter_record.active]
-    assert not stale, (router.name, stale[:3])
+    """Every cached flow's slot is bound through a filter record that is
+    still installed and holds that record's instance (the AIU is the
+    slots' only writer), and each installed record's flow index is
+    exactly the cached flows bound through it: a verb drops the flows its
+    records index, so a flow the index misses would outlive its filter,
+    and one it keeps after release would be dropped twice."""
+    stale, walked = [], {}
+    for flow in router.aiu.flow_table:
+        for slot in flow.slots:
+            if slot is None:
+                continue
+            record = slot.filter_record
+            if record is None:
+                if slot.instance is not None:
+                    stale.append((flow.key, "no filter", slot.instance))
+                continue
+            if not record.active or slot.instance is not record.instance:
+                stale.append((flow.key, record.filter, slot.instance))
+            walked.setdefault(record, set()).add(flow)
+    for record in router.aiu.filters():
+        if set(record.flows) != walked.pop(record, set()):
+            stale.append(("index", record.filter, len(record.flows)))
+    assert not stale and not walked, (router.name, stale[:3], list(walked)[:3])
 
 
 def router_view(router):
